@@ -79,6 +79,7 @@ __all__ = [
     "create",
     "policy_config",
     "policy_label",
+    "has_capability",
     "has_kernel",
     "make_kernel",
     "same_kernel_family",
@@ -433,10 +434,21 @@ def policy_config(policy: Any) -> Optional[dict]:
 
 
 # -- kernel dispatch ---------------------------------------------------
+def has_capability(policy: Any, name: str) -> bool:
+    """Whether ``policy``'s registered family declares capability ``name``.
+
+    ``name`` is a boolean :class:`PolicyCapabilities` field; unregistered
+    policies declare nothing.
+    """
+    descriptor = descriptor_for(policy)
+    if descriptor is None:
+        return False
+    return bool(getattr(descriptor.capabilities, name))
+
+
 def has_kernel(policy: Any) -> bool:
     """Whether ``policy`` resolves to a family with a batch kernel."""
-    descriptor = descriptor_for(policy)
-    return descriptor is not None and descriptor.capabilities.batchable
+    return has_capability(policy, "batchable")
 
 
 def make_kernel(policy: Any) -> Any:

@@ -36,7 +36,7 @@ from .extensions import (
     burst_loss_robustness,
     correlated_traffic_robustness,
 )
-from .figures import ALL_FIGURES
+from .figures import ALL_FIGURES, SWEEP_FIGURES
 from .reporting import figure_to_csv, format_figure
 from .summary import evaluate_paper_claims, format_verdicts
 
@@ -231,9 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Figures backed by a parameter sweep — the targets that accept the
-#: fault-tolerance and resume flags (fig5/fig6 are single-trace runs).
-SWEEP_FIGURES = ("fig3", "fig4", "fig7", "fig8", "fig9", "fig10")
+#: Sweep-engine flags passed through to the sweep figures when given.
+#: Any of them (or ``--cells``) on a figure without ``--engine`` lands it
+#: on the fused engine instead of erroring on the scalar default.
+_SWEEP_ENGINE_FLAGS = (
+    "rng", "shards", "backend", "dp_state", "channel", "arrivals",
+)
 
 
 def faults_from_args(args: argparse.Namespace):
@@ -290,8 +293,8 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
             kwargs["cache"] = True
     else:
         func = ALL_FIGURES[name]
-        # fig5/fig6 are single-run figures and take a scalar seed.
-        if name in ("fig5", "fig6"):
+        if name not in SWEEP_FIGURES:
+            # Single-trace figures take a scalar seed.
             kwargs["seed"] = args.seeds[0]
         else:
             kwargs["seeds"] = tuple(args.seeds)
@@ -304,19 +307,9 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
                 kwargs["faults"] = faults
             if args.resume:
                 kwargs["cache"] = True
-            if args.engine is not None:
-                kwargs["engine"] = args.engine
-            elif (args.rng is not None or args.shards is not None
-                  or args.backend is not None
-                  or args.dp_state is not None
-                  or args.cells is not None
-                  or args.channel is not None
-                  or args.arrivals is not None):
-                # --rng/--shards/--backend/--dp-state/--cells/--channel/
-                # --arrivals are sweep-engine features; land them on the
-                # fused engine instead of erroring on the figures' scalar
-                # default.
-                kwargs["engine"] = "fused"
+            for flag in _SWEEP_ENGINE_FLAGS:
+                if getattr(args, flag) is not None:
+                    kwargs[flag] = getattr(args, flag)
             if args.cells is not None:
                 # functools.partial, not a lambda: sharded fused sweeps
                 # pickle the builder into worker processes.
@@ -325,18 +318,10 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
                     num_cells=args.cells,
                     cross_cell_fraction=args.cross_cell_fraction or 0.0,
                 )
-            if args.channel is not None:
-                kwargs["channel"] = args.channel
-            if args.arrivals is not None:
-                kwargs["arrivals"] = args.arrivals
-            if args.rng is not None:
-                kwargs["rng"] = args.rng
-            if args.shards is not None:
-                kwargs["shards"] = args.shards
-            if args.backend is not None:
-                kwargs["backend"] = args.backend
-            if args.dp_state is not None:
-                kwargs["dp_state"] = args.dp_state
+            if args.engine is not None:
+                kwargs["engine"] = args.engine
+            elif kwargs.keys() & {*_SWEEP_ENGINE_FLAGS, "topology"}:
+                kwargs["engine"] = "fused"
     result = func(**kwargs)
     if args.outdir is not None:
         os.makedirs(args.outdir, exist_ok=True)

@@ -15,9 +15,11 @@ their pool.  This module supplies the shared vocabulary every runner
   record ``best_effort`` mode attaches to a
   :class:`~repro.experiments.runner.SweepResult` whose permanently
   failed cells were filled with NaN points (:func:`nan_point`).
-* :func:`call_with_retries` — the retry loop itself, shared by the
-  sequential and fused runners (the parallel orchestrator implements
-  the same policy asynchronously across futures).
+* :func:`call_with_retries` — the retry loop itself, shared by every
+  in-process runner, for single cells and for units covering several
+  cells (fused groups, shards); the parallel orchestrator implements the
+  same policy asynchronously across futures and settles permanent
+  failures the same way.
 * :func:`fire_fault_hooks` — deterministic fault injection for testing:
   an injectable in-process callable (:func:`install_fault_injector`)
   plus the ``REPRO_FAULT_INJECT`` environment variable, which crosses
@@ -271,6 +273,26 @@ def call_with_retries(
     failure (recorded in ``failures``).  Strict mode raises
     :class:`SweepCellError` instead, chained to the last exception.
     """
+    return _retry_unit(
+        fn, (value, label), [(value, label)], seeds, faults, failures, sleep
+    )
+
+
+def _retry_unit(
+    fn: Callable[[int], object],
+    unit: Tuple[float, str],
+    members: Sequence[Tuple[float, str]],
+    seeds: Sequence[int],
+    faults: FaultPolicy,
+    failures: List[CellFailure],
+    sleep: Callable[[float], None] = time.sleep,
+):
+    """:func:`call_with_retries` for a work unit covering several cells.
+
+    ``unit`` is the (value, label) a strict :class:`SweepCellError`
+    names; a permanent best-effort failure records one
+    :class:`CellFailure` per ``members`` cell.
+    """
     attempt = 0
     while True:
         try:
@@ -282,21 +304,35 @@ def call_with_retries(
                 if delay > 0:
                     sleep(delay)
                 continue
-            if not faults.best_effort:
-                raise SweepCellError(
-                    value, label, tuple(seeds), attempt, exc
-                ) from exc
-            failures.append(
-                CellFailure(
-                    value=float(value),
-                    policy=label,
-                    seeds=tuple(seeds),
-                    attempts=attempt,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                )
-            )
+            _fail_unit(exc, unit, members, seeds, attempt, faults, failures)
             return None
+
+
+def _fail_unit(
+    exc: BaseException,
+    unit: Tuple[float, str],
+    members: Sequence[Tuple[float, str]],
+    seeds: Sequence[int],
+    attempts: int,
+    faults: FaultPolicy,
+    failures: List[CellFailure],
+) -> None:
+    """Settle a permanently failed unit: raise :class:`SweepCellError`
+    naming ``unit`` (strict), or record one :class:`CellFailure` per
+    member cell (best effort)."""
+    if not faults.best_effort:
+        raise SweepCellError(*unit, tuple(seeds), attempts, exc) from exc
+    failures.extend(
+        CellFailure(
+            value=float(value),
+            policy=label,
+            seeds=tuple(seeds),
+            attempts=attempts,
+            error_type=type(exc).__name__,
+            message=str(exc),
+        )
+        for value, label in members
+    )
 
 
 # ----------------------------------------------------------------------

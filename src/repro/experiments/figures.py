@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import inspect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .configs import (
     video_asymmetric_spec,
     video_symmetric_spec,
 )
-from .faults import FaultPolicy, SweepFailureReport
+from .faults import SweepFailureReport
 from .runner import _ENGINES, SweepResult, run_sweep
 
 #: ``policies`` argument accepted by the sweep figures: a label -> factory
@@ -129,6 +130,8 @@ __all__ = [
     "fig9",
     "fig10",
     "ALL_FIGURES",
+    "SWEEP_FIGURES",
+    "SweepFigure",
 ]
 
 #: Default sweep grids, chosen to bracket the paper's plotted ranges.
@@ -185,121 +188,6 @@ def _sweep_to_figure(
                     sweep.group_series(policy, gid)
                 )
     return result
-
-
-def fig3(
-    num_intervals: Optional[int] = None,
-    seeds: Sequence[int] = (0,),
-    alphas: Sequence[float] = FIG3_ALPHAS,
-    engine: str = "scalar",
-    policies: PolicySelection = None,
-    cache=None,
-    faults: Optional[FaultPolicy] = None,
-    rng: Optional[str] = None,
-    shards: Optional[int] = None,
-    backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
-    topology=None,
-    channel=None,
-    arrivals=None,
-) -> FigureResult:
-    """Fig. 3: symmetric video network, deficiency vs arrival parameter.
-
-    20 links, ``p = 0.7``, 90% delivery ratio.  LDF's admissible boundary
-    sits near ``alpha* ~ 0.62``; FCSMA supports only ~70% of that.
-    ``policies`` overrides the compared set (factories or registered
-    names); the default is the paper's comparison.  ``rng`` / ``shards``
-    / ``backend`` reach the sweep engines (batch/fused only) — see
-    :func:`~repro.experiments.runner.run_sweep`.  ``channel`` replaces
-    the spec's default Bernoulli channel: a spec string such as
-    ``"ge:0.1:0.3"`` (see :func:`~repro.phy.channel.channel_from_spec`),
-    a :class:`~repro.phy.channel.ChannelModel`, or a ``spec -> channel``
-    callable; ``arrivals`` likewise replaces the arrival process (e.g.
-    ``"mmpp:0.7:0.1"`` — see
-    :func:`~repro.traffic.arrivals.arrivals_from_spec`; requirements are
-    rebuilt from the spec's delivery ratios).  All sweep figures accept
-    the same keywords.
-    """
-    intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
-    sweep = run_sweep(
-        parameter_name="alpha*",
-        values=alphas,
-        # functools.partial, not a lambda: sharded fused sweeps pickle
-        # the builder into worker processes.
-        spec_builder=_maybe_with_arrivals(
-            _maybe_with_channel(
-                functools.partial(video_symmetric_spec, delivery_ratio=0.9),
-                channel,
-            ),
-            arrivals,
-        ),
-        policies=paper_policies() if policies is None else policies,
-        num_intervals=intervals,
-        seeds=seeds,
-        engine=engine,
-        cache=cache,
-        faults=faults,
-        rng=rng,
-        shards=shards,
-        backend=backend,
-        dp_state=dp_state,
-        topology=topology,
-    )
-    return _sweep_to_figure(
-        sweep,
-        "fig3",
-        "Symmetric video network under 90% delivery ratio",
-        "alpha*",
-    )
-
-
-def fig4(
-    num_intervals: Optional[int] = None,
-    seeds: Sequence[int] = (0,),
-    ratios: Sequence[float] = FIG4_RATIOS,
-    engine: str = "scalar",
-    policies: PolicySelection = None,
-    cache=None,
-    faults: Optional[FaultPolicy] = None,
-    rng: Optional[str] = None,
-    shards: Optional[int] = None,
-    backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
-    topology=None,
-    channel=None,
-    arrivals=None,
-) -> FigureResult:
-    """Fig. 4: symmetric video network at ``alpha* = 0.55``, deficiency vs
-    required delivery ratio."""
-    intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
-    sweep = run_sweep(
-        parameter_name="delivery ratio",
-        values=ratios,
-        # picklable: the swept value lands on delivery_ratio positionally
-        spec_builder=_maybe_with_arrivals(
-            _maybe_with_channel(
-                functools.partial(video_symmetric_spec, 0.55), channel
-            ),
-            arrivals,
-        ),
-        policies=paper_policies() if policies is None else policies,
-        num_intervals=intervals,
-        seeds=seeds,
-        engine=engine,
-        cache=cache,
-        faults=faults,
-        rng=rng,
-        shards=shards,
-        backend=backend,
-        dp_state=dp_state,
-        topology=topology,
-    )
-    return _sweep_to_figure(
-        sweep,
-        "fig4",
-        "Symmetric video network under fixed arrival rate alpha* = 0.55",
-        "delivery ratio",
-    )
 
 
 def fig5(
@@ -378,204 +266,215 @@ def fig6(
     return out
 
 
-def fig7(
-    num_intervals: Optional[int] = None,
-    seeds: Sequence[int] = (0,),
-    alphas: Sequence[float] = FIG7_ALPHAS,
-    engine: str = "scalar",
-    policies: PolicySelection = None,
-    cache=None,
-    faults: Optional[FaultPolicy] = None,
-    rng: Optional[str] = None,
-    shards: Optional[int] = None,
-    backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
-    topology=None,
-    channel=None,
-    arrivals=None,
+@dataclass(frozen=True)
+class SweepFigure:
+    """One row of the sweep-figure table: everything that tells one
+    parameter-sweep figure apart from another.
+
+    ``x_label`` doubles as the sweep's parameter name; ``grid_keyword``
+    names the figure's grid argument (``alphas`` / ``ratios`` /
+    ``lambdas``) and ``grid`` is its default; ``horizon`` is the paper's
+    interval count, scaled by ``REPRO_SCALE`` unless the caller passes
+    ``num_intervals``.
+    """
+
+    figure_id: str
+    title: str
+    x_label: str
+    spec_builder: Callable[[float], NetworkSpec]
+    grid_keyword: str
+    grid: Tuple[float, ...]
+    horizon: int
+    doc: str
+    groups: Optional[Tuple[int, ...]] = None
+    notes: str = ""
+
+
+#: Keywords every sweep figure forwards to its sweep, after
+#: ``num_intervals``, ``seeds``, the grid and ``engine`` (see
+#: :func:`fig3` for their meaning).
+_SWEEP_KEYWORDS = (
+    "policies",
+    "cache",
+    "faults",
+    "rng",
+    "shards",
+    "backend",
+    "dp_state",
+    "topology",
+    "channel",
+    "arrivals",
+)
+
+# The spec builders are functools.partial objects, not lambdas: sharded
+# fused sweeps pickle the builder into worker processes.  Fixing the
+# load positionally leaves the swept value to land on delivery_ratio.
+SWEEP_FIGURES = {
+    row.figure_id: row
+    for row in (
+        SweepFigure(
+            "fig3",
+            "Symmetric video network under 90% delivery ratio",
+            "alpha*",
+            functools.partial(video_symmetric_spec, delivery_ratio=0.9),
+            "alphas",
+            FIG3_ALPHAS,
+            VIDEO_INTERVALS,
+            doc="""Fig. 3: symmetric video network, deficiency vs arrival parameter.
+
+    20 links, ``p = 0.7``, 90% delivery ratio.  LDF's admissible boundary
+    sits near ``alpha* ~ 0.62``; FCSMA supports only ~70% of that.
+    ``policies`` overrides the compared set (factories or registered
+    names); the default is the paper's comparison.  ``rng`` / ``shards``
+    / ``backend`` reach the sweep engines (batch/fused only) — see
+    :func:`~repro.experiments.runner.run_sweep`.  ``channel`` replaces
+    the spec's default Bernoulli channel: a spec string such as
+    ``"ge:0.1:0.3"`` (see :func:`~repro.phy.channel.channel_from_spec`),
+    a :class:`~repro.phy.channel.ChannelModel`, or a ``spec -> channel``
+    callable; ``arrivals`` likewise replaces the arrival process (e.g.
+    ``"mmpp:0.7:0.1"`` — see
+    :func:`~repro.traffic.arrivals.arrivals_from_spec`; requirements are
+    rebuilt from the spec's delivery ratios).  All sweep figures accept
+    the same keywords.
+    """,
+        ),
+        SweepFigure(
+            "fig4",
+            "Symmetric video network under fixed arrival rate alpha* = 0.55",
+            "delivery ratio",
+            functools.partial(video_symmetric_spec, 0.55),
+            "ratios",
+            FIG4_RATIOS,
+            VIDEO_INTERVALS,
+            doc="""Fig. 4: symmetric video network at ``alpha* = 0.55``, deficiency vs
+    required delivery ratio.""",
+        ),
+        SweepFigure(
+            "fig7",
+            "Asymmetric network, group-wide deficiency under 90% delivery ratio",
+            "alpha*",
+            functools.partial(video_asymmetric_spec, delivery_ratio=0.9),
+            "alphas",
+            FIG7_ALPHAS,
+            VIDEO_INTERVALS,
+            doc="""Fig. 7: asymmetric network, per-group deficiency vs ``alpha*`` at 90%
+    delivery ratio.""",
+            groups=ASYMMETRIC_GROUPS,
+            notes="group 1: p = 0.5, alpha = 0.5 alpha*; group 2: p = 0.8, alpha = alpha*",
+        ),
+        SweepFigure(
+            "fig8",
+            "Asymmetric network, group-wide deficiency under alpha* = 0.7",
+            "delivery ratio",
+            functools.partial(video_asymmetric_spec, 0.7),
+            "ratios",
+            FIG8_RATIOS,
+            VIDEO_INTERVALS,
+            doc="""Fig. 8: asymmetric network, per-group deficiency vs delivery ratio at
+    ``alpha* = 0.7``.""",
+            groups=ASYMMETRIC_GROUPS,
+            notes="group 1: p = 0.5, alpha = 0.35; group 2: p = 0.8, alpha = 0.7",
+        ),
+        SweepFigure(
+            "fig9",
+            "Low-latency network under 99% delivery ratio",
+            "lambda*",
+            functools.partial(low_latency_spec, delivery_ratio=0.99),
+            "lambdas",
+            FIG9_LAMBDAS,
+            LOW_LATENCY_INTERVALS,
+            doc="""Fig. 9: ultra-low-latency network, deficiency vs arrival rate at 99%
+    delivery ratio (10 links, 2 ms deadline).""",
+        ),
+        SweepFigure(
+            "fig10",
+            "Low-latency network under fixed lambda* = 0.78",
+            "delivery ratio",
+            functools.partial(low_latency_spec, 0.78),
+            "ratios",
+            FIG10_RATIOS,
+            LOW_LATENCY_INTERVALS,
+            doc="""Fig. 10: ultra-low-latency network, deficiency vs delivery ratio at
+    ``lambda* = 0.78``.""",
+        ),
+    )
+}
+
+
+def _run_sweep_figure(
+    row: SweepFigure,
+    values: Sequence[float],
+    num_intervals: Optional[int],
+    seeds: Sequence[int],
+    engine: str,
+    policies: PolicySelection,
+    channel,
+    arrivals,
+    **sweep_options,
 ) -> FigureResult:
-    """Fig. 7: asymmetric network, per-group deficiency vs ``alpha*`` at 90%
-    delivery ratio."""
-    intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
+    """Run one sweep-figure row over ``values``.
+
+    ``channel`` / ``arrivals`` wrap the row's spec builder; every other
+    option goes to :func:`~repro.experiments.runner.run_sweep` as is.
+    """
     sweep = run_sweep(
-        parameter_name="alpha*",
-        values=alphas,
+        parameter_name=row.x_label,
+        values=values,
         spec_builder=_maybe_with_arrivals(
-            _maybe_with_channel(
-                functools.partial(video_asymmetric_spec, delivery_ratio=0.9),
-                channel,
-            ),
-            arrivals,
+            _maybe_with_channel(row.spec_builder, channel), arrivals
         ),
         policies=paper_policies() if policies is None else policies,
-        num_intervals=intervals,
+        num_intervals=num_intervals or scaled_intervals(row.horizon),
         seeds=seeds,
-        groups=ASYMMETRIC_GROUPS,
+        groups=row.groups,
         engine=engine,
-        cache=cache,
-        faults=faults,
-        rng=rng,
-        shards=shards,
-        backend=backend,
-        dp_state=dp_state,
-        topology=topology,
+        **sweep_options,
     )
     return _sweep_to_figure(
-        sweep,
-        "fig7",
-        "Asymmetric network, group-wide deficiency under 90% delivery ratio",
-        "alpha*",
-        groups=ASYMMETRIC_GROUPS,
-        notes="group 1: p = 0.5, alpha = 0.5 alpha*; group 2: p = 0.8, alpha = alpha*",
+        sweep, row.figure_id, row.title, row.x_label, row.groups, row.notes
     )
 
 
-def fig8(
-    num_intervals: Optional[int] = None,
-    seeds: Sequence[int] = (0,),
-    ratios: Sequence[float] = FIG8_RATIOS,
-    engine: str = "scalar",
-    policies: PolicySelection = None,
-    cache=None,
-    faults: Optional[FaultPolicy] = None,
-    rng: Optional[str] = None,
-    shards: Optional[int] = None,
-    backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
-    topology=None,
-    channel=None,
-    arrivals=None,
-) -> FigureResult:
-    """Fig. 8: asymmetric network, per-group deficiency vs delivery ratio at
-    ``alpha* = 0.7``."""
-    intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
-    sweep = run_sweep(
-        parameter_name="delivery ratio",
-        values=ratios,
-        spec_builder=_maybe_with_arrivals(
-            _maybe_with_channel(
-                functools.partial(video_asymmetric_spec, 0.7), channel
-            ),
-            arrivals,
-        ),
-        policies=paper_policies() if policies is None else policies,
-        num_intervals=intervals,
-        seeds=seeds,
-        groups=ASYMMETRIC_GROUPS,
-        engine=engine,
-        cache=cache,
-        faults=faults,
-        rng=rng,
-        shards=shards,
-        backend=backend,
-        dp_state=dp_state,
-        topology=topology,
+def _figure_function(row: SweepFigure):
+    """The public ``figN`` entry point of one table row.
+
+    Its signature is ``figN(num_intervals=None, seeds=(0,), <grid>=<row
+    default>, engine="scalar", policies=None, cache=None, ...)``, bound
+    like a hand-written one (positionally or by keyword) and visible to
+    :func:`inspect.signature` and ``help``.
+    """
+    param = functools.partial(
+        inspect.Parameter, kind=inspect.Parameter.POSITIONAL_OR_KEYWORD
     )
-    return _sweep_to_figure(
-        sweep,
-        "fig8",
-        "Asymmetric network, group-wide deficiency under alpha* = 0.7",
-        "delivery ratio",
-        groups=ASYMMETRIC_GROUPS,
-        notes="group 1: p = 0.5, alpha = 0.35; group 2: p = 0.8, alpha = 0.7",
+    signature = inspect.Signature(
+        [
+            param("num_intervals", default=None),
+            param("seeds", default=(0,)),
+            param(row.grid_keyword, default=row.grid),
+            param("engine", default="scalar"),
+        ]
+        + [param(name, default=None) for name in _SWEEP_KEYWORDS],
+        return_annotation=FigureResult,
     )
 
+    def figure(*args, **kwargs) -> FigureResult:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        options = dict(bound.arguments)
+        return _run_sweep_figure(row, options.pop(row.grid_keyword), **options)
 
-def fig9(
-    num_intervals: Optional[int] = None,
-    seeds: Sequence[int] = (0,),
-    lambdas: Sequence[float] = FIG9_LAMBDAS,
-    engine: str = "scalar",
-    policies: PolicySelection = None,
-    cache=None,
-    faults: Optional[FaultPolicy] = None,
-    rng: Optional[str] = None,
-    shards: Optional[int] = None,
-    backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
-    topology=None,
-    channel=None,
-    arrivals=None,
-) -> FigureResult:
-    """Fig. 9: ultra-low-latency network, deficiency vs arrival rate at 99%
-    delivery ratio (10 links, 2 ms deadline)."""
-    intervals = num_intervals or scaled_intervals(LOW_LATENCY_INTERVALS)
-    sweep = run_sweep(
-        parameter_name="lambda*",
-        values=lambdas,
-        spec_builder=_maybe_with_arrivals(
-            _maybe_with_channel(
-                functools.partial(low_latency_spec, delivery_ratio=0.99),
-                channel,
-            ),
-            arrivals,
-        ),
-        policies=paper_policies() if policies is None else policies,
-        num_intervals=intervals,
-        seeds=seeds,
-        engine=engine,
-        cache=cache,
-        faults=faults,
-        rng=rng,
-        shards=shards,
-        backend=backend,
-        dp_state=dp_state,
-        topology=topology,
-    )
-    return _sweep_to_figure(
-        sweep,
-        "fig9",
-        "Low-latency network under 99% delivery ratio",
-        "lambda*",
-    )
+    figure.__name__ = figure.__qualname__ = row.figure_id
+    figure.__doc__ = row.doc
+    figure.__signature__ = signature
+    return figure
 
 
-def fig10(
-    num_intervals: Optional[int] = None,
-    seeds: Sequence[int] = (0,),
-    ratios: Sequence[float] = FIG10_RATIOS,
-    engine: str = "scalar",
-    policies: PolicySelection = None,
-    cache=None,
-    faults: Optional[FaultPolicy] = None,
-    rng: Optional[str] = None,
-    shards: Optional[int] = None,
-    backend: Optional[str] = None,
-    dp_state: Optional[str] = None,
-    topology=None,
-    channel=None,
-    arrivals=None,
-) -> FigureResult:
-    """Fig. 10: ultra-low-latency network, deficiency vs delivery ratio at
-    ``lambda* = 0.78``."""
-    intervals = num_intervals or scaled_intervals(LOW_LATENCY_INTERVALS)
-    sweep = run_sweep(
-        parameter_name="delivery ratio",
-        values=ratios,
-        spec_builder=_maybe_with_arrivals(
-            _maybe_with_channel(
-                functools.partial(low_latency_spec, 0.78), channel
-            ),
-            arrivals,
-        ),
-        policies=paper_policies() if policies is None else policies,
-        num_intervals=intervals,
-        seeds=seeds,
-        engine=engine,
-        cache=cache,
-        faults=faults,
-        rng=rng,
-        shards=shards,
-        backend=backend,
-        dp_state=dp_state,
-        topology=topology,
-    )
-    return _sweep_to_figure(
-        sweep,
-        "fig10",
-        "Low-latency network under fixed lambda* = 0.78",
-        "delivery ratio",
-    )
+fig3 = _figure_function(SWEEP_FIGURES["fig3"])
+fig4 = _figure_function(SWEEP_FIGURES["fig4"])
+fig7 = _figure_function(SWEEP_FIGURES["fig7"])
+fig8 = _figure_function(SWEEP_FIGURES["fig8"])
+fig9 = _figure_function(SWEEP_FIGURES["fig9"])
+fig10 = _figure_function(SWEEP_FIGURES["fig10"])
 
 
 #: Registry used by the CLI and the benchmark harness.

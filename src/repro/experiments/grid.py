@@ -43,10 +43,10 @@ Semantics:
 
 from __future__ import annotations
 
+import functools
 import pickle
-import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,9 +66,7 @@ from .configs import PolicyFactory
 from .faults import (
     CellFailure,
     FaultPolicy,
-    SweepCellError,
-    SweepFailureReport,
-    call_with_retries,
+    _retry_unit,
     fire_fault_hooks,
     nan_point,
 )
@@ -76,13 +74,16 @@ from .parallel import _CellState, _Orchestrator
 from .runner import (
     SweepPoint,
     SweepResult,
+    _advised,
+    _assemble,
+    _Cell,
+    _cell_runner,
     _check_dp_state,
-    _policy_supports_incremental,
-    _policy_supports_topology,
-    _resolve_topology,
-    _run_single_topology,
-    _warn_topology_degrade,
-    run_single,
+    _lookup,
+    _plan_cell,
+    _plan_sweep,
+    _settle,
+    _sweep_cells,
 )
 
 __all__ = ["run_sweep_fused", "FUSED_STREAM_TAG"]
@@ -90,22 +91,6 @@ __all__ = ["run_sweep_fused", "FUSED_STREAM_TAG"]
 #: Batch-RNG namespace tag for fused mega-batches (see
 #: :class:`~repro.sim.rng.BatchRngBundle`).
 FUSED_STREAM_TAG = "fused"
-
-
-@dataclass
-class _Cell:
-    """One (parameter value, policy) cell being assembled."""
-
-    value: float
-    label: str
-    spec: NetworkSpec
-    factory: PolicyFactory
-    policy: object
-    key: Optional[str] = None
-    point: Optional[SweepPoint] = None
-    cached: bool = False
-    failed: bool = False  # permanent best-effort failure: never cached
-    rows: Optional[slice] = field(default=None, repr=False)
 
 
 def _group_signature(cell: _Cell) -> Tuple:
@@ -132,28 +117,8 @@ def _group_signature(cell: _Cell) -> Tuple:
     )
 
 
-def _supports_free(policy: object) -> bool:
-    """Whether ``policy``'s registered family declares ``supports_free_rng``."""
-    descriptor = registry.descriptor_for(policy)
-    return (
-        descriptor is not None and descriptor.capabilities.supports_free_rng
-    )
-
-
-def _effective_rng(cell: _Cell, rng_mode: str) -> str:
-    """The draw discipline this cell actually runs under.
-
-    ``rng="free"`` is a per-family capability: cells of families that do
-    not declare it degrade to the default lockstep-batch discipline (the
-    caller warns once per sweep) rather than failing the whole grid.
-    """
-    if rng_mode == "free" and not _supports_free(cell.policy):
-        return "batch"
-    return rng_mode
-
-
 def _partition(
-    cells: List[_Cell], rng_mode: str
+    cells: List[_Cell],
 ) -> Tuple[Dict[Tuple, List[_Cell]], List[_Cell]]:
     """Split unresolved cells into fusable mega-batch groups and fallbacks.
 
@@ -169,13 +134,12 @@ def _partition(
     for cell in cells:
         if cell.point is not None:
             continue
-        descriptor = registry.descriptor_for(cell.policy)
-        fusable = descriptor is not None and descriptor.capabilities.fusable
-        eff = _effective_rng(cell, rng_mode)
-        if fusable and supports_batch_engine(
-            cell.spec, cell.policy, sync_rng=rng_mode == "sync", rng=eff
+        if registry.has_capability(
+            cell.policy, "fusable"
+        ) and supports_batch_engine(
+            cell.spec, cell.policy, sync_rng=cell.rng == "sync", rng=cell.rng
         ):
-            key = (_group_signature(cell), eff)
+            key = (_group_signature(cell), cell.rng)
             fused_groups.setdefault(key, []).append(cell)
         else:
             fallback.append(cell)
@@ -233,13 +197,17 @@ def _scatter_points(
 def _build_fused_sim(
     cells: List[_Cell],
     seeds: Tuple[int, ...],
-    rng_mode: str,
     validate: bool,
     backend: Optional[str],
     stream_tag: str = FUSED_STREAM_TAG,
-    dp_state: Optional[str] = None,
 ) -> Optional[BatchIntervalSimulator]:
     """Stack one group's cells into a mega-batch simulator.
+
+    The group shares one draw discipline and one kernel family, hence
+    one planned ``rng`` and ``dp_state`` (a non-DP family runs as with
+    ``dp_state=None`` instead of letting the kernel's strict ValueError
+    demote the whole group to the per-cell fallback, whose different
+    stream tags would silently change the group's draws).
 
     Stack construction and kernel binding may legitimately reject a group
     (heterogeneous timings, unstackable per-row policy parameters); those
@@ -247,19 +215,6 @@ def _build_fused_sim(
     turn into a per-cell fallback (``None``).  Errors raised
     mid-simulation are real failures and propagate from the run loop.
     """
-    if dp_state is not None:
-        descriptor = registry.descriptor_for(cells[0].policy)
-        if (
-            descriptor is None
-            or not descriptor.capabilities.supports_incremental_dp
-        ):
-            # A sweep-level dp_state request addresses the DP-family
-            # groups; a family without the capability runs exactly as
-            # it would with dp_state=None instead of letting the
-            # kernel's strict ValueError demote the whole group to the
-            # per-cell fallback (whose different stream tags would
-            # silently change the group's draws).
-            dp_state = None
     num_seeds = len(seeds)
     row_specs: List[NetworkSpec] = []
     row_seeds: List[int] = []
@@ -275,22 +230,28 @@ def _build_fused_sim(
             row_specs,
             cells[0].policy,
             row_seeds,
-            rng=rng_mode,
+            rng=cells[0].rng,
             validate=validate,
             record_traces=False,
             row_policies=row_policies,
             stream_tag=stream_tag,
             backend=backend,
-            dp_state=dp_state,
+            dp_state=cells[0].dp_state,
         )
     except (TypeError, ValueError):
         return None
 
 
+def _fail_cells(cells: Sequence[_Cell], groups: Optional[Sequence[int]]) -> None:
+    """NaN-fill the cells of a permanently failed best-effort unit."""
+    for cell in cells:
+        cell.point = nan_point(cell.label, groups)
+        cell.failed = True
+
+
 def _run_fused_group_with_faults(
     cells: List[_Cell],
     seeds: Tuple[int, ...],
-    rng_mode: str,
     validate: bool,
     backend: Optional[str],
     num_intervals: int,
@@ -298,7 +259,6 @@ def _run_fused_group_with_faults(
     faults: FaultPolicy,
     failures: List[CellFailure],
     fallback: List[_Cell],
-    dp_state: Optional[str] = None,
 ) -> None:
     """Run one mega-batch group under a fault policy.
 
@@ -310,60 +270,46 @@ def _run_fused_group_with_faults(
     (heterogeneous timings, unstackable parameters) are not faults and
     fall back to the per-cell runner as always.
     """
-    attempt = 0
-    while True:
-        try:
-            for cell in cells:
-                fire_fault_hooks(cell.value, cell.label, attempt)
-            sim = _build_fused_sim(
-                cells, seeds, rng_mode, validate, backend, dp_state=dp_state
-            )
-            if sim is None:
-                fallback.extend(cells)
-                return
-            for _ in range(num_intervals):
-                sim.step()
-            _scatter_points(cells, sim.stats, len(seeds), groups)
-            return
-        except Exception as exc:
-            attempt += 1
-            if attempt <= faults.retries:
-                delay = faults.backoff(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            if not faults.best_effort:
-                first = cells[0]
-                raise SweepCellError(
-                    first.value, first.label, seeds, attempt, exc
-                ) from exc
-            for cell in cells:
-                failures.append(
-                    CellFailure(
-                        value=cell.value,
-                        policy=cell.label,
-                        seeds=seeds,
-                        attempts=attempt,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                    )
-                )
-                cell.point = nan_point(cell.label, groups)
-                cell.failed = True
-            return
+
+    def attempt(k: int) -> bool:
+        for cell in cells:
+            fire_fault_hooks(cell.value, cell.label, k)
+        sim = _build_fused_sim(cells, seeds, validate, backend)
+        if sim is None:
+            return False
+        for _ in range(num_intervals):
+            sim.step()
+        _scatter_points(cells, sim.stats, len(seeds), groups)
+        return True
+
+    first = cells[0]
+    built = _retry_unit(
+        attempt, (first.value, first.label),
+        [(c.value, c.label) for c in cells], seeds, faults, failures,
+    )
+    if built is None:
+        _fail_cells(cells, groups)
+    elif not built:
+        fallback.extend(cells)
+
+
+def _fallback_runner(num_intervals, seeds, groups):
+    """Cells no mega-batch could take run on the per-cell batch runner,
+    with its default draw discipline, backend and DP state."""
+    return _cell_runner(
+        num_intervals, seeds, groups, "batch", None, None, None
+    )
 
 
 def _simulate_cells(
     cells: List[_Cell],
     seeds: Tuple[int, ...],
-    rng_mode: str,
     validate: bool,
     backend: Optional[str],
     num_intervals: int,
     groups: Optional[Sequence[int]],
     stream_tag: str,
     fallback: List[_Cell],
-    dp_state: Optional[str] = None,
 ) -> None:
     """Partition, build, lockstep-run, and scatter one batch of cells.
 
@@ -371,14 +317,13 @@ def _simulate_cells(
     unsharded path and the per-shard workers; cells that cannot join a
     mega-batch are appended to ``fallback`` for the per-cell runner.
     """
-    fused_groups, unfusable = _partition(cells, rng_mode)
+    fused_groups, unfusable = _partition(cells)
     fallback.extend(unfusable)
     built: List[Tuple[List[_Cell], BatchIntervalSimulator]] = []
     with perf.stage("fused.build"):
-        for (_, eff), group_cells in fused_groups.items():
+        for group_cells in fused_groups.values():
             sim = _build_fused_sim(
-                group_cells, seeds, eff, validate, backend, stream_tag,
-                dp_state=dp_state,
+                group_cells, seeds, validate, backend, stream_tag
             )
             if sim is None:
                 fallback.extend(group_cells)
@@ -448,27 +393,37 @@ def _run_shard(
     for value, label in shard.members:
         if value not in specs:
             specs[value] = spec_builder(value)
-        factory = policies[label]
         cells.append(
-            _Cell(
-                value=value,
-                label=label,
-                spec=specs[value],
-                factory=factory,
-                policy=factory(),
+            _plan_cell(
+                value, label, specs[value], policies[label], rng_mode,
+                dp_state, None,
             )
         )
     fallback: List[_Cell] = []
     _simulate_cells(
-        cells, seeds, rng_mode, validate, backend, num_intervals, groups,
-        _shard_tag(shard.index, shard.count), fallback, dp_state=dp_state,
+        cells, seeds, validate, backend, num_intervals, groups,
+        _shard_tag(shard.index, shard.count), fallback,
     )
-    for cell in fallback:
-        cell.point = run_single(
-            cell.spec, cell.factory, num_intervals, seeds, groups,
-            engine="batch",
-        )
+    compute = _fallback_runner(num_intervals, seeds, groups)
+    with _advised():  # the sweep advised once, in the parent process
+        for cell in fallback:
+            cell.point = compute(cell)
     return shard, [(c.value, c.label, c.point) for c in cells]
+
+
+def _checkpoint(
+    points: List[Tuple[float, str, SweepPoint]],
+    cells_by_id: Dict[Tuple[float, str], _Cell],
+    store: Optional[SweepCache],
+) -> None:
+    """Resolve a finished shard's cells, storing each one at once: a
+    sweep killed right now resumes from every shard recorded so far."""
+    for value, label, point in points:
+        cell = cells_by_id[(value, label)]
+        cell.point = point
+        if store is not None and cell.key is not None:
+            store.put(cell.key, point)
+            cell.cached = True
 
 
 class _ShardOrchestrator(_Orchestrator):
@@ -488,37 +443,13 @@ class _ShardOrchestrator(_Orchestrator):
         self._cells_by_id: Dict[Tuple[float, str], _Cell] = cells_by_id
 
     def _record_success(self, state, outcome) -> None:
-        for value, label, point in outcome:
-            cell = self._cells_by_id[(value, label)]
-            cell.point = point
-            cell.failed = False
-            if self.store is not None and cell.key is not None:
-                # Checkpoint immediately: a sweep killed right now
-                # resumes from every shard recorded up to this moment.
-                self.store.put(cell.key, point)
-                cell.cached = True
-            self.outcomes[(value, label)] = point
+        _checkpoint(outcome, self._cells_by_id, self.store)
 
     def _record_permanent_failure(self, state, exc: BaseException) -> None:
-        shard: _ShardSpec = state.cell
-        if not self.faults.best_effort:
-            raise SweepCellError(
-                shard.value, shard.label, self.seeds, state.attempts, exc
-            ) from exc
-        for value, label in shard.members:
-            self.failures.append(
-                CellFailure(
-                    value=value,
-                    policy=label,
-                    seeds=self.seeds,
-                    attempts=state.attempts,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                )
-            )
-            cell = self._cells_by_id[(value, label)]
-            cell.point = nan_point(label, self.groups)
-            cell.failed = True
+        super()._record_permanent_failure(state, exc)
+        _fail_cells(
+            [self._cells_by_id[m] for m in state.cell.members], self.groups
+        )
 
 
 def _run_sweep_fused_sharded(
@@ -547,12 +478,13 @@ def _run_sweep_fused_sharded(
     stream tag) so resume equals an uninterrupted run at the same shard
     count.
 
-    Without a fault policy the shards still go through the orchestrator
-    (zero retries, strict), so a worker exception surfaces as a
+    Without a fault policy the shards still run strict with zero
+    retries, so a worker exception surfaces as a
     :class:`~repro.experiments.faults.SweepCellError` naming the shard.
     Unpicklable builders/policies fall back to sequential in-process
-    shard execution — identical results, since shard draw streams
-    depend only on the shard count, not on where they run.
+    shard execution through the same retry loop — identical results,
+    since shard draw streams depend only on the shard count, not on
+    where they run.
     """
     count = max(1, min(int(shards), len(cells)))
     base, extra = divmod(len(cells), count)
@@ -585,11 +517,12 @@ def _run_sweep_fused_sharded(
             by_id[m].point = None
             by_id[m].cached = False
 
+    groups_t = tuple(groups) if groups is not None else None
     submit_args = (
-        spec_builder, policies, num_intervals, seeds,
-        tuple(groups) if groups is not None else None,
+        spec_builder, policies, num_intervals, seeds, groups_t,
         rng_mode, validate, backend, dp_state,
     )
+    faults = faults or FaultPolicy(retries=0, backoff_base=0.0)
     try:
         pickle.dumps((spec_builder, policies))
         picklable = True
@@ -600,12 +533,12 @@ def _run_sweep_fused_sharded(
         _ShardOrchestrator(
             [_CellState(cell=sh) for sh in cold],
             cells_by_id=by_id,
-            faults=faults or FaultPolicy(retries=0, backoff_base=0.0),
+            faults=faults,
             store=store,
             max_workers=None,
             submit_args=submit_args,
             seeds=seeds,
-            groups=tuple(groups) if groups is not None else None,
+            groups=groups_t,
             outcomes={},
             failures=failures,
         ).run()
@@ -619,177 +552,14 @@ def _run_sweep_fused_sharded(
         stacklevel=3,
     )
     for sh in cold:
-        attempt = 0
-        while True:
-            try:
-                _, points = _run_shard(sh, *submit_args, attempt)
-            except Exception as exc:
-                attempt += 1
-                if faults is not None and attempt <= faults.retries:
-                    delay = faults.backoff(attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                if faults is None:
-                    raise
-                if not faults.best_effort:
-                    raise SweepCellError(
-                        sh.value, sh.label, seeds, attempt, exc
-                    ) from exc
-                for value, label in sh.members:
-                    failures.append(
-                        CellFailure(
-                            value=value,
-                            policy=label,
-                            seeds=seeds,
-                            attempts=attempt,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                        )
-                    )
-                    cell = by_id[(value, label)]
-                    cell.point = nan_point(label, groups)
-                    cell.failed = True
-                break
-            else:
-                for value, label, point in points:
-                    cell = by_id[(value, label)]
-                    cell.point = point
-                    cell.failed = False
-                    if store is not None and cell.key is not None:
-                        store.put(cell.key, point)
-                        cell.cached = True
-                break
-
-
-def _run_sweep_topology(
-    parameter_name: str,
-    values: Sequence[float],
-    spec_builder: Callable[[float], NetworkSpec],
-    policies: Dict[str, PolicyFactory],
-    num_intervals: int,
-    seeds: Tuple[int, ...],
-    groups: Optional[Sequence[int]],
-    rng_mode: str,
-    validate: bool,
-    backend: Optional[str],
-    dp_state: Optional[str],
-    store: Optional[SweepCache],
-    faults: Optional[FaultPolicy],
-    topology,
-    shards: Optional[int],
-) -> SweepResult:
-    """Multi-cell sweep: capable cells run on the topology engine.
-
-    Each capable (value, policy) cell is already a mega-batch — every
-    (seed, cell-of-topology) pair is one engine row, and ``shards``
-    splits the *cells of the topology* across worker processes
-    (:func:`~repro.topology.engine.run_topology_batch`) instead of
-    splitting the sweep grid.  Families without ``supports_topology``
-    degrade to the per-cell batch runner with one ``UserWarning`` and
-    are cached under the same key a topology-free sweep would use (they
-    compute the identical point).
-    """
-    groups_t = tuple(groups) if groups is not None else None
-    degraded = [
-        label
-        for label, factory in policies.items()
-        if not _policy_supports_topology(factory())
-    ]
-    if degraded:
-        _warn_topology_degrade(degraded, stacklevel=4)
-    free_degraded: List[str] = []
-    if rng_mode == "free":
-        free_degraded = [
-            label
-            for label, factory in policies.items()
-            if not _supports_free(factory())
-        ]
-        if free_degraded:
-            warnings.warn(
-                "rng='free' is not declared (supports_free_rng) by policy "
-                f"families: {', '.join(free_degraded)}; those cells run "
-                "under the default batch draw discipline instead",
-                UserWarning,
-                stacklevel=4,
-            )
-    failures: List[CellFailure] = []
-    uncacheable: List[str] = []
-    result = SweepResult(parameter_name=parameter_name, values=list(values))
-    for value in values:
-        spec = spec_builder(value)
-        topo = _resolve_topology(topology, spec)
-        for label, factory in policies.items():
-            policy = factory()
-            capable = label not in degraded
-            eff_rng = "batch" if label in free_degraded else rng_mode
-            eff_dp = (
-                dp_state if _policy_supports_incremental(policy) else None
-            )
-            key = None
-            point = None
-            if store is not None:
-                key = store.cell_key(
-                    spec=spec,
-                    policy=policy,
-                    seeds=seeds,
-                    num_intervals=num_intervals,
-                    groups=groups_t,
-                    sync_rng=rng_mode == "sync",
-                    rng="free" if eff_rng == "free" else None,
-                    topology=topo if capable else None,
-                )
-                if key is None:
-                    if label not in uncacheable:
-                        uncacheable.append(label)
-                else:
-                    point = store.get(key)
-            if point is None:
-
-                def _compute(spec=spec, policy=policy, factory=factory,
-                             topo=topo, capable=capable, eff_rng=eff_rng,
-                             eff_dp=eff_dp):
-                    if capable:
-                        return _run_single_topology(
-                            spec, policy, num_intervals, seeds, groups,
-                            topo, backend=backend, rng=eff_rng,
-                            dp_state=eff_dp, validate=validate,
-                            shards=shards,
-                        )
-                    return run_single(
-                        spec, factory, num_intervals, seeds, groups,
-                        engine="batch", backend=backend, rng=eff_rng,
-                        dp_state=dp_state,
-                    )
-
-                if faults is None:
-                    point = _compute()
-                else:
-
-                    def _attempt(attempt, value=value, label=label,
-                                 _compute=_compute):
-                        fire_fault_hooks(float(value), label, attempt)
-                        return _compute()
-
-                    point = call_with_retries(
-                        _attempt,
-                        value=float(value),
-                        label=label,
-                        seeds=seeds,
-                        faults=faults,
-                        failures=failures,
-                    )
-                if point is None:  # permanent best-effort failure
-                    point = nan_point(label, groups_t)
-                elif store is not None and key is not None:
-                    store.put(key, point)
-            result.points.append(
-                replace(point, parameter=float(value), policy=label)
-            )
-    warn_uncacheable(uncacheable, stacklevel=3)
-    if failures:
-        result.failures = SweepFailureReport(failures)
-    return result
+        run = functools.partial(_run_shard, sh, *submit_args)
+        outcome = _retry_unit(
+            run, (sh.value, sh.label), sh.members, seeds, faults, failures
+        )
+        if outcome is None:
+            _fail_cells([by_id[m] for m in sh.members], groups)
+        else:
+            _checkpoint(outcome[1], by_id, store)
 
 
 def run_sweep_fused(
@@ -891,107 +661,25 @@ def run_sweep_fused(
     seeds = tuple(int(s) for s in seeds)
     store = resolve_cache(cache)
     policies = registry.resolve_policies(policies)
+    cells = _plan_sweep(
+        values, spec_builder, policies, rng_mode, dp_state, topology,
+        stacklevel=3,
+    )
 
     if topology is not None:
-        return _run_sweep_topology(
-            parameter_name, values, spec_builder, policies, num_intervals,
-            seeds, groups, rng_mode, validate, backend, dp_state, store,
-            faults, topology, shards,
+        # Each capable cell is already a mega-batch — every (seed,
+        # cell-of-topology) pair is one engine row — and ``shards``
+        # splits the topology's cells across worker processes instead
+        # of the sweep grid.
+        return _sweep_cells(
+            parameter_name, values, cells,
+            _cell_runner(
+                num_intervals, seeds, groups, "fused", backend, rng_mode,
+                dp_state, validate=validate, shards=shards,
+            ),
+            num_intervals=num_intervals, seeds=seeds, groups=groups,
+            engine="fused", store=store, faults=faults,
         )
-
-    cells: List[_Cell] = []
-    for value in values:
-        spec = spec_builder(value)
-        for label, factory in policies.items():
-            cells.append(
-                _Cell(
-                    value=float(value),
-                    label=label,
-                    spec=spec,
-                    factory=factory,
-                    policy=factory(),
-                )
-            )
-
-    if rng_mode == "free":
-        degraded: List[str] = []
-        for cell in cells:
-            if not _supports_free(cell.policy) and cell.label not in degraded:
-                degraded.append(cell.label)
-        if degraded:
-            warnings.warn(
-                "rng='free' is not declared (supports_free_rng) by policy "
-                f"families: {', '.join(degraded)}; those cells run under "
-                "the default batch draw discipline instead",
-                UserWarning,
-                stacklevel=2,
-            )
-
-    if rng_mode != "sync":
-        chan_degraded: List[str] = []
-        chan_names: List[str] = []
-        for cell in cells:
-            ch = cell.spec.channel
-            descriptor = registry.descriptor_for(cell.policy)
-            fusable = (
-                descriptor is not None and descriptor.capabilities.fusable
-            )
-            if (
-                ch.has_state
-                and ch.state_uses_rng
-                and _effective_rng(cell, rng_mode) != "free"
-                # Only warn where free draws would actually fuse the
-                # cell; families that fall back for other reasons (no
-                # batch kernel, capability gaps) get the generic
-                # degradation messages instead.
-                and fusable
-                and supports_batch_engine(cell.spec, cell.policy, rng="free")
-            ):
-                if cell.label not in chan_degraded:
-                    chan_degraded.append(cell.label)
-                if type(ch).__name__ not in chan_names:
-                    chan_names.append(type(ch).__name__)
-        if chan_degraded:
-            warnings.warn(
-                f"{'/'.join(chan_names)} state cannot evolve under a "
-                "lockstep batch draw discipline; these cells fall back to "
-                f"the scalar engine: {', '.join(chan_degraded)}.  Pass "
-                "rng='free' to keep them vectorized (statistically "
-                "equivalent)",
-                UserWarning,
-                stacklevel=2,
-            )
-        arr_degraded: List[str] = []
-        arr_names: List[str] = []
-        for cell in cells:
-            arr = cell.spec.arrivals
-            descriptor = registry.descriptor_for(cell.policy)
-            fusable = (
-                descriptor is not None and descriptor.capabilities.fusable
-            )
-            if (
-                arr.has_state
-                and arr.state_uses_rng
-                and _effective_rng(cell, rng_mode) != "free"
-                # Same scoping as the channel warning: only where free
-                # draws would actually fuse the cell.
-                and fusable
-                and supports_batch_engine(cell.spec, cell.policy, rng="free")
-            ):
-                if cell.label not in arr_degraded:
-                    arr_degraded.append(cell.label)
-                if type(arr).__name__ not in arr_names:
-                    arr_names.append(type(arr).__name__)
-        if arr_degraded:
-            warnings.warn(
-                f"{'/'.join(arr_names)} state cannot evolve under a "
-                "lockstep batch draw discipline; these cells fall back to "
-                f"the scalar engine: {', '.join(arr_degraded)}.  Pass "
-                "rng='free' to keep them vectorized (statistically "
-                "equivalent)",
-                UserWarning,
-                stacklevel=2,
-            )
 
     # Cache lookups first: hit cells never touch an engine.  Cells whose
     # policy (or spec) has no registered fingerprint simply run uncached
@@ -999,24 +687,10 @@ def run_sweep_fused(
     if store is not None:
         uncacheable: List[str] = []
         for cell in cells:
-            # Only cells that actually run free draws get the distinct
-            # rng key; degraded cells produce default-discipline samples
-            # and share the default key.
-            eff = _effective_rng(cell, rng_mode)
-            cell.key = store.cell_key(
-                spec=cell.spec,
-                policy=cell.policy,
-                seeds=seeds,
-                num_intervals=num_intervals,
-                groups=groups,
-                sync_rng=rng_mode == "sync",
-                rng="free" if eff == "free" else None,
+            _lookup(
+                store, cell, seeds, num_intervals, groups, "fused",
+                uncacheable,
             )
-            if cell.key is not None:
-                cell.point = store.get(cell.key)
-                cell.cached = cell.point is not None
-            elif cell.label not in uncacheable:
-                uncacheable.append(cell.label)
         warn_uncacheable(uncacheable, stacklevel=2)
 
     failures: List[CellFailure] = []
@@ -1029,71 +703,28 @@ def run_sweep_fused(
         )
     elif faults is None:
         _simulate_cells(
-            cells, seeds, rng_mode, validate, backend, num_intervals,
-            groups, FUSED_STREAM_TAG, fallback, dp_state=dp_state,
+            cells, seeds, validate, backend, num_intervals, groups,
+            FUSED_STREAM_TAG, fallback,
         )
     else:
         # Faulty groups must be rebuildable in isolation, so each group
         # runs its own build + interval loop (no cross-family lockstep;
         # draw sharing is value-neutral, so results are unchanged).
-        fused_groups, fallback = _partition(cells, rng_mode)
+        fused_groups, fallback = _partition(cells)
         with perf.stage("fused.run"):
-            for (_, eff), group_cells in fused_groups.items():
+            for group_cells in fused_groups.values():
                 _run_fused_group_with_faults(
-                    group_cells, seeds, eff, validate, backend,
-                    num_intervals, groups, faults, failures, fallback,
-                    dp_state=dp_state,
+                    group_cells, seeds, validate, backend, num_intervals,
+                    groups, faults, failures, fallback,
                 )
 
-    with warnings.catch_warnings():
-        # The channel-degradation advisory was already aggregated once
-        # above; run_single would repeat it per fallback cell.
-        warnings.filterwarnings(
-            "ignore",
-            message=".*state cannot evolve under a lockstep.*",
-            category=UserWarning,
-        )
+    compute = _fallback_runner(num_intervals, seeds, groups)
+    with _advised():
         for cell in fallback:
-            if faults is None:
-                cell.point = run_single(
-                    cell.spec, cell.factory, num_intervals, seeds, groups,
-                    engine="batch",
-                )
-            else:
-
-                def _attempt(attempt, cell=cell):
-                    fire_fault_hooks(cell.value, cell.label, attempt)
-                    return run_single(
-                        cell.spec, cell.factory, num_intervals, seeds,
-                        groups, engine="batch",
-                    )
-
-                point = call_with_retries(
-                    _attempt,
-                    value=cell.value,
-                    label=cell.label,
-                    seeds=seeds,
-                    faults=faults,
-                    failures=failures,
-                )
-                if point is None:  # permanent best-effort failure
-                    cell.failed = True
-                    point = nan_point(cell.label, groups)
-                cell.point = point
+            _settle(cell, compute, faults, seeds, groups, failures)
 
     if store is not None:
         for cell in cells:
             if cell.key is not None and not cell.cached and not cell.failed:
                 store.put(cell.key, cell.point)
-
-    result = SweepResult(parameter_name=parameter_name, values=list(values))
-    for cell in cells:
-        # dataclasses.replace keeps every other SweepPoint field intact
-        # (rebuilding field-by-field would silently drop fields added to
-        # SweepPoint later).
-        result.points.append(
-            replace(cell.point, parameter=cell.value, policy=cell.label)
-        )
-    if failures:
-        result.failures = SweepFailureReport(failures)
-    return result
+    return _assemble(parameter_name, values, cells, failures)

@@ -18,7 +18,10 @@ The orchestration layer survives the faults a long sweep actually meets:
   :class:`~repro.experiments.faults.SweepFailureReport`;
 * a worker **death** (segfault, OOM kill, ``os._exit``) breaks the whole
   pool — the orchestrator respawns it and resubmits only the unfinished
-  cells, charging an attempt to the futures the broken pool invalidated;
+  cells.  A cell whose pool broke while other cells shared it is a
+  bystander as far as anyone can tell: its attempt is refunded and it
+  re-runs *alone*, so only a cell that breaks a pool by itself is
+  charged (and named when it fails for good);
 * a worker **hang** is bounded by ``cell_timeout``: the cell counts as
   failed, and the pool is respawned (terminating the hung process) so its
   slot is reclaimed — interrupted innocent cells are resubmitted with
@@ -49,8 +52,8 @@ from .configs import PolicyFactory
 from .faults import (
     CellFailure,
     FaultPolicy,
-    SweepCellError,
     SweepFailureReport,
+    _fail_unit,
     fire_fault_hooks,
     nan_point,
 )
@@ -72,6 +75,11 @@ class _Cell:
 
     value: float
     label: str
+
+    @property
+    def members(self) -> Tuple[Tuple[float, str], ...]:
+        """The sweep cells this work unit covers: just itself."""
+        return ((self.value, self.label),)
 
 
 def _run_cell(
@@ -107,6 +115,11 @@ class _CellState:
     key: Optional[str] = None  # cache key, when the cell is cacheable
     attempts: int = 0  # submissions so far
     not_before: float = 0.0  # monotonic time gating the next submission
+    #: the current attempt has overlapped another in-flight attempt
+    shared: bool = False
+    #: a pool broke under this unit while it shared the pool; it now
+    #: only ever runs alone, so a further break is its own doing
+    isolate: bool = False
 
 
 class _Orchestrator:
@@ -115,13 +128,15 @@ class _Orchestrator:
     The loop submits eligible cells, waits for completions, harvests
     them (success → outcome + cache checkpoint; failure → retry or
     permanent failure), and respawns the pool whenever it breaks or a
-    running cell exceeds its timeout.
+    running cell exceeds its timeout.  At most one unit per worker is
+    in flight, so a pool break has at most that many suspects; each
+    re-runs alone to find the culprit (see :meth:`_harvest`).
 
     The work unit is pluggable: subclasses may override :attr:`task_fn`
     (a picklable module-level callable invoked as
     ``task_fn(state.cell, *submit_args, attempts)``) together with
-    :meth:`_record_success` / :meth:`_record_permanent_failure` to
-    orchestrate coarser units than one cell — the fused sweep runner
+    :meth:`_record_success` to orchestrate coarser units than one cell
+    (a unit names its cells in ``members``) — the fused sweep runner
     dispatches whole row-contiguous *shards* this way and inherits the
     retry/backoff/respawn/checkpoint machinery unchanged.
     """
@@ -155,12 +170,17 @@ class _Orchestrator:
         #: first time each inflight future was observed running (None =
         #: still queued inside the pool); the timeout clock starts here.
         self.started: Dict[Future, Optional[float]] = {}
+        #: a strict permanent failure held back until the other suspects
+        #: of a pool break have re-run (and checkpointed)
+        self.deferred: Optional[Tuple[_CellState, BaseException]] = None
 
     # -- main loop -----------------------------------------------------
     def run(self) -> None:
         pool = self._new_pool()
         try:
             while self.queue or self.inflight:
+                if self.deferred is not None and not self._suspects():
+                    break
                 try:
                     self._submit_ready(pool)
                     respawn = self._poll()
@@ -170,6 +190,8 @@ class _Orchestrator:
                     respawn = True
                 if respawn:
                     pool = self._respawn(pool)
+            if self.deferred is not None:
+                self._record_permanent_failure(*self.deferred)
         except BaseException:
             self._shutdown(pool)
             raise
@@ -201,13 +223,14 @@ class _Orchestrator:
     def _respawn(self, pool: ProcessPoolExecutor) -> ProcessPoolExecutor:
         """Replace a broken or hung pool; keep finished work, requeue the rest.
 
-        Futures that already resolved are harvested normally (results
-        are kept; a BrokenProcessPool exception charges the cell an
-        attempt — the culprit cannot be told apart from its pool-mates,
-        so each burns one of its bounded retries).  Futures still
-        pending are interrupted through no fault of their own: they are
-        requeued with the attempt refunded.
+        A broken pool fails every future it holds, so those are waited
+        for and harvested (see :meth:`_harvest` for how the break is
+        attributed).  Futures still pending after that — the innocent
+        pool-mates of a hung cell — are requeued with the attempt
+        refunded.
         """
+        if getattr(pool, "_broken", False):
+            wait(set(self.inflight), timeout=_JOIN_TIMEOUT_S)
         done = [f for f in self.inflight if f.done()]
         for future, state in [
             (f, self.inflight[f]) for f in self.inflight if not f.done()
@@ -215,9 +238,7 @@ class _Orchestrator:
             self.inflight.pop(future)
             self.started.pop(future, None)
             future.cancel()
-            state.attempts = max(0, state.attempts - 1)
-            state.not_before = 0.0
-            self.queue.append(state)
+            self._refund(state)
         # Successes first, as in _poll: checkpoint finished work before a
         # strict failure can abort the sweep.
         for future in sorted(done, key=_harvest_failures_last):
@@ -227,22 +248,39 @@ class _Orchestrator:
 
     # -- submission ----------------------------------------------------
     def _submit_ready(self, pool: ProcessPoolExecutor) -> None:
+        if any(s.isolate for s in self.inflight.values()):
+            return  # an isolated unit runs alone
         now = time.monotonic()
-        for state in [s for s in self.queue if s.not_before <= now]:
+        ready = [s for s in self.queue if s.not_before <= now]
+        isolated = [s for s in ready if s.isolate]
+        if isolated or self.deferred is not None:
+            # Suspects of a pool break run one at a time; a sweep that
+            # is about to abort runs nothing else.
+            ready = [] if self.inflight else isolated[:1]
+        for state in ready[: pool._max_workers - len(self.inflight)]:
             future = pool.submit(
                 self.task_fn, state.cell, *self.submit_args, state.attempts
             )
             self.queue.remove(state)
             state.attempts += 1
+            state.shared = bool(self.inflight)
+            for other in self.inflight.values():
+                other.shared = True
             self.inflight[future] = state
             self.started[future] = None
+
+    def _refund(self, state: _CellState) -> None:
+        """Requeue an interrupted attempt without charging it."""
+        state.attempts = max(0, state.attempts - 1)
+        state.not_before = 0.0
+        self.queue.append(state)
 
     # -- waiting -------------------------------------------------------
     def _poll(self) -> bool:
         """Wait for progress; harvest completions; expire timeouts.
 
-        Returns True when the pool must be respawned (a running cell
-        timed out and its worker has to be reclaimed).
+        Returns True when the pool must be respawned (it broke, or a
+        running cell timed out and its worker has to be reclaimed).
         """
         if not self.inflight:
             # Every remaining cell is backing off; sleep to its retry time.
@@ -258,9 +296,10 @@ class _Orchestrator:
         # Successes first: every completed cell is checkpointed before a
         # strict failure in the same batch aborts the sweep, so a resume
         # restarts from all finished work.
+        broke = False
         for future in sorted(done, key=_harvest_failures_last):
-            self._harvest(future)
-        return self._expire_timeouts()
+            broke |= self._harvest(future)
+        return self._expire_timeouts() or broke
 
     def _wait_timeout(self) -> Optional[float]:
         """How long ``wait`` may block before bookkeeping must run."""
@@ -308,17 +347,33 @@ class _Orchestrator:
         return bool(expired)
 
     # -- outcome recording ---------------------------------------------
-    def _harvest(self, future: Future) -> None:
+    def _harvest(self, future: Future) -> bool:
+        """Record one resolved future; True if it found the pool broken.
+
+        A pool break fails every unit in the pool, and nothing tells
+        the unit that killed its worker from the ones that were merely
+        sharing the pool.  So a unit whose attempt shared the pool is
+        refunded and re-runs alone; a unit that breaks the pool while
+        running alone is charged like any other failure.
+        """
         state = self.inflight.pop(future, None)
         self.started.pop(future, None)
         if state is None:
-            return
+            return False
         try:
             _, point = future.result(timeout=0)
-        except Exception as exc:  # worker exception or BrokenProcessPool
+        except BrokenProcessPool as exc:
+            if state.shared:
+                state.isolate = True
+                self._refund(state)
+            else:
+                self._record_failure(state, exc)
+            return True
+        except Exception as exc:  # worker exception
             self._record_failure(state, exc)
         else:
             self._record_success(state, point)
+        return False
 
     def _record_success(self, state: _CellState, point: SweepPoint) -> None:
         self.outcomes[(state.cell.value, state.cell.label)] = point
@@ -334,29 +389,30 @@ class _Orchestrator:
             )
             self.queue.append(state)
             return
+        if not self.faults.best_effort and self._suspects(besides=state):
+            # Strict mode aborts the sweep; the other suspects of a pool
+            # break re-run first so every innocent one is checkpointed.
+            self.deferred = self.deferred or (state, exc)
+            return
         self._record_permanent_failure(state, exc)
+
+    def _suspects(self, besides: Optional[_CellState] = None) -> bool:
+        """Whether an isolated unit other than ``besides`` is unsettled."""
+        return any(
+            s.isolate and s is not besides
+            for s in (*self.queue, *self.inflight.values())
+        )
 
     def _record_permanent_failure(
         self, state: _CellState, exc: BaseException
     ) -> None:
-        cell = state.cell
-        if not self.faults.best_effort:
-            raise SweepCellError(
-                cell.value, cell.label, self.seeds, state.attempts, exc
-            ) from exc
-        self.failures.append(
-            CellFailure(
-                value=cell.value,
-                policy=cell.label,
-                seeds=self.seeds,
-                attempts=state.attempts,
-                error_type=type(exc).__name__,
-                message=str(exc),
-            )
+        unit = state.cell
+        _fail_unit(
+            exc, (unit.value, unit.label), unit.members, self.seeds,
+            state.attempts, self.faults, self.failures,
         )
-        self.outcomes[(cell.value, cell.label)] = nan_point(
-            cell.label, self.groups
-        )
+        for value, label in unit.members:
+            self.outcomes[(value, label)] = nan_point(label, self.groups)
 
 
 def run_sweep_parallel(

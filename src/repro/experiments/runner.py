@@ -8,6 +8,8 @@ the spec builder and grid.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -18,6 +20,7 @@ from ..core import registry
 from ..core.requirements import NetworkSpec
 from ..sim.batch_sim import run_simulation_batch, supports_batch_engine
 from ..sim.interval_sim import run_simulation
+from ..sim.rng import normalize_rng_mode
 from .configs import PolicyFactory
 from .faults import (
     CellFailure,
@@ -104,31 +107,6 @@ class SweepResult:
         return seen
 
 
-def _policy_supports_free(policy: object) -> bool:
-    """Whether ``policy``'s registered family declares ``supports_free_rng``."""
-    descriptor = registry.descriptor_for(policy)
-    return (
-        descriptor is not None and descriptor.capabilities.supports_free_rng
-    )
-
-
-def _policy_supports_incremental(policy: object) -> bool:
-    """Whether the family declares ``supports_incremental_dp``."""
-    descriptor = registry.descriptor_for(policy)
-    return (
-        descriptor is not None
-        and descriptor.capabilities.supports_incremental_dp
-    )
-
-
-def _policy_supports_topology(policy: object) -> bool:
-    """Whether the family declares ``supports_topology``."""
-    descriptor = registry.descriptor_for(policy)
-    return (
-        descriptor is not None and descriptor.capabilities.supports_topology
-    )
-
-
 def _resolve_topology(topology, spec: NetworkSpec):
     """A concrete :class:`~repro.topology.graph.CellTopology` for ``spec``.
 
@@ -150,40 +128,175 @@ def _resolve_topology(topology, spec: NetworkSpec):
     return topology
 
 
-def _warn_topology_degrade(labels: Sequence[str], stacklevel: int = 3) -> None:
-    warnings.warn(
+@dataclass
+class _Cell:
+    """One (value, policy) cell of a sweep and the plan it runs under.
+
+    ``rng`` / ``dp_state`` / ``topology`` are what the cell's policy
+    family actually honours of the sweep's requests (see
+    :func:`_plan_cell`); the rest is the sweep's bookkeeping.
+    """
+
+    value: float
+    label: str
+    spec: NetworkSpec
+    factory: PolicyFactory
+    policy: object
+    rng: str
+    dp_state: Optional[str]
+    topology: object
+    key: Optional[str] = None
+    point: Optional[SweepPoint] = None
+    cached: bool = False
+    failed: bool = False  # permanent best-effort failure: never cached
+    rows: Optional[slice] = field(default=None, repr=False)  # fused rows
+
+
+def _plan_cell(
+    value: float,
+    label: Optional[str],
+    spec: NetworkSpec,
+    factory: PolicyFactory,
+    rng_mode: str,
+    dp_state: Optional[str],
+    topology,
+) -> _Cell:
+    """Resolve one cell against its family's declared capabilities.
+
+    A family without ``supports_free_rng`` runs ``rng="free"`` under the
+    default batch discipline, one without ``supports_incremental_dp``
+    runs as if ``dp_state=None``, and one without ``supports_topology``
+    runs single-domain.  ``label=None`` takes the policy's registry label.
+    """
+    policy = factory()
+    free = registry.has_capability(policy, "supports_free_rng")
+    incremental = registry.has_capability(policy, "supports_incremental_dp")
+    multi_cell = registry.has_capability(policy, "supports_topology")
+    return _Cell(
+        value=value,
+        label=registry.policy_label(policy) if label is None else label,
+        spec=spec,
+        factory=factory,
+        policy=policy,
+        rng="batch" if rng_mode == "free" and not free else rng_mode,
+        dp_state=dp_state if incremental else None,
+        topology=_resolve_topology(topology, spec) if multi_cell else None,
+    )
+
+
+_LOCKSTEP_ADVICE = (
+    "{names} state cannot evolve under a lockstep batch draw discipline; "
+    "these cells fall back to the scalar engine: {labels}.  Pass "
+    "rng='free' to keep them vectorized (statistically equivalent)"
+)
+
+#: Once-per-sweep degrade advisories, in the order they are issued.
+_ADVICE = {
+    "topology": (
         "topology= is ignored for policy families without the "
-        f"supports_topology capability: {', '.join(labels)}; those cells "
-        "run single-domain exactly as they would without a topology",
-        UserWarning,
-        stacklevel=stacklevel,
-    )
+        "supports_topology capability: {labels}; those cells run "
+        "single-domain exactly as they would without a topology"
+    ),
+    "free": (
+        "rng='free' is not declared (supports_free_rng) by policy "
+        "families: {labels}; those cells run under the default batch "
+        "draw discipline instead"
+    ),
+    "channel": _LOCKSTEP_ADVICE,
+    "arrivals": _LOCKSTEP_ADVICE,
+}
+
+#: Set while a sweep runs the cells it already advised about, so the
+#: ``run_single`` calls inside it do not repeat the advisories per cell.
+_SWEEP_ADVISED = contextvars.ContextVar("sweep_advised", default=False)
 
 
-def _warn_channel_degrade(
-    spec: NetworkSpec, labels: Sequence[str], stacklevel: int = 3
+@contextlib.contextmanager
+def _advised():
+    token = _SWEEP_ADVISED.set(True)
+    try:
+        yield
+    finally:
+        _SWEEP_ADVISED.reset(token)
+
+
+def _advise(
+    cells: Sequence[_Cell], rng_mode: str, topology, stacklevel: int
 ) -> None:
-    warnings.warn(
-        f"{type(spec.channel).__name__} state cannot evolve under a "
-        "lockstep batch draw discipline; these cells fall back to the "
-        f"scalar engine: {', '.join(labels)}.  Pass rng='free' to keep "
-        "them vectorized (statistically equivalent)",
-        UserWarning,
-        stacklevel=stacklevel,
-    )
+    """Warn once per kind of degradation among a sweep's planned cells.
+
+    The kinds: a requested ``topology`` the family cannot run, a
+    requested ``rng="free"`` it does not declare, and a stateful channel
+    or arrival process whose random state cannot evolve under the
+    lockstep discipline — only where free draws would keep the cell on
+    the batch engine (other fallbacks are the family's, not the
+    discipline's).
+    """
+    found: Dict[str, Tuple[List[str], List[str]]] = {}
+
+    def note(kind: str, label: str, name: str = "") -> None:
+        labels, names = found.setdefault(kind, ([], []))
+        if label not in labels:
+            labels.append(label)
+        if name and name not in names:
+            names.append(name)
+
+    for cell in cells:
+        if topology is not None and cell.topology is None:
+            note("topology", cell.label)
+        if rng_mode == "free" and cell.rng != "free":
+            note("free", cell.label)
+        random_state = [
+            (kind, model)
+            for kind, model in (
+                ("channel", cell.spec.channel),
+                ("arrivals", cell.spec.arrivals),
+            )
+            if model.has_state and model.state_uses_rng
+        ]
+        if (
+            random_state
+            and cell.topology is None
+            and cell.rng == "batch"
+            and supports_batch_engine(cell.spec, cell.policy, rng="free")
+        ):
+            for kind, model in random_state:
+                note(kind, cell.label, type(model).__name__)
+    for kind, text in _ADVICE.items():
+        if kind in found:
+            labels, names = found[kind]
+            warnings.warn(
+                text.format(labels=", ".join(labels), names="/".join(names)),
+                UserWarning,
+                stacklevel=stacklevel,
+            )
 
 
-def _warn_arrival_degrade(
-    spec: NetworkSpec, labels: Sequence[str], stacklevel: int = 3
-) -> None:
-    warnings.warn(
-        f"{type(spec.arrivals).__name__} state cannot evolve under a "
-        "lockstep batch draw discipline; these cells fall back to the "
-        f"scalar engine: {', '.join(labels)}.  Pass rng='free' to keep "
-        "them vectorized (statistically equivalent)",
-        UserWarning,
-        stacklevel=stacklevel,
-    )
+def _plan_sweep(
+    values: Sequence[float],
+    spec_builder: Callable[[float], NetworkSpec],
+    policies: Dict[str, PolicyFactory],
+    rng_mode: str,
+    dp_state: Optional[str],
+    topology,
+    stacklevel: int,
+    advise: bool = True,
+) -> List[_Cell]:
+    """Every (value, policy) cell of a sweep, planned and advised once."""
+    cells: List[_Cell] = []
+    for value in values:
+        spec = spec_builder(value)
+        topo = _resolve_topology(topology, spec)
+        for label, factory in policies.items():
+            cells.append(
+                _plan_cell(
+                    float(value), label, spec, factory, rng_mode, dp_state,
+                    topo,
+                )
+            )
+    if advise:
+        _advise(cells, rng_mode, topology, stacklevel + 1)
+    return cells
 
 
 def _run_single_topology(
@@ -334,8 +447,10 @@ def run_single(
     :class:`~repro.topology.graph.CellTopology` or a builder called with
     the spec — runs capable families (``supports_topology``) through the
     multi-cell engine (:func:`~repro.topology.engine.run_topology_batch`);
-    non-capable families degrade to the single-domain path with one
-    ``UserWarning``.
+    non-capable families degrade to the single-domain path.  The
+    topology degrade and a lockstep fallback to the scalar engine are
+    each announced with one ``UserWarning`` (a sweep calling this per
+    cell announces them once for the whole sweep instead).
     """
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
@@ -351,36 +466,25 @@ def run_single(
             "engine is single-domain only"
         )
     if engine in ("batch", "fused"):
-        policy = factory()
-        eff = rng
-        if rng == "free" and not _policy_supports_free(policy):
-            eff = None  # degrade to the default batch discipline
-        eff_dp = dp_state
-        if dp_state is not None and not _policy_supports_incremental(policy):
-            # A sweep-level dp_state request addresses the DP family;
-            # other families run exactly as with dp_state=None (direct
-            # run_simulation_batch calls stay strict).
-            eff_dp = None
-        if topology is not None:
-            if _policy_supports_topology(policy):
-                return _run_single_topology(
-                    spec, policy, num_intervals, seeds, groups,
-                    _resolve_topology(topology, spec),
-                    backend=backend, rng=eff, dp_state=eff_dp,
-                )
-            _warn_topology_degrade([registry.policy_label(policy)])
-        if supports_batch_engine(spec, policy, rng=eff):
-            return _run_single_batch(
-                spec, policy, num_intervals, seeds, groups, backend, eff,
-                eff_dp,
+        rng_mode = normalize_rng_mode(rng)
+        cell = _plan_cell(
+            float("nan"), None, spec, factory, rng_mode, dp_state, topology
+        )
+        if not _SWEEP_ADVISED.get():
+            # Passing the cell's own discipline keeps a direct call's
+            # rng="free" degrade silent; sweeps announce it.
+            _advise([cell], cell.rng, topology, stacklevel=3)
+        if cell.topology is not None:
+            return _run_single_topology(
+                spec, cell.policy, num_intervals, seeds, groups,
+                cell.topology, backend=backend, rng=cell.rng,
+                dp_state=cell.dp_state,
             )
-        if eff != "free" and supports_batch_engine(spec, policy, rng="free"):
-            # The only blocker was the lockstep discipline: say so once
-            # instead of silently crawling through the scalar engine.
-            if spec.channel.has_state and spec.channel.state_uses_rng:
-                _warn_channel_degrade(spec, [registry.policy_label(policy)])
-            elif spec.arrivals.has_state and spec.arrivals.state_uses_rng:
-                _warn_arrival_degrade(spec, [registry.policy_label(policy)])
+        if supports_batch_engine(spec, cell.policy, rng=cell.rng):
+            return _run_single_batch(
+                spec, cell.policy, num_intervals, seeds, groups, backend,
+                cell.rng, cell.dp_state,
+            )
     totals: List[float] = []
     group_totals: List[np.ndarray] = []
     collisions: List[float] = []
@@ -421,6 +525,162 @@ def run_single(
     )
 
 
+def _lookup(
+    store,
+    cell: _Cell,
+    seeds: Tuple[int, ...],
+    num_intervals: int,
+    groups: Optional[Sequence[int]],
+    engine: str,
+    uncacheable: List[str],
+) -> None:
+    """Key ``cell`` and serve it from ``store`` when warm.
+
+    An uncacheable cell (unregistered policy, or a spec that cannot be
+    fingerprinted) adds its label to ``uncacheable`` instead.  Only
+    cells that actually run free draws get the distinct ``rng`` key;
+    degraded cells produce default-discipline samples and share the
+    default key.
+    """
+    cell.key = store.cell_key(
+        spec=cell.spec,
+        policy=cell.policy,
+        seeds=seeds,
+        num_intervals=num_intervals,
+        groups=groups,
+        sync_rng=cell.rng == "sync",
+        engine=engine,
+        rng="free" if cell.rng == "free" else None,
+        topology=cell.topology,
+    )
+    if cell.key is None:
+        if cell.label not in uncacheable:
+            uncacheable.append(cell.label)
+        return
+    cell.point = store.get(cell.key)
+    cell.cached = cell.point is not None
+
+
+def _settle(
+    cell: _Cell,
+    compute: Callable[[_Cell], SweepPoint],
+    faults: Optional[FaultPolicy],
+    seeds: Tuple[int, ...],
+    groups: Optional[Sequence[int]],
+    failures: List[CellFailure],
+) -> None:
+    """Compute ``cell.point`` — fail-fast, or under ``faults``' retries.
+
+    A permanent best-effort failure leaves a NaN point and marks the
+    cell failed (never cached).
+    """
+    if faults is None:
+        cell.point = compute(cell)
+        return
+
+    def attempt(k: int) -> SweepPoint:
+        fire_fault_hooks(cell.value, cell.label, k)
+        return compute(cell)
+
+    point = call_with_retries(
+        attempt,
+        value=cell.value,
+        label=cell.label,
+        seeds=seeds,
+        faults=faults,
+        failures=failures,
+    )
+    cell.failed = point is None
+    cell.point = nan_point(cell.label, groups) if cell.failed else point
+
+
+def _assemble(
+    parameter_name: str,
+    values: Sequence[float],
+    cells: Sequence[_Cell],
+    failures: List[CellFailure],
+) -> SweepResult:
+    result = SweepResult(parameter_name=parameter_name, values=list(values))
+    # dataclasses.replace keeps every other SweepPoint field intact
+    # (rebuilding field-by-field would silently drop fields added later).
+    result.points = [
+        replace(cell.point, parameter=cell.value, policy=cell.label)
+        for cell in cells
+    ]
+    if failures:
+        result.failures = SweepFailureReport(failures)
+    return result
+
+
+def _sweep_cells(
+    parameter_name: str,
+    values: Sequence[float],
+    cells: List[_Cell],
+    compute: Callable[[_Cell], SweepPoint],
+    *,
+    num_intervals: int,
+    seeds: Tuple[int, ...],
+    groups: Optional[Sequence[int]],
+    engine: str,
+    store,
+    faults: Optional[FaultPolicy],
+) -> SweepResult:
+    """The per-cell sweep loop: key, get, compute under retries, put.
+
+    Each finished cell is checkpointed before the next one starts, so a
+    sweep killed part-way resumes warm from everything already computed.
+    """
+    from .cache import warn_uncacheable  # cache.py imports this module
+
+    groups_t = tuple(groups) if groups is not None else None
+    failures: List[CellFailure] = []
+    uncacheable: List[str] = []
+    with _advised():
+        for cell in cells:
+            if store is not None:
+                _lookup(
+                    store, cell, seeds, num_intervals, groups_t, engine,
+                    uncacheable,
+                )
+            if cell.point is not None:
+                continue
+            _settle(cell, compute, faults, seeds, groups_t, failures)
+            if cell.key is not None and not cell.failed:
+                store.put(cell.key, cell.point)
+    warn_uncacheable(uncacheable, stacklevel=4)
+    return _assemble(parameter_name, values, cells, failures)
+
+
+def _cell_runner(
+    num_intervals: int,
+    seeds: Tuple[int, ...],
+    groups: Optional[Sequence[int]],
+    engine: str,
+    backend: Optional[str],
+    rng: Optional[str],
+    dp_state: Optional[str],
+    validate: bool = True,
+    shards: Optional[int] = None,
+) -> Callable[[_Cell], SweepPoint]:
+    """How :func:`_sweep_cells` computes one planned cell: on the
+    topology engine when the cell runs multi-cell, else through
+    :func:`run_single`."""
+
+    def compute(cell: _Cell) -> SweepPoint:
+        if cell.topology is not None:
+            return _run_single_topology(
+                cell.spec, cell.policy, num_intervals, seeds, groups,
+                cell.topology, backend=backend, rng=cell.rng,
+                dp_state=cell.dp_state, validate=validate, shards=shards,
+            )
+        return run_single(
+            cell.spec, cell.factory, num_intervals, seeds, groups, engine,
+            backend, rng, dp_state,
+        )
+
+    return compute
+
+
 def run_sweep(
     parameter_name: str,
     values: Sequence[float],
@@ -455,9 +715,12 @@ def run_sweep(
     ``topology`` — a :class:`~repro.topology.graph.CellTopology` or a
     builder called with each value's spec — runs capable policy families
     (``supports_topology``) through the multi-cell engine; families
-    without the capability degrade to their single-domain path with one
-    ``UserWarning`` per sweep, and their cells are cached under the same
-    key as a topology-free sweep (they compute the identical point).
+    without the capability degrade to their single-domain path, and
+    their cells are cached under the same key as a topology-free sweep
+    (they compute the identical point).  On the batch and fused engines
+    every kind of degradation (topology, ``rng="free"``, stateful channel
+    or arrival state under the lockstep discipline) is announced with one
+    ``UserWarning`` per sweep.
 
     cache:
         ``True`` / directory / :class:`~repro.experiments.cache.SweepCache`
@@ -517,96 +780,20 @@ def run_sweep(
             "topology= requires engine='batch' or 'fused'; the scalar "
             "engine is single-domain only"
         )
-    # Local import: cache.py imports SweepPoint from this module.
-    from .cache import resolve_cache, warn_uncacheable
+    _check_dp_state(dp_state)
+    from .cache import resolve_cache  # cache.py imports this module
 
-    policies = registry.resolve_policies(policies)
-    store = resolve_cache(cache)
     seeds_t = tuple(int(s) for s in seeds)
-    groups_t = tuple(groups) if groups is not None else None
-    degraded_topo: List[str] = []
-    if topology is not None:
-        degraded_topo = [
-            label
-            for label, factory in policies.items()
-            if not _policy_supports_topology(factory())
-        ]
-        if degraded_topo:
-            _warn_topology_degrade(degraded_topo, stacklevel=2)
-    failures: List[CellFailure] = []
-    uncacheable: List[str] = []
-    result = SweepResult(parameter_name=parameter_name, values=list(values))
-    for value in values:
-        spec = spec_builder(value)
-        topo = _resolve_topology(topology, spec)
-        for label, factory in policies.items():
-            cell_topo = topo if label not in degraded_topo else None
-            key = None
-            point = None
-            if store is not None:
-                # Free-draw cells are keyed distinctly — but only the
-                # cells that actually run free draws; degraded families
-                # produce default-discipline samples under the default
-                # key.
-                key_rng = (
-                    "free"
-                    if rng == "free" and _policy_supports_free(factory())
-                    else None
-                )
-                key = store.cell_key(
-                    spec=spec,
-                    policy=factory(),
-                    seeds=seeds_t,
-                    num_intervals=num_intervals,
-                    groups=groups_t,
-                    sync_rng=rng == "sync",
-                    engine=engine,
-                    rng=key_rng,
-                    topology=cell_topo,
-                )
-                if key is None:
-                    if label not in uncacheable:
-                        uncacheable.append(label)
-                else:
-                    point = store.get(key)
-            if point is None:
-                if faults is None:
-                    point = run_single(
-                        spec, factory, num_intervals, seeds, groups, engine,
-                        backend, rng, dp_state, topology=cell_topo,
-                    )
-                else:
-
-                    def _attempt(attempt, spec=spec, factory=factory,
-                                 value=value, label=label,
-                                 cell_topo=cell_topo):
-                        fire_fault_hooks(float(value), label, attempt)
-                        return run_single(
-                            spec, factory, num_intervals, seeds, groups,
-                            engine, backend, rng, dp_state,
-                            topology=cell_topo,
-                        )
-
-                    point = call_with_retries(
-                        _attempt,
-                        value=float(value),
-                        label=label,
-                        seeds=seeds_t,
-                        faults=faults,
-                        failures=failures,
-                    )
-                if point is None:  # permanent best-effort failure
-                    point = nan_point(label, groups_t)
-                elif store is not None and key is not None:
-                    # Checkpoint: a sweep killed after this cell resumes
-                    # warm from here.
-                    store.put(key, point)
-            # Keep every other field of the worker's point intact
-            # (rebuilding field-by-field drops fields added later).
-            result.points.append(
-                replace(point, parameter=float(value), policy=label)
-            )
-    warn_uncacheable(uncacheable)
-    if failures:
-        result.failures = SweepFailureReport(failures)
-    return result
+    cells = _plan_sweep(
+        values, spec_builder, registry.resolve_policies(policies),
+        normalize_rng_mode(rng), dp_state, topology, stacklevel=3,
+        advise=engine != "scalar",
+    )
+    return _sweep_cells(
+        parameter_name, values, cells,
+        _cell_runner(
+            num_intervals, seeds_t, groups, engine, backend, rng, dp_state
+        ),
+        num_intervals=num_intervals, seeds=seeds_t, groups=groups,
+        engine=engine, store=resolve_cache(cache), faults=faults,
+    )

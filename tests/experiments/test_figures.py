@@ -110,3 +110,43 @@ class TestSingleRunFigures:
         result = fig3(num_intervals=50, alphas=(0.5,))
         row = result.row(0.5)
         assert set(row) == {"DB-DP", "LDF", "FCSMA"}
+
+
+#: SHA-256 prefixes of every sweep figure's full output (metadata plus
+#: series) at a tiny horizon, recorded before the figures became table
+#: rows.  Any change to a figure's grid, builder, labels or numbers shows
+#: up here; regenerate only for an intended change of results.
+GOLDEN_FIGURE_DIGESTS = {
+    ("fig3", "scalar"): "45a60a880a258fde",
+    ("fig4", "scalar"): "f06afa5725f09ad3",
+    ("fig7", "scalar"): "85e61eab056d1606",
+    ("fig8", "scalar"): "a82048879db4b5c9",
+    ("fig9", "scalar"): "6a395e86ae32b525",
+    ("fig10", "scalar"): "1587ac7cac5ef144",
+    ("fig3", "fused"): "d9deb38c9ba39824",
+    ("fig4", "fused"): "3a4a7c2cc901d3d9",
+    ("fig7", "fused"): "3640f2ad85706da3",
+    ("fig8", "fused"): "d2f2c5cf0a94bb3b",
+    ("fig9", "fused"): "aac1f43aaca3c173",
+    ("fig10", "fused"): "1c7705645d026247",
+}
+
+
+@pytest.mark.parametrize(
+    "name,engine", sorted(GOLDEN_FIGURE_DIGESTS), ids="-".join
+)
+def test_sweep_figure_output_is_pinned(name, engine):
+    import hashlib
+
+    result = ALL_FIGURES[name](num_intervals=20, seeds=(0, 1), engine=engine)
+    blob = repr((
+        result.figure_id,
+        result.title,
+        result.x_label,
+        result.x_values,
+        sorted(result.series.items()),
+        result.notes,
+        result.y_label,
+    ))
+    digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    assert digest == GOLDEN_FIGURE_DIGESTS[(name, engine)], blob

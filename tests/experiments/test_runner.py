@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
-from repro import DBDPPolicy, FCSMAPolicy, LDFPolicy, StaticPriorityPolicy
+from repro import (
+    DBDPPolicy,
+    FCSMAPolicy,
+    LDFPolicy,
+    NetworkSpec,
+    StaticPriorityPolicy,
+)
+from repro.core.policies import IntervalMac, IntervalOutcome
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.runner import run_single, run_sweep
+from repro.phy.channel import channel_from_spec
+from repro.topology import grid_cells
+from repro.traffic.arrivals import arrivals_from_spec
 
 
 def tiny_builder(alpha):
@@ -257,3 +270,100 @@ class TestRunSweepCacheAndFaults:
         assert cache.stores == 2 and cache.hits == 1
         reference = run_sweep(**self.kwargs())
         assert healed.points == reference.points
+
+
+def _ge_builder(alpha):
+    spec = tiny_builder(alpha)
+    channel = channel_from_spec("ge:0.1:0.3", spec.num_links)
+    return dataclasses.replace(spec, channel=channel)
+
+
+def _mmpp_builder(alpha):
+    spec = tiny_builder(alpha)
+    return NetworkSpec.from_delivery_ratios(
+        arrivals=arrivals_from_spec("mmpp:0.7:0.1", spec.num_links),
+        channel=spec.channel,
+        timing=spec.timing,
+        delivery_ratios=spec.delivery_ratios,
+    )
+
+
+def _two_cells(spec):
+    return grid_cells(spec.num_links, 2)
+
+
+class _Unregistered(IntervalMac):
+    """No registered ancestor: simulable, but its cells are uncacheable."""
+
+    name = "mystery"
+
+    def run_interval(self, k, arrivals, positive_debts, rng):
+        n = self.spec.num_links
+        return IntervalOutcome(
+            deliveries=np.zeros(n, dtype=np.int64),
+            attempts=np.zeros(n, dtype=np.int64),
+            busy_time_us=0.0,
+            overhead_time_us=0.0,
+            collisions=0,
+            priorities=tuple(range(1, n + 1)),
+        )
+
+
+_LOCKSTEP = (
+    "{} state cannot evolve under a lockstep batch draw discipline; these "
+    "cells fall back to the scalar engine: DB-DP, LDF.  Pass rng='free' "
+    "to keep them vectorized (statistically equivalent)"
+)
+
+#: Each degrade path: the sweep that hits it on both of its values, and
+#: the one advisory that sweep must emit.
+DEGRADES = {
+    "topology": (
+        dict(policies=["DB-DP", "FCSMA"], topology=_two_cells),
+        "topology= is ignored for policy families without the "
+        "supports_topology capability: FCSMA; those cells run "
+        "single-domain exactly as they would without a topology",
+    ),
+    "free-rng": (
+        dict(policies=["LDF", "FCSMA"], rng="free"),
+        "rng='free' is not declared (supports_free_rng) by policy "
+        "families: FCSMA; those cells run under the default batch draw "
+        "discipline instead",
+    ),
+    "ge-channel": (
+        dict(policies=["DB-DP", "LDF"], spec_builder=_ge_builder),
+        _LOCKSTEP.format("GilbertElliottChannel"),
+    ),
+    "mmpp-arrivals": (
+        dict(policies=["DB-DP", "LDF"], spec_builder=_mmpp_builder),
+        _LOCKSTEP.format("MarkovModulatedArrivals"),
+    ),
+    "uncacheable": (
+        dict(policies={"mystery": _Unregistered, "LDF": LDFPolicy}),
+        "skipping the sweep cache for ['mystery']: the policy is not "
+        "registered (or its spec/config cannot be fingerprinted), so "
+        "these cells run uncached every time; register a "
+        "PolicyDescriptor with repro.core.registry to make them cacheable",
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["batch", "fused"])
+@pytest.mark.parametrize("kind", sorted(DEGRADES))
+def test_each_degrade_is_announced_once_per_sweep(kind, engine, tmp_path):
+    options, advisory = DEGRADES[kind]
+    kwargs = dict(
+        parameter_name="alpha",
+        values=(0.5, 0.6),
+        spec_builder=tiny_builder,
+        num_intervals=20,
+        seeds=(0, 1),
+        engine=engine,
+        cache=str(tmp_path),
+    )
+    kwargs.update(options)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_sweep(**kwargs)
+    emitted = [str(w.message) for w in caught if w.category is UserWarning]
+    assert emitted == [advisory]

@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro import DBDPPolicy, LDFPolicy
+from repro.experiments.cache import SweepCache
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.faults import ENV_FAULT_INJECT, FaultPolicy, SweepCellError
 from repro.experiments.grid import run_sweep_fused
+from repro.experiments.parallel import _Orchestrator
 from repro.experiments.runner import run_sweep
 
 VALUES = (0.5, 0.55, 0.6, 0.65)
@@ -202,3 +205,32 @@ class TestShardFaultRecovery:
         first = _sweep(shards=2, cache=cache_dir)
         again = _sweep(shards=2, cache=cache_dir)
         assert again.points == first.points
+
+
+class TestPoolBreakAttribution:
+    """A killed worker breaks the whole pool and fails every shard in it;
+    only the shard that breaks a pool while running alone is charged."""
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("max_workers", [1, 2, 4])
+    def test_innocent_shards_checkpoint_and_culprit_is_named(
+        self, monkeypatch, tmp_path, max_workers, shards
+    ):
+        monkeypatch.setattr(
+            _Orchestrator,
+            "_new_pool",
+            lambda self: ProcessPoolExecutor(max_workers=max_workers),
+        )
+        # DB-DP@0.65 is the 7th of 8 cells: always in the last shard.
+        monkeypatch.setenv(ENV_FAULT_INJECT, "kill:DB-DP:0.65:*")
+        cache = SweepCache(tmp_path)
+        with pytest.raises(SweepCellError) as err:
+            _sweep(
+                shards=shards, cache=cache,
+                faults=FaultPolicy(retries=0, backoff_base=0.0),
+            )
+        num_cells = len(VALUES) * len(POLICIES)
+        last = num_cells // shards
+        assert err.value.policy == f"shard {shards}/{shards} ({last} cells)"
+        assert err.value.attempts == 1
+        assert cache.stores == num_cells - last
