@@ -330,19 +330,7 @@ def _run_single_topology(
     totals = result.total_deficiency()  # (S,)
     group_mean = None
     if groups is not None:
-        gid = np.asarray(groups, dtype=int)
-        short = np.maximum(
-            np.asarray(spec.requirement_vector)[None, :]
-            - result.mean_deliveries(),
-            0.0,
-        )  # (S, N)
-        per_group = np.stack(
-            [
-                short[:, gid == g].sum(axis=1)
-                for g in range(int(gid.max()) + 1)
-            ],
-            axis=1,
-        )
+        per_group = result.group_deficiency(groups)  # (S, G)
         group_mean = tuple(float(x) for x in per_group.mean(axis=0))
     return SweepPoint(
         parameter=float("nan"),  # filled by run_sweep

@@ -175,7 +175,7 @@ class BatchSimulationResult:
                 "traces); trace recording requires lite=False"
             )
         # Copy: several draw/kernel paths hand back reused buffers (e.g.
-        # the topology engine's cell-wise blocks), so stored traces must
+        # the workspace kernels' outcome planes), so stored traces must
         # own their data or every interval would alias the last one.
         self._arrivals.append(np.array(arrivals, dtype=np.int64))
         self._deliveries.append(np.array(outcome.deliveries, dtype=np.int64))
@@ -703,7 +703,8 @@ class BatchIntervalSimulator:
         lets fused rows differ in policy parameters the kernel can stack
         (e.g. per-row Glauber constants).
     stream_tag:
-        Namespace tag for the batch RNG streams; see
+        Namespace tag for the batch RNG streams, or one tag per row to
+        give each block of equally-tagged rows its own streams; see
         :class:`~repro.sim.rng.BatchRngBundle`.
     backend:
         Kernel backend (:data:`~repro.sim.batch_kernels.KERNEL_BACKENDS`):
@@ -732,7 +733,7 @@ class BatchIntervalSimulator:
         record_priorities: bool = False,
         record_traces: bool = True,
         row_policies: Optional[Sequence[IntervalMac]] = None,
-        stream_tag: Optional[str] = None,
+        stream_tag: Union[None, str, Sequence[Optional[str]]] = None,
         backend: Optional[str] = None,
         rng: Optional[str] = None,
         dp_state: Optional[str] = None,
@@ -751,6 +752,9 @@ class BatchIntervalSimulator:
         self.validate = bool(validate)
         self.record_traces = bool(record_traces)
         self.rng = BatchRngBundle(seeds, stream_tag=stream_tag)
+        if stack is None and self.rng.num_blocks > 1:
+            # Row blocks draw their arrivals through the per-row stack.
+            stack = self.stack = SpecStack.broadcast(spec, self.rng.num_seeds)
         if stack is not None and stack.num_rows != self.rng.num_seeds:
             raise ValueError(
                 f"spec stack has {stack.num_rows} rows but "

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "RngBundle",
     "BatchRngBundle",
+    "RowBlockStreams",
+    "row_blocks",
     "draw_chunk_depth",
     "RNG_MODES",
     "normalize_rng_mode",
@@ -171,17 +173,47 @@ class BatchRngBundle:
     fused stack has one row per (sweep cell, seed) pair, and each row gets
     its own scalar-identical :class:`RngBundle` exactly as the per-cell
     runner would construct it.
+
+    ``stream_tag`` may also give one tag per row.  Consecutive rows that
+    share a tag form a **row block**, and each block draws from the
+    streams of ``BatchRngBundle(block_seeds, stream_tag=tag)`` — exactly
+    what an independent run over those rows alone would draw.  The
+    vectorized streams of a bundle with several blocks are then
+    :class:`RowBlockStreams`; with one block the bundle is the same as
+    passing that single tag.
     """
 
-    def __init__(self, seeds: Sequence[int], stream_tag: Optional[str] = None):
+    def __init__(
+        self,
+        seeds: Sequence[int],
+        stream_tag: Union[None, str, Sequence[Optional[str]]] = None,
+    ):
         seeds = tuple(int(s) for s in seeds)
         if not seeds:
             raise ValueError("need at least one seed")
         self._seeds = seeds
-        self._stream_tag = stream_tag
         self._bundles = tuple(RngBundle(s) for s in seeds)
-        self._batch_streams: Dict[str, np.random.Generator] = {}
-        self._free_streams: Dict[str, np.random.Generator] = {}
+        self._streams: Dict[Tuple[str, str], object] = {}
+        self._blocks: Tuple[Tuple[int, int, "BatchRngBundle"], ...] = ()
+        if stream_tag is not None and not isinstance(stream_tag, str):
+            tags = tuple(stream_tag)
+            if len(tags) != len(seeds):
+                raise ValueError(
+                    f"{len(tags)} row stream tags for {len(seeds)} seeds"
+                )
+            starts = [0] + [
+                i for i in range(1, len(tags)) if tags[i] != tags[i - 1]
+            ]
+            if len(starts) == 1:
+                stream_tag = tags[0]
+            else:
+                bounds = zip(starts, starts[1:] + [len(tags)])
+                self._blocks = tuple(
+                    (lo, hi, BatchRngBundle(seeds[lo:hi], stream_tag=tags[lo]))
+                    for lo, hi in bounds
+                )
+                stream_tag = tags
+        self._stream_tag = stream_tag
 
     @property
     def seeds(self) -> Tuple[int, ...]:
@@ -201,23 +233,20 @@ class BatchRngBundle:
         return tuple(b.stream(name) for b in self._bundles)
 
     @property
-    def stream_tag(self) -> Optional[str]:
+    def stream_tag(self):
+        """The tag, or the per-row tag tuple when rows form several blocks."""
         return self._stream_tag
 
-    def batch_stream(self, name: str) -> np.random.Generator:
-        """One generator for vectorized ``(S, ...)`` draws of ``name``."""
-        if name not in self._batch_streams:
-            namespace = "batch:"
-            if self._stream_tag is not None:
-                namespace = f"batch[{self._stream_tag}]:"
-            name_key = [ord(c) for c in namespace + name]
-            seq = np.random.SeedSequence(
-                entropy=list(self._seeds), spawn_key=name_key
-            )
-            self._batch_streams[name] = np.random.Generator(np.random.PCG64(seq))
-        return self._batch_streams[name]
+    @property
+    def num_blocks(self) -> int:
+        """How many row blocks draw from their own streams (at least 1)."""
+        return max(1, len(self._blocks))
 
-    def free_stream(self, name: str) -> np.random.Generator:
+    def batch_stream(self, name: str):
+        """One generator for vectorized ``(S, ...)`` draws of ``name``."""
+        return self._vector_stream("batch", name)
+
+    def free_stream(self, name: str):
         """One generator per stream name for the ``rng="free"`` discipline.
 
         Free streams use the same spawn-key derivation as
@@ -231,16 +260,26 @@ class BatchRngBundle:
         still exact: the stream is a pure function of (seed tuple,
         stream tag, name).
         """
-        if name not in self._free_streams:
-            namespace = "free:"
-            if self._stream_tag is not None:
-                namespace = f"free[{self._stream_tag}]:"
-            name_key = [ord(c) for c in namespace + name]
-            seq = np.random.SeedSequence(
-                entropy=list(self._seeds), spawn_key=name_key
-            )
-            self._free_streams[name] = np.random.Generator(np.random.PCG64(seq))
-        return self._free_streams[name]
+        return self._vector_stream("free", name)
+
+    def _vector_stream(self, kind: str, name: str):
+        key = (kind, name)
+        if key not in self._streams:
+            if self._blocks:
+                self._streams[key] = RowBlockStreams(
+                    [(lo, hi) for lo, hi, _ in self._blocks],
+                    [b._vector_stream(kind, name) for _, _, b in self._blocks],
+                )
+            else:
+                namespace = f"{kind}:"
+                if self._stream_tag is not None:
+                    namespace = f"{kind}[{self._stream_tag}]:"
+                seq = np.random.SeedSequence(
+                    entropy=list(self._seeds),
+                    spawn_key=[ord(c) for c in namespace + name],
+                )
+                self._streams[key] = np.random.Generator(np.random.PCG64(seq))
+        return self._streams[key]
 
     # Convenience accessors mirroring :class:`RngBundle`. ------------------
     @property
@@ -258,3 +297,83 @@ class BatchRngBundle:
     @property
     def shared(self) -> np.random.Generator:
         return self.batch_stream("shared")
+
+
+class RowBlockStreams:
+    """One vectorized stream per row block of a :class:`BatchRngBundle`.
+
+    Stands in for a ``numpy.random.Generator`` in the batch draw objects,
+    whose chunks hold rows on axis 1 (``(depth, rows, ...)``).  Each draw
+    fills rows ``lo:hi`` from that block's own generator with the call an
+    independent ``(depth, hi - lo, ...)`` draw would make, so a block's
+    values never depend on the other blocks.
+    """
+
+    def __init__(
+        self,
+        bounds: Sequence[Tuple[int, int]],
+        generators: Sequence[np.random.Generator],
+    ):
+        self.bounds = tuple(bounds)
+        self.generators = tuple(generators)
+        self.num_rows = self.bounds[-1][1]
+
+    def _fill(
+        self,
+        draw: Callable[[np.random.Generator, np.ndarray], object],
+        size,
+        dtype,
+        out: Optional[np.ndarray],
+    ) -> np.ndarray:
+        if out is None:
+            out = np.empty(size, dtype=dtype)
+        if out.ndim < 2 or out.shape[1] != self.num_rows:
+            raise ValueError(
+                f"row-block streams fill (depth, {self.num_rows}, ...) "
+                f"arrays, got shape {out.shape}"
+            )
+        # One scratch buffer sized for the widest block; each block is
+        # drawn contiguous, as its independent run would draw it.
+        per_row = out.size // self.num_rows
+        widest = max(hi - lo for lo, hi in self.bounds)
+        scratch = np.empty(per_row * widest, dtype=out.dtype)
+        for (lo, hi), gen in zip(self.bounds, self.generators):
+            part = scratch[: per_row * (hi - lo)].reshape(
+                (out.shape[0], hi - lo) + out.shape[2:]
+            )
+            draw(gen, part)
+            out[:, lo:hi] = part
+        return out
+
+    def random(self, size=None, dtype=np.float64, out=None) -> np.ndarray:
+        return self._fill(
+            lambda gen, part: gen.random(dtype=part.dtype, out=part),
+            size, dtype, out,
+        )
+
+    def standard_exponential(
+        self, size=None, dtype=np.float64, out=None
+    ) -> np.ndarray:
+        return self._fill(
+            lambda gen, part: gen.standard_exponential(
+                dtype=part.dtype, out=part
+            ),
+            size, dtype, out,
+        )
+
+    def integers(self, low, high, size=None, dtype=np.int64) -> np.ndarray:
+        return self._fill(
+            lambda gen, part: np.copyto(
+                part, gen.integers(low, high, size=part.shape, dtype=dtype)
+            ),
+            size, dtype, None,
+        )
+
+
+def row_blocks(rng, num_rows: int):
+    """``(lo, hi, generator)`` per row block; a generator is one block."""
+    if isinstance(rng, RowBlockStreams):
+        return [
+            (lo, hi, gen) for (lo, hi), gen in zip(rng.bounds, rng.generators)
+        ]
+    return [(0, num_rows, rng)]

@@ -26,12 +26,13 @@ arrival process so one vectorized draw covers every row using that process.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.requirements import NetworkSpec
 from ..phy.timing import IntervalTiming
+from .rng import row_blocks
 
 __all__ = ["SpecStack"]
 
@@ -81,6 +82,9 @@ class SpecStack:
         self._specs = specs
         self._n = n
         self._timing = timing
+        self._arrival_groups_cache: Dict[
+            Tuple[int, int], List[Tuple[NetworkSpec, List[int]]]
+        ] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -173,41 +177,46 @@ class SpecStack:
         )
 
     # ------------------------------------------------------------------
-    def _arrival_groups(self) -> List[Tuple[NetworkSpec, List[int]]]:
-        """Rows grouped by identical arrival process (order-preserving).
+    def _arrival_groups(
+        self, lo: int, hi: int
+    ) -> List[Tuple[NetworkSpec, List[int]]]:
+        """Rows ``lo:hi`` grouped by identical arrival process
+        (order-preserving).
 
-        Computed once and cached: the stack is immutable, and the
-        pairwise equality scan is quadratic in distinct processes — too
-        slow to repeat on every chunk refill of a long run.
+        Computed once per row range and cached: the stack is immutable,
+        and the pairwise equality scan is quadratic in distinct processes
+        — too slow to repeat on every chunk refill of a long run.
         """
-        cached = getattr(self, "_arrival_groups_cache", None)
+        cached = self._arrival_groups_cache.get((lo, hi))
         if cached is None:
             groups: List[Tuple[NetworkSpec, List[int]]] = []
-            for i, spec in enumerate(self._specs):
+            for i in range(lo, hi):
+                spec = self._specs[i]
                 for rep, rows in groups:
                     if spec.arrivals == rep.arrivals:
                         rows.append(i)
                         break
                 else:
                     groups.append((spec, [i]))
-            cached = self._arrival_groups_cache = groups
+            cached = self._arrival_groups_cache[(lo, hi)] = groups
         return cached
 
-    def sample_arrival_block(
-        self, rng: np.random.Generator, depth: int
-    ) -> np.ndarray:
+    def sample_arrival_block(self, rng, depth: int) -> np.ndarray:
         """Draw ``depth`` intervals of arrivals for every row at once.
 
         Returns a ``(depth, R, N)`` int64 array.  Rows sharing one arrival
         process are drawn in a single ``sample_batch`` call (i.i.d. across
         intervals and rows, so a flat oversized draw has the right joint
         distribution); a sweep with ``V`` distinct parameter values costs
-        ``V`` generator calls per block instead of ``R``.
+        ``V`` generator calls per block instead of ``R``.  Under
+        :class:`~repro.sim.rng.RowBlockStreams` each row block is grouped
+        and drawn from its own generator.
         """
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         out = np.empty((depth, self.num_rows, self._n), dtype=np.int64)
-        for rep, rows in self._arrival_groups():
-            flat = rep.arrivals.sample_batch(rng, depth * len(rows))
-            out[:, rows] = flat.reshape(depth, len(rows), self._n)
+        for lo, hi, gen in row_blocks(rng, self.num_rows):
+            for rep, rows in self._arrival_groups(lo, hi):
+                flat = rep.arrivals.sample_batch(gen, depth * len(rows))
+                out[:, rows] = flat.reshape(depth, len(rows), self._n)
         return out

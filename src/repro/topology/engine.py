@@ -7,21 +7,22 @@ sit contiguously at ``c * S .. (c + 1) * S - 1`` (cell-major order), each
 bound to that cell's sliced spec.  The kernel never learns about the
 topology — rows are just small independent networks.
 
-**Per-cell draw injection.**  Under the vectorized disciplines
-(``rng="batch"`` / ``"free"``), every random input of the batch engine
-flows through swappable chunked draw objects (the same seam
-:func:`~repro.sim.batch_sim.share_batch_draws` uses).  The topology
-engine replaces them with cell-wise wrappers that draw each cell's row
-block from that cell's own
-``BatchRngBundle(seeds, stream_tag=cell_stream_tag(c))`` — the exact
-streams an *independent* ``BatchIntervalSimulator(cell_spec, policy,
-seeds, stream_tag=cell_stream_tag(c))`` would consume.  Every kernel
-stage is row-local arithmetic on exact small integers (matmul
-reductions included), so row (c, s) of the packed run computes
-bit-identically to row s of the independent cell run.  That is the
+**Per-cell streams.**  The packed simulator gets one stream tag per
+row, ``cell_stream_tag(c)`` for cell ``c``'s rows, so its
+:class:`~repro.sim.rng.BatchRngBundle` splits the rows into one block per
+cell.  Under the vectorized disciplines (``rng="batch"`` / ``"free"``)
+every draw object of the batch engine fills each block from that cell's
+own streams — the exact streams an *independent*
+``BatchIntervalSimulator(cell_spec, policy, seeds,
+stream_tag=cell_stream_tag(c))`` would consume.  Every kernel stage is
+row-local arithmetic on exact small integers (matmul reductions
+included), so row (c, s) of the packed run computes bit-identically to
+row s of the independent cell run, given that the packed cells share one
+``A_max`` and one channel-draw dtype (checked for ``A_max``; the dtype
+only widens for reliabilities below ~1e-4).  That is the
 disconnected-topology identity guarantee, and it also makes results
-invariant under cell packing order and sharding.  Sync mode needs no
-injection: its per-seed scalar bundles are keyed by seed value alone.
+invariant under cell packing order and sharding.  Sync mode draws from
+per-seed scalar bundles keyed by seed value alone.
 
 **Boundary resolution.**  Topologies with boundary links mask non-owner
 memberships' arrivals before each interval (see
@@ -31,6 +32,7 @@ topology-level free substream, so cells never communicate mid-interval.
 from __future__ import annotations
 
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -40,117 +42,14 @@ import numpy as np
 from ..core import registry
 from ..core.policies import IntervalMac
 from ..core.requirements import NetworkSpec
-from ..sim.batch_kernels import (
-    _ChunkedArgmaxUniforms,
-    _ChunkedChannelDraws,
-    _ChunkedIntegers,
-    _ChunkedUniforms,
-    drain_totals,
-)
-from ..sim.batch_sim import BatchIntervalSimulator, _BatchArrivalDraws
-from ..sim.rng import BatchRngBundle, normalize_rng_mode
+from ..sim.batch_sim import BatchIntervalSimulator
+from ..sim.rng import normalize_rng_mode
 from ..sim.spec_stack import SpecStack
 from .boundary import BoundaryMasker
-from .graph import TOPOLOGY_STREAM_TAG, CellTopology, cell_stream_tag
+from .graph import CellTopology, cell_stream_tag
 from .pack import CellPacking
 
 __all__ = ["TopologySimulator", "TopologyResult", "run_topology_batch"]
-
-
-# ----------------------------------------------------------------------
-# Cell-wise draw assembly: per-cell chunked inners feeding one (R, ...)
-# block per interval.  Wrappers ignore the stream the kernel passes —
-# each inner refills from its own cell's generator, which is the whole
-# point: a cell's randomness must not depend on what else is packed.
-# ----------------------------------------------------------------------
-class _CellwiseBlocks:
-    """Stack per-cell ``(S, ...)`` blocks into one ``(R, ...)`` buffer."""
-
-    def __init__(self, inners, gens, out: np.ndarray, num_seeds: int):
-        self._inners = list(inners)
-        self._gens = list(gens)
-        self._out = out
-        self._S = int(num_seeds)
-
-    def next(self, _rng, _state_rng=None) -> np.ndarray:
-        S = self._S
-        for c, (inner, gen) in enumerate(zip(self._inners, self._gens)):
-            self._out[c * S : (c + 1) * S] = inner.next(gen)
-        return self._out
-
-
-class _CellwiseArgmax(_CellwiseBlocks):
-    def __init__(self, inners, gens, num_seeds: int, next_shape, argmax_shape):
-        super().__init__(inners, gens, np.empty(next_shape), num_seeds)
-        self._am = np.empty(argmax_shape, dtype=np.intp)
-
-    def next_argmax(self, _rng) -> np.ndarray:
-        S = self._S
-        for c, (inner, gen) in enumerate(zip(self._inners, self._gens)):
-            self._am[c * S : (c + 1) * S] = inner.next_argmax(gen)
-        return self._am
-
-
-class _CellwiseChannelDraws(_CellwiseBlocks):
-    """Cell-wise channel retry blocks with the fast drain-totals gather.
-
-    ``state_gens`` supplies one channel-state evolution stream per cell
-    when the cells carry stochastic channel state; each cell's state then
-    evolves from its own stream, preserving the per-cell draw isolation
-    that makes sharded topology runs exact.
-    """
-
-    def __init__(
-        self,
-        inners,
-        gens,
-        num_seeds: int,
-        width: int,
-        a_max: int,
-        fast: bool,
-        state_gens=None,
-    ):
-        dtypes = {inner.dtype for inner in inners}
-        if len(dtypes) != 1:
-            raise TypeError(
-                f"cells disagree on the channel draw dtype ({dtypes}); "
-                "mixed-precision cells cannot share one packed block"
-            )
-        rows = num_seeds * len(list(inners))
-        out = np.empty((rows, width, a_max), dtype=dtypes.pop())
-        super().__init__(inners, gens, out, num_seeds)
-        self._state_gens = list(state_gens) if state_gens is not None else None
-        self._fast = bool(fast)
-        self._tot_base = (
-            np.arange(rows * width, dtype=np.int64) * a_max
-        ).reshape(rows, width)
-        self._tot_idx = np.empty((rows, width), dtype=np.int64)
-        self._tot_mask = np.empty((rows, width), dtype=bool)
-        self._tot2 = np.empty((rows, width), dtype=out.dtype)
-
-    def next(self, _rng, _state_rng=None) -> np.ndarray:
-        S = self._S
-        for c, (inner, gen) in enumerate(zip(self._inners, self._gens)):
-            sg = self._state_gens[c] if self._state_gens is not None else None
-            self._out[c * S : (c + 1) * S] = inner.next(gen, sg)
-        return self._out
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self._out.dtype
-
-    def totals(self, needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
-        # Same exact-integer gather as _ChunkedChannelDraws.totals, sized
-        # for the packed (R, width) plane.
-        if not self._fast:
-            return drain_totals(needed_cum, backlog)
-        np.subtract(backlog, 1, out=self._tot_idx)
-        np.maximum(self._tot_idx, 0, out=self._tot_idx)
-        np.add(self._tot_idx, self._tot_base, out=self._tot_idx)
-        needed_cum.ravel().take(self._tot_idx.ravel(), out=self._tot2.ravel())
-        np.greater(backlog, 0, out=self._tot_mask)
-        np.multiply(self._tot2, self._tot_mask, out=self._tot2)
-        return self._tot2
 
 
 class _PackedBatchSim(BatchIntervalSimulator):
@@ -161,7 +60,7 @@ class _PackedBatchSim(BatchIntervalSimulator):
     def _sample_arrivals(self) -> np.ndarray:
         arrivals = super()._sample_arrivals()
         if self._mask is not None:
-            arrivals = self._mask.apply(self._interval, arrivals)
+            arrivals = self._mask.apply(self.interval, arrivals)
         return arrivals
 
 
@@ -198,13 +97,19 @@ class TopologyResult:
         short = self.requirements[None, :] - self.mean_deliveries()
         return np.maximum(short, 0.0).sum(axis=1)
 
-    def group_deficiency(self, groups: Sequence[Sequence[int]]) -> np.ndarray:
-        """Per-seed deficiency summed within each global link group."""
+    def group_deficiency(self, groups: Sequence[int]) -> np.ndarray:
+        """Per-seed deficiency summed within each link group — ``(S, G)``.
+
+        ``groups[n]`` is the 0-based group id of global link ``n``, as in
+        :func:`repro.analysis.metrics.group_deficiency`.
+        """
+        gid = np.asarray(groups, dtype=int)
         short = np.maximum(
             self.requirements[None, :] - self.mean_deliveries(), 0.0
         )
         return np.stack(
-            [short[:, list(g)].sum(axis=1) for g in groups], axis=1
+            [short[:, gid == g].sum(axis=1) for g in range(int(gid.max()) + 1)],
+            axis=1,
         )
 
     def mean_overhead_us(self) -> np.ndarray:
@@ -279,132 +184,26 @@ class TopologySimulator:
             ):
                 raise ValueError(f"bad cell subset {cells}")
         self.cells = cells
-        S = len(self.seeds)
-        specs_rows: List[NetworkSpec] = []
-        row_seeds: List[int] = []
-        for c in cells:
-            specs_rows.extend([self.packing.cell_specs[c]] * S)
-            row_seeds.extend(self.seeds)
+        cell_specs = [self.packing.cell_specs[c] for c in cells]
+        a_max = {max(1, spec_c.arrivals.max_per_link) for spec_c in cell_specs}
+        if self.rng_mode != "sync" and len(a_max) > 1:
+            raise TypeError(
+                f"cells must share one A_max for packed draws: got "
+                f"{sorted(a_max)}"
+            )
         self.sim = _PackedBatchSim(
-            SpecStack(specs_rows),
+            SpecStack([spec_c for spec_c in cell_specs for _ in self.seeds]),
             policy,
-            row_seeds,
+            self.seeds * len(cells),
             rng=self.rng_mode,
             backend=backend,
             dp_state=dp_state,
             validate=validate,
             record_traces=record_traces,
-            stream_tag=TOPOLOGY_STREAM_TAG,
+            stream_tag=[cell_stream_tag(c) for c in cells for _ in self.seeds],
         )
-        if self.rng_mode != "sync":
-            self._inject_cell_draws()
         if topology.boundary_links:
             self.sim._mask = BoundaryMasker(self.packing, self.seeds, cells)
-
-    # ------------------------------------------------------------------
-    def _inject_cell_draws(self) -> None:
-        kernel = self.sim.kernel
-        S = len(self.seeds)
-        width = self.packing.width
-        a_max = kernel._a_max
-        depth = kernel._depth
-        free = kernel._free
-        rows = S * len(self.cells)
-        bundles = [
-            BatchRngBundle(self.seeds, stream_tag=cell_stream_tag(c))
-            for c in self.cells
-        ]
-
-        def streams(name: str):
-            return [
-                b.free_stream(name) if free else b.batch_stream(name)
-                for b in bundles
-            ]
-
-        cell_specs = [self.packing.cell_specs[c] for c in self.cells]
-        for spec_c in cell_specs:
-            cell_a_max = max(1, spec_c.arrivals.max_per_link)
-            if cell_a_max != a_max:
-                raise TypeError(
-                    f"cells must share one A_max for packed draws: got "
-                    f"{cell_a_max} vs {a_max}"
-                )
-        kernel._channel_draws = _CellwiseChannelDraws(
-            [
-                _ChunkedChannelDraws(
-                    spec_c.reliabilities,
-                    S,
-                    a_max,
-                    depth=depth,
-                    fast=kernel._use_ws,
-                    # Per-cell channel state: S rows of this cell's own
-                    # (take_links-sliced) channel, evolved from the
-                    # cell's dedicated stream below.
-                    state=(
-                        spec_c.channel.init_state_batch(S)
-                        if spec_c.channel.has_state
-                        else None
-                    ),
-                )
-                for spec_c in cell_specs
-            ],
-            streams("channel"),
-            S,
-            width,
-            a_max,
-            fast=kernel._use_ws,
-            state_gens=(
-                streams("channel-state")
-                if getattr(kernel, "_chan_state_uses_rng", False)
-                else None
-            ),
-        )
-        coin = getattr(kernel, "_coin_draws", None)
-        if coin is not None:
-            two_p = coin._shape[-1]
-            kernel._coin_draws = _CellwiseBlocks(
-                [
-                    _ChunkedUniforms(S, two_p, depth=depth)
-                    for _ in cell_specs
-                ],
-                streams("policy"),
-                np.empty((rows, two_p)),
-                S,
-            )
-        cand_ints = getattr(kernel, "_cand_ints", None)
-        if cand_ints is not None:
-            kernel._cand_ints = _CellwiseBlocks(
-                [
-                    _ChunkedIntegers(1, width, S, depth=depth)
-                    for _ in cell_specs
-                ],
-                streams("shared"),
-                np.empty(rows, dtype=np.int64),
-                S,
-            )
-        cand = getattr(kernel, "_cand_draws", None)
-        if cand is not None:
-            m = cand._shape[-1]
-            kernel._cand_draws = _CellwiseArgmax(
-                [
-                    _ChunkedArgmaxUniforms(S, m, depth=depth)
-                    for _ in cell_specs
-                ],
-                streams("shared"),
-                S,
-                next_shape=(rows, m),
-                argmax_shape=(rows,),
-            )
-        arrival_depth = depth if free else None
-        self.sim._arrival_draws = _CellwiseBlocks(
-            [
-                _BatchArrivalDraws(None, spec_c, S, depth=arrival_depth)
-                for spec_c in cell_specs
-            ],
-            streams("arrivals"),
-            np.empty((rows, width), dtype=np.int64),
-            S,
-        )
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -484,8 +283,9 @@ def run_topology_batch(
     index and the boundary owner stream spans the whole topology, so any
     shard count (including in-process fallback) merges to the same
     result.  Shard processes fork the current interpreter; if a pool
-    cannot be used (pickling, platform), shards run sequentially in
-    process — same answer, no parallelism.
+    cannot be used (a payload that cannot be pickled, or workers that
+    cannot start), shards run sequentially in process — same answer, no
+    parallelism.  An exception raised by a shard's simulation propagates.
     """
     options = dict(
         rng=rng,
@@ -503,13 +303,27 @@ def run_topology_batch(
         for cells in groups
     ]
     workers = max_workers or min(len(groups), os.cpu_count() or 1)
-    parts: Optional[List[TopologyResult]] = None
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_run_shard_task, payloads))
-        except Exception:
-            parts = None  # fall through to the in-process path
+    parts = _run_shards_in_pool(payloads, workers) if workers > 1 else None
     if parts is None:
         parts = [_run_shard_task(p) for p in payloads]
     return TopologyResult.merge(parts)
+
+
+def _run_shards_in_pool(payloads, workers: int) -> Optional[List[TopologyResult]]:
+    """Shard results from a process pool, or ``None`` when no pool can run
+    them: a payload that cannot be pickled, or workers that cannot start.
+    An exception raised inside a shard propagates."""
+    try:
+        pickle.dumps(payloads)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return None
+    try:
+        pool = ProcessPoolExecutor(max_workers=workers)
+    except (OSError, NotImplementedError):  # no usable semaphores or pipes
+        return None
+    with pool:
+        try:
+            futures = [pool.submit(_run_shard_task, p) for p in payloads]
+        except OSError:  # worker processes could not be started
+            return None
+        return [f.result() for f in futures]

@@ -20,9 +20,9 @@ translation:
   rotates; see :mod:`repro.topology.boundary`).  Global deficiency is
   still measured against the full requirement via the summed deliveries.
 
-Only cross-link-independent arrival processes can be sliced per cell;
-correlated or stateful processes raise ``TypeError`` (their joint
-distribution cannot be factored across cells).
+Only cross-link-independent arrival processes can be sliced per cell
+(:meth:`~repro.traffic.arrivals.ArrivalProcess.take_links`); correlated
+or stateful processes raise ``TypeError``.
 """
 from __future__ import annotations
 
@@ -32,44 +32,9 @@ from typing import List, Tuple
 import numpy as np
 
 from ..core.requirements import NetworkSpec
-from ..traffic.arrivals import (
-    ArrivalProcess,
-    BernoulliArrivals,
-    BurstyVideoArrivals,
-    ConstantArrivals,
-    TruncatedPoissonArrivals,
-)
 from .graph import CellTopology
 
-__all__ = ["CellPacking", "slice_arrivals"]
-
-
-def slice_arrivals(
-    process: ArrivalProcess, links: Tuple[int, ...], pad: int
-) -> ArrivalProcess:
-    """Rebuild ``process`` restricted to ``links`` plus ``pad`` dead links.
-
-    Works for processes whose links are mutually independent (the joint
-    law factorizes, so the restriction is exact).  Pads get the process's
-    natural "never arrives" parameter.
-    """
-    if isinstance(process, BurstyVideoArrivals):
-        alphas = tuple(process.alphas[l] for l in links) + (0.0,) * pad
-        return BurstyVideoArrivals(alphas=alphas, burst_max=process.burst_max)
-    if isinstance(process, BernoulliArrivals):
-        rates = tuple(process.rates[l] for l in links) + (0.0,) * pad
-        return BernoulliArrivals(rates=rates)
-    if isinstance(process, ConstantArrivals):
-        counts = tuple(process.counts[l] for l in links) + (0,) * pad
-        return ConstantArrivals(counts=counts)
-    if isinstance(process, TruncatedPoissonArrivals):
-        rates = tuple(process.poisson_rates[l] for l in links) + (0.0,) * pad
-        return TruncatedPoissonArrivals(poisson_rates=rates, cap=process.cap)
-    raise TypeError(
-        f"{type(process).__name__} cannot be sliced per cell: the "
-        "topology layer needs cross-link-independent arrivals (the joint "
-        "law must factor across cells)"
-    )
+__all__ = ["CellPacking"]
 
 
 class CellPacking:
@@ -95,11 +60,11 @@ class CellPacking:
         b_member = np.full((topology.num_cells, self.width), -1, dtype=np.int8)
         for c, cell in enumerate(topology.cells):
             pad = self.width - len(cell)
-            arrivals = slice_arrivals(spec.arrivals, cell, pad)
-            # Per-cell channel slice: pads become always-deliver links, so
-            # they never consume airtime.  Channel families that cannot be
-            # sliced per link raise a TypeError here (see
-            # ChannelModel.take_links).
+            # Per-cell slices: pads never arrive and always deliver, so
+            # they never consume airtime.  Families that cannot be sliced
+            # per link raise a TypeError here (see ArrivalProcess.take_links
+            # and ChannelModel.take_links).
+            arrivals = spec.arrivals.take_links(cell, pad)
             channel = spec.channel.take_links(cell, pad)
             reqs = []
             for i, l in enumerate(cell):

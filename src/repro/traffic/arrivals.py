@@ -202,6 +202,19 @@ class ArrivalProcess(ABC):
             )
         return state.evolve(rng)
 
+    def take_links(
+        self, links: Sequence[int], pad: int = 0
+    ) -> "ArrivalProcess":
+        """Rebuild the process restricted to ``links`` plus ``pad`` dead
+        links that never arrive (the topology layer's per-cell slicing).
+        Exact when links are mutually independent (the joint law
+        factorizes); other families must raise."""
+        raise TypeError(
+            f"{type(self).__name__} cannot be sliced per cell: the "
+            "topology layer needs cross-link-independent arrivals (the joint "
+            "law must factor across cells)"
+        )
+
     def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
         """Draw one interval's arrivals for ``num_seeds`` replications.
 
@@ -284,6 +297,12 @@ class BernoulliArrivals(ArrivalProcess):
         draws = rng.random((num_seeds, self.num_links)) < np.asarray(self.rates)
         return self._check_batch(draws.astype(np.int64), num_seeds)
 
+    def take_links(
+        self, links: Sequence[int], pad: int = 0
+    ) -> "BernoulliArrivals":
+        rates = tuple(self.rates[l] for l in links) + (0.0,) * int(pad)
+        return BernoulliArrivals(rates=rates)
+
 
 @dataclass(frozen=True)
 class BurstyVideoArrivals(ArrivalProcess):
@@ -333,6 +352,12 @@ class BurstyVideoArrivals(ArrivalProcess):
         bursts = rng.integers(1, self.burst_max + 1, size=shape)
         return self._check_batch(np.where(active, bursts, 0).astype(np.int64), num_seeds)
 
+    def take_links(
+        self, links: Sequence[int], pad: int = 0
+    ) -> "BurstyVideoArrivals":
+        alphas = tuple(self.alphas[l] for l in links) + (0.0,) * int(pad)
+        return BurstyVideoArrivals(alphas=alphas, burst_max=self.burst_max)
+
 
 @dataclass(frozen=True)
 class ConstantArrivals(ArrivalProcess):
@@ -374,6 +399,12 @@ class ConstantArrivals(ArrivalProcess):
     def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
         row = np.asarray(self.counts, dtype=np.int64)
         return self._check_batch(np.tile(row, (num_seeds, 1)), num_seeds)
+
+    def take_links(
+        self, links: Sequence[int], pad: int = 0
+    ) -> "ConstantArrivals":
+        counts = tuple(self.counts[l] for l in links) + (0,) * int(pad)
+        return ConstantArrivals(counts=counts)
 
 
 @dataclass(frozen=True)
@@ -425,6 +456,12 @@ class TruncatedPoissonArrivals(ArrivalProcess):
         rates = np.asarray(self.poisson_rates)
         raw = rng.poisson(rates, size=(num_seeds, self.num_links))
         return self._check_batch(np.minimum(raw, self.cap).astype(np.int64), num_seeds)
+
+    def take_links(
+        self, links: Sequence[int], pad: int = 0
+    ) -> "TruncatedPoissonArrivals":
+        rates = tuple(self.poisson_rates[l] for l in links) + (0.0,) * int(pad)
+        return TruncatedPoissonArrivals(poisson_rates=rates, cap=self.cap)
 
 
 @dataclass(frozen=True)

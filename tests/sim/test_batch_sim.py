@@ -143,6 +143,24 @@ class TestReproducibility:
         )
         np.testing.assert_array_equal(split.result.arrivals, whole.arrivals)
 
+    @pytest.mark.parametrize("rng", [None, "free"])
+    def test_row_blocks_replay_independent_runs(self, spec, rng):
+        """Per-row stream tags: each block of rows draws exactly what an
+        independent simulator over those rows and that tag draws."""
+        packed = BatchIntervalSimulator(
+            spec, DBDPPolicy(), SEEDS * 2, rng=rng,
+            stream_tag=["a"] * len(SEEDS) + ["b"] * len(SEEDS),
+        ).run(90)
+        for i, tag in enumerate("ab"):
+            alone = BatchIntervalSimulator(
+                spec, DBDPPolicy(), SEEDS, rng=rng, stream_tag=tag
+            ).run(90)
+            rows = slice(i * len(SEEDS), (i + 1) * len(SEEDS))
+            for field in ("arrivals", "deliveries", "attempts"):
+                np.testing.assert_array_equal(
+                    getattr(packed, field)[:, rows], getattr(alone, field)
+                )
+
     def test_progress_callback(self, spec):
         seen = []
         sim = BatchIntervalSimulator(spec, LDFPolicy(), SEEDS)

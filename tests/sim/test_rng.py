@@ -106,3 +106,55 @@ class TestBatchRngBundle:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
             BatchRngBundle(())
+
+
+class TestRowBlocks:
+    SEEDS = (3, 4, 3, 4)
+    TAGS = ("a", "a", "b", "b")
+
+    def test_blocks_draw_their_independent_streams(self):
+        """Rows tagged per block fill each block exactly as a bundle over
+        that block's seeds and tag alone would draw it."""
+        blocked = BatchRngBundle(self.SEEDS, stream_tag=self.TAGS)
+        assert blocked.num_blocks == 2
+        for kind in ("batch_stream", "free_stream"):
+            got = getattr(blocked, kind)("x")
+            refs = [
+                getattr(BatchRngBundle(self.SEEDS[:2], tag), kind)("x")
+                for tag in ("a", "b")
+            ]
+
+            def stacked(draw):
+                return np.concatenate([draw(g) for g in refs], axis=1)
+
+            np.testing.assert_array_equal(
+                got.random((5, 4, 3)), stacked(lambda g: g.random((5, 2, 3)))
+            )
+            np.testing.assert_array_equal(
+                got.standard_exponential((5, 4, 3), dtype=np.float32),
+                stacked(
+                    lambda g: g.standard_exponential((5, 2, 3), dtype=np.float32)
+                ),
+            )
+            np.testing.assert_array_equal(
+                got.integers(1, 9, size=(5, 4)),
+                stacked(lambda g: g.integers(1, 9, size=(5, 2))),
+            )
+
+    def test_one_tag_per_row_matches_a_single_tag(self):
+        same = BatchRngBundle((0, 1), stream_tag=("t", "t"))
+        assert same.num_blocks == 1 and same.stream_tag == "t"
+        np.testing.assert_array_equal(
+            same.batch_stream("x").random(4),
+            BatchRngBundle((0, 1), stream_tag="t").batch_stream("x").random(4),
+        )
+
+    def test_rows_must_sit_on_axis_one(self):
+        stream = BatchRngBundle(self.SEEDS, self.TAGS).batch_stream("x")
+        with pytest.raises(ValueError, match="row-block streams fill"):
+            stream.random((4 * 5, 3))
+
+    def test_tag_count_must_match_seeds(self):
+        with pytest.raises(ValueError, match="3 row stream tags for 4 seeds"):
+            BatchRngBundle(self.SEEDS, stream_tag=("a", "a", "b"))
+

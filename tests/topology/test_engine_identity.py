@@ -27,6 +27,7 @@ SEEDS = (0, 1, 2)
 INTERVALS = 80
 NUM_LINKS = 12
 NUM_CELLS = 3
+CELL_WIDTHS = (4, 64)
 
 
 @pytest.fixture
@@ -43,28 +44,35 @@ def jit_runnable(monkeypatch):
 def test_disconnected_bit_identical_per_interval(rng, backend, jit_runnable):
     if backend == "legacy" and rng == "free":
         pytest.skip("rng='free' is not available on the legacy backend")
-    spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
-    topo = partition_cells(NUM_LINKS, NUM_CELLS)
-    sim = TopologySimulator(
-        spec, DBDPPolicy(), SEEDS, topo,
-        rng=rng, backend=backend, record_traces=True,
-    )
-    sim.run(INTERVALS)
-    packed = sim.sim.result
-    S = len(SEEDS)
-    for c in range(NUM_CELLS):
-        kwargs = {} if rng == "sync" else {"stream_tag": cell_stream_tag(c)}
-        independent = BatchIntervalSimulator(
-            sim.packing.cell_specs[c], DBDPPolicy(), SEEDS,
-            rng=rng, backend=backend, record_traces=True, **kwargs,
-        ).run(INTERVALS)
-        rows = slice(c * S, (c + 1) * S)
-        for field in ("arrivals", "deliveries", "attempts", "collisions"):
-            np.testing.assert_array_equal(
-                getattr(packed, field)[:, rows],
-                getattr(independent, field),
-                err_msg=f"cell {c} rng={rng} backend={backend} {field}",
-            )
+    # Width 64 exceeds max_transmissions + 1, so DB-DP binds the
+    # incremental DP state on the workspace backends.
+    for width in CELL_WIDTHS:
+        num_links = width * NUM_CELLS
+        spec = video_symmetric_spec(0.55, num_links=num_links)
+        topo = partition_cells(num_links, NUM_CELLS)
+        sim = TopologySimulator(
+            spec, DBDPPolicy(), SEEDS, topo,
+            rng=rng, backend=backend, record_traces=True,
+        )
+        sim.run(INTERVALS)
+        packed = sim.sim.result
+        S = len(SEEDS)
+        for c in range(NUM_CELLS):
+            kwargs = {} if rng == "sync" else {"stream_tag": cell_stream_tag(c)}
+            independent = BatchIntervalSimulator(
+                sim.packing.cell_specs[c], DBDPPolicy(), SEEDS,
+                rng=rng, backend=backend, record_traces=True, **kwargs,
+            ).run(INTERVALS)
+            rows = slice(c * S, (c + 1) * S)
+            for field in ("arrivals", "deliveries", "attempts", "collisions"):
+                np.testing.assert_array_equal(
+                    getattr(packed, field)[:, rows],
+                    getattr(independent, field),
+                    err_msg=(
+                        f"width {width} cell {c} rng={rng} "
+                        f"backend={backend} {field}"
+                    ),
+                )
 
 
 def test_cell_subset_merge_matches_full_run():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -384,3 +386,38 @@ class TestGenericSampleBatchValidation:
             batch = process.sample_batch(rng, 5)
             assert batch.shape == (5, 2)
             assert batch.max() <= 4
+
+
+class TestTakeLinks:
+    @pytest.mark.parametrize(
+        "process, field, pad_value",
+        [
+            (BernoulliArrivals(rates=(0.1, 0.2, 0.3)), "rates", 0.0),
+            (BurstyVideoArrivals(alphas=(0.1, 0.2, 0.3)), "alphas", 0.0),
+            (ConstantArrivals(counts=(1, 2, 3)), "counts", 0),
+            (
+                TruncatedPoissonArrivals(poisson_rates=(0.1, 0.2, 0.3)),
+                "poisson_rates",
+                0.0,
+            ),
+        ],
+    )
+    def test_slices_and_pads(self, process, field, pad_value):
+        cell = process.take_links((2, 0), pad=2)
+        assert type(cell) is type(process)
+        values = getattr(process, field)
+        assert getattr(cell, field) == (values[2], values[0]) + (pad_value,) * 2
+        assert dataclasses.replace(cell, **{field: values}) == process
+
+    @pytest.mark.parametrize(
+        "text", ["mmpp:0.7:0.1:0.8:0.85", "pareto:0.2:1.5:32"]
+    )
+    def test_stateful_processes_refuse_with_pinned_message(self, text):
+        process = arrivals_from_spec(text, 4)
+        with pytest.raises(TypeError) as err:
+            process.take_links((0, 1), pad=1)
+        assert str(err.value) == (
+            f"{type(process).__name__} cannot be sliced per cell: the "
+            "topology layer needs cross-link-independent arrivals (the "
+            "joint law must factor across cells)"
+        )

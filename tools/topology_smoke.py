@@ -14,6 +14,10 @@ promoted) through the fused sweep engine and the on-disk sweep cache:
 3. **Degrade semantics**: a non-`supports_topology` family (FCSMA) in
    the same sweep must degrade to single-domain with exactly one
    ``UserWarning`` while still producing finite points.
+4. **Wide cells**: DB-DP on cells of at least 64 links, wider than the
+   interval's transmission budget, so the kernel binds the incremental
+   DP state; the sweep runs cold then warm through the cache and the
+   warm result must be bit-identical.
 
 Writes ``TOPOLOGY_SMOKE.json`` for CI artifact upload; exits non-zero
 on any violated assertion.
@@ -35,15 +39,19 @@ import warnings
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro import DBDPPolicy  # noqa: E402
 from repro.experiments.cache import SweepCache  # noqa: E402
 from repro.experiments.configs import video_symmetric_spec  # noqa: E402
 from repro.experiments.runner import run_sweep  # noqa: E402
-from repro.topology import grid_cells  # noqa: E402
+from repro.topology import TopologySimulator, grid_cells  # noqa: E402
 
 VALUES = [0.45, 0.55, 0.65]
 NUM_LINKS = 12
 NUM_CELLS = 3
 CROSS_FRACTION = 0.5
+WIDE_LINKS = 192
+WIDE_CELLS = 3
+WIDE_FRACTION = 0.05
 
 
 def smoke_builder(alpha: float):
@@ -156,6 +164,55 @@ def drill_degrade_warning(num_intervals: int, report: dict) -> None:
     }
 
 
+def wide_builder(alpha: float):
+    return video_symmetric_spec(alpha, num_links=WIDE_LINKS)
+
+
+def wide_topology(spec):
+    return grid_cells(spec.num_links, WIDE_CELLS, WIDE_FRACTION)
+
+
+def drill_wide_cells(num_intervals: int, report: dict) -> None:
+    spec = wide_builder(VALUES[0])
+    topology = wide_topology(spec)
+    width = topology.max_cell_size
+    assert width >= 64, f"wide-cell drill needs cells of 64+ links, got {width}"
+    dp_state = TopologySimulator(
+        spec, DBDPPolicy(), (0, 1), topology
+    ).sim.dp_state
+    assert dp_state == "incremental", (
+        f"wide cells bound dp_state={dp_state!r}, expected 'incremental'"
+    )
+    kwargs = dict(
+        sweep_kwargs(num_intervals, ["DB-DP"]),
+        spec_builder=wide_builder,
+        topology=wide_topology,
+    )
+    with tempfile.TemporaryDirectory(prefix="topology_smoke_") as tmp:
+        cache = SweepCache(tmp)
+        print(f"[topology-smoke] cold wide-cell sweep (width {width})...")
+        cold = run_sweep(cache=cache, **kwargs)
+        print("[topology-smoke] warm wide-cell re-run from the cache...")
+        warm = run_sweep(cache=cache, **kwargs)
+        assert cache.hits == len(VALUES), (
+            f"expected all {len(VALUES)} wide cells served warm, "
+            f"got {cache.hits} hits"
+        )
+        assert _points(cold) == _points(warm), (
+            "warm wide-cell sweep is not bit-identical to the cold run"
+        )
+        print("[topology-smoke] wide-cell warm result is bit-identical. OK")
+        report["wide_cells"] = {
+            "topology": (
+                f"grid_cells({WIDE_LINKS}, {WIDE_CELLS}, {WIDE_FRACTION})"
+            ),
+            "width": width,
+            "dp_state": dp_state,
+            "warm_hits": cache.hits,
+            "bit_identical": True,
+        }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -177,6 +234,7 @@ def main(argv=None) -> int:
     drill_cold_warm(args.intervals, report)
     drill_checkpoint_resume(args.intervals, report)
     drill_degrade_warning(args.intervals, report)
+    drill_wide_cells(args.intervals, report)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     print(f"[topology-smoke] wrote {args.out}")
