@@ -1,31 +1,21 @@
-"""Workspace kernel backends vs the legacy fused engine on the Fig. 3 grid.
+"""Workspace kernels on the Fig. 3 grid: lockstep vs free draws.
 
-The workspace refactor (:mod:`repro.sim.batch_kernels`) rebinds every
-kernel to preallocated buffers and replaces the legacy per-interval
-allocations with ``out=`` ufunc passes, closed-form single-pair priority
-updates, and matmul prefix sums; ``backend="jit"`` additionally compiles
-the two sequential inner loops with Numba (``prange`` over batch rows)
-where it is installed, and ``rng="free"`` drops the lockstep draw
-contract so kernels generate only the randomness they consume.  The
-batch-discipline backends consume identical RNG streams and are
-bit-identical in output; the free leg is a statistically equivalent
-fresh sample (asserted within a CI bound by
-``tests/integration/test_free_rng.py``).
+The batch kernels (:mod:`repro.sim.batch_kernels`) resolve each interval
+on preallocated buffers with ``out=`` ufunc passes, closed-form
+single-pair priority updates and matmul prefix sums.  ``rng="free"``
+drops the lockstep draw contract so kernels generate only the randomness
+they consume; it is a statistically equivalent fresh sample (asserted
+within a CI bound by ``tests/integration/test_free_rng.py``).
 
-This benchmark times each backend on the paper's Fig. 3 sweep (16 alpha
-values x 20 seeds x DB-DP + LDF), times the free-draw discipline on the
-benchmarked default backend (jit where numba is importable), and records
-a perf-counter decomposition of the workspace run so the speedup is
-attributable stage by stage.  When jit is expected but numba is not
-importable, the run warns loudly and the report carries
-``jit_skipped: true`` so a dashboard never mistakes a numpy fallback for
-a compiled measurement.  Results land in ``BENCH_kernels.json`` (path
-overridable via ``REPRO_BENCH_KERNELS_JSON``); each full-scale run
-appends its headline numbers to the report's ``trajectory`` list so the
-speedup history stays in the artifact.
+This benchmark times both draw disciplines on the paper's Fig. 3 sweep
+(16 alpha values x 20 seeds x DB-DP + LDF) and records a perf-counter
+decomposition of the lockstep run, so the time is attributable stage by
+stage.  Results land in ``BENCH_kernels.json`` (path overridable via
+``REPRO_BENCH_KERNELS_JSON``); each run appends its headline numbers to
+the report's ``trajectory`` list so the history stays in the artifact.
 
 Timing is manual (``perf_counter``, interleaved best-of-3) so the numbers
-exist even under ``pytest --benchmark-disable``; the committed full-scale
+exist even under ``pytest --benchmark-disable``; the full-scale
 measurement is produced with ``REPRO_BENCH_SCALE=1``.
 """
 
@@ -35,13 +25,12 @@ import gc
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 from repro import DBDPPolicy, LDFPolicy
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
-from repro.sim import jit_kernels, perf
+from repro.sim import perf
 
 from _bench_utils import bench_intervals
 
@@ -50,15 +39,9 @@ PAPER_INTERVALS = 5000
 NUM_SEEDS = 20
 ALPHAS = tuple(round(0.40 + 0.02 * i, 2) for i in range(16))
 REPS = 3
-#: Smoke floor for the workspace path.  The committed full-scale run on a
-#: single-core container shows ~1.7x end-to-end (see BENCH_kernels.json;
-#: the shared RNG draw generation — identical across backends by the
-#: bit-identity contract — bounds the reachable ratio); assert well below
-#: that so noisy CI boxes don't flake.
-MIN_SPEEDUP = 1.25
-#: Loose floor for the free-draw leg vs the batch-discipline numpy leg:
-#: free must never be a catastrophic regression, even on noisy smoke
-#: scales where its draw savings are partly warm-up.
+#: Loose floor for the free-draw leg vs the lockstep leg: free must
+#: never be a catastrophic regression, even on noisy smoke scales where
+#: its draw savings are partly warm-up.
 MIN_FREE_RATIO = 0.75
 
 POLICIES = {"DB-DP": DBDPPolicy, "LDF": LDFPolicy}
@@ -74,10 +57,10 @@ def _spec_builder(alpha: float):
     return video_symmetric_spec(alpha, delivery_ratio=0.9)
 
 
-def _run(backend: str, intervals: int, seeds, rng=None, shards=None):
+def _run(intervals: int, seeds, rng=None):
     return run_sweep_fused(
         "alpha*", ALPHAS, _spec_builder, POLICIES, intervals, seeds,
-        validate=False, backend=backend, rng=rng, shards=shards,
+        validate=False, rng=rng,
     )
 
 
@@ -89,66 +72,35 @@ def _prior_trajectory(path: Path):
         return []
 
 
-def test_kernel_backends_hotloop():
+def test_kernel_hotloop():
     intervals = bench_intervals(PAPER_INTERVALS)
     seeds = tuple(range(NUM_SEEDS))
 
-    backends = ["legacy", "numpy"]
-    # The JIT leg is only a distinct measurement when numba is actually
-    # installed; forced-Python mode exists for semantics tests and would
-    # just time the interpreter.
-    jit_compiled = jit_kernels.HAS_NUMBA and not jit_kernels.force_python
-    jit_skipped = not jit_compiled
-    if jit_compiled:
-        backends.append("jit")
-    else:
-        warnings.warn(
-            "jit backend requested by the benchmark but numba is not "
-            "importable: the jit leg is SKIPPED and every headline number "
-            "below is a numpy-backend measurement (the report carries "
-            "jit_skipped: true)",
-            RuntimeWarning,
-            stacklevel=1,
-        )
-    #: The benchmarked default: what resolve_backend(None) picks here.
-    default_backend = "jit" if jit_compiled else "numpy"
-
-    # Bit-identity first (also warms every code path before timing).
-    results = {b: _run(b, intervals, seeds) for b in backends}
-    reference = results["legacy"]
-    for backend in backends[1:]:
-        assert results[backend].points == reference.points, (
-            f"backend {backend!r} diverged from the legacy engine"
-        )
-    # Warm the free leg too (first call pays chunk-buffer setup).
-    _run(default_backend, intervals, seeds, rng="free")
-
-    legs = [(b, None) for b in backends] + [(default_backend, "free")]
+    legs = {"numpy": None, "numpy+free": "free"}
+    for rng in legs.values():  # warm every code path before timing
+        _run(intervals, seeds, rng=rng)
     best = {}
     for _ in range(REPS):
-        for backend, rng in legs:  # interleaved: noise hits all equally
-            key = f"{backend}+free" if rng else backend
+        for key, rng in legs.items():  # interleaved: noise hits all equally
             gc.collect()
             t0 = time.perf_counter()
-            _run(backend, intervals, seeds, rng=rng)
+            _run(intervals, seeds, rng=rng)
             best[key] = min(
                 best.get(key, float("inf")), time.perf_counter() - t0
             )
 
-    # One instrumented workspace run for the stage decomposition.
+    # One instrumented lockstep run for the stage decomposition.
     was_enabled = perf.counters.enabled
     perf.reset()
     perf.enable()
     try:
-        _run("numpy", intervals, seeds)
+        _run(intervals, seeds)
         stages = perf.counters.snapshot()
     finally:
         perf.counters.enabled = was_enabled
         perf.reset()
 
-    free_key = f"{default_backend}+free"
-    speedup = best["legacy"] / best["numpy"]
-    free_speedup = best["legacy"] / best[free_key]
+    free_ratio = best["numpy"] / best["numpy+free"]
     report = {
         "workload": {
             "sweep": "video_symmetric_spec(alpha, delivery_ratio=0.9)",
@@ -157,16 +109,8 @@ def test_kernel_backends_hotloop():
             "num_intervals": intervals,
             "num_seeds": NUM_SEEDS,
         },
-        "bit_identical_backends": backends,
-        "numba_available": jit_kernels.HAS_NUMBA,
-        "jit_skipped": jit_skipped,
-        "config": {"rng": "free", "backend": default_backend},
         "best_seconds": {k: round(v, 3) for k, v in best.items()},
-        "speedup_numpy_vs_legacy": round(speedup, 2),
-        "speedup_free_vs_legacy": round(free_speedup, 2),
-        "speedup_free_vs_numpy_batch": round(
-            best["numpy"] / best[free_key], 2
-        ),
+        "speedup_free_vs_numpy_batch": round(free_ratio, 2),
         "numpy_stage_seconds": {
             name: round(stat["seconds"], 4) for name, stat in stages.items()
         },
@@ -176,33 +120,6 @@ def test_kernel_backends_hotloop():
             if stat["allocs"]
         },
     }
-    if jit_compiled:
-        report["speedup_jit_vs_legacy"] = round(
-            best["legacy"] / best["jit"], 2
-        )
-        # One instrumented jit run: per-stage decomposition (so
-        # tools/check_jit_wins.py can verify the compiled loops beat the
-        # numpy closed forms stage by stage) plus the first-call
-        # compilation cost, which the warm-compile cache amortizes at
-        # kernel bind and which is reported separately so steady-state
-        # timings stay clean.
-        perf.reset()
-        perf.enable()
-        try:
-            jit_kernels._warmed.clear()
-            _run("jit", intervals, seeds)
-            jit_stages = perf.counters.snapshot()
-            report["jit_stage_seconds"] = {
-                name: round(stat["seconds"], 4)
-                for name, stat in jit_stages.items()
-                if name != "jit.warmup"
-            }
-            report["jit_warmup_seconds"] = round(
-                perf.counters.seconds("jit.warmup"), 4
-            )
-        finally:
-            perf.counters.enabled = was_enabled
-            perf.reset()
 
     path = _output_path()
     trajectory = _prior_trajectory(path)
@@ -210,22 +127,14 @@ def test_kernel_backends_hotloop():
         {
             "num_intervals": intervals,
             "num_seeds": NUM_SEEDS,
-            "backend": default_backend,
-            "jit_skipped": jit_skipped,
-            "legacy_seconds": round(best["legacy"], 3),
             "numpy_seconds": round(best["numpy"], 3),
-            "free_seconds": round(best[free_key], 3),
-            "speedup_free_vs_legacy": round(free_speedup, 2),
+            "free_seconds": round(best["numpy+free"], 3),
         }
     )
     report["trajectory"] = trajectory[-12:]  # bounded history
     path.write_text(json.dumps(report, indent=2) + "\n")
 
-    assert speedup > MIN_SPEEDUP, (
-        f"workspace backend only {speedup:.2f}x faster than legacy "
-        f"(legacy {best['legacy']:.2f}s, numpy {best['numpy']:.2f}s)"
-    )
-    assert best["numpy"] / best[free_key] > MIN_FREE_RATIO, (
-        f"free-draw discipline regressed: {best[free_key]:.2f}s vs numpy "
-        f"batch {best['numpy']:.2f}s"
+    assert free_ratio > MIN_FREE_RATIO, (
+        f"free-draw discipline regressed: {best['numpy+free']:.2f}s vs "
+        f"lockstep {best['numpy']:.2f}s"
     )

@@ -523,7 +523,7 @@ def dp_family_config(policy: DPProtocol) -> dict:
 #: One capability set for every DP-family descriptor: vectorized, grid
 #: fusable, sync-RNG capable, per-row swap-bias parameters
 #: (``stack_swap_biases``), incremental priority-state maintenance
-#: (``dp_state="incremental"``), Numba-compilable timeline stages.
+#: (``dp_state="incremental"``).
 DP_FAMILY_CAPABILITIES = _registry.PolicyCapabilities(
     batchable=True,
     fusable=True,
@@ -533,7 +533,6 @@ DP_FAMILY_CAPABILITIES = _registry.PolicyCapabilities(
     supports_incremental_dp=True,
     supports_topology=True,
     supports_markov_channel=True,
-    jit_stages=("dp_timeline_rows", "dp_incremental_rows"),
 )
 
 _registry.register(

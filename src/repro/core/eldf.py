@@ -120,7 +120,6 @@ ORDERED_SERVICE_CAPABILITIES = _registry.PolicyCapabilities(
     supports_free_rng=True,
     supports_topology=True,
     supports_markov_channel=True,
-    jit_stages=("serve_rows",),
 )
 
 

@@ -1,7 +1,7 @@
 """Policy registry: one declarative descriptor per MAC policy family.
 
-Three performance layers (the per-cell batch engine, the grid-fused sweep
-engine, and the kernel backends) plus the sweep cache all need to answer
+Two performance layers (the per-cell batch engine and the grid-fused
+sweep engine) plus the sweep cache all need to answer
 the same questions about a policy: *does it have a vectorized kernel?*,
 *can its cells join a fused mega-batch?*, *what configuration determines
 its behaviour?*, *how do I build one by name?*.  Historically each layer
@@ -21,7 +21,7 @@ switches with a single source of truth: each policy family registers one
   so policy modules never import the simulation engine), and
 * declarative :class:`PolicyCapabilities` flags consumed by the engine
   dispatch sites (``batchable``, ``fusable``, ``supports_sync_rng``,
-  ``supports_per_row_params``, ``jit_stages``).
+  ``supports_per_row_params``, ...).
 
 Adding a new policy is now a one-file change::
 
@@ -166,9 +166,6 @@ class PolicyCapabilities:
         planes.  Families without it degrade to the scalar engine for
         stateful channels (the runner warns once per sweep).  Requires
         ``batchable``.
-    jit_stages:
-        Names of the kernel's Numba-compilable stages
-        (:mod:`repro.sim.jit_kernels`); empty for pure-NumPy kernels.
     """
 
     batchable: bool = False
@@ -179,7 +176,6 @@ class PolicyCapabilities:
     supports_incremental_dp: bool = False
     supports_topology: bool = False
     supports_markov_channel: bool = False
-    jit_stages: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.fusable and not self.batchable:

@@ -116,13 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "figures only)",
     )
     parser.add_argument(
-        "--backend",
-        choices=["numpy", "jit", "legacy"],
-        default=None,
-        help="batch kernel backend (default: jit when numba is "
-        "importable, else numpy; all backends are bit-identical)",
-    )
-    parser.add_argument(
         "--cells",
         type=int,
         default=None,
@@ -235,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: Any of them (or ``--cells``) on a figure without ``--engine`` lands it
 #: on the fused engine instead of erroring on the scalar default.
 _SWEEP_ENGINE_FLAGS = (
-    "rng", "shards", "backend", "dp_state", "channel", "arrivals",
+    "rng", "shards", "dp_state", "channel", "arrivals",
 )
 
 
@@ -285,7 +278,7 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
             kwargs["seeds"] = tuple(args.seeds)
         else:
             kwargs["seed"] = args.seeds[0]
-        for flag in ("engine", "rng", "backend", "shards"):
+        for flag in ("engine", "rng", "shards"):
             value = getattr(args, flag)
             if value is not None and flag in accepted:
                 kwargs[flag] = value

@@ -144,7 +144,6 @@ def burst_loss_robustness(
     burstiness: Sequence[float] = BURST_GRID,
     seeds: Optional[Sequence[int]] = None,
     rng: Optional[str] = None,
-    backend: Optional[str] = None,
     cache=None,
     shards: Optional[int] = None,
 ) -> FigureResult:
@@ -177,7 +176,6 @@ def burst_loss_robustness(
         seeds=tuple(seeds),
         engine=engine,
         rng=rng,
-        backend=backend,
         cache=cache,
         shards=shards,
     )
@@ -248,7 +246,6 @@ def correlated_traffic_robustness(
     burstiness: Sequence[float] = MMPP_GRID,
     seeds: Optional[Sequence[int]] = None,
     rng: Optional[str] = None,
-    backend: Optional[str] = None,
     cache=None,
     shards: Optional[int] = None,
 ) -> FigureResult:
@@ -279,7 +276,6 @@ def correlated_traffic_robustness(
         seeds=tuple(seeds),
         engine=engine,
         rng=rng,
-        backend=backend,
         cache=cache,
         shards=shards,
     )

@@ -299,7 +299,6 @@ _SWEEP_KEYWORDS = (
     "faults",
     "rng",
     "shards",
-    "backend",
     "dp_state",
     "topology",
     "channel",
@@ -326,7 +325,7 @@ SWEEP_FIGURES = {
     sits near ``alpha* ~ 0.62``; FCSMA supports only ~70% of that.
     ``policies`` overrides the compared set (factories or registered
     names); the default is the paper's comparison.  ``rng`` / ``shards``
-    / ``backend`` reach the sweep engines (batch/fused only) — see
+    reach the sweep engines (batch/fused only) — see
     :func:`~repro.experiments.runner.run_sweep`.  ``channel`` replaces
     the spec's default Bernoulli channel: a spec string such as
     ``"ge:0.1:0.3"`` (see :func:`~repro.phy.channel.channel_from_spec`),

@@ -198,7 +198,6 @@ def _build_fused_sim(
     cells: List[_Cell],
     seeds: Tuple[int, ...],
     validate: bool,
-    backend: Optional[str],
     stream_tag: str = FUSED_STREAM_TAG,
 ) -> Optional[BatchIntervalSimulator]:
     """Stack one group's cells into a mega-batch simulator.
@@ -235,7 +234,6 @@ def _build_fused_sim(
             record_traces=False,
             row_policies=row_policies,
             stream_tag=stream_tag,
-            backend=backend,
             dp_state=cells[0].dp_state,
         )
     except (TypeError, ValueError):
@@ -253,7 +251,6 @@ def _run_fused_group_with_faults(
     cells: List[_Cell],
     seeds: Tuple[int, ...],
     validate: bool,
-    backend: Optional[str],
     num_intervals: int,
     groups: Optional[Sequence[int]],
     faults: FaultPolicy,
@@ -274,7 +271,7 @@ def _run_fused_group_with_faults(
     def attempt(k: int) -> bool:
         for cell in cells:
             fire_fault_hooks(cell.value, cell.label, k)
-        sim = _build_fused_sim(cells, seeds, validate, backend)
+        sim = _build_fused_sim(cells, seeds, validate)
         if sim is None:
             return False
         for _ in range(num_intervals):
@@ -295,17 +292,14 @@ def _run_fused_group_with_faults(
 
 def _fallback_runner(num_intervals, seeds, groups):
     """Cells no mega-batch could take run on the per-cell batch runner,
-    with its default draw discipline, backend and DP state."""
-    return _cell_runner(
-        num_intervals, seeds, groups, "batch", None, None, None
-    )
+    with its default draw discipline and DP state."""
+    return _cell_runner(num_intervals, seeds, groups, "batch", None, None)
 
 
 def _simulate_cells(
     cells: List[_Cell],
     seeds: Tuple[int, ...],
     validate: bool,
-    backend: Optional[str],
     num_intervals: int,
     groups: Optional[Sequence[int]],
     stream_tag: str,
@@ -322,9 +316,7 @@ def _simulate_cells(
     built: List[Tuple[List[_Cell], BatchIntervalSimulator]] = []
     with perf.stage("fused.build"):
         for group_cells in fused_groups.values():
-            sim = _build_fused_sim(
-                group_cells, seeds, validate, backend, stream_tag
-            )
+            sim = _build_fused_sim(group_cells, seeds, validate, stream_tag)
             if sim is None:
                 fallback.extend(group_cells)
             else:
@@ -381,7 +373,6 @@ def _run_shard(
     groups: Optional[Tuple[int, ...]],
     rng_mode: str,
     validate: bool,
-    backend: Optional[str],
     dp_state: Optional[str],
     attempt: int,
 ) -> Tuple[_ShardSpec, List[Tuple[float, str, SweepPoint]]]:
@@ -401,7 +392,7 @@ def _run_shard(
         )
     fallback: List[_Cell] = []
     _simulate_cells(
-        cells, seeds, validate, backend, num_intervals, groups,
+        cells, seeds, validate, num_intervals, groups,
         _shard_tag(shard.index, shard.count), fallback,
     )
     compute = _fallback_runner(num_intervals, seeds, groups)
@@ -461,7 +452,6 @@ def _run_sweep_fused_sharded(
     groups: Optional[Sequence[int]],
     rng_mode: str,
     validate: bool,
-    backend: Optional[str],
     faults: Optional[FaultPolicy],
     store: Optional[SweepCache],
     shards: int,
@@ -520,7 +510,7 @@ def _run_sweep_fused_sharded(
     groups_t = tuple(groups) if groups is not None else None
     submit_args = (
         spec_builder, policies, num_intervals, seeds, groups_t,
-        rng_mode, validate, backend, dp_state,
+        rng_mode, validate, dp_state,
     )
     faults = faults or FaultPolicy(retries=0, backoff_base=0.0)
     try:
@@ -576,7 +566,6 @@ def run_sweep_fused(
     shards: Optional[int] = None,
     cache: Union[None, bool, str, SweepCache] = None,
     validate: bool = True,
-    backend: Optional[str] = None,
     dp_state: Optional[str] = None,
     faults: Optional[FaultPolicy] = None,
     topology=None,
@@ -617,16 +606,12 @@ def run_sweep_fused(
     validate:
         Per-step deliveries-vs-arrivals assertion (on by default;
         benchmarks disable it).
-    backend:
-        Kernel backend for the mega-batches
-        (:data:`~repro.sim.batch_kernels.KERNEL_BACKENDS`); all backends
-        are bit-identical, so the cache key deliberately excludes it.
     dp_state:
         DP-family priority-state maintenance mode
         (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`): ``"dense"``,
         ``"incremental"``, or ``None`` (resolve from the environment and
-        the family capability).  Both modes are bit-identical, so —
-        like ``backend`` — the cache key deliberately excludes it.
+        the family capability).  Both modes are bit-identical, so the
+        cache key deliberately excludes it.
     faults:
         ``None`` (default) keeps fail-fast semantics.  A
         :class:`~repro.experiments.faults.FaultPolicy` retries failures
@@ -674,8 +659,8 @@ def run_sweep_fused(
         return _sweep_cells(
             parameter_name, values, cells,
             _cell_runner(
-                num_intervals, seeds, groups, "fused", backend, rng_mode,
-                dp_state, validate=validate, shards=shards,
+                num_intervals, seeds, groups, "fused", rng_mode, dp_state,
+                validate=validate, shards=shards,
             ),
             num_intervals=num_intervals, seeds=seeds, groups=groups,
             engine="fused", store=store, faults=faults,
@@ -698,12 +683,12 @@ def run_sweep_fused(
     if shards is not None and int(shards) > 1 and len(cells) > 1:
         _run_sweep_fused_sharded(
             cells, spec_builder, policies, num_intervals, seeds, groups,
-            rng_mode, validate, backend, faults, store, int(shards),
+            rng_mode, validate, faults, store, int(shards),
             failures, dp_state=dp_state,
         )
     elif faults is None:
         _simulate_cells(
-            cells, seeds, validate, backend, num_intervals, groups,
+            cells, seeds, validate, num_intervals, groups,
             FUSED_STREAM_TAG, fallback,
         )
     else:
@@ -714,7 +699,7 @@ def run_sweep_fused(
         with perf.stage("fused.run"):
             for group_cells in fused_groups.values():
                 _run_fused_group_with_faults(
-                    group_cells, seeds, validate, backend, num_intervals,
+                    group_cells, seeds, validate, num_intervals,
                     groups, faults, failures, fallback,
                 )
 

@@ -306,7 +306,6 @@ def _run_single_topology(
     seeds: Sequence[int],
     groups: Optional[Sequence[int]],
     topology,
-    backend: Optional[str] = None,
     rng: Optional[str] = None,
     dp_state: Optional[str] = None,
     validate: bool = True,
@@ -322,7 +321,6 @@ def _run_single_topology(
         topology,
         num_intervals,
         rng=rng,
-        backend=backend,
         dp_state=dp_state,
         validate=validate,
         shards=shards,
@@ -364,14 +362,12 @@ def _run_single_batch(
     num_intervals: int,
     seeds: Sequence[int],
     groups: Optional[Sequence[int]],
-    backend: Optional[str] = None,
     rng: Optional[str] = None,
     dp_state: Optional[str] = None,
 ) -> SweepPoint:
     """One (spec, policy) cell on the batch engine: all seeds in one run."""
     batch = run_simulation_batch(
-        spec, policy, num_intervals, seeds, backend=backend, rng=rng,
-        dp_state=dp_state,
+        spec, policy, num_intervals, seeds, rng=rng, dp_state=dp_state,
     )
     totals = batch.total_deficiency()  # (S,)
     collisions = batch.collisions.sum(axis=0).astype(float)  # (S,)
@@ -410,7 +406,6 @@ def run_single(
     seeds: Sequence[int],
     groups: Optional[Sequence[int]] = None,
     engine: str = "scalar",
-    backend: Optional[str] = None,
     rng: Optional[str] = None,
     dp_state: Optional[str] = None,
     topology=None,
@@ -423,9 +418,7 @@ def run_single(
     have no batch kernels) — same statistics either way, only the random
     draw order differs.  ``engine="fused"`` is accepted for symmetry with
     :func:`run_sweep` but behaves as ``"batch"`` here: with a single cell
-    there is no grid to fuse.  ``backend`` selects the batch kernel
-    backend (ignored by the scalar engine); all backends are
-    bit-identical.  ``rng`` selects the batch draw discipline
+    there is no grid to fuse.  ``rng`` selects the batch draw discipline
     (:data:`~repro.sim.rng.RNG_MODES`); ``"free"`` degrades to the
     default batch discipline for families without ``supports_free_rng``,
     and is rejected on the scalar engine.  ``dp_state`` selects the
@@ -465,12 +458,11 @@ def run_single(
         if cell.topology is not None:
             return _run_single_topology(
                 spec, cell.policy, num_intervals, seeds, groups,
-                cell.topology, backend=backend, rng=cell.rng,
-                dp_state=cell.dp_state,
+                cell.topology, rng=cell.rng, dp_state=cell.dp_state,
             )
         if supports_batch_engine(spec, cell.policy, rng=cell.rng):
             return _run_single_batch(
-                spec, cell.policy, num_intervals, seeds, groups, backend,
+                spec, cell.policy, num_intervals, seeds, groups,
                 cell.rng, cell.dp_state,
             )
     totals: List[float] = []
@@ -644,7 +636,6 @@ def _cell_runner(
     seeds: Tuple[int, ...],
     groups: Optional[Sequence[int]],
     engine: str,
-    backend: Optional[str],
     rng: Optional[str],
     dp_state: Optional[str],
     validate: bool = True,
@@ -658,12 +649,12 @@ def _cell_runner(
         if cell.topology is not None:
             return _run_single_topology(
                 cell.spec, cell.policy, num_intervals, seeds, groups,
-                cell.topology, backend=backend, rng=cell.rng,
-                dp_state=cell.dp_state, validate=validate, shards=shards,
+                cell.topology, rng=cell.rng, dp_state=cell.dp_state,
+                validate=validate, shards=shards,
             )
         return run_single(
             cell.spec, cell.factory, num_intervals, seeds, groups, engine,
-            backend, rng, dp_state,
+            rng, dp_state,
         )
 
     return compute
@@ -678,7 +669,6 @@ def run_sweep(
     seeds: Sequence[int] = (0,),
     groups: Optional[Sequence[int]] = None,
     engine: str = "scalar",
-    backend: Optional[str] = None,
     cache=None,
     faults: Optional[FaultPolicy] = None,
     rng: Optional[str] = None,
@@ -750,7 +740,6 @@ def run_sweep(
             num_intervals,
             seeds,
             groups,
-            backend=backend,
             dp_state=dp_state,
             cache=cache,
             faults=faults,
@@ -780,7 +769,7 @@ def run_sweep(
     return _sweep_cells(
         parameter_name, values, cells,
         _cell_runner(
-            num_intervals, seeds_t, groups, engine, backend, rng, dp_state
+            num_intervals, seeds_t, groups, engine, rng, dp_state
         ),
         num_intervals=num_intervals, seeds=seeds_t, groups=groups,
         engine=engine, store=resolve_cache(cache), faults=faults,

@@ -74,7 +74,7 @@ from ..core.requirements import NetworkSpec
 from ..core.round_robin import RoundRobinPolicy
 from ..core.static_priority import StaticPriorityPolicy
 from ..phy.channel import ChannelStateRows
-from . import jit_kernels, perf
+from . import perf
 from .rng import BatchRngBundle, draw_chunk_depth, normalize_rng_mode
 from .spec_stack import SpecStack
 
@@ -88,9 +88,7 @@ __all__ = [
     "solve_ordered_service",
     "make_batch_kernel",
     "has_batch_kernel",
-    "resolve_backend",
     "resolve_dp_state",
-    "KERNEL_BACKENDS",
     "DP_STATE_MODES",
     "DRAW_CHUNK",
 ]
@@ -102,71 +100,6 @@ DRAW_CHUNK = 64
 #: no lockstep-schedule constraint, so it amortizes Generator call
 #: overhead over deeper blocks (``REPRO_DRAW_CHUNK`` still overrides).
 FREE_DRAW_CHUNK = 256
-
-#: Interval-resolution backends a kernel can bind with.
-#:
-#: * ``"numpy"`` — the preallocated-workspace NumPy path (the default on
-#:   hosts without numba): all per-interval scratch lives in buffers
-#:   allocated once at bind time and every hot-loop step writes in place
-#:   via ``out=`` ufuncs.
-#: * ``"jit"`` — the workspace path with the two irreducibly sequential
-#:   stages (ordered service, DP interval timeline) compiled by Numba
-#:   (:mod:`repro.sim.jit_kernels`); the default whenever numba imports,
-#:   warm-compiled at bind so first-interval timings exclude compilation,
-#:   with ``prange`` row-parallelism on large stacks.  An explicit
-#:   ``backend="jit"`` falls back to ``"numpy"`` with a
-#:   :class:`RuntimeWarning` when numba is not importable.
-#: * ``"legacy"`` — the pre-workspace implementation, preserved verbatim
-#:   as the benchmark baseline and the reference for bit-identity tests.
-#:
-#: All three produce bit-identical outcomes for the same
-#: :class:`~repro.sim.rng.BatchRngBundle` (proven in
-#: ``tests/integration/test_kernel_backends.py``): they consume the same
-#: generator values in the same order, and every derived quantity is a
-#: small exact integer carried in float32/float64 far below the mantissa
-#: limit, which makes the arithmetic independent of summation order and
-#: of whether a stage runs vectorized or sequentially.
-KERNEL_BACKENDS = ("numpy", "jit", "legacy")
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalize a backend request to one of :data:`KERNEL_BACKENDS`.
-
-    ``None`` defers to the environment: ``REPRO_KERNEL_BACKEND`` if set,
-    else ``"jit"`` when ``REPRO_JIT=1``; with neither set the default is
-    ``"jit"`` whenever numba imported compiled (so the fast path is the
-    default on capable hosts) and ``"numpy"`` otherwise.  An *explicit*
-    ``"jit"`` request degrades to ``"numpy"`` with a
-    :class:`RuntimeWarning` when numba is unavailable (and not forced
-    into pure-Python test mode); the silent default never picks a jit
-    that would have to degrade.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_KERNEL_BACKEND", "") or (
-            "jit" if os.environ.get("REPRO_JIT", "") == "1" else ""
-        )
-        if not backend:
-            backend = (
-                "jit"
-                if jit_kernels.HAS_NUMBA and not jit_kernels.force_python
-                else "numpy"
-            )
-    backend = str(backend).lower()
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; choose from {KERNEL_BACKENDS}"
-        )
-    if backend == "jit" and not jit_kernels.available():
-        warnings.warn(
-            "numba is not installed; kernel backend 'jit' falls back to "
-            "the workspace NumPy path (install numba or set "
-            "REPRO_JIT_FORCE_PY=1 to exercise the loop bodies in Python)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        backend = "numpy"
-    return backend
-
 
 #: Priority-state maintenance modes of the DP-family kernels.
 #:
@@ -192,17 +125,15 @@ def resolve_dp_state(
     dp_state: Optional[str] = None,
     *,
     supports_incremental: bool = False,
-    workspace: bool = True,
 ) -> str:
     """Normalize a DP priority-state request to one of :data:`DP_STATE_MODES`.
 
     ``None`` defers to the environment (``REPRO_DP_STATE``) and then to
     the registry-capability default: ``"incremental"`` whenever the
-    policy family declares ``supports_incremental_dp`` and the kernel is
-    on a workspace backend, else ``"dense"``.  An *explicit*
-    ``"incremental"`` request is strict — it raises :class:`ValueError`
-    when the family or backend cannot honor it — while an
-    environment-sourced request degrades silently to ``"dense"`` (the
+    policy family declares ``supports_incremental_dp``, else
+    ``"dense"``.  An *explicit* ``"incremental"`` request is strict — it
+    raises :class:`ValueError` when the family cannot honor it — while
+    an environment-sourced request degrades silently to ``"dense"`` (the
     variable is a global preference and must not break kernels that never
     had an incremental path).
 
@@ -216,28 +147,18 @@ def resolve_dp_state(
     if not explicit:
         dp_state = os.environ.get("REPRO_DP_STATE", "") or None
         if dp_state is None:
-            return (
-                "incremental"
-                if (supports_incremental and workspace)
-                else "dense"
-            )
+            return "incremental" if supports_incremental else "dense"
     dp_state = str(dp_state).lower()
     if dp_state not in DP_STATE_MODES:
         raise ValueError(
             f"unknown dp_state {dp_state!r}; choose from {DP_STATE_MODES}"
         )
-    if dp_state == "incremental" and not (supports_incremental and workspace):
+    if dp_state == "incremental" and not supports_incremental:
         if explicit:
-            if not supports_incremental:
-                raise ValueError(
-                    "dp_state='incremental' requires a policy family with "
-                    "the supports_incremental_dp capability (see "
-                    "repro.core.registry.PolicyCapabilities)"
-                )
             raise ValueError(
-                "dp_state='incremental' is not available on the legacy "
-                "backend (it is frozen as the bit-exact baseline); use "
-                "backend='numpy' or 'jit'"
+                "dp_state='incremental' requires a policy family with "
+                "the supports_incremental_dp capability (see "
+                "repro.core.registry.PolicyCapabilities)"
             )
         return "dense"
     return dp_state
@@ -281,7 +202,6 @@ def solve_ordered_service(
     backlog: np.ndarray,
     needed_cum: np.ndarray,
     caps: np.ndarray,
-    tot_link: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve sequential in-order service for all replications at once.
 
@@ -319,56 +239,91 @@ def solve_ordered_service(
     link in position ``j`` is delivered iff ``G_{j-1} + needed_cum[t] <=
     caps_j``.
 
-    The per-packet scan only runs for *partially served* links — positive
-    budget short of a full drain.  A drained link delivers its whole
-    backlog and a starved one delivers nothing, no packet data needed, and
-    the non-increasing cap leaves at most one partial link per row (the
-    marginal link at the truncation point), so the scan touches ``O(S*A)``
-    elements instead of the full ``(S, N, A)`` block.
-
-    ``tot_link`` — the per-link total attempts needed to drain (cum at
-    slot ``backlog - 1``, zero where the backlog is empty) — is recomputed
-    when omitted; callers that share draw blocks across lockstep
-    simulators pass the cached plane instead (see
-    ``batch_sim.share_batch_draws``).
+    The kernels run the same solver on buffers bound once per simulator
+    (:meth:`BatchPolicyKernel._alloc_common_ws`).
     """
-    S = order.shape[0]
-    rows = np.arange(S)[:, None]
-    work = needed_cum.dtype
+    S, n, A = needed_cum.shape
+    w = _ordered_service_ws(S, n, A, needed_cum.dtype)
+    np.add(order, w.row_off, out=w.oflat)
+    tot_link = drain_totals(needed_cum, backlog)
+    _solve_ordered(w, backlog, needed_cum, caps.astype(w.workf), tot_link)
+    attempts = np.empty((S, n), dtype=np.int64)
+    attempts.ravel()[w.oflat.ravel()] = w.att_pos.ravel()
+    return w.delivered, attempts, w.att_pos.astype(np.int64)
 
-    # Total attempts needed to fully drain each link's buffer (its cum at
-    # slot backlog-1), then reorder that (S, N) plane into service order.
-    if tot_link is None:
-        tot_link = drain_totals(needed_cum, backlog)
-    tot_pos = tot_link[rows, order]
 
-    cum_needed = np.cumsum(tot_pos, axis=1)
-    # Attempts left for each position; computed in the draw dtype so every
-    # comparison against the draw block stays in one dtype.
-    budget = caps.astype(work) - (cum_needed - tot_pos)
-    attempts_pos = np.clip(budget, 0, tot_pos)
+def _ordered_service_ws(S: int, n: int, A: int, workf) -> SimpleNamespace:
+    """Scratch buffers of :func:`_solve_ordered` for an ``(S, n, A)``
+    draw block in dtype ``workf``.
 
-    budget_link = np.empty_like(budget)
-    budget_link[rows, order] = budget
-    full = budget_link >= tot_link
-    delivered = np.where(full, backlog, 0)
-    partial = (budget_link > 0) & ~full
-    if partial.any():
-        # needed_cum is increasing along the packet axis, so the number of
-        # slots with cum <= budget counts deliverable packets; slots past
-        # the backlog have cum >= tot > budget and drop out on their own.
-        rp, cp = np.nonzero(partial)
-        cum_sel = needed_cum[rp, cp]
-        within = (cum_sel <= budget_link[rp, cp, None]).sum(axis=1)
-        delivered[rp, cp] = np.minimum(within, backlog[rp, cp])
+    All buffers are C-contiguous and owned, so ``.ravel()`` on them is
+    a view — flat ``np.take``/fancy-scatter on raveled planes is the
+    cheapest gather/scatter at this array size.
+    """
+    w = SimpleNamespace()
+    w.workf = np.dtype(workf)
+    # Row offsets (S, 1) turn (S, n) link/position ids into flat
+    # indices of a raveled (S, n) plane.
+    w.row_off = (np.arange(S, dtype=np.int64) * n)[:, None]
+    # Strict-upper-triangular ones: ``x @ mexcl`` is the exclusive
+    # prefix sum of ``x`` along axis 1.  One small BLAS matmul beats
+    # ``np.cumsum``'s short-segment scan on (S, n) planes, and stays
+    # bit-exact (every product and partial sum is an exact small
+    # integer, so the summation order cannot matter).
+    w.mexcl = np.triu(np.ones((n, n), dtype=workf), 1)
+    w.oflat = np.empty((S, n), dtype=np.int64)  # order + row_off
+    w.tot_pos = np.empty((S, n), dtype=workf)
+    w.cum = np.empty((S, n), dtype=workf)
+    w.budget = np.empty((S, n), dtype=workf)
+    w.att_pos = np.empty((S, n), dtype=workf)
+    w.budget_link = np.empty((S, n), dtype=workf)
+    w.serve3f = np.empty((S, n, A), dtype=workf)
+    w.ones_af = np.ones(A, dtype=workf)
+    w.countf = np.empty((S, n), dtype=workf)
+    w.delivered = np.empty((S, n), dtype=np.int64)
+    return w
 
-    attempts = np.empty_like(budget_link)
-    attempts[rows, order] = attempts_pos
-    return (
-        delivered,
-        attempts.astype(np.int64),
-        attempts_pos.astype(np.int64),
+
+def _solve_ordered(
+    w: SimpleNamespace,
+    backlog: np.ndarray,
+    needed: np.ndarray,
+    caps_f: np.ndarray,
+    tot: np.ndarray,
+) -> None:
+    """:func:`solve_ordered_service` on the buffers of
+    :func:`_ordered_service_ws`.
+
+    Inputs: ``backlog`` (S, n) int64, ``needed`` the interval's
+    cumulative (S, n, A) draw block, ``caps_f`` the per-position attempt
+    ceilings in the draw dtype (non-increasing along axis 1) and ``tot``
+    the per-link drain totals.  ``w.oflat`` must already hold ``order +
+    w.row_off``.  Results land in ``w.delivered`` (int64, by link) and
+    ``w.att_pos`` (draw dtype, by position).
+    """
+    tot.ravel().take(w.oflat.ravel(), out=w.tot_pos.ravel())
+    np.matmul(w.tot_pos, w.mexcl, out=w.cum)  # attempts needed before
+    np.subtract(caps_f, w.cum, out=w.budget)
+    # clip(budget, 0, tot_pos) with tot_pos >= 0.
+    np.minimum(w.budget, w.tot_pos, out=w.att_pos)
+    np.maximum(w.att_pos, 0, out=w.att_pos)
+    w.budget_link.ravel()[w.oflat.ravel()] = w.budget.ravel()
+    # A packet is delivered iff its running attempt total fits the
+    # link's budget: delivered[s, l] counts slots a < backlog with
+    # needed_cum[s, l, a] <= budget_link[s, l].  The cumsums are
+    # strictly increasing (every draw >= 1), so that prefix count is
+    # ``min(count over the whole axis, backlog)`` — the whole-axis
+    # count lands as one small matvec, far cheaper than a bool
+    # ``sum(axis=2)`` reduction, and every value stays an exact
+    # small integer.  Full drains count exactly backlog; exhausted
+    # budgets (<= 0) count zero.
+    A = needed.shape[-1]
+    np.less_equal(
+        needed, w.budget_link[:, :, None], out=w.serve3f, casting="unsafe"
     )
+    np.matmul(w.serve3f.reshape(-1, A), w.ones_af, out=w.countf.ravel())
+    np.copyto(w.delivered, w.countf, casting="unsafe")
+    np.minimum(w.delivered, backlog, out=w.delivered)
 
 
 class _ChunkedChannelDraws:
@@ -405,7 +360,6 @@ class _ChunkedChannelDraws:
         a_max: int,
         *,
         depth: Optional[int] = None,
-        fast: bool = True,
         state: Optional[ChannelStateRows] = None,
     ):
         probs = np.asarray(success_probs, dtype=float)
@@ -447,12 +401,6 @@ class _ChunkedChannelDraws:
         self._dtype = dtype
         self._cache: Optional[np.ndarray] = None
         self._pos = self._depth
-        # ``fast=False`` keeps the seed engine's exact refill/totals code
-        # (``np.cumsum`` chunks, fresh ``drain_totals`` planes) so the
-        # legacy backend stays a faithful performance baseline; the
-        # workspace backends use the in-place accumulate and the gather
-        # below — same values either way.
-        self._fast = bool(fast)
         # Drain-totals gather scratch, reused every interval: the flat
         # index of ``cum[s, l, backlog - 1]`` inside a raveled (S, N, A)
         # block is ``(s * N + l) * A + (backlog - 1)``.
@@ -501,8 +449,6 @@ class _ChunkedChannelDraws:
         """
         if self._lazy:
             return
-        if not self._fast:
-            raise RuntimeError("lazy channel draws require the fast engine")
         if self._state is not None:
             # Lazy consumers scale gathered rows by a *static* (S, N)
             # plane (scale_rows); a state process makes that plane
@@ -531,20 +477,14 @@ class _ChunkedChannelDraws:
             if perf.counters.enabled:
                 t0 = perf.clock()
             allocs = 0
-            if self._fast:
-                # Refill into one persistent buffer — the previous chunk
-                # is fully consumed by the time we get here, and the
-                # generated stream does not depend on the destination.
-                if self._gen_buf is None:
-                    self._gen_buf = np.empty(self._shape, dtype=self._dtype)
-                    allocs = 1
-                draws = self._gen_buf
-                rng.standard_exponential(dtype=self._dtype, out=draws)
-            else:
-                draws = rng.standard_exponential(
-                    self._shape, dtype=self._dtype
-                )
-                allocs = 2  # the draw block plus the cumsum below
+            # Refill into one persistent buffer — the previous chunk is
+            # fully consumed by the time we get here, and the generated
+            # stream does not depend on the destination.
+            if self._gen_buf is None:
+                self._gen_buf = np.empty(self._shape, dtype=self._dtype)
+                allocs = 1
+            draws = self._gen_buf
+            rng.standard_exponential(dtype=self._dtype, out=draws)
             if self._lazy:
                 # Raw mode: generation is the whole refill; consumers
                 # transform the rows they gather.
@@ -571,18 +511,15 @@ class _ChunkedChannelDraws:
                     np.multiply(draws, self._scale, out=draws)
                 np.ceil(draws, out=draws)
                 np.maximum(draws, 1.0, out=draws)
-                if self._fast:
-                    # Running cumsum along the arrival axis, in place.
-                    # The axis is tiny (A slots), so A-1 whole-cube
-                    # slice adds beat ``np.cumsum``'s short-segment scan
-                    # by ~5x at this shape — identical values, every
-                    # partial sum an exact small integer.
-                    flat = draws.reshape(-1, self._shape[-1])
-                    for a in range(1, self._shape[-1]):
-                        np.add(flat[:, a], flat[:, a - 1], out=flat[:, a])
-                    self._cache = draws
-                else:
-                    self._cache = np.cumsum(draws, axis=3)
+                # Running cumsum along the arrival axis, in place.  The
+                # axis is tiny (A slots), so A-1 whole-cube slice adds
+                # beat ``np.cumsum``'s short-segment scan by ~5x at this
+                # shape — identical values, every partial sum an exact
+                # small integer.
+                flat = draws.reshape(-1, self._shape[-1])
+                for a in range(1, self._shape[-1]):
+                    np.add(flat[:, a], flat[:, a - 1], out=flat[:, a])
+                self._cache = draws
             self._pos = 0
             if perf.counters.enabled:
                 perf.counters.add(
@@ -607,8 +544,6 @@ class _ChunkedChannelDraws:
                 "totals() needs eager (transformed) draws; this instance "
                 "is in lazy raw-draw mode"
             )
-        if not self._fast:
-            return drain_totals(needed_cum, backlog)
         np.subtract(backlog, 1, out=self._tot_idx)
         np.maximum(self._tot_idx, 0, out=self._tot_idx)
         np.add(self._tot_idx, self._tot_base, out=self._tot_idx)
@@ -697,10 +632,10 @@ class _ChunkedIntegers:
 
     The single-pair DP candidate index is uniform on ``{1, .., n-1}``; the
     lockstep batch schedule derives it as ``1 + argmax`` of an ``(S, n-1)``
-    uniform slice so every backend consumes identical generator values.
-    The free discipline has no such constraint and draws the integers
-    directly — ``(n-1)x`` less generated randomness for the identical
-    distribution.
+    uniform slice so that both priority-state paths consume identical
+    generator values.  The free discipline has no such constraint and
+    draws the integers directly — ``(n-1)x`` less generated randomness
+    for the identical distribution.
     """
 
     def __init__(
@@ -779,7 +714,6 @@ class BatchPolicyKernel(ABC):
         sync_rng: bool,
         row_policies: Optional[Sequence[IntervalMac]] = None,
         *,
-        backend: Optional[str] = None,
         lite: bool = False,
         rng: Optional[str] = None,
         dp_state: Optional[str] = None,
@@ -796,19 +730,16 @@ class BatchPolicyKernel(ABC):
         clones *those* per row, so heterogeneous rows stay bit-identical
         to their scalar counterparts.
 
-        ``backend`` picks the interval resolver (:data:`KERNEL_BACKENDS`;
-        ``None`` resolves from the environment) — irrelevant in sync mode,
-        which always drives the scalar clones.  ``lite=True`` lets the
-        kernel skip materializing per-link attempts and priorities
-        (``BatchIntervalOutcome`` carries ``None`` instead); only valid
-        for stats-only consumers that never read them.
+        ``lite=True`` lets the kernel skip materializing per-link
+        attempts and priorities (``BatchIntervalOutcome`` carries
+        ``None`` instead); only valid for stats-only consumers that never
+        read them.
 
         ``rng`` picks the draw discipline (:data:`~repro.sim.rng.RNG_MODES`;
         ``None`` defers to ``sync_rng``).  Under ``rng="free"`` the kernel
         draws demand-sized blocks from the bundle's independent free
         substreams instead of the lockstep batch schedule — statistically
-        equivalent, not bit-identical, and unavailable on the ``legacy``
-        backend (which is frozen as the bit-exact baseline).
+        equivalent, not bit-identical.
 
         ``dp_state`` picks the DP-family priority-state maintenance mode
         (:data:`DP_STATE_MODES`; ``None`` resolves from the environment
@@ -861,15 +792,8 @@ class BatchPolicyKernel(ABC):
         else:
             self._a_max = max(1, first.arrivals.max_per_link)
             self._reliabilities = first.reliabilities
-        self._backend = resolve_backend(backend)
         self._rng_mode = normalize_rng_mode(rng, sync_rng)
         self._free = self._rng_mode == "free"
-        if self._free and self._backend == "legacy":
-            raise ValueError(
-                "rng='free' is not available on the legacy backend (it is "
-                "frozen as the bit-exact baseline); use backend='numpy' or "
-                "'jit'"
-            )
         chan0 = first.channel
         if not sync_rng:
             # Batched draw pipelines need i.i.d.-within-interval attempts
@@ -898,8 +822,7 @@ class BatchPolicyKernel(ABC):
                         "of the batch engine; pass rng='free' "
                         "(statistically equivalent) or use engine='scalar'"
                     )
-        self._use_ws = self._backend != "legacy" and not sync_rng
-        self._use_jit = self._backend == "jit" and not sync_rng
+        self._sync = bool(sync_rng)
         descriptor = registry.descriptor_for(self.policy)
         self._dp_state_req = dp_state
         self._dp_state = resolve_dp_state(
@@ -908,13 +831,10 @@ class BatchPolicyKernel(ABC):
                 descriptor is not None
                 and descriptor.capabilities.supports_incremental_dp
             ),
-            workspace=self._backend != "legacy",
         )
         self._lite = bool(lite) and not sync_rng
-        self._depth = (
-            draw_chunk_depth(FREE_DRAW_CHUNK if self._free else DRAW_CHUNK)
-            if self._use_ws
-            else DRAW_CHUNK
+        self._depth = draw_chunk_depth(
+            FREE_DRAW_CHUNK if self._free else DRAW_CHUNK
         )
         if sync_rng or not chan0.has_state:
             chan_state = None
@@ -930,7 +850,6 @@ class BatchPolicyKernel(ABC):
             self.num_seeds,
             self._a_max,
             depth=self._depth,
-            fast=self._use_ws,
             state=chan_state,
         )
         self._rows = np.arange(self.num_seeds)[:, None]
@@ -1003,20 +922,9 @@ class BatchPolicyKernel(ABC):
     ) -> BatchIntervalOutcome:
         if sync_rng:
             return self._run_interval_sync(k, arrivals, positive_debts, rng)
-        if self._use_ws:
-            return self._run_interval_ws(k, arrivals, positive_debts, rng)
-        return self._run_interval_batch(k, arrivals, positive_debts, rng)
+        return self._run_interval_ws(k, arrivals, positive_debts, rng)
 
     @abstractmethod
-    def _run_interval_batch(
-        self,
-        k: int,
-        arrivals: np.ndarray,
-        positive_debts: np.ndarray,
-        rng: BatchRngBundle,
-    ) -> BatchIntervalOutcome:
-        """Advance one interval with fully vectorized draws (legacy)."""
-
     def _run_interval_ws(
         self,
         k: int,
@@ -1024,45 +932,18 @@ class BatchPolicyKernel(ABC):
         positive_debts: np.ndarray,
         rng: BatchRngBundle,
     ) -> BatchIntervalOutcome:
-        """Advance one interval on the preallocated workspace (subclasses
-        override; the base falls back to the legacy path)."""
-        return self._run_interval_batch(k, arrivals, positive_debts, rng)
+        """Advance one interval with vectorized draws on the workspace
+        buffers bound in ``_on_bind``."""
 
     # -- workspace plumbing shared by the concrete kernels -----------------
     def _alloc_common_ws(self) -> SimpleNamespace:
-        """Buffers every workspace kernel needs: flat-index planes for the
-        gather/scatter steps and the ordered-service solver's scratch.
-
-        All buffers are C-contiguous and owned, so ``.ravel()`` on them is
-        a view — flat ``np.take``/fancy-scatter on raveled planes is the
-        cheapest gather/scatter at this array size.
-        """
+        """Buffers every workspace kernel needs: the ordered-service
+        solver's scratch (:func:`_ordered_service_ws`) plus flat-index
+        and outcome planes for the gather/scatter steps."""
         S, n = self.num_seeds, self.spec.num_links
-        workf = self._channel_draws.dtype
-        w = SimpleNamespace()
-        w.workf = workf
-        # Row offsets (S, 1) turn (S, n) link/position ids into flat
-        # indices of a raveled (S, n) plane.
-        w.row_off = (np.arange(S, dtype=np.int64) * n)[:, None]
+        w = _ordered_service_ws(S, n, self._a_max, self._channel_draws.dtype)
+        workf = w.workf
         w.link_plane = np.tile(np.arange(n, dtype=np.int64), (S, 1))
-        # Strict-upper-triangular ones: ``x @ mexcl`` is the exclusive
-        # prefix sum of ``x`` along axis 1.  One small BLAS matmul beats
-        # ``np.cumsum``'s short-segment scan on (S, n) planes, and stays
-        # bit-exact (every product and partial sum is an exact small
-        # integer, so the summation order cannot matter).
-        w.mexcl = np.triu(np.ones((n, n), dtype=workf), 1)
-        # Ordered-service solver scratch.
-        w.oflat = np.empty((S, n), dtype=np.int64)  # order + row_off
-        w.tot_pos = np.empty((S, n), dtype=workf)
-        w.cum = np.empty((S, n), dtype=workf)
-        w.budget = np.empty((S, n), dtype=workf)
-        w.att_pos = np.empty((S, n), dtype=workf)
-        w.budget_link = np.empty((S, n), dtype=workf)
-        A = self._a_max
-        w.serve3f = np.empty((S, n, A), dtype=workf)
-        w.ones_af = np.ones(A, dtype=workf)
-        w.countf = np.empty((S, n), dtype=workf)
-        w.delivered = np.empty((S, n), dtype=np.int64)
         w.attempts_f = np.empty((S, n), dtype=workf)
         w.attempts_i = np.empty((S, n), dtype=np.int64)
         w.busy = np.empty(S, dtype=np.float64)
@@ -1075,53 +956,15 @@ class BatchPolicyKernel(ABC):
         # family never produces (safe to alias across intervals).
         w.zerof = np.zeros(S, dtype=np.float64)
         w.zeroi = np.zeros(S, dtype=np.int64)
-        w.zeroi2 = np.zeros((S, n), dtype=np.int64)
         return w
 
-    def _solve_ordered_ws(
-        self,
-        w: SimpleNamespace,
-        order: np.ndarray,
-        backlog: np.ndarray,
-        needed: np.ndarray,
-        caps_f: np.ndarray,
+    def _serve_ordered_ws(
+        self, w: SimpleNamespace, backlog: np.ndarray, needed: np.ndarray
     ) -> None:
-        """:func:`solve_ordered_service` on workspace buffers.
-
-        Inputs: ``order`` (S, n) int64 service order, ``backlog`` (S, n)
-        int64, ``needed`` the interval's cumulative (S, n, A) draw block,
-        ``caps_f`` the per-position attempt ceilings in the draw dtype
-        (must be non-increasing along axis 1, as in the legacy solver).
-        ``w.oflat`` must already hold ``order + w.row_off``.  Results land
-        in ``w.delivered`` (int64, by link) and ``w.att_pos`` (draw dtype,
-        by position); both match the legacy solver exactly — every
-        intermediate is an exact small integer, so the gathered totals
-        and in-place clip reproduce the legacy arithmetic bit for bit.
-        """
+        """Run :func:`_solve_ordered` on the bound workspace, capped by
+        ``w.caps_f`` (``w.oflat`` must hold ``order + w.row_off``)."""
         tot = self._channel_draws.totals(needed, backlog)
-        tot.ravel().take(w.oflat.ravel(), out=w.tot_pos.ravel())
-        np.matmul(w.tot_pos, w.mexcl, out=w.cum)  # attempts needed before
-        np.subtract(caps_f, w.cum, out=w.budget)
-        # clip(budget, 0, tot_pos) with tot_pos >= 0.
-        np.minimum(w.budget, w.tot_pos, out=w.att_pos)
-        np.maximum(w.att_pos, 0, out=w.att_pos)
-        w.budget_link.ravel()[w.oflat.ravel()] = w.budget.ravel()
-        # A packet is delivered iff its running attempt total fits the
-        # link's budget: delivered[s, l] counts slots a < backlog with
-        # needed_cum[s, l, a] <= budget_link[s, l].  The cumsums are
-        # strictly increasing (every draw >= 1), so that prefix count is
-        # ``min(count over the whole axis, backlog)`` — the whole-axis
-        # count lands as one small matvec, far cheaper than a bool
-        # ``sum(axis=2)`` reduction, and every value stays an exact
-        # small integer.  Full drains count exactly backlog; exhausted
-        # budgets (<= 0) count zero.
-        A = needed.shape[-1]
-        np.less_equal(
-            needed, w.budget_link[:, :, None], out=w.serve3f, casting="unsafe"
-        )
-        np.matmul(w.serve3f.reshape(-1, A), w.ones_af, out=w.countf.ravel())
-        np.copyto(w.delivered, w.countf, casting="unsafe")
-        np.minimum(w.delivered, backlog, out=w.delivered)
+        _solve_ordered(w, backlog, needed, w.caps_f, tot)
 
     def _run_interval_sync(
         self,
@@ -1171,25 +1014,14 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
     budget, no backoff slots, no empty packets."""
 
     def _on_bind(self) -> None:
-        self._caps = np.full(
-            (self.num_seeds, self.spec.num_links), self._budget, dtype=np.int64
-        )
-        self._rank_row = np.arange(1, self.spec.num_links + 1, dtype=np.int64)
-        if self._use_ws:
-            w = self._alloc_common_ws()
-            S, n = self.num_seeds, self.spec.num_links
-            w.caps_f = np.full((S, n), self._budget, dtype=w.workf)
-            w.att_posf = np.empty((S, n), dtype=np.float64)  # jit output
-            w.rank_plane = np.tile(self._rank_row, (S, 1))
-            w.prios = np.empty((S, n), dtype=np.int64)
-            self._ws = w
-            if self._use_jit:
-                secs = jit_kernels.warm_compile(
-                    "serve_rows",
-                    np.int64, np.int64, w.workf, np.int64, np.float64,
-                )
-                if secs and perf.counters.enabled:
-                    perf.counters.add("jit.warmup", secs)
+        if self._sync:
+            return
+        w = self._alloc_common_ws()
+        S, n = self.num_seeds, self.spec.num_links
+        w.caps_f = np.full((S, n), self._budget, dtype=w.workf)
+        w.rank_plane = np.tile(np.arange(1, n + 1, dtype=np.int64), (S, 1))
+        w.prios = np.empty((S, n), dtype=np.int64)
+        self._ws = w
 
     @abstractmethod
     def _service_orders(
@@ -1213,33 +1045,19 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
             self._kstream(rng, "channel"), self._chan_rng(rng)
         )
         lite = self._lite
-        if not arrivals.any():
+        np.add(order, w.row_off, out=w.oflat)
+        if arrivals.any():
+            self._serve_ordered_ws(w, arrivals, needed)
+        else:
             # Fast path: nothing buffered anywhere in the stack — nobody
             # transmits (the draws above were still consumed, keeping the
-            # stream aligned with the other backends).
+            # stream aligned across intervals).
             w.att_pos.fill(0)
             w.delivered.fill(0)
-            att_pos = w.att_pos
-        elif self._use_jit:
-            order = np.ascontiguousarray(order)
-            jit_kernels.serve_rows(
-                order, arrivals, needed, int(self._budget),
-                w.delivered, w.att_posf,
-            )
-            att_pos = w.att_posf
-        else:
-            np.add(order, w.row_off, out=w.oflat)
-            self._solve_ordered_ws(w, order, arrivals, needed, w.caps_f)
-            att_pos = w.att_pos
-        if att_pos is w.att_pos:
-            np.matmul(att_pos, w.ones_wf, out=w.busyf)
-            np.multiply(w.busyf, self._data_air, out=w.busy)
-        else:  # jit path returns float64 attempt positions
-            np.sum(att_pos, axis=1, out=w.busy)
-            np.multiply(w.busy, self._data_air, out=w.busy)
+        np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
+        np.multiply(w.busyf, self._data_air, out=w.busy)
         if not lite:
-            np.add(order, w.row_off, out=w.oflat)
-            w.attempts_f.ravel()[w.oflat.ravel()] = att_pos.ravel()
+            w.attempts_f.ravel()[w.oflat.ravel()] = w.att_pos.ravel()
             np.copyto(w.attempts_i, w.attempts_f, casting="unsafe")
             w.prios.ravel()[w.oflat.ravel()] = w.rank_plane.ravel()
         if counters.enabled:
@@ -1251,37 +1069,6 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
             overhead_time_us=w.zerof,
             collisions=w.zeroi,
             priorities=None if lite else w.prios.copy(),
-        )
-
-    def _run_interval_batch(
-        self,
-        k: int,
-        arrivals: np.ndarray,
-        positive_debts: np.ndarray,
-        rng: BatchRngBundle,
-    ) -> BatchIntervalOutcome:
-        S, n = arrivals.shape
-        rows = self._rows
-        order = self._service_orders(k, positive_debts)
-        needed_cum = self._channel_draws.next(
-            self._kstream(rng, "channel"), self._chan_rng(rng)
-        )
-        deliveries, attempts, attempts_pos = solve_ordered_service(
-            order, arrivals, needed_cum, self._caps,
-            tot_link=self._channel_draws.totals(needed_cum, arrivals),
-        )
-
-        priorities = np.empty((S, n), dtype=np.int64)
-        priorities[rows, order] = self._rank_row
-
-        busy = attempts_pos.sum(axis=1) * self._data_air
-        return BatchIntervalOutcome(
-            deliveries=deliveries,
-            attempts=attempts,
-            busy_time_us=busy,
-            overhead_time_us=np.zeros(S),
-            collisions=np.zeros(S, dtype=np.int64),
-            priorities=priorities,
         )
 
 
@@ -1302,7 +1089,7 @@ class BatchELDFKernel(_BatchOrderedServeKernel):
                         f"kernel uses {self.influence!r}; ELDF rows cannot "
                         "mix influence functions"
                     )
-        if self._use_ws:
+        if not self._sync:
             # Persistent (S, N) weight plane: f(d+) * p is evaluated into
             # this buffer every interval (influence functions accept
             # ``out=``), so the serve-order stage allocates nothing but
@@ -1314,19 +1101,12 @@ class BatchELDFKernel(_BatchOrderedServeKernel):
     def _service_orders(self, k: int, positive_debts: np.ndarray) -> np.ndarray:
         # _reliabilities is (N,) or, for fused stacks, (S, N); either
         # broadcasts against the (S, N) debt weights.
-        if self._use_ws:
-            weights = self.influence.value_array(
-                positive_debts, out=self._ws.eldf_w
-            )
-            np.multiply(weights, self._reliabilities, out=weights)
-        else:
-            weights = (
-                self.influence.value_array(positive_debts)
-                * self._reliabilities
-            )
+        weights = self.influence.value_array(
+            positive_debts, out=self._ws.eldf_w
+        )
+        np.multiply(weights, self._reliabilities, out=weights)
         if (
-            self._use_ws
-            and weights.dtype == np.float64
+            weights.dtype == np.float64
             and weights.flags.c_contiguous
             and weights.min() >= 0.0
         ):
@@ -1480,7 +1260,6 @@ class BatchDPKernel(BatchPolicyKernel):
             self.num_seeds, max(0, (n - 1) - (P - 1)), depth=self._depth
         )
         self._pair_idx = np.arange(P, dtype=np.int64)[None, :]
-        self._position_row = np.arange(n, dtype=np.int64)
         # With integer-valued timing parameters, every dead time is an
         # exact integer and ``floor(x / air)`` provably equals
         # ``floor_divide(x, air)``: the true quotient is either an exact
@@ -1502,7 +1281,7 @@ class BatchDPKernel(BatchPolicyKernel):
             )
         )
         # The incremental sparse path covers the paper's protocol — one
-        # candidate pair on a real network, workspace backends.  Remark-6
+        # candidate pair on a real network, off sync mode.  Remark-6
         # multi-pair stacks and degenerate (n < 2) networks keep the
         # dense recompute; an explicit request for them degrades loudly.
         #
@@ -1539,12 +1318,10 @@ class BatchDPKernel(BatchPolicyKernel):
                 )
             self._dp_state = "dense"
         self._use_inc = (
-            self._dp_state == "incremental"
-            and self._use_ws
-            and P == 1
+            self._dp_state == "incremental" and not self._sync and P == 1
         )
         if self._dp_state == "incremental" and not self._use_inc:
-            if self._dp_state_req == "incremental" and self._use_ws:
+            if self._dp_state_req == "incremental" and not self._sync:
                 warnings.warn(
                     "dp_state='incremental' covers single-pair DP stacks "
                     f"only (num_pairs={self.num_pairs}, n={n}); this bind "
@@ -1553,11 +1330,10 @@ class BatchDPKernel(BatchPolicyKernel):
                     stacklevel=2,
                 )
             self._dp_state = "dense"
-        if self._use_ws:
-            if self._use_inc:
-                self._alloc_dp_ws_inc()
-            else:
-                self._alloc_dp_ws(P)
+        if self._use_inc:
+            self._alloc_dp_ws_inc()
+        elif not self._sync:
+            self._alloc_dp_ws(P)
 
     def _alloc_dp_ws(self, P: int) -> None:
         """Workspace buffers for the in-place DP interval (see
@@ -1565,7 +1341,6 @@ class BatchDPKernel(BatchPolicyKernel):
         w = self._alloc_common_ws()
         S, n = self.num_seeds, self.spec.num_links
         w.caps_f = np.empty((S, n), dtype=w.workf)
-        w.att_posf = np.empty((S, n), dtype=np.float64)  # jit att output
         # Link/position-space integer and boolean scratch.
         w.tmpi = np.empty((S, n), dtype=np.int64)
         w.tmpi2 = np.empty((S, n), dtype=np.int64)
@@ -1591,8 +1366,7 @@ class BatchDPKernel(BatchPolicyKernel):
         # ``interval_us < 2**24`` the whole timeline fits float32 exactly
         # and the divide+floor caps stay provably exact (same 1/air
         # margin argument as ``_exact_div``, with the 2**-24 relative
-        # error of float32).  Otherwise fall back to float64, which the
-        # legacy int64*float path effectively uses.
+        # error of float32).  Otherwise fall back to float64.
         tlf = w.workf if self._exact_div else np.float64
         w.iepf = np.empty((S, n), dtype=tlf)
         w.ebf = np.empty((S, n), dtype=tlf)
@@ -1608,7 +1382,6 @@ class BatchDPKernel(BatchPolicyKernel):
         # Per-row reductions.
         w.idle = np.empty(S, dtype=np.int64)
         w.ne = np.empty(S, dtype=np.int64)
-        w.att_tot = np.empty(S, dtype=np.int64)
         w.eus = np.empty(S, dtype=np.float64)
         w.ovh = np.empty(S, dtype=np.float64)
         # Pair-space scratch (contiguous halves: ``w.xi[:, :P]`` views are
@@ -1640,14 +1413,6 @@ class BatchDPKernel(BatchPolicyKernel):
         if perf.counters.enabled:
             perf.counters.alloc("kernel.dp.bind_workspace", 50)
         self._ws = w
-        if self._use_jit:
-            secs = jit_kernels.warm_compile(
-                "dp_timeline_rows",
-                np.int64, np.int64, np.bool_, np.int64, w.workf,
-                np.int64, np.float64, np.bool_, tlf, np.int64,
-            )
-            if secs and perf.counters.enabled:
-                perf.counters.add("jit.warmup", secs)
 
     def _alloc_dp_ws_inc(self) -> None:
         """Workspace for the sparse incremental DP path (see
@@ -1731,15 +1496,14 @@ class BatchDPKernel(BatchPolicyKernel):
         w.cmpk3 = w.cmpk2.reshape(S, K, A)
         w.ones_k = np.ones(K, dtype=workf)
         w.ones_af = np.ones(A, dtype=workf)
-        if not self._use_jit:
-            # Lazy channel draws: refills stop transforming the whole
-            # (depth, S, N, A) block; this path transforms only the
-            # (S, K, A) serve-set rows it gathers each interval.
-            self._channel_draws.set_lazy()
-            w.chan_scale = self._channel_draws.scale_rows(S)
-            w.scalek = np.empty((S * K, 1), dtype=workf)
-            w.skoff = (np.arange(S * K, dtype=np.int64) * A).reshape(S, K)
-            w.cum_row = None  # (n, A) scratch, built on first misfit row
+        # Lazy channel draws: refills stop transforming the whole
+        # (depth, S, N, A) block; this path transforms only the (S, K, A)
+        # serve-set rows it gathers each interval.
+        self._channel_draws.set_lazy()
+        w.chan_scale = self._channel_draws.scale_rows(S)
+        w.scalek = np.empty((S * K, 1), dtype=workf)
+        w.skoff = (np.arange(S * K, dtype=np.int64) * A).reshape(S, K)
+        w.cum_row = None  # (n, A) scratch, built on first misfit row
         # Pair scratch — same shapes as the dense path (P == 1 here).
         w.cands = np.empty((S, 1), dtype=np.int64)
         w.candm1 = np.empty((S, 1), dtype=np.int64)
@@ -1779,7 +1543,6 @@ class BatchDPKernel(BatchPolicyKernel):
         w.ne = np.empty(S, dtype=np.int64)
         w.idle = np.empty(S, dtype=np.int64)
         w.tmpi_s = np.empty(S, dtype=np.int64)
-        w.att_tot_i = np.empty(S, dtype=np.int64)  # jit body output
         w.eus = np.empty(S, dtype=np.float64)
         w.busy = np.empty(S, dtype=np.float64)
         w.ovh = np.empty(S, dtype=np.float64)
@@ -1790,16 +1553,6 @@ class BatchDPKernel(BatchPolicyKernel):
         if perf.counters.enabled:
             perf.counters.alloc("kernel.dp.bind_workspace", 60)
         self._ws = w
-        if self._use_jit:
-            secs = jit_kernels.warm_compile(
-                "dp_incremental_rows",
-                np.int64, np.int64, np.bool_, np.bool_, np.bool_,
-                np.int64, np.int64, np.int64, workf, np.int64, np.int64,
-                np.int64, np.int64, np.int64, np.int64, np.bool_,
-                np.float64,
-            )
-            if secs and perf.counters.enabled:
-                perf.counters.add("jit.warmup", secs)
 
     def _run_interval_inc(
         self,
@@ -1897,214 +1650,181 @@ class BatchDPKernel(BatchPolicyKernel):
             counters.add("kernel.dp.setup", perf.clock() - t0)
             t0 = perf.clock()
 
-        use_jit = self._use_jit and not self._force_sequential
         inc_allocs = 0
-        if not use_jit:
-            # -- incremental: sparse zeroing + serve-set selection ---------
-            # Zero the entries the *previous* interval touched (its serve
-            # set), then select this interval's serve set: the K lowest
-            # backlogged priority positions, with the candidate pair's
-            # position fix-ups applied on commit-coin rows.
-            np.add(w.prev_links, w.row_off, out=w.pfscr)
-            w.delivered.ravel()[w.pfscr.ravel()] = 0
-            if not lite:
-                w.attempts_i.ravel()[w.pfscr.ravel()] = 0
-            if self._inc_small:
-                order = w.order
-                np.copyto(order, w.inv)
-                if rc.size:
-                    order[rc, cdm1] = w.up[rc, 0]
-                    order[rc, cdx] = w.down[rc, 0]
-                np.add(order, w.row_off, out=w.sel_flat)
-                posk = w.link_plane
-            else:
-                np.subtract(sigma, 1, out=w.posm)
-                if rc.size:
-                    w.posm[rc, w.down[rc, 0]] = cdx
-                    w.posm[rc, w.up[rc, 0]] = cdm1
-                np.equal(arrivals, 0, out=w.maskn)
-                np.copyto(w.posm, n, where=w.maskn)
-                # The K smallest positions (argpartition), then sorted into
-                # service order; np.argpartition/argsort have no out=
-                # variant, so these are the path's two accepted per-interval
-                # allocations (reported via the stage's alloc count).
-                part = np.argpartition(w.posm, K - 1, axis=1)[:, :K]
-                np.add(part, w.row_off, out=w.pflat)
-                w.posm.ravel().take(w.pflat.ravel(), out=w.posk_un.ravel())
-                ordk = np.argsort(w.posk_un, axis=1)
-                np.add(ordk, w.row_off_k, out=w.oflatk)
-                w.posk_un.ravel().take(w.oflatk.ravel(), out=w.posk.ravel())
-                w.pflat.ravel().take(w.oflatk.ravel(), out=w.sel_flat.ravel())
-                posk = w.posk
-                inc_allocs = 2
-            np.subtract(w.sel_flat, w.row_off, out=w.prev_links)
+        # -- incremental: sparse zeroing + serve-set selection ---------
+        # Zero the entries the *previous* interval touched (its serve
+        # set), then select this interval's serve set: the K lowest
+        # backlogged priority positions, with the candidate pair's
+        # position fix-ups applied on commit-coin rows.
+        np.add(w.prev_links, w.row_off, out=w.pfscr)
+        w.delivered.ravel()[w.pfscr.ravel()] = 0
+        if not lite:
+            w.attempts_i.ravel()[w.pfscr.ravel()] = 0
+        if self._inc_small:
+            order = w.order
+            np.copyto(order, w.inv)
+            if rc.size:
+                order[rc, cdm1] = w.up[rc, 0]
+                order[rc, cdx] = w.down[rc, 0]
+            np.add(order, w.row_off, out=w.sel_flat)
+            posk = w.link_plane
+        else:
+            np.subtract(sigma, 1, out=w.posm)
+            if rc.size:
+                w.posm[rc, w.down[rc, 0]] = cdx
+                w.posm[rc, w.up[rc, 0]] = cdm1
+            np.equal(arrivals, 0, out=w.maskn)
+            np.copyto(w.posm, n, where=w.maskn)
+            # The K smallest positions (argpartition), then sorted into
+            # service order; np.argpartition/argsort have no out=
+            # variant, so these are the path's two accepted per-interval
+            # allocations (reported via the stage's alloc count).
+            part = np.argpartition(w.posm, K - 1, axis=1)[:, :K]
+            np.add(part, w.row_off, out=w.pflat)
+            w.posm.ravel().take(w.pflat.ravel(), out=w.posk_un.ravel())
+            ordk = np.argsort(w.posk_un, axis=1)
+            np.add(ordk, w.row_off_k, out=w.oflatk)
+            w.posk_un.ravel().take(w.oflatk.ravel(), out=w.posk.ravel())
+            w.pflat.ravel().take(w.oflatk.ravel(), out=w.sel_flat.ravel())
+            posk = w.posk
+            inc_allocs = 2
+        np.subtract(w.sel_flat, w.row_off, out=w.prev_links)
         if counters.enabled:
             counters.add("kernel.dp.incremental", perf.clock() - t0, inc_allocs)
             t0 = perf.clock()
 
         # -- timeline ------------------------------------------------------
-        if use_jit:
-            # The compiled sweep maintains its own touched set (it zeroes
-            # and refills prev_links) and resolves each row's timeline
-            # exactly, stopping at the first position past the candidate
-            # pair whose attempt ceiling is provably exhausted.
-            jit_kernels.dp_incremental_rows(
-                w.inv, w.cands[:, 0], w.cc[:, 0], w.wa, w.wb,
-                w.bmin[:, 0], w.bmax[:, 0],
-                arrivals, needed,
-                float(T), float(air), float(slot), float(empty_air),
-                w.delivered, w.attempts_i, not lite,
-                w.prev_links, w.att_tot_i,
-                w.ne, w.idle, w.txa, w.start_a,
+        active = bool(arrivals.any())
+        if active:
+            arrivals.ravel().take(w.sel_flat.ravel(), out=w.blk.ravel())
+            # Per-link drain totals, gathered only for the serve set.
+            np.subtract(w.blk, 1, out=w.tmpk_i)
+            np.maximum(w.tmpk_i, 0, out=w.tmpk_i)
+            # Raw draws: gather the serve-set rows first, then apply the
+            # scale/ceil/cumsum transform to just the (S, K, A) block —
+            # same element order and arithmetic as the eager whole-block
+            # transform, so the values are bit-identical.
+            needed.reshape(S * n, -1).take(
+                w.sel_flat.ravel(), axis=0, out=w.needk2
             )
-            np.multiply(w.att_tot_i, air, out=w.busy)
+            w.chan_scale.ravel().take(w.sel_flat.ravel(), out=w.scalek.ravel())
+            np.multiply(w.needk2, w.scalek, out=w.needk2)
+            np.ceil(w.needk2, out=w.needk2)
+            np.maximum(w.needk2, 1.0, out=w.needk2)
+            np.cumsum(w.needk2, axis=1, out=w.needk2)
+            np.add(w.skoff, w.tmpk_i, out=w.idx3)
+            w.needk2.ravel().take(w.idx3.ravel(), out=w.totk.ravel())
+            np.greater(w.blk, 0, out=w.boolk)
+            np.multiply(w.totk, w.boolk, out=w.totk)
+            # Backoff staircase by position: j below the pair, j + 2
+            # above it, the candidate pair's own backoffs in between.
+            np.greater(posk, cands, out=w.boolk2)
+            np.multiply(w.boolk2, 2, out=w.bk)
+            np.add(w.bk, posk, out=w.bk)
+            np.equal(posk, w.candm1, out=w.boolk3)
+            np.copyto(w.bk, w.bmin, where=w.boolk3)
+            np.equal(posk, cands, out=w.boolk4)
+            np.copyto(w.bk, w.bmax, where=w.boolk4)
+            # Empties *wanted* before each position: wa counts past
+            # position c-1, wb past position c (the dense iep prefix).
+            np.greater(posk, w.candm1, out=w.boolk3)
+            np.logical_and(w.boolk3, w.wa[:, None], out=w.boolk3)
+            np.greater(posk, cands, out=w.boolk4)
+            np.logical_and(w.boolk4, w.wb[:, None], out=w.boolk4)
+            np.copyto(w.ek, w.boolk3, casting="unsafe")
+            np.add(w.ek, w.boolk4, out=w.ek)
+            # Attempt ceilings (same divide/floor discipline as dense).
+            np.multiply(w.bk, slot, out=w.deadk)
+            np.multiply(w.ek, empty_air, out=w.tmpk)
+            np.add(w.deadk, w.tmpk, out=w.deadk)
+            np.subtract(T, w.deadk, out=w.deadk)
+            if self._exact_div:
+                np.divide(w.deadk, air, out=w.capk)
+                np.floor(w.capk, out=w.capk)
+            else:
+                np.floor_divide(w.deadk, air, out=w.deadk)
+                np.copyto(w.capk, w.deadk, casting="unsafe")
+            np.cumsum(w.totk, axis=1, out=w.cumk)
+            np.subtract(w.cumk, w.totk, out=w.cumk)  # exclusive prefix
+            np.subtract(w.capk, w.cumk, out=w.budk)
+            np.minimum(w.budk, w.totk, out=w.uk)
+            np.maximum(w.uk, 0, out=w.uk)
+            # Delivered counts off the serve set's draw rows only
+            # (already gathered and transformed above).
+            np.less_equal(
+                w.needk3, w.budk[:, :, None], out=w.cmpk3,
+                casting="unsafe",
+            )
+            np.matmul(w.cmpk2, w.ones_af, out=w.countk.ravel())
+            np.copyto(w.delk, w.countk, casting="unsafe")
+            np.minimum(w.delk, w.blk, out=w.delk)
+            w.delivered.ravel()[w.sel_flat.ravel()] = w.delk.ravel()
+            if not lite:
+                np.copyto(w.uki, w.uk, casting="unsafe")
+                w.attempts_i.ravel()[w.sel_flat.ravel()] = w.uki.ravel()
+            np.greater(w.uk, 0, out=w.boolk)
+            np.multiply(w.bk, w.boolk, out=w.bki)
+            w.bki.max(axis=1, out=w.idle)
+            np.matmul(w.uk, w.ones_k, out=w.att_tot_f)
+            np.less(posk, w.candm1, out=w.boolk2)
+            np.multiply(w.uk, w.boolk2, out=w.uksel)
+            np.matmul(w.uksel, w.ones_k, out=w.att_a)
+            np.equal(posk, w.candm1, out=w.boolk2)
+            np.multiply(w.uk, w.boolk2, out=w.uksel)
+            np.matmul(w.uksel, w.ones_k, out=w.ua)
         else:
-            active = bool(arrivals.any())
-            lazy = self._channel_draws.lazy
-            if active:
-                arrivals.ravel().take(w.sel_flat.ravel(), out=w.blk.ravel())
-                # Per-link drain totals, gathered only for the serve set.
-                np.subtract(w.blk, 1, out=w.tmpk_i)
-                np.maximum(w.tmpk_i, 0, out=w.tmpk_i)
-                if lazy:
-                    # Raw draws: gather the serve-set rows first, then
-                    # apply the scale/ceil/cumsum transform to just the
-                    # (S, K, A) block — same element order and
-                    # arithmetic as the eager whole-block transform, so
-                    # the values are bit-identical.
-                    needed.reshape(S * n, -1).take(
-                        w.sel_flat.ravel(), axis=0, out=w.needk2
-                    )
-                    w.chan_scale.ravel().take(
-                        w.sel_flat.ravel(), out=w.scalek.ravel()
-                    )
-                    np.multiply(w.needk2, w.scalek, out=w.needk2)
-                    np.ceil(w.needk2, out=w.needk2)
-                    np.maximum(w.needk2, 1.0, out=w.needk2)
-                    np.cumsum(w.needk2, axis=1, out=w.needk2)
-                    np.add(w.skoff, w.tmpk_i, out=w.idx3)
-                    w.needk2.ravel().take(
-                        w.idx3.ravel(), out=w.totk.ravel()
-                    )
-                else:
-                    np.multiply(w.sel_flat, self._a_max, out=w.idx3)
-                    np.add(w.idx3, w.tmpk_i, out=w.idx3)
-                    needed.ravel().take(w.idx3.ravel(), out=w.totk.ravel())
-                np.greater(w.blk, 0, out=w.boolk)
-                np.multiply(w.totk, w.boolk, out=w.totk)
-                # Backoff staircase by position: j below the pair, j + 2
-                # above it, the candidate pair's own backoffs in between.
-                np.greater(posk, cands, out=w.boolk2)
-                np.multiply(w.boolk2, 2, out=w.bk)
-                np.add(w.bk, posk, out=w.bk)
-                np.equal(posk, w.candm1, out=w.boolk3)
-                np.copyto(w.bk, w.bmin, where=w.boolk3)
-                np.equal(posk, cands, out=w.boolk4)
-                np.copyto(w.bk, w.bmax, where=w.boolk4)
-                # Empties *wanted* before each position: wa counts past
-                # position c-1, wb past position c (the dense iep prefix).
-                np.greater(posk, w.candm1, out=w.boolk3)
-                np.logical_and(w.boolk3, w.wa[:, None], out=w.boolk3)
-                np.greater(posk, cands, out=w.boolk4)
-                np.logical_and(w.boolk4, w.wb[:, None], out=w.boolk4)
-                np.copyto(w.ek, w.boolk3, casting="unsafe")
-                np.add(w.ek, w.boolk4, out=w.ek)
-                # Attempt ceilings (same divide/floor discipline as dense).
-                np.multiply(w.bk, slot, out=w.deadk)
-                np.multiply(w.ek, empty_air, out=w.tmpk)
-                np.add(w.deadk, w.tmpk, out=w.deadk)
-                np.subtract(T, w.deadk, out=w.deadk)
-                if self._exact_div:
-                    np.divide(w.deadk, air, out=w.capk)
-                    np.floor(w.capk, out=w.capk)
-                else:
-                    np.floor_divide(w.deadk, air, out=w.deadk)
-                    np.copyto(w.capk, w.deadk, casting="unsafe")
-                np.cumsum(w.totk, axis=1, out=w.cumk)
-                np.subtract(w.cumk, w.totk, out=w.cumk)  # exclusive prefix
-                np.subtract(w.capk, w.cumk, out=w.budk)
-                np.minimum(w.budk, w.totk, out=w.uk)
-                np.maximum(w.uk, 0, out=w.uk)
-                # Delivered counts off the serve set's draw rows only
-                # (already gathered and transformed above in lazy mode).
-                if not lazy:
-                    needed.reshape(S * n, -1).take(
-                        w.sel_flat.ravel(), axis=0, out=w.needk2
-                    )
-                np.less_equal(
-                    w.needk3, w.budk[:, :, None], out=w.cmpk3,
-                    casting="unsafe",
+            # Whole stack idle: draws were consumed, nothing transmits
+            # data; candidate empty claims are still resolved below.
+            w.att_tot_f.fill(0)
+            w.att_a.fill(0)
+            w.ua.fill(0)
+            w.idle.fill(0)
+        np.add(w.att_a, w.ua, out=w.att_b)
+        # Candidate service starts under the all-empties-fit
+        # assumption, then the fit check (dense semantics verbatim).
+        np.multiply(w.att_a, air, out=w.start_a)
+        np.multiply(w.bmin[:, 0], slot, out=w.tmps)
+        np.add(w.start_a, w.tmps, out=w.start_a)
+        np.multiply(w.att_b, air, out=w.start_b)
+        np.multiply(w.bmax[:, 0], slot, out=w.tmps)
+        np.add(w.start_b, w.tmps, out=w.start_b)
+        np.multiply(w.wa, empty_air, out=w.tmps)
+        np.add(w.start_b, w.tmps, out=w.start_b)
+        if empty_air > 0:
+            np.less_equal(w.start_a, T - empty_air, out=w.fits_a)
+            np.less_equal(w.start_b, T - empty_air, out=w.fits_b)
+        else:
+            np.less(w.start_a, T, out=w.fits_a)
+            np.less(w.start_b, T, out=w.fits_b)
+        np.logical_and(w.fits_a, w.wa, out=w.fits_a)
+        np.logical_and(w.fits_b, w.wb, out=w.fits_b)
+        if self._force_sequential:
+            for s in range(S):
+                self._resolve_row_inc(
+                    s, arrivals, needed, posk, active, from_start=True
                 )
-                np.matmul(w.cmpk2, w.ones_af, out=w.countk.ravel())
-                np.copyto(w.delk, w.countk, casting="unsafe")
-                np.minimum(w.delk, w.blk, out=w.delk)
-                w.delivered.ravel()[w.sel_flat.ravel()] = w.delk.ravel()
-                if not lite:
-                    np.copyto(w.uki, w.uk, casting="unsafe")
-                    w.attempts_i.ravel()[w.sel_flat.ravel()] = w.uki.ravel()
-                np.greater(w.uk, 0, out=w.boolk)
-                np.multiply(w.bk, w.boolk, out=w.bki)
-                w.bki.max(axis=1, out=w.idle)
-                np.matmul(w.uk, w.ones_k, out=w.att_tot_f)
-                np.less(posk, w.candm1, out=w.boolk2)
-                np.multiply(w.uk, w.boolk2, out=w.uksel)
-                np.matmul(w.uksel, w.ones_k, out=w.att_a)
-                np.equal(posk, w.candm1, out=w.boolk2)
-                np.multiply(w.uk, w.boolk2, out=w.uksel)
-                np.matmul(w.uksel, w.ones_k, out=w.ua)
-            else:
-                # Whole stack idle: draws were consumed, nothing transmits
-                # data; candidate empty claims are still resolved below.
-                w.att_tot_f.fill(0)
-                w.att_a.fill(0)
-                w.ua.fill(0)
-                w.idle.fill(0)
-            np.add(w.att_a, w.ua, out=w.att_b)
-            # Candidate service starts under the all-empties-fit
-            # assumption, then the fit check (dense semantics verbatim).
-            np.multiply(w.att_a, air, out=w.start_a)
-            np.multiply(w.bmin[:, 0], slot, out=w.tmps)
-            np.add(w.start_a, w.tmps, out=w.start_a)
-            np.multiply(w.att_b, air, out=w.start_b)
-            np.multiply(w.bmax[:, 0], slot, out=w.tmps)
-            np.add(w.start_b, w.tmps, out=w.start_b)
-            np.multiply(w.wa, empty_air, out=w.tmps)
-            np.add(w.start_b, w.tmps, out=w.start_b)
-            if empty_air > 0:
-                np.less_equal(w.start_a, T - empty_air, out=w.fits_a)
-                np.less_equal(w.start_b, T - empty_air, out=w.fits_b)
-            else:
-                np.less(w.start_a, T, out=w.fits_a)
-                np.less(w.start_b, T, out=w.fits_b)
-            np.logical_and(w.fits_a, w.wa, out=w.fits_a)
-            np.logical_and(w.fits_b, w.wb, out=w.fits_b)
-            if self._force_sequential:
-                for s in range(S):
+        else:
+            np.logical_not(w.fits_a, out=w.t1)
+            np.logical_and(w.t1, w.wa, out=w.t1)
+            np.logical_not(w.fits_b, out=w.t2)
+            np.logical_and(w.t2, w.wb, out=w.t2)
+            np.logical_or(w.t1, w.t2, out=w.t1)
+            if w.t1.any():
+                for s in np.flatnonzero(w.t1):
                     self._resolve_row_inc(
-                        s, arrivals, needed, posk, active, from_start=True
+                        int(s), arrivals, needed, posk, active
                     )
-            else:
-                np.logical_not(w.fits_a, out=w.t1)
-                np.logical_and(w.t1, w.wa, out=w.t1)
-                np.logical_not(w.fits_b, out=w.t2)
-                np.logical_and(w.t2, w.wb, out=w.t2)
-                np.logical_or(w.t1, w.t2, out=w.t1)
-                if w.t1.any():
-                    for s in np.flatnonzero(w.t1):
-                        self._resolve_row_inc(
-                            int(s), arrivals, needed, posk, active
-                        )
-            np.greater(w.ua, 0, out=w.txa)
-            np.logical_or(w.txa, w.fits_a, out=w.txa)
-            np.copyto(w.ne, w.fits_a, casting="unsafe")
-            np.add(w.ne, w.fits_b, out=w.ne)
-            # Fitting empty claims also count as transmissions for the
-            # idle-slot bound (dense: tx = attempts | fits by position).
-            np.multiply(w.bmin[:, 0], w.fits_a, out=w.tmpi_s)
-            np.maximum(w.idle, w.tmpi_s, out=w.idle)
-            np.multiply(w.bmax[:, 0], w.fits_b, out=w.tmpi_s)
-            np.maximum(w.idle, w.tmpi_s, out=w.idle)
-            np.multiply(w.att_tot_f, air, out=w.busy)
+        np.greater(w.ua, 0, out=w.txa)
+        np.logical_or(w.txa, w.fits_a, out=w.txa)
+        np.copyto(w.ne, w.fits_a, casting="unsafe")
+        np.add(w.ne, w.fits_b, out=w.ne)
+        # Fitting empty claims also count as transmissions for the
+        # idle-slot bound (dense: tx = attempts | fits by position).
+        np.multiply(w.bmin[:, 0], w.fits_a, out=w.tmpi_s)
+        np.maximum(w.idle, w.tmpi_s, out=w.idle)
+        np.multiply(w.bmax[:, 0], w.fits_b, out=w.tmpi_s)
+        np.maximum(w.idle, w.tmpi_s, out=w.idle)
+        np.multiply(w.att_tot_f, air, out=w.busy)
         np.multiply(w.ne, empty_air, out=w.eus)
         np.add(w.busy, w.eus, out=w.busy)
         np.multiply(w.idle, slot, out=w.ovh)
@@ -2222,24 +1942,18 @@ class BatchDPKernel(BatchPolicyKernel):
             w.attempts_i.ravel()[sel[i0:]] = 0
         inv_row = w.inv[s]
         arr_row = arrivals[s]
-        if self._channel_draws.lazy:
-            # Raw draws: transform this row's whole (n, A) plane into a
-            # reused scratch.  Only misfitting-claim rows come through
-            # here, so the O(n*A) pass stays off the steady-state path.
-            scratch = w.cum_row
-            if scratch is None:
-                scratch = w.cum_row = np.empty(
-                    needed.shape[1:], dtype=needed.dtype
-                )
-            np.multiply(
-                needed[s], w.chan_scale[s][:, None], out=scratch
+        # Raw draws: transform this row's whole (n, A) plane into a reused
+        # scratch.  Only misfitting-claim rows come through here, so the
+        # O(n*A) pass stays off the steady-state path.
+        cum_rows = w.cum_row
+        if cum_rows is None:
+            cum_rows = w.cum_row = np.empty(
+                needed.shape[1:], dtype=needed.dtype
             )
-            np.ceil(scratch, out=scratch)
-            np.maximum(scratch, 1.0, out=scratch)
-            np.cumsum(scratch, axis=1, out=scratch)
-            cum_rows = scratch
-        else:
-            cum_rows = needed[s]
+        np.multiply(needed[s], w.chan_scale[s][:, None], out=cum_rows)
+        np.ceil(cum_rows, out=cum_rows)
+        np.maximum(cum_rows, 1.0, out=cum_rows)
+        np.cumsum(cum_rows, axis=1, out=cum_rows)
         delivered = w.delivered
         attempts = w.attempts_i
         for j in range(j0, n):
@@ -2356,16 +2070,23 @@ class BatchDPKernel(BatchPolicyKernel):
         positive_debts: np.ndarray,
         rng: BatchRngBundle,
     ) -> BatchIntervalOutcome:
-        """The legacy DP interval, re-expressed over the bound workspace.
+        """One DP interval over the bound workspace.
 
-        Same stages and the same arithmetic as
-        :meth:`_run_interval_batch`, but every (S, n)-sized intermediate
-        lands in a preallocated buffer via ``out=`` ufuncs / flat
-        ``np.take`` gathers, the inverse priority permutation comes from a
-        scatter instead of an argsort, and the ordered-service solver and
-        swap commit are short-circuited when provably idle.  Under
-        ``backend="jit"`` the timeline block (empty-claim accounting +
-        ordered service) is one compiled per-row sweep instead.
+        Step 1: shared randomness picks the candidate priority indices.
+        Step 2: candidates without arrivals claim with empty packets.
+        Step 3: biased local coins for both candidates of each pair.
+        Step 4: collision-free backoffs (candidate pair ``i`` works in a
+        band shifted by ``2i``; non-candidates shift by the pairs below).
+        Steps 5-6: the interval timeline — service order is backoff
+        order, and each position's attempt ceiling is set by its backoff
+        slots plus the empty packets transmitted before it — then the
+        swap commit of Eqs. (7)-(8).
+
+        Every (S, n)-sized intermediate lands in a preallocated buffer
+        via ``out=`` ufuncs / flat ``np.take`` gathers, the inverse
+        priority permutation comes from a scatter instead of an argsort,
+        and the ordered-service solver and swap commit are
+        short-circuited when provably idle.
         """
         if self._use_inc:
             return self._run_interval_inc(k, arrivals, positive_debts, rng)
@@ -2423,7 +2144,7 @@ class BatchDPKernel(BatchPolicyKernel):
         rc = cdm1 = None
         if P == 1:
             # Single pair (the paper's protocol): the service order and
-            # its backoff staircase have closed forms, so the legacy
+            # its backoff staircase have closed forms, so the backoff
             # argsort collapses into an inv copy plus O(S) fix-ups.
             # Non-candidates keep priority order with backoff p - 1
             # (below the pair) or p + 1 (above it); the candidates land
@@ -2463,7 +2184,7 @@ class BatchDPKernel(BatchPolicyKernel):
             np.add(order, w.row_off, out=w.oflat)
         else:
             # Multi-pair (Remark 6) and degenerate stacks are off the
-            # benchmark path; keep the legacy construction.
+            # benchmark path: service order is the argsort of backoffs.
             if P:
                 pairs_below = (
                     cands[:, None, :] + 1 < sigma[:, :, None]
@@ -2490,89 +2211,75 @@ class BatchDPKernel(BatchPolicyKernel):
             counters.add("kernel.dp.setup", perf.clock() - t0)
             t0 = perf.clock()
 
-        if self._use_jit and not self._force_sequential:
-            # One compiled pass resolves the whole timeline (including
-            # empty-claim coupling), so no assumption check is needed.
-            jit_kernels.dp_timeline_rows(
-                order, w.bpos, w.iep, arrivals, needed,
-                float(T), float(air), float(slot), float(empty_air),
-                w.delivered, w.att_posf, w.fits, w.start, w.att_tot,
-            )
-            att_pos = w.att_posf
-            np.multiply(w.att_tot, air, out=w.busy)
+        # Exclusive prefix sums land as one small matmul against a
+        # strict upper-triangular mask — bit-exact on these
+        # integer-valued floats and faster than cumsum's short-row
+        # scan at benchmark shapes.
+        np.copyto(w.iepf, w.iep, casting="unsafe")
+        np.matmul(w.iepf, w.mexcl_tl, out=w.ebf)  # empties before
+        np.multiply(w.bpos, slot, out=w.dead)
+        np.multiply(w.ebf, empty_air, out=w.tmpf)
+        np.add(w.dead, w.tmpf, out=w.dead)
+        np.subtract(T, w.dead, out=w.tmpf)
+        if self._exact_div:  # same floors, minus divmod (see _on_bind)
+            # Dividing straight into the solver dtype is exact here:
+            # the quotient's float32 rounding error is below the
+            # 1 / air margin whenever interval_us < 2**24.
+            np.divide(w.tmpf, air, out=w.caps_f)
+            np.floor(w.caps_f, out=w.caps_f)
         else:
-            # Exclusive prefix sums land as one small matmul against a
-            # strict upper-triangular mask — bit-exact on these
-            # integer-valued floats and faster than cumsum's short-row
-            # scan at benchmark shapes.
-            np.copyto(w.iepf, w.iep, casting="unsafe")
-            np.matmul(w.iepf, w.mexcl_tl, out=w.ebf)  # empties before
-            np.multiply(w.bpos, slot, out=w.dead)
-            np.multiply(w.ebf, empty_air, out=w.tmpf)
-            np.add(w.dead, w.tmpf, out=w.dead)
-            np.subtract(T, w.dead, out=w.tmpf)
-            if self._exact_div:  # same floors, minus divmod (see _on_bind)
-                # Dividing straight into the solver dtype is exact here:
-                # the quotient's float32 rounding error is below the
-                # 1 / air margin whenever interval_us < 2**24.
-                np.divide(w.tmpf, air, out=w.caps_f)
-                np.floor(w.caps_f, out=w.caps_f)
-            else:
-                np.floor_divide(w.tmpf, air, out=w.tmpf)
-                np.copyto(w.caps_f, w.tmpf, casting="unsafe")
-            if arrivals.any():
-                self._solve_ordered_ws(w, order, arrivals, needed, w.caps_f)
-            else:
-                # Whole stack idle: skip the solver, nothing transmits
-                # data (empty claims are still resolved below).
-                w.att_pos.fill(0)
-                w.delivered.fill(0)
-            np.matmul(w.att_pos, w.mexcl, out=w.attb)  # attempts before
-            np.multiply(w.attb, air, out=w.start)
-            np.add(w.start, w.dead, out=w.start)
-            # start + empty_air <= T rewritten against the precomputed
-            # bound T - empty_air: same exact-integer comparison, one
-            # whole-plane add saved per interval.
-            if empty_air > 0:
-                np.less_equal(w.start, T - empty_air, out=w.fits)
-            else:
-                np.less(w.start, T, out=w.fits)
-            np.logical_and(w.fits, w.iep, out=w.fits)
+            np.floor_divide(w.tmpf, air, out=w.tmpf)
+            np.copyto(w.caps_f, w.tmpf, casting="unsafe")
+        if arrivals.any():
+            self._serve_ordered_ws(w, arrivals, needed)
+        else:
+            # Whole stack idle: skip the solver, nothing transmits
+            # data (empty claims are still resolved below).
+            w.att_pos.fill(0)
+            w.delivered.fill(0)
+        np.matmul(w.att_pos, w.mexcl, out=w.attb)  # attempts before
+        np.multiply(w.attb, air, out=w.start)
+        np.add(w.start, w.dead, out=w.start)
+        # start + empty_air <= T rewritten against the precomputed
+        # bound T - empty_air: same exact-integer comparison, one
+        # whole-plane add saved per interval.
+        if empty_air > 0:
+            np.less_equal(w.start, T - empty_air, out=w.fits)
+        else:
+            np.less(w.start, T, out=w.fits)
+        np.logical_and(w.fits, w.iep, out=w.fits)
 
-            if self._force_sequential:
-                bad_rows = np.arange(S)
-                first_bad = np.zeros(S, dtype=np.int64)
+        if self._force_sequential:
+            bad_rows = np.arange(S)
+            first_bad = np.zeros(S, dtype=np.int64)
+        else:
+            np.not_equal(w.fits, w.iep, out=w.mm)
+            if w.mm.any():
+                bad_rows = np.flatnonzero(w.mm.any(axis=1))
+                first_bad = np.argmax(w.mm, axis=1)
             else:
-                np.not_equal(w.fits, w.iep, out=w.mm)
-                if w.mm.any():
-                    bad_rows = np.flatnonzero(w.mm.any(axis=1))
-                    first_bad = np.argmax(w.mm, axis=1)
-                else:
-                    bad_rows = None
-            if bad_rows is not None and len(bad_rows):
-                for s in bad_rows:
-                    j0 = int(first_bad[s])
-                    self._resolve_row_sequential(
-                        int(s),
-                        j0,
-                        int(w.attb[s, j0]),
-                        int(w.ebf[s, j0]),
-                        order[s],
-                        w.bpos[s],
-                        w.iep[s],
-                        arrivals[s],
-                        needed[int(s)],
-                        w.delivered,
-                        None,
-                        w.att_pos,
-                        w.fits,
-                        w.start,
-                    )
-            att_pos = w.att_pos
-            np.matmul(att_pos, w.ones_wf, out=w.busyf)
-            np.multiply(w.busyf, air, out=w.busy)
-
-        np.greater(att_pos, 0, out=w.tx)
+                bad_rows = None
+        if bad_rows is not None and len(bad_rows):
+            for s in bad_rows:
+                j0 = int(first_bad[s])
+                self._resolve_row_sequential(
+                    int(s),
+                    j0,
+                    int(w.attb[s, j0]),
+                    int(w.ebf[s, j0]),
+                    order[s],
+                    w.bpos[s],
+                    w.iep[s],
+                    arrivals[s],
+                    needed[int(s)],
+                    w.delivered,
+                    w.att_pos,
+                    w.fits,
+                    w.start,
+                )
+        np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
+        np.multiply(w.busyf, air, out=w.busy)
+        np.greater(w.att_pos, 0, out=w.tx)
         np.logical_or(w.tx, w.fits, out=w.tx)
         np.multiply(w.bpos, w.tx, out=w.tmpi2)
         w.tmpi2.max(axis=1, out=w.idle)
@@ -2606,8 +2313,8 @@ class BatchDPKernel(BatchPolicyKernel):
                 # A pair can only swap when both coins point "swap"; only
                 # then is the transmission state worth gathering.  The
                 # in-place sigma writes below touch committed entries
-                # only — non-committed writes in the legacy path restore
-                # the values sigma already holds.
+                # only (a non-committed pair keeps the values sigma
+                # already holds).
                 w.posn.ravel()[oflat] = w.link_plane.ravel()
                 up_pos = w.posn[rows, w.up]
                 committed = (
@@ -2622,7 +2329,7 @@ class BatchDPKernel(BatchPolicyKernel):
                     sigma[rcp, w.up[rcp, pc]] = csel
 
         if not lite:
-            w.attempts_f.ravel()[oflat] = att_pos.ravel()
+            w.attempts_f.ravel()[oflat] = w.att_pos.ravel()
             np.copyto(w.attempts_i, w.attempts_f, casting="unsafe")
         if counters.enabled:
             counters.add("kernel.dp.commit", perf.clock() - t0)
@@ -2633,180 +2340,6 @@ class BatchDPKernel(BatchPolicyKernel):
             overhead_time_us=w.ovh if lite else w.ovh.copy(),
             collisions=w.zeroi,
             priorities=sigma_out,
-        )
-
-    def _run_interval_batch(
-        self,
-        k: int,
-        arrivals: np.ndarray,
-        positive_debts: np.ndarray,
-        rng: BatchRngBundle,
-    ) -> BatchIntervalOutcome:
-        S, n = arrivals.shape
-        rows = self._rows
-        # Priorities reported for interval k are sigma *before* any swap
-        # (matching the scalar protocol); copy so the outcome never aliases
-        # live kernel state.
-        sigma = self._sigma.copy()
-        T = self._interval_us
-        air = self._data_air
-        slot = self._slot
-        empty_air = self._empty_air
-        rel = self._reliabilities
-
-        if n >= 2:
-            # Step 1: shared randomness -> candidate priority indices.
-            cands = self._draw_candidates(rng, S, n)
-            P = cands.shape[1]
-            inv = np.argsort(sigma, axis=1)  # priority p+1 -> link
-            down = inv[rows, cands - 1]  # (S, P)
-            up = inv[rows, cands]
-            cand_links = np.concatenate([down, up], axis=1)  # (S, 2P)
-
-            # Step 3: biased local coins for both candidates of each pair.
-            # rel is (N,) for a shared spec, (S, N) for a fused stack.
-            rel_cand = (
-                rel[rows, cand_links] if rel.ndim == 2 else rel[cand_links]
-            )
-            mu = self._active_bias.mu_batch(
-                cand_links, positive_debts[rows, cand_links], rel_cand
-            )
-            if not np.all((mu > 0.0) & (mu < 1.0)):
-                raise ValueError(
-                    "swap bias returned mu outside (0, 1); Algorithm 2 "
-                    "requires a non-degenerate coin"
-                )
-            coins = self._coin_draws.next(self._kstream(rng, "policy"))
-            xi = np.where(coins < mu, 1, -1)
-            xi_down, xi_up = xi[:, :P], xi[:, P:]
-
-            # Step 4: collision-free backoffs (candidate pair i works in a
-            # band shifted by 2i; non-candidates shift by the pairs below).
-            if P == 1:
-                # One pair: "pairs entirely below priority s" is a plain
-                # comparison, and the band shift 2i is zero.
-                backoff = sigma - 1 + 2 * (sigma > cands + 1)
-                backoff[rows, down] = cands - xi_down
-                backoff[rows, up] = cands + 1 - xi_up
-            else:
-                pairs_below = (cands[:, None, :] + 1 < sigma[:, :, None]).sum(
-                    axis=2, dtype=np.int64
-                )
-                backoff = sigma - 1 + 2 * pairs_below
-                backoff[rows, down] = cands - xi_down + 2 * self._pair_idx
-                backoff[rows, up] = cands + 1 - xi_up + 2 * self._pair_idx
-
-            # Step 2: candidates without arrivals claim with empty packets.
-            wants_empty = np.zeros((S, n), dtype=bool)
-            wants_empty[rows, cand_links] = arrivals[rows, cand_links] == 0
-        else:
-            P = 0
-            cands = np.zeros((S, 0), dtype=np.int64)
-            down = up = cands
-            xi_down = xi_up = cands
-            backoff = sigma - 1
-            wants_empty = np.zeros((S, n), dtype=bool)
-
-        # Steps 5-6: the interval timeline.  Service order is backoff order;
-        # the attempt ceiling of each position is set by its backoff slots
-        # plus the empty packets transmitted before it.
-        order = np.argsort(backoff, axis=1)
-        backoff_pos = backoff[rows, order]
-        is_empty_pos = wants_empty[rows, order]
-        empties_before = np.cumsum(is_empty_pos, axis=1) - is_empty_pos
-
-        # Time each position loses to its own backoff slots plus the empty
-        # packets ahead of it — shared by the attempt ceiling and the
-        # service-start computation below.
-        dead_us = backoff_pos * slot + empties_before * empty_air
-        caps = np.floor_divide(T - dead_us, air).astype(np.int64)
-        needed_cum = self._channel_draws.next(
-            self._kstream(rng, "channel"), self._chan_rng(rng)
-        )
-        deliveries, attempts, attempts_pos = solve_ordered_service(
-            order, arrivals, needed_cum, caps,
-            tot_link=self._channel_draws.totals(needed_cum, arrivals),
-        )
-
-        att_cum = np.cumsum(attempts_pos, axis=1)
-        att_before = att_cum - attempts_pos
-        start_pos = att_before * air + dead_us
-        if empty_air > 0:
-            fits_pos = is_empty_pos & (start_pos + empty_air <= T)
-        else:
-            # Idealized mode: a zero-length claim still needs a live instant.
-            fits_pos = is_empty_pos & (start_pos < T)
-
-        # Verify the all-empties-fit assumption; re-run offending rows
-        # sequentially (only under end-of-interval congestion).  Positions
-        # before a row's first misfit already match the sequential sweep —
-        # every earlier claim fit, so the assumed timeline was the real one
-        # up to there — and the resolver resumes from that position's
-        # (attempts-used, empties-fit) state instead of position 0.
-        if self._force_sequential:
-            bad_rows = np.arange(S)
-            first_bad = np.zeros(S, dtype=np.int64)
-        else:
-            mismatch = fits_pos != is_empty_pos
-            bad_rows = np.flatnonzero(mismatch.any(axis=1))
-            first_bad = np.argmax(mismatch, axis=1)
-        for s in bad_rows:
-            j0 = int(first_bad[s])
-            self._resolve_row_sequential(
-                int(s),
-                j0,
-                int(att_before[s, j0]),
-                int(empties_before[s, j0]),
-                order[s],
-                backoff_pos[s],
-                is_empty_pos[s],
-                arrivals[s],
-                needed_cum[s],
-                deliveries,
-                attempts,
-                attempts_pos,
-                fits_pos,
-                start_pos,
-            )
-        if bad_rows.size:
-            att_cum = np.cumsum(attempts_pos, axis=1)
-
-        transmitted_pos = (attempts_pos > 0) | fits_pos
-        idle_slots = np.max(
-            np.where(transmitted_pos, backoff_pos, 0), axis=1
-        )
-        num_empties = fits_pos.sum(axis=1)
-        empty_us = num_empties * empty_air
-        busy = att_cum[:, -1] * air + empty_us
-        overhead = idle_slots * slot + empty_us
-
-        if P:
-            # Step 5 / Eqs. (7)-(8): commit swaps.  The up-mover must have
-            # transmitted (data or a fitting empty claim) with one data
-            # airtime left before the deadline.  Look the up-mover up by
-            # *position* (inverse of ``order``) rather than scattering the
-            # whole timeline back to link space.
-            position = np.empty((S, n), dtype=np.int64)
-            position[rows, order] = self._position_row
-            up_pos = position[rows, up]
-            committed = (
-                (xi_down == -1)
-                & (xi_up == 1)
-                & transmitted_pos[rows, up_pos]
-                & (start_pos[rows, up_pos] + air <= T)
-            )
-            new_sigma = sigma.copy()
-            new_sigma[rows, down] = np.where(committed, cands + 1, cands)
-            new_sigma[rows, up] = np.where(committed, cands, cands + 1)
-            self._sigma = new_sigma
-
-        return BatchIntervalOutcome(
-            deliveries=deliveries,
-            attempts=attempts,
-            busy_time_us=busy,
-            overhead_time_us=overhead,
-            collisions=np.zeros(S, dtype=np.int64),
-            priorities=sigma,
         )
 
     def _resolve_row_sequential(
@@ -2821,7 +2354,6 @@ class BatchDPKernel(BatchPolicyKernel):
         arrivals_row: np.ndarray,
         needed_cum_row: np.ndarray,
         deliveries: np.ndarray,
-        attempts: Optional[np.ndarray],
         attempts_pos: np.ndarray,
         fits_pos: np.ndarray,
         start_pos: np.ndarray,
@@ -2834,11 +2366,10 @@ class BatchDPKernel(BatchPolicyKernel):
         arithmetic as the vectorized path, so the combined result equals a
         full sequential evaluation of the whole stack.  Operates on plain
         Python scalars — at tens of links that beats per-element ndarray
-        indexing by an order of magnitude.  ``deliveries``/``attempts``
-        are link-indexed, the remaining output arrays position-indexed
-        (matching :func:`solve_ordered_service`).  ``attempts`` may be
-        ``None`` (the workspace path reconstructs the link view from
-        ``attempts_pos`` at the end of the interval instead).
+        indexing by an order of magnitude.  ``deliveries`` is
+        link-indexed, the remaining output arrays position-indexed
+        (matching :func:`solve_ordered_service`); the caller rebuilds the
+        link view of the attempts from ``attempts_pos``.
         """
         T = self._interval_us
         air = self._data_air
@@ -2879,8 +2410,6 @@ class BatchDPKernel(BatchPolicyKernel):
                 if fits:
                     empties_fit += 1
             deliveries[s, link] = served
-            if attempts is not None:
-                attempts[s, link] = used
             attempts_pos[s, j] = used
             fits_pos[s, j] = fits
             start_pos[s, j] = start

@@ -706,12 +706,6 @@ class BatchIntervalSimulator:
         Namespace tag for the batch RNG streams, or one tag per row to
         give each block of equally-tagged rows its own streams; see
         :class:`~repro.sim.rng.BatchRngBundle`.
-    backend:
-        Kernel backend (:data:`~repro.sim.batch_kernels.KERNEL_BACKENDS`):
-        ``"numpy"`` (preallocated workspace, default), ``"jit"`` (Numba
-        inner loops, falls back to ``"numpy"`` without numba), or
-        ``"legacy"``.  All backends are bit-identical; ``None`` resolves
-        from ``REPRO_KERNEL_BACKEND`` / ``REPRO_JIT``.
     dp_state:
         Priority-state maintenance mode for DP-family kernels
         (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`): ``"dense"``
@@ -734,7 +728,6 @@ class BatchIntervalSimulator:
         record_traces: bool = True,
         row_policies: Optional[Sequence[IntervalMac]] = None,
         stream_tag: Union[None, str, Sequence[Optional[str]]] = None,
-        backend: Optional[str] = None,
         rng: Optional[str] = None,
         dp_state: Optional[str] = None,
     ):
@@ -810,14 +803,12 @@ class BatchIntervalSimulator:
             self.rng.num_seeds,
             self.sync_rng,
             row_policies=row_policies,
-            backend=backend,
             # Trace recording reads per-link attempts and priorities;
             # stats-only runs let the kernel skip materializing them.
             lite=not self.record_traces,
             rng=self.rng_mode,
             dp_state=dp_state,
         )
-        self.backend = self.kernel._backend
         self.dp_state = self.kernel.dp_state
         self._q_rows = (
             stack.requirement_matrix
@@ -894,6 +885,12 @@ class BatchIntervalSimulator:
             raise ValueError("record_priorities requires record_traces=True")
 
     # ------------------------------------------------------------------
+    @property
+    def backend(self) -> str:
+        """The interval resolver, for run reports: always ``"numpy"``,
+        the kernels' preallocated-workspace NumPy path."""
+        return "numpy"
+
     @property
     def seeds(self) -> Tuple[int, ...]:
         return self.rng.seeds
@@ -998,7 +995,6 @@ def run_simulation_batch(
     sync_rng: bool = False,
     validate: bool = True,
     record_priorities: bool = False,
-    backend: Optional[str] = None,
     rng: Optional[str] = None,
     dp_state: Optional[str] = None,
     topology=None,
@@ -1029,7 +1025,6 @@ def run_simulation_batch(
             num_intervals,
             sync_rng=sync_rng,
             rng=rng,
-            backend=backend,
             dp_state=dp_state,
             validate=validate,
         )
@@ -1040,7 +1035,6 @@ def run_simulation_batch(
         sync_rng=sync_rng,
         validate=validate,
         record_priorities=record_priorities,
-        backend=backend,
         rng=rng,
         dp_state=dp_state,
     )

@@ -65,7 +65,6 @@ KNOWN_STAGES = (
     "kernel.serve.interval",
     "draws.channel_refill",
     "draws.uniform_refill",
-    "jit.warmup",
 )
 
 #: Re-exported so call sites read ``perf.clock()`` instead of importing

@@ -33,7 +33,8 @@ __all__ = [
 #: * ``"batch"`` — one vectorized stream per name over the whole stack;
 #:   reproducible from the seed tuple, draws in lockstep with the shared
 #:   scalar draw schedule (every kernel consumes the same block shapes,
-#:   which keeps all backends bit-identical to each other).
+#:   which keeps the dense and incremental DP-state paths bit-identical
+#:   to each other).
 #: * ``"free"``  — independently-derived per-(seed-tuple, stream)
 #:   substreams where each kernel draws only what it actually consumes.
 #:   Statistical equivalence with the other modes is the contract, not

@@ -158,7 +158,6 @@ class TopologySimulator:
         *,
         rng: Optional[str] = None,
         sync_rng: bool = False,
-        backend: Optional[str] = None,
         dp_state: Optional[str] = None,
         validate: bool = True,
         record_traces: bool = False,
@@ -196,7 +195,6 @@ class TopologySimulator:
             policy,
             self.seeds * len(cells),
             rng=self.rng_mode,
-            backend=backend,
             dp_state=dp_state,
             validate=validate,
             record_traces=record_traces,
@@ -271,7 +269,6 @@ def run_topology_batch(
     *,
     rng: Optional[str] = None,
     sync_rng: bool = False,
-    backend: Optional[str] = None,
     dp_state: Optional[str] = None,
     validate: bool = True,
     shards: Optional[int] = None,
@@ -290,7 +287,6 @@ def run_topology_batch(
     options = dict(
         rng=rng,
         sync_rng=sync_rng,
-        backend=backend,
         dp_state=dp_state,
         validate=validate,
     )

@@ -78,16 +78,15 @@ class TestEngineFlags:
         args = build_parser().parse_args(
             [
                 "fig3", "--engine", "fused", "--rng", "free",
-                "--shards", "2", "--backend", "numpy",
+                "--shards", "2",
             ]
         )
         assert args.engine == "fused"
         assert args.rng == "free"
         assert args.shards == 2
-        assert args.backend == "numpy"
 
     def test_sweep_flags_without_engine_default_to_fused(self, capsys):
-        # --rng/--shards/--backend are sweep-engine features; without an
+        # --rng/--shards are sweep-engine features; without an
         # explicit --engine they must land on the fused engine instead
         # of erroring on the figures' scalar default.
         argv = [

@@ -10,10 +10,8 @@ Mirrors ``test_channel_equivalence.py`` for the traffic plane:
   fused engine with ``rng="free"`` is a *fresh sample* of the same
   estimator as the scalar engine; per-cell means must agree within a
   joint 3-sigma confidence bound.
-* **Backend identity** — the numpy and jit batch backends consume the
-  identical arrival-state planes (bit-identical sweeps), and
-  ``sync_rng=True`` is bit-identical to the scalar engine on every
-  kernel backend, Markov/renewal arrival state included.
+* **Sync identity** — ``sync_rng=True`` is bit-identical to the scalar
+  engine, Markov/renewal arrival state included.
 """
 
 from __future__ import annotations
@@ -32,8 +30,6 @@ from repro import (
     idealized_timing,
 )
 from repro.experiments.runner import run_single, run_sweep
-from repro.sim import jit_kernels
-from repro.sim.batch_kernels import KERNEL_BACKENDS
 from repro.sim.interval_sim import run_simulation
 from repro.traffic.arrivals import MarkovModulatedArrivals, ParetoBurstArrivals
 
@@ -91,19 +87,6 @@ def _assert_joint_ci(f, b, policy, value, label_a, label_b):
     )
 
 
-@pytest.fixture(scope="module")
-def jit_runnable():
-    """Make backend='jit' runnable: compiled if numba is present, else
-    the forced-Python flavor of the same kernel bodies."""
-    if not jit_kernels.HAS_NUMBA:
-        old = jit_kernels.force_python
-        jit_kernels.force_python = True
-        yield False
-        jit_kernels.force_python = old
-    else:
-        yield True
-
-
 class TestArrivalStateLeak:
     """Satellite regression: no state may leak between runs."""
 
@@ -154,7 +137,7 @@ def mmpp_sweeps():
         num_intervals=INTERVALS,
         seeds=SEEDS,
     )
-    fused = run_sweep(**kw, engine="fused", rng="free", backend="numpy")
+    fused = run_sweep(**kw, engine="fused", rng="free")
     scalar = run_sweep(**kw, engine="scalar")
     return fused, scalar
 
@@ -172,19 +155,6 @@ class TestMarkovModulatedStatistical:
             "fused-free",
             "scalar",
         )
-
-    def test_jit_backend_bit_identical_to_numpy(self, mmpp_sweeps, jit_runnable):
-        fused_numpy, _ = mmpp_sweeps
-        kw = dict(
-            parameter_name="ratio",
-            values=RATIOS,
-            spec_builder=_mmpp_builder,
-            policies=POLICIES,
-            num_intervals=INTERVALS,
-            seeds=SEEDS,
-        )
-        fused_jit = run_sweep(**kw, engine="fused", rng="free", backend="jit")
-        assert fused_jit.points == fused_numpy.points
 
 
 class TestParetoBurstStatistical:
@@ -211,18 +181,13 @@ class TestParetoBurstStatistical:
 
 
 class TestSyncIdentity:
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     @pytest.mark.parametrize("builder", [_mmpp_builder, _pareto_builder])
-    def test_sync_batch_bit_identical_to_scalar(
-        self, builder, backend, jit_runnable
-    ):
+    def test_sync_batch_bit_identical_to_scalar(self, builder):
         """``sync_rng=True`` replays the scalar per-seed streams, arrival
-        state included, on every kernel backend."""
+        state included."""
         spec = builder(0.8)
         seeds = (0, 1, 2)
-        sim = BatchIntervalSimulator(
-            spec, LDFPolicy(), seeds, sync_rng=True, backend=backend
-        )
+        sim = BatchIntervalSimulator(spec, LDFPolicy(), seeds, sync_rng=True)
         sim.run(150)
         batch = sim.result
         for s, seed in enumerate(seeds):

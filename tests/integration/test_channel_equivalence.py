@@ -1,13 +1,11 @@
 """Cross-engine equivalence for stateful and time-varying channels.
 
-Three layers of guarantees, mirroring the Bernoulli ones:
+Two layers of guarantees, mirroring the Bernoulli ones:
 
 * Gilbert-Elliott under the fused engine with ``rng="free"`` is a
   *fresh sample* of the same estimator as the scalar engine — per-cell
   means must agree within a joint 3-sigma confidence bound (same
   pattern as ``test_fused_statistical.py``).
-* The numpy and jit batch backends consume the identical dynamic draw
-  planes, so their fused Gilbert-Elliott sweeps are bit-identical.
 * ``sync_rng=True`` drives scalar clones from per-seed streams, so the
   batch engine is *bit-identical* to the scalar engine even with
   Markov channel state; the deterministic ``TimeVaryingReliability``
@@ -31,7 +29,6 @@ from repro import (
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.runner import run_sweep
 from repro.phy.channel import TimeVaryingReliability
-from repro.sim import jit_kernels
 from repro.sim.interval_sim import run_simulation
 
 SEEDS = tuple(range(24))
@@ -74,19 +71,6 @@ def _assert_joint_ci(f, b, policy, value, label_a, label_b):
 
 
 @pytest.fixture(scope="module")
-def jit_runnable():
-    """Make backend='jit' runnable: compiled if numba is present, else
-    the forced-Python flavor of the same kernel bodies."""
-    if not jit_kernels.HAS_NUMBA:
-        old = jit_kernels.force_python
-        jit_kernels.force_python = True
-        yield False
-        jit_kernels.force_python = old
-    else:
-        yield True
-
-
-@pytest.fixture(scope="module")
 def ge_sweeps():
     kw = dict(
         parameter_name="alpha",
@@ -96,7 +80,7 @@ def ge_sweeps():
         num_intervals=INTERVALS,
         seeds=SEEDS,
     )
-    fused = run_sweep(**kw, engine="fused", rng="free", backend="numpy")
+    fused = run_sweep(**kw, engine="fused", rng="free")
     scalar = run_sweep(**kw, engine="scalar")
     return fused, scalar
 
@@ -121,19 +105,6 @@ class TestGilbertElliottStatistical:
         reliability leave a distinct (here: non-trivial) deficiency."""
         _, scalar = ge_sweeps
         assert _cell(scalar, "LDF", VALUES[1]).total_deficiency > 0.0
-
-    def test_jit_backend_bit_identical_to_numpy(self, ge_sweeps, jit_runnable):
-        fused_numpy, _ = ge_sweeps
-        kw = dict(
-            parameter_name="alpha",
-            values=VALUES,
-            spec_builder=_ge_builder,
-            policies=POLICIES,
-            num_intervals=INTERVALS,
-            seeds=SEEDS,
-        )
-        fused_jit = run_sweep(**kw, engine="fused", rng="free", backend="jit")
-        assert fused_jit.points == fused_numpy.points
 
 
 class TestGilbertElliottSyncIdentity:

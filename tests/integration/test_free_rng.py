@@ -14,9 +14,8 @@ here:
 * capability gating: families without ``supports_free_rng`` degrade to
   the batch discipline with exactly one ``UserWarning`` per sweep (and
   raise ``TypeError`` when handed to the batch simulator directly);
-* mode hygiene: ``rng="free"`` contradicts ``sync_rng=True``, is
-  rejected on the frozen legacy backend, and is meaningless on the
-  scalar engine.
+* mode hygiene: ``rng="free"`` contradicts ``sync_rng=True`` and is
+  meaningless on the scalar engine.
 """
 
 from __future__ import annotations
@@ -69,13 +68,6 @@ class TestNormalizeRngMode:
 
 
 class TestFreeModeGuards:
-    def test_legacy_backend_rejected(self):
-        with pytest.raises(ValueError, match="legacy backend"):
-            run_simulation_batch(
-                builder(0.5), DBDPPolicy(), 10, (0, 1),
-                backend="legacy", rng="free",
-            )
-
     def test_scalar_engine_rejected(self):
         with pytest.raises(ValueError, match="engine='batch' or 'fused'"):
             run_single(

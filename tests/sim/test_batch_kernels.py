@@ -136,8 +136,7 @@ class TestChunkedChannelDraws:
     The class refills ``depth`` intervals of draws per Generator call;
     these tests pin down that a sequence of intervals spanning one or
     more refills is identical to an unchunked draw of the same stream,
-    for both the in-place fast path and the legacy (``fast=False``)
-    cumsum path, including the ``a_max`` clamp edge at p = 1.
+    including the ``a_max`` clamp edge at p = 1.
     """
 
     S, N, A = 3, 4, 5
@@ -153,15 +152,12 @@ class TestChunkedChannelDraws:
         draws = np.maximum(np.ceil(raw * scale.astype(np.float32)), 1.0)
         return np.cumsum(draws, axis=3)
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_draws_spanning_refill_match_unchunked(self, fast):
+    def test_draws_spanning_refill_match_unchunked(self):
         """10 intervals at depth 4 cross two refill boundaries; every
         block equals the unchunked single-call reference because chunks
         are consecutive slices of one generator stream."""
         probs = np.array([0.6, 0.75, 0.9, 0.8])
-        draws = _ChunkedChannelDraws(
-            probs, self.S, self.A, depth=4, fast=fast
-        )
+        draws = _ChunkedChannelDraws(probs, self.S, self.A, depth=4)
         rng = np.random.default_rng(77)
         got = [draws.next(rng).copy() for _ in range(10)]
         # Three refills of depth 4 consume the same stream values as one
@@ -171,38 +167,27 @@ class TestChunkedChannelDraws:
         for k in range(10):
             np.testing.assert_array_equal(got[k], ref[k])
 
-    def test_fast_path_matches_legacy_cumsum_path(self):
-        probs = np.array([0.5, 0.7, 0.95, 0.85])
-        a = _ChunkedChannelDraws(probs, self.S, self.A, depth=3, fast=True)
-        b = _ChunkedChannelDraws(probs, self.S, self.A, depth=3, fast=False)
-        ra, rb = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(7):
-            np.testing.assert_array_equal(a.next(ra), b.next(rb))
-
     def test_totals_gather_matches_drain_totals_across_refills(self):
         probs = np.array([0.6, 0.8, 0.9, 0.7])
-        fast = _ChunkedChannelDraws(probs, self.S, self.A, depth=2, fast=True)
+        draws = _ChunkedChannelDraws(probs, self.S, self.A, depth=2)
         rng = np.random.default_rng(3)
         back_rng = np.random.default_rng(30)
         for _ in range(5):
-            block = fast.next(rng)
+            block = draws.next(rng)
             backlog = back_rng.integers(0, self.A + 1, (self.S, self.N))
-            got = fast.totals(block, backlog)
+            got = draws.totals(block, backlog)
             np.testing.assert_array_equal(got, drain_totals(block, backlog))
             # The gather writes a reused buffer; copy-compare twice to
             # catch stale-index bugs across consecutive intervals.
-            again = fast.totals(block, backlog)
+            again = draws.totals(block, backlog)
             np.testing.assert_array_equal(again, drain_totals(block, backlog))
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_p_one_clamps_every_draw_to_one(self, fast):
+    def test_p_one_clamps_every_draw_to_one(self):
         """p = 1 makes the exponential scale 0, so after the >= 1 clamp a
         cumulative block is exactly 1..a_max — including the last slot of
         the last interval in a chunk (the a_max clamp edge)."""
         probs = np.ones(self.N)
-        draws = _ChunkedChannelDraws(
-            probs, self.S, self.A, depth=2, fast=fast
-        )
+        draws = _ChunkedChannelDraws(probs, self.S, self.A, depth=2)
         rng = np.random.default_rng(11)
         expected = np.broadcast_to(
             np.arange(1, self.A + 1, dtype=np.float32),

@@ -8,10 +8,10 @@ serve-set links instead of all N.  The contract is *bit-identity* with
 the dense recompute under the same RNG bundle: every derived quantity is
 a small exact integer carried in float, so the two state-maintenance
 strategies must agree on every interval of every replication — asserted
-here per interval, across backends, across draw disciplines, and at the
-large N the engine exists for.
+here per interval, across draw disciplines, and at the large N the
+engine exists for.
 
-The knob itself resolves like ``backend``: ``None`` defers to the
+The knob itself resolves in three tiers: ``None`` defers to the
 ``REPRO_DP_STATE`` environment variable and then to the policy family's
 ``supports_incremental_dp`` registry capability; explicit requests are
 strict, environment requests degrade silently (see
@@ -31,7 +31,6 @@ from repro.core.permutations import (
     priority_to_link_order,
 )
 from repro.experiments.configs import video_symmetric_spec
-from repro.sim import jit_kernels
 from repro.sim.batch_kernels import DP_STATE_MODES, resolve_dp_state
 from repro.sim.batch_sim import BatchIntervalSimulator
 
@@ -42,7 +41,6 @@ def _run(
     num_intervals,
     *,
     alpha=0.55,
-    backend="numpy",
     rng=None,
     seeds=(0, 1, 2),
     force_sequential=False,
@@ -54,7 +52,6 @@ def _run(
         record_traces=True,
         record_priorities=True,
         validate=False,
-        backend=backend,
         rng=rng,
         dp_state=dp_state,
     )
@@ -109,20 +106,9 @@ class TestDenseIncrementalBitIdentity:
 
 
 class TestCrossBackendIdentity:
-    """legacy, numpy-dense, numpy-incremental and the forced-Python jit
-    leg all consume the same draws and must agree bit for bit."""
-
-    def test_n200_all_backends(self, monkeypatch):
-        _, legacy = _run(200, None, 40, backend="legacy")
-        _, dense = _run(200, "dense", 40, backend="numpy")
-        _, inc = _run(200, "incremental", 40, backend="numpy")
-        _assert_runs_identical(legacy, dense, "legacy vs numpy-dense")
-        _assert_runs_identical(dense, inc, "numpy dense vs incremental")
-        # Forced-Python jit: exercises the compiled kernels' exact loop
-        # bodies without numba (the numba leg itself runs in CI).
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-        _, jitpy = _run(200, "incremental", 40, backend="jit")
-        _assert_runs_identical(inc, jitpy, "numpy vs jit-python incremental")
+    """The dense and incremental priority-state paths consume the same
+    draws and must agree bit for bit at large N (the N=200 outputs are
+    also pinned in ``tests/integration/test_kernel_backends.py``)."""
 
     def test_n2000_dense_vs_incremental(self):
         # The scale the engine exists for; few intervals keep it cheap.
@@ -132,8 +118,8 @@ class TestCrossBackendIdentity:
 
 
 class TestDpStateResolution:
-    """The knob resolves like ``backend``: capability default, strict
-    explicit requests, soft environment requests."""
+    """Capability default, strict explicit requests, soft environment
+    requests."""
 
     def test_modes_tuple(self):
         assert DP_STATE_MODES == ("dense", "incremental")
@@ -141,23 +127,12 @@ class TestDpStateResolution:
     def test_default_is_incremental_for_capable_workspace(self, monkeypatch):
         monkeypatch.delenv("REPRO_DP_STATE", raising=False)
         assert (
-            resolve_dp_state(None, supports_incremental=True, workspace=True)
-            == "incremental"
+            resolve_dp_state(None, supports_incremental=True) == "incremental"
         )
 
-    @pytest.mark.parametrize(
-        "supports,workspace", [(False, True), (True, False), (False, False)]
-    )
-    def test_default_is_dense_when_not_capable(
-        self, monkeypatch, supports, workspace
-    ):
+    def test_default_is_dense_when_not_capable(self, monkeypatch):
         monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        assert (
-            resolve_dp_state(
-                None, supports_incremental=supports, workspace=workspace
-            )
-            == "dense"
-        )
+        assert resolve_dp_state(None, supports_incremental=False) == "dense"
 
     def test_unknown_mode_raises(self):
         with pytest.raises(ValueError, match="unknown dp_state"):
@@ -167,20 +142,13 @@ class TestDpStateResolution:
         with pytest.raises(ValueError, match="supports_incremental_dp"):
             resolve_dp_state("incremental", supports_incremental=False)
 
-    def test_explicit_incremental_on_legacy_raises(self):
-        with pytest.raises(ValueError, match="legacy"):
-            resolve_dp_state(
-                "incremental", supports_incremental=True, workspace=False
-            )
-
     def test_env_request_degrades_silently(self, monkeypatch):
         monkeypatch.setenv("REPRO_DP_STATE", "incremental")
         assert (
             resolve_dp_state(None, supports_incremental=False) == "dense"
         )
         assert (
-            resolve_dp_state(None, supports_incremental=True, workspace=True)
-            == "incremental"
+            resolve_dp_state(None, supports_incremental=True) == "incremental"
         )
 
     def test_env_unknown_value_raises(self, monkeypatch):
@@ -194,13 +162,9 @@ class TestDpStateResolution:
         # timing): the capability default picks the incremental path.
         big = video_symmetric_spec(0.6, num_links=80)
         sim = BatchIntervalSimulator(
-            big, DBDPPolicy(), seeds=(0,), validate=False, backend="numpy"
+            big, DBDPPolicy(), seeds=(0,), validate=False
         )
         assert sim.dp_state == "incremental"
-        sim = BatchIntervalSimulator(
-            big, DBDPPolicy(), seeds=(0,), validate=False, backend="legacy"
-        )
-        assert sim.dp_state == "dense"
 
     def test_default_declines_incremental_on_dense_serve_set(
         self, monkeypatch
@@ -212,7 +176,7 @@ class TestDpStateResolution:
         monkeypatch.delenv("REPRO_DP_STATE", raising=False)
         spec = video_symmetric_spec(0.6, num_links=20)
         auto = BatchIntervalSimulator(
-            spec, DBDPPolicy(), seeds=(0,), validate=False, backend="numpy"
+            spec, DBDPPolicy(), seeds=(0,), validate=False
         )
         assert auto.dp_state == "dense"
         explicit = BatchIntervalSimulator(
@@ -220,13 +184,12 @@ class TestDpStateResolution:
             DBDPPolicy(),
             seeds=(0,),
             validate=False,
-            backend="numpy",
             dp_state="incremental",
         )
         assert explicit.dp_state == "incremental"
         monkeypatch.setenv("REPRO_DP_STATE", "incremental")
         env = BatchIntervalSimulator(
-            spec, DBDPPolicy(), seeds=(0,), validate=False, backend="numpy"
+            spec, DBDPPolicy(), seeds=(0,), validate=False
         )
         assert env.dp_state == "incremental"
 
@@ -237,7 +200,6 @@ class TestDpStateResolution:
                 ELDFPolicy(),
                 seeds=(0,),
                 validate=False,
-                backend="numpy",
                 dp_state="incremental",
             )
 
@@ -252,7 +214,6 @@ class TestDpStateResolution:
                 seeds=(0, 1),
                 record_priorities=True,
                 validate=False,
-                backend="numpy",
                 dp_state="incremental",
             )
         assert sim.dp_state == "dense"
@@ -263,7 +224,6 @@ class TestDpStateResolution:
             seeds=(0, 1),
             record_priorities=True,
             validate=False,
-            backend="numpy",
             dp_state="dense",
         ).run(120)
         _assert_runs_identical(dense, inc_req, "multi-pair degrade")

@@ -101,7 +101,6 @@ class TestHotPathOverhead:
             40,
             self.SEEDS,
             validate=False,
-            backend="numpy",
         )
 
     def test_disabled_counters_never_read_the_clock(self, monkeypatch):
@@ -157,7 +156,6 @@ class TestDrawBufferAllocRegression:
             DBDPPolicy(),
             num_intervals,
             (0, 1, 2),
-            backend="numpy",
         )
         stat = perf.counters.stages[stage]
         return stat.allocs, stat.calls
@@ -184,7 +182,6 @@ class TestDrawBufferAllocRegression:
             DBDPPolicy(),
             600,
             (0, 1, 2),
-            backend="numpy",
             rng="free",
         )
         stat = perf.counters.stages["draws.uniform_refill"]
@@ -215,7 +212,6 @@ class TestEldfWeightBufferReuse:
             ELDFPolicy(**kwargs),
             seeds=(0, 1, 2),
             validate=False,
-            backend="numpy",
         )
 
     def test_workspace_owns_a_persistent_weight_plane(self):

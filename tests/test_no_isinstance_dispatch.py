@@ -4,8 +4,8 @@ The policy registry (:mod:`repro.core.registry`) is the single place
 allowed to decide behaviour from a policy's type.  Everywhere else —
 kernel selection, engine fallbacks, cache fingerprints, CLI construction
 — consults the registered :class:`~repro.core.registry.PolicyDescriptor`
-and its capability flags.  This test (mirrored by a CI grep step) fails
-if ``isinstance(x, SomePolicy)``-style dispatch reappears outside the
+and its capability flags.  This test fails if
+``isinstance(x, SomePolicy)``-style dispatch reappears outside the
 registry, so the refactor cannot silently regress.
 
 ``isinstance`` checks on *non-policy* types (channels, arrival
@@ -21,8 +21,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Matches isinstance(...) whose class argument names a policy type:
 #: the ``*Policy`` naming convention, the generic ``DPProtocol`` family,
-#: or the ``IntervalMac`` base class.  Kept in sync with the CI lint
-#: step in .github/workflows/ci.yml.
+#: or the ``IntervalMac`` base class.
 PATTERN = re.compile(
     r"isinstance\([^)]*,\s*\(?[^)]*(Policy|DPProtocol|IntervalMac)"
 )

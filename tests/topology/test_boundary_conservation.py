@@ -5,7 +5,7 @@ a boundary link (member of two cells) is never served in both cells in
 the same interval, only its per-interval *owner* membership ever sees
 arrivals, and the aggregated per-link delivery sums equal the plain sum
 over memberships (no double-counting).  Asserted across all RNG
-disciplines and kernel backends.
+disciplines.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ import pytest
 
 from repro import DBDPPolicy
 from repro.experiments.configs import video_symmetric_spec
-from repro.sim import jit_kernels
-from repro.sim.batch_kernels import KERNEL_BACKENDS
 from repro.topology import BoundaryOwnerDraws, TopologySimulator, grid_cells
 
 SEEDS = (0, 1, 2)
@@ -23,31 +21,21 @@ NUM_LINKS = 12
 NUM_CELLS = 3
 
 
-@pytest.fixture
-def jit_runnable(monkeypatch):
-    if not jit_kernels.HAS_NUMBA:
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-    return jit_kernels.HAS_NUMBA
-
-
-def _run(rng, backend):
+def _run(rng):
     spec = video_symmetric_spec(0.6, num_links=NUM_LINKS)
     topo = grid_cells(NUM_LINKS, NUM_CELLS, cross_cell_fraction=0.5)
     assert topo.boundary_links, "property test needs boundary links"
     sim = TopologySimulator(
         spec, DBDPPolicy(), SEEDS, topo,
-        rng=rng, backend=backend, record_traces=True,
+        rng=rng, record_traces=True,
     )
     result = sim.run(INTERVALS)
     return topo, sim, result
 
 
 @pytest.mark.parametrize("rng", ["sync", None, "free"])
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_boundary_conservation(rng, backend, jit_runnable):
-    if backend == "legacy" and rng == "free":
-        pytest.skip("rng='free' is not available on the legacy backend")
-    topo, sim, result = _run(rng, backend)
+def test_boundary_conservation(rng):
+    topo, sim, result = _run(rng)
     traces = sim.sim.result
     S = len(SEEDS)
     for link in topo.boundary_links:
@@ -60,7 +48,7 @@ def test_boundary_conservation(rng, backend, jit_runnable):
         serving = sum((d > 0).astype(int) for d in served)
         assert serving.max() <= 1, (
             f"boundary link {link} served in two cells at once "
-            f"(rng={rng}, backend={backend})"
+            f"(rng={rng})"
         )
         # No double-counting: the aggregated per-link sum is the plain
         # sum over memberships.
@@ -70,7 +58,7 @@ def test_boundary_conservation(rng, backend, jit_runnable):
 
 @pytest.mark.parametrize("rng", ["sync", None, "free"])
 def test_only_the_owner_sees_arrivals(rng):
-    topo, sim, _ = _run(rng, "numpy")
+    topo, sim, _ = _run(rng)
     traces = sim.sim.result
     S = len(SEEDS)
     # Replay the owner stream: a pure function of (topology, seeds),

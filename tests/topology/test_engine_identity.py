@@ -4,7 +4,7 @@ The acceptance property of the multi-cell lowering: with no cross-cell
 edges, row (cell, seed) of the packed run computes *per-interval*
 bit-identically to row (seed) of an independent
 ``BatchIntervalSimulator`` bound to that cell's sliced spec and
-cell-keyed streams — on every kernel backend and draw discipline.
+cell-keyed streams — under every draw discipline.
 """
 
 import numpy as np
@@ -12,8 +12,6 @@ import pytest
 
 from repro import DBDPPolicy
 from repro.experiments.configs import video_symmetric_spec
-from repro.sim import jit_kernels
-from repro.sim.batch_kernels import KERNEL_BACKENDS
 from repro.sim.batch_sim import BatchIntervalSimulator
 from repro.topology import (
     TopologyResult,
@@ -30,29 +28,17 @@ NUM_CELLS = 3
 CELL_WIDTHS = (4, 64)
 
 
-@pytest.fixture
-def jit_runnable(monkeypatch):
-    """Make backend='jit' runnable: compiled if numba is present, else
-    forced through the pure-Python loop bodies."""
-    if not jit_kernels.HAS_NUMBA:
-        monkeypatch.setattr(jit_kernels, "force_python", True)
-    return jit_kernels.HAS_NUMBA
-
-
 @pytest.mark.parametrize("rng", ["sync", None, "free"])
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-def test_disconnected_bit_identical_per_interval(rng, backend, jit_runnable):
-    if backend == "legacy" and rng == "free":
-        pytest.skip("rng='free' is not available on the legacy backend")
+def test_disconnected_bit_identical_per_interval(rng):
     # Width 64 exceeds max_transmissions + 1, so DB-DP binds the
-    # incremental DP state on the workspace backends.
+    # incremental DP state off sync mode.
     for width in CELL_WIDTHS:
         num_links = width * NUM_CELLS
         spec = video_symmetric_spec(0.55, num_links=num_links)
         topo = partition_cells(num_links, NUM_CELLS)
         sim = TopologySimulator(
             spec, DBDPPolicy(), SEEDS, topo,
-            rng=rng, backend=backend, record_traces=True,
+            rng=rng, record_traces=True,
         )
         sim.run(INTERVALS)
         packed = sim.sim.result
@@ -61,17 +47,14 @@ def test_disconnected_bit_identical_per_interval(rng, backend, jit_runnable):
             kwargs = {} if rng == "sync" else {"stream_tag": cell_stream_tag(c)}
             independent = BatchIntervalSimulator(
                 sim.packing.cell_specs[c], DBDPPolicy(), SEEDS,
-                rng=rng, backend=backend, record_traces=True, **kwargs,
+                rng=rng, record_traces=True, **kwargs,
             ).run(INTERVALS)
             rows = slice(c * S, (c + 1) * S)
             for field in ("arrivals", "deliveries", "attempts", "collisions"):
                 np.testing.assert_array_equal(
                     getattr(packed, field)[:, rows],
                     getattr(independent, field),
-                    err_msg=(
-                        f"width {width} cell {c} rng={rng} "
-                        f"backend={backend} {field}"
-                    ),
+                    err_msg=f"width {width} cell {c} rng={rng} {field}",
                 )
 
 

@@ -54,25 +54,25 @@ def _boundary_topology():
 
 
 # Recorded with the earlier per-cell draw wrappers of the topology engine;
-# the row-block streams must keep every bit.
+# the row-block streams must keep every bit.  The last key element names
+# the kernel path the digest was recorded on (the retired pre-workspace
+# path gave the same digests).
 BOUNDARY_DIGESTS = {
     ("DB-DP", None, "numpy"): "d9c6557c4d657a336a63dccab1bf524d4c632655c60d0b1a65f8bb747a210bef",
     ("DB-DP", "free", "numpy"): "6b44ec697ba88fd8d1f6a6c77be588ee85af84d37685eab785056ffcdbd5f198",
     ("DB-DP", "sync", "numpy"): "6368cbb10174c55664e2305f75c9d9d67f9b45ca9a0ce8cd240d9ecfe9e3cc78",
-    ("DB-DP", None, "legacy"): "d9c6557c4d657a336a63dccab1bf524d4c632655c60d0b1a65f8bb747a210bef",
-    ("DB-DP", "sync", "legacy"): "6368cbb10174c55664e2305f75c9d9d67f9b45ca9a0ce8cd240d9ecfe9e3cc78",
     ("ELDF", None, "numpy"): "dd2f8157bbfe19f399d028f65522332c8b0354a159a253567cd316c7946b67fd",
 }
 POLICIES = {"DB-DP": DBDPPolicy, "ELDF": ELDFPolicy}
 
 
-@pytest.mark.parametrize("family, rng, backend", list(BOUNDARY_DIGESTS))
-def test_boundary_topology_digests_pinned(family, rng, backend):
+@pytest.mark.parametrize("family, rng, recorded_on", list(BOUNDARY_DIGESTS))
+def test_boundary_topology_digests_pinned(family, rng, recorded_on):
     result = run_topology_batch(
         _boundary_spec(), POLICIES[family](), SEEDS, _boundary_topology(),
-        INTERVALS, rng=rng, backend=backend,
+        INTERVALS, rng=rng,
     )
-    assert _digest(result) == BOUNDARY_DIGESTS[(family, rng, backend)]
+    assert _digest(result) == BOUNDARY_DIGESTS[(family, rng, recorded_on)]
 
 
 def test_stateful_channel_digest_pinned():
