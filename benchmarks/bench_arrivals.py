@@ -2,7 +2,7 @@
 robustness grid.
 
 Before the batchable arrival-state layer, Markov-modulated specs forced
-the scalar engine (or ``sync_rng``'s scalar-speed clones): every
+the scalar engine (or ``rng="sync"``'s scalar-speed clones): every
 (burstiness, policy, seed) cell paid a Python per-interval loop.  The
 fused engine now evolves the per-(seed, link) modulating chains
 vectorized across all rows under ``rng="free"``, so the whole grid

@@ -3,7 +3,7 @@
 ``run_sweep(engine="batch")`` vectorizes each (parameter value, policy)
 cell across seeds but still pays one Python per-interval loop per cell; a
 full figure grid is V x P of those.  ``run_sweep_fused`` collapses every
-fusable (value, seed) cell of a policy family into one mega-batch, so the
+batchable (value, seed) cell of a policy family into one mega-batch, so the
 whole sweep costs one interval loop per policy family.  This benchmark
 times both on a full Fig. 3-style sweep at 0.02 alpha resolution (16
 alpha values x 20 seeds x DB-DP + LDF), then re-runs the fused sweep

@@ -28,7 +28,7 @@ Experiments
 Policy registry
     :mod:`repro.core.registry` — one :class:`~repro.core.registry.\
 PolicyDescriptor` per policy family (name, config round-trip, batch
-    kernel, capability flags); every engine, the sweep cache, and the
+    kernel, incremental DP state); every engine, the sweep cache, and the
     CLI dispatch through it.  ``registry.available()`` lists the names.
 """
 
@@ -55,7 +55,7 @@ from .core.influence import (
     PowerInfluence,
 )
 from .core.policies import IntervalMac, IntervalOutcome
-from .core.registry import PolicyCapabilities, PolicyDescriptor
+from .core.registry import PolicyDescriptor
 from .core.requirements import NetworkSpec
 from .core.static_priority import StaticPriorityPolicy
 from .phy.channel import (
@@ -152,5 +152,4 @@ __all__ = [
     # policy registry
     "registry",
     "PolicyDescriptor",
-    "PolicyCapabilities",
 ]

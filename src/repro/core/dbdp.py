@@ -212,7 +212,7 @@ class DBDPPolicy(DPProtocol):
 # descriptor (EstimatedDBDPPolicy) resolve here via the MRO.
 # ----------------------------------------------------------------------
 from . import registry as _registry  # noqa: E402  (self-registration)
-from .dp_protocol import DP_FAMILY_CAPABILITIES, dp_family_config  # noqa: E402
+from .dp_protocol import dp_family_config  # noqa: E402
 
 
 def _dbdp_from_config(config: dict) -> "DBDPPolicy":
@@ -232,6 +232,6 @@ _registry.register(
         to_config=dp_family_config,
         from_config=_dbdp_from_config,
         batch_kernel="repro.sim.batch_kernels:BatchDPKernel",
-        capabilities=DP_FAMILY_CAPABILITIES,
+        incremental_dp=True,
     )
 )

@@ -520,21 +520,6 @@ def dp_family_config(policy: DPProtocol) -> dict:
     }
 
 
-#: One capability set for every DP-family descriptor: vectorized, grid
-#: fusable, sync-RNG capable, per-row swap-bias parameters
-#: (``stack_swap_biases``), incremental priority-state maintenance
-#: (``dp_state="incremental"``).
-DP_FAMILY_CAPABILITIES = _registry.PolicyCapabilities(
-    batchable=True,
-    fusable=True,
-    supports_sync_rng=True,
-    supports_per_row_params=True,
-    supports_free_rng=True,
-    supports_incremental_dp=True,
-    supports_topology=True,
-    supports_markov_channel=True,
-)
-
 _registry.register(
     _registry.PolicyDescriptor(
         name="DP",
@@ -549,6 +534,6 @@ _registry.register(
         ),
         factory=None,  # the generic protocol needs an explicit bias
         batch_kernel="repro.sim.batch_kernels:BatchDPKernel",
-        capabilities=DP_FAMILY_CAPABILITIES,
+        incremental_dp=True,
     )
 )

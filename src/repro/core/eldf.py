@@ -109,19 +109,6 @@ class LDFPolicy(ELDFPolicy):
 # ----------------------------------------------------------------------
 from . import registry as _registry  # noqa: E402  (self-registration)
 
-#: Ordered-service kernels (ELDF/LDF, round-robin, static priority) are
-#: vectorized and fusable but take no per-row policy parameters: fused
-#: rows must share one configuration (the kernel enforces it at bind).
-ORDERED_SERVICE_CAPABILITIES = _registry.PolicyCapabilities(
-    batchable=True,
-    fusable=True,
-    supports_sync_rng=True,
-    supports_per_row_params=False,
-    supports_free_rng=True,
-    supports_topology=True,
-    supports_markov_channel=True,
-)
-
 
 def _eldf_config(policy: ELDFPolicy) -> dict:
     return {"influence": _registry.encode_config_value(policy.influence)}
@@ -136,7 +123,6 @@ _registry.register(
             influence=_registry.decode_config_value(config["influence"])
         ),
         batch_kernel="repro.sim.batch_kernels:BatchELDFKernel",
-        capabilities=ORDERED_SERVICE_CAPABILITIES,
     )
 )
 
@@ -147,6 +133,5 @@ _registry.register(
         to_config=_eldf_config,
         from_config=lambda config: LDFPolicy(),  # influence is fixed linear
         batch_kernel="repro.sim.batch_kernels:BatchELDFKernel",
-        capabilities=ORDERED_SERVICE_CAPABILITIES,
     )
 )

@@ -18,10 +18,13 @@ switches with a single source of truth: each policy family registers one
   :meth:`PolicyDescriptor.build`) used for cache fingerprints and
   by-name construction,
 * an optional batch-kernel factory (a lazy ``"module:Class"`` reference,
-  so policy modules never import the simulation engine), and
-* declarative :class:`PolicyCapabilities` flags consumed by the engine
-  dispatch sites (``batchable``, ``fusable``, ``supports_sync_rng``,
-  ``supports_per_row_params``, ...).
+  so policy modules never import the simulation engine) — naming one is
+  what makes a family *batchable*: every batch path (per-cell, fused,
+  topology, every ``rng=`` discipline, stateful channels and arrivals)
+  is then open to it, subject only to the spec checks of
+  :func:`repro.sim.batch_sim.batch_refusal` — and
+* ``incremental_dp``, set by the DP family, whose kernel can maintain its
+  priority state incrementally (``dp_state="incremental"``).
 
 Adding a new policy is now a one-file change::
 
@@ -40,11 +43,11 @@ Adding a new policy is now a one-file change::
         from_config=lambda c: MyPolicy(knob=c["knob"]),
     ))
 
-With no capability flags the policy is scalar-only: every engine
+With no ``batch_kernel`` the policy is scalar-only: every engine
 (``engine="batch"``/``"fused"`` included) transparently falls back to the
 scalar interval simulator for it, and its sweep cells are cacheable with
-no further code.  Declaring ``capabilities`` + ``batch_kernel`` later
-upgrades it to the vectorized paths without touching any dispatch site.
+no further code.  Naming a ``batch_kernel`` later upgrades it to the
+vectorized paths without touching any dispatch site.
 
 This module deliberately owns the only ``isinstance``-on-policy logic in
 the package (a CI lint enforces that it stays that way).
@@ -55,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -69,7 +72,6 @@ from typing import (
 )
 
 __all__ = [
-    "PolicyCapabilities",
     "PolicyDescriptor",
     "register",
     "unregister",
@@ -79,8 +81,8 @@ __all__ = [
     "create",
     "policy_config",
     "policy_label",
-    "has_capability",
     "has_kernel",
+    "kernel_refusal",
     "make_kernel",
     "same_kernel_family",
     "resolve_policies",
@@ -114,86 +116,6 @@ _BUILTIN_POLICY_MODULES = (
 )
 
 
-@dataclass(frozen=True)
-class PolicyCapabilities:
-    """What the performance layers may do with a policy family.
-
-    Attributes
-    ----------
-    batchable:
-        The family has a vectorized batch kernel
-        (``PolicyDescriptor.batch_kernel``); ``engine="batch"`` runs all
-        seeds of a cell at once instead of falling back to scalar runs.
-    fusable:
-        Cells of this family may join a grid-fused mega-batch
-        (:func:`repro.experiments.grid.run_sweep_fused`).  Requires
-        ``batchable``; kernels may still reject a *particular* stack at
-        bind time (heterogeneous timings, unstackable parameters), which
-        degrades to per-cell simulation.
-    supports_sync_rng:
-        The kernel's ``sync_rng=True`` mode (scalar-identical streams,
-        bit-exact against the scalar engine) is available.
-    supports_per_row_params:
-        Fused rows may carry per-row policy parameters (e.g. the DP
-        kernel's per-row Glauber constants); families without it require
-        every fused row to share one configuration.
-    supports_free_rng:
-        The kernel honors the ``rng="free"`` draw discipline (demand-sized
-        blocks from independent free substreams; statistical equivalence
-        instead of bit-identity — see :mod:`repro.sim.rng`).  Families
-        without it degrade to the lockstep batch discipline (the fused
-        runner warns once per sweep).
-    supports_incremental_dp:
-        The batch kernel maintains its priority state incrementally
-        (``dp_state="incremental"``): the permutation, its inverse and
-        the serve-order tables persist in the workspace across intervals
-        and only accepted adjacent swaps are applied, so the per-interval
-        cost tracks the protocol's O(num_pairs) moves instead of N.
-        Bit-identical to the dense recompute; families without it always
-        run dense.
-    supports_topology:
-        The family can run under the multi-cell interference-graph layer
-        (:mod:`repro.topology`): its batch kernel draws every random
-        input through the swappable chunked draw objects, so the
-        topology engine can key each cell's randomness to the cell's own
-        streams.  Families without it degrade to single-domain runs (the
-        runner warns once per sweep).  Requires ``batchable``.
-    supports_markov_channel:
-        The family's batch kernel consumes channel randomness exclusively
-        through the chunked channel-draw object, so a stateful channel's
-        per-interval state (Gilbert-Elliott Markov evolution, time-varying
-        schedules) can be threaded in as dynamic per-chunk probability
-        planes.  Families without it degrade to the scalar engine for
-        stateful channels (the runner warns once per sweep).  Requires
-        ``batchable``.
-    """
-
-    batchable: bool = False
-    fusable: bool = False
-    supports_sync_rng: bool = True
-    supports_per_row_params: bool = False
-    supports_free_rng: bool = False
-    supports_incremental_dp: bool = False
-    supports_topology: bool = False
-    supports_markov_channel: bool = False
-
-    def __post_init__(self) -> None:
-        if self.fusable and not self.batchable:
-            raise ValueError("a fusable policy family must be batchable")
-        if self.supports_topology and not self.batchable:
-            raise ValueError(
-                "a topology-capable policy family must be batchable"
-            )
-        if self.supports_markov_channel and not self.batchable:
-            raise ValueError(
-                "a markov-channel-capable policy family must be batchable"
-            )
-
-
-#: Scalar-only capability set (the default): every engine falls back to
-#: the scalar interval simulator.
-SCALAR_ONLY = PolicyCapabilities()
-
 #: Sentinel distinguishing "factory omitted" (defaults to the policy
 #: class) from an explicit ``factory=None`` (no default construction).
 _FACTORY_UNSET: Any = object()
@@ -225,8 +147,14 @@ class PolicyDescriptor:
         Lazy ``"module:ClassName"`` reference to the family's
         :class:`~repro.sim.batch_kernels.BatchPolicyKernel`, or a
         callable ``policy -> kernel``; ``None`` for scalar-only families.
-    capabilities:
-        Declarative capability flags; see :class:`PolicyCapabilities`.
+    incremental_dp:
+        The batch kernel can maintain the priority state incrementally
+        (``dp_state="incremental"``): the permutation, its inverse and
+        the serve-order tables persist in the workspace across intervals
+        and only accepted adjacent swaps are applied, so the per-interval
+        cost tracks the protocol's O(num_pairs) moves instead of N.
+        Bit-identical to the dense recompute; families without it always
+        run dense.
     """
 
     name: str
@@ -235,23 +163,13 @@ class PolicyDescriptor:
     from_config: Callable[[dict], Any]
     factory: Optional[Callable[[], Any]] = _FACTORY_UNSET
     batch_kernel: Union[None, str, Callable[[Any], Any]] = None
-    capabilities: PolicyCapabilities = field(default=SCALAR_ONLY)
+    incremental_dp: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("descriptor needs a non-empty name")
         if self.factory is _FACTORY_UNSET:
             object.__setattr__(self, "factory", self.policy_class)
-        if self.capabilities.batchable and self.batch_kernel is None:
-            raise ValueError(
-                f"descriptor {self.name!r} declares batchable=True but "
-                "supplies no batch_kernel"
-            )
-        if self.batch_kernel is not None and not self.capabilities.batchable:
-            raise ValueError(
-                f"descriptor {self.name!r} supplies a batch_kernel but "
-                "declares batchable=False"
-            )
 
     # -- construction --------------------------------------------------
     def build(self, config: Optional[Mapping[str, Any]] = None) -> Any:
@@ -430,41 +348,38 @@ def policy_config(policy: Any) -> Optional[dict]:
 
 
 # -- kernel dispatch ---------------------------------------------------
-def has_capability(policy: Any, name: str) -> bool:
-    """Whether ``policy``'s registered family declares capability ``name``.
-
-    ``name`` is a boolean :class:`PolicyCapabilities` field; unregistered
-    policies declare nothing.
-    """
-    descriptor = descriptor_for(policy)
-    if descriptor is None:
-        return False
-    return bool(getattr(descriptor.capabilities, name))
-
-
 def has_kernel(policy: Any) -> bool:
-    """Whether ``policy`` resolves to a family with a batch kernel."""
-    return has_capability(policy, "batchable")
+    """Whether ``policy`` resolves to a family that names a batch kernel."""
+    descriptor = descriptor_for(policy)
+    return descriptor is not None and descriptor.batch_kernel is not None
+
+
+def kernel_refusal(policy: Any) -> Optional[str]:
+    """``None`` when ``policy`` has a batch kernel, else why not.
+
+    The message names the batchable families, so engine callers can
+    say where to go instead.
+    """
+    if has_kernel(policy):
+        return None
+    batchable = [n for n in available() if get(n).batch_kernel is not None]
+    return (
+        f"no batch kernel for policy {type(policy).__name__!r}; "
+        f"batchable families: {', '.join(batchable)}"
+    )
 
 
 def make_kernel(policy: Any) -> Any:
     """Instantiate the batch kernel serving ``policy``.
 
-    Raises ``TypeError`` for scalar-only and unregistered families,
-    naming the batchable families, so engine callers can fall back.
+    Raises ``TypeError`` (:func:`kernel_refusal`'s message) for
+    scalar-only and unregistered families, so engine callers can fall
+    back.
     """
-    descriptor = descriptor_for(policy)
-    if descriptor is None or not descriptor.capabilities.batchable:
-        batchable = [
-            n for n in available() if get(n).capabilities.batchable
-        ]
-        raise TypeError(
-            f"no batch kernel for policy {type(policy).__name__!r}; "
-            f"batchable families: {', '.join(batchable)}"
-        )
-    factory = descriptor.kernel_factory()
-    assert factory is not None  # batchable guarantees a kernel reference
-    return factory(policy)
+    refusal = kernel_refusal(policy)
+    if refusal is not None:
+        raise TypeError(refusal)
+    return descriptor_for(policy).kernel_factory()(policy)
 
 
 def same_kernel_family(a: Any, b: Any) -> bool:

@@ -94,7 +94,6 @@ class StaticPriorityPolicy(IntervalMac):
 # Registry descriptor (repro.core.registry).
 # ----------------------------------------------------------------------
 from . import registry as _registry  # noqa: E402  (self-registration)
-from .eldf import ORDERED_SERVICE_CAPABILITIES  # noqa: E402
 
 _registry.register(
     _registry.PolicyDescriptor(
@@ -107,6 +106,5 @@ _registry.register(
             priorities=_registry.decode_config_value(config["priorities"])
         ),
         batch_kernel="repro.sim.batch_kernels:BatchStaticPriorityKernel",
-        capabilities=ORDERED_SERVICE_CAPABILITIES,
     )
 )

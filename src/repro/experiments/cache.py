@@ -28,12 +28,12 @@ directory; the ``REPRO_SWEEP_CACHE`` environment variable overrides it
 (set it to ``off`` to disable caching even where code requests it).
 
 One semantic caveat, inherited from the grid-fused engine
-(:mod:`repro.experiments.grid`): in the default ``sync_rng=False`` mode a
+(:mod:`repro.experiments.grid`): in the default ``rng="batch"`` mode a
 cell's *sampled values* depend on the composition of the fused mega-batch
 it ran in, so a cell recomputed inside a different sweep is a fresh
 (statistically equivalent) sample rather than a bit-identical replay.
 Warm hits of a previously stored cell are always bit-identical; only
-cold recomputations in a new stack resample.  ``sync_rng=True`` cells
+cold recomputations in a new stack resample.  ``rng="sync"`` cells
 are bit-identical either way.
 """
 
@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from ..core import registry
+from ..sim.rng import normalize_rng_mode
 from .runner import SweepPoint
 
 __all__ = [
@@ -168,18 +169,17 @@ class SweepCache:
         seeds: Sequence[int],
         num_intervals: int,
         groups: Optional[Sequence[int]] = None,
-        sync_rng: bool = False,
         engine: str = "fused",
         rng: Optional[str] = None,
         topology=None,
     ) -> Optional[str]:
         """Content key for one sweep cell, or ``None`` if uncacheable.
 
-        ``rng`` names a non-default draw discipline (``"free"``); cells
-        run under it are cacheable but keyed distinctly from the default
-        lockstep-batch/sync cells.  ``None`` (the default discipline)
-        omits the field entirely so every pre-existing key is preserved
-        byte for byte.  Shard count is deliberately *not* part of the
+        ``rng`` is the draw discipline the cell ran under
+        (:data:`~repro.sim.rng.RNG_MODES`; ``None`` is ``"batch"``).
+        The payload keeps its historical layout so every pre-existing
+        key is preserved byte for byte: a boolean flag marks ``"sync"``
+        cells, and only ``"free"`` cells add an ``"rng"`` field.  Shard count is deliberately *not* part of the
         key: a warm hit replays the stored point no matter how the stack
         was split, and cold recomputation in a different stack is a fresh
         sample of the same estimator (the sharded runner re-runs whole
@@ -190,6 +190,7 @@ class SweepCache:
         multi-cell points distinctly via the topology's canonical
         fingerprint.
         """
+        mode = normalize_rng_mode(rng)
         policy_fp = policy_fingerprint(policy)
         if policy_fp is None:
             return None
@@ -201,15 +202,15 @@ class SweepCache:
             "schema": _SCHEMA,
             "code": engine_version(),
             "engine": str(engine),
-            "sync_rng": bool(sync_rng),
+            "sync_rng": mode == "sync",
             "spec": spec_fp,
             "policy": policy_fp,
             "seeds": [int(s) for s in seeds],
             "num_intervals": int(num_intervals),
             "groups": None if groups is None else [int(g) for g in groups],
         }
-        if rng is not None:
-            payload["rng"] = str(rng)
+        if mode == "free":
+            payload["rng"] = mode
         if topology is not None:
             payload["topology"] = topology.fingerprint()
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="draw discipline for the batch/fused engines: 'sync' is "
         "bit-identical to the scalar engine (slow), 'batch' is the "
-        "default lockstep-vectorized discipline, 'free' lets capable "
+        "default lockstep-vectorized discipline, 'free' lets the "
         "kernels draw only what they consume (statistically "
         "equivalent, fastest)",
     )
@@ -122,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="C",
         help="simulate each sweep point as a multi-cell interference "
         "topology of C cells (grid_cells over the spec's links) instead "
-        "of one collision domain; capable policy families run on the "
-        "topology engine, others degrade with a warning (sweep figures "
-        "only; implies --engine fused unless --engine is given)",
+        "of one collision domain; policy families with a batch kernel "
+        "run on the topology engine, others degrade with a warning "
+        "(sweep figures only; implies --engine fused unless --engine is "
+        "given)",
     )
     parser.add_argument(
         "--cross-cell-fraction",
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "engines: 'dense' rebuilds the service order every interval, "
         "'incremental' maintains it across intervals with O(swaps) "
         "updates and a serve-set timeline solve (bit-identical, much "
-        "faster at large link counts; default: capability-resolved)",
+        "faster at large link counts; default: resolved per policy family)",
     )
     parser.add_argument(
         "--csv",

@@ -18,7 +18,7 @@ Semantics:
 * Per-row results are scattered back into ordinary
   :class:`~repro.experiments.runner.SweepPoint`s using float operations
   chosen to match the per-cell batch runner bit-for-bit given the same
-  draws.  With ``sync_rng=True`` every row is bit-identical to the scalar
+  draws.  With ``rng="sync"`` every row is bit-identical to the scalar
   engine (and hence to per-cell batch sync runs); in the default mode each
   row is an independent sample of the same distribution, drawn from
   ``"fused"``-tagged batch streams.
@@ -29,11 +29,10 @@ Semantics:
   scalar), so ``run_sweep_fused`` accepts anything ``run_sweep`` does.
 * Pass ``cache=True`` (or a directory / :class:`SweepCache`) to memoize
   finished cells on disk; see :mod:`repro.experiments.cache`.
-* ``rng="free"`` switches capable policy families to independently
+* ``rng="free"`` switches batchable policy families to independently
   derived free-draw substreams (statistically equivalent, not
   bit-identical, to the default lockstep-batch discipline); families
-  that do not declare :attr:`~repro.core.registry.PolicyCapabilities.
-  supports_free_rng` degrade to the batch discipline with one
+  without a batch kernel run on the scalar engine, announced with one
   ``UserWarning`` per sweep.
 * ``shards=K`` splits the grid into K row-contiguous shards dispatched
   through the fault-tolerant process orchestrator of
@@ -120,25 +119,21 @@ def _group_signature(cell: _Cell) -> Tuple:
 def _partition(
     cells: List[_Cell],
 ) -> Tuple[Dict[Tuple, List[_Cell]], List[_Cell]]:
-    """Split unresolved cells into fusable mega-batch groups and fallbacks.
+    """Split unresolved cells into mega-batch groups and fallbacks.
 
-    Fusability is a declared capability (the registry's ``fusable`` flag,
-    via supports_batch_engine) — scalar-only families (DCF, FCSMA,
-    frame-CSMA) land in the fallback path declaratively rather than as
-    the implicit ``else`` of a type switch.  The group key includes the
-    cell's *effective* draw discipline so free-draw groups never share a
-    stack (or lockstep draws) with degraded batch-discipline groups.
+    A cell joins a mega-batch when the batch engine accepts it
+    (:func:`~repro.sim.batch_sim.supports_batch_engine`); scalar-only
+    families (DCF, FCSMA, frame-CSMA) and specs the gate refuses land in
+    the fallback path.  The group key includes the cell's *effective*
+    draw discipline so free-draw groups never share a stack (or lockstep
+    draws) with degraded batch-discipline groups.
     """
     fused_groups: Dict[Tuple, List[_Cell]] = {}
     fallback: List[_Cell] = []
     for cell in cells:
         if cell.point is not None:
             continue
-        if registry.has_capability(
-            cell.policy, "fusable"
-        ) and supports_batch_engine(
-            cell.spec, cell.policy, sync_rng=cell.rng == "sync", rng=cell.rng
-        ):
+        if supports_batch_engine(cell.spec, cell.policy, rng=cell.rng):
             key = (_group_signature(cell), cell.rng)
             fused_groups.setdefault(key, []).append(cell)
         else:
@@ -158,7 +153,7 @@ def _scatter_points(
     delivery/collision sums make the means exact, and the per-cell row
     slices feed ``mean()``/``std()`` the same values in the same order, so
     a fused cell equals its per-cell counterpart bit-for-bit whenever the
-    underlying draws match (``sync_rng=True``).
+    underlying draws match (``rng="sync"``).
     """
     totals_all = stats.total_deficiency()  # (R,)
     collisions_all = stats.total_collisions().astype(float)  # (R,)
@@ -311,8 +306,8 @@ def _simulate_cells(
     unsharded path and the per-shard workers; cells that cannot join a
     mega-batch are appended to ``fallback`` for the per-cell runner.
     """
-    fused_groups, unfusable = _partition(cells)
-    fallback.extend(unfusable)
+    fused_groups, singles = _partition(cells)
+    fallback.extend(singles)
     built: List[Tuple[List[_Cell], BatchIntervalSimulator]] = []
     with perf.stage("fused.build"):
         for group_cells in fused_groups.values():
@@ -561,7 +556,6 @@ def run_sweep_fused(
     seeds: Sequence[int] = (0,),
     groups: Optional[Sequence[int]] = None,
     *,
-    sync_rng: bool = False,
     rng: Optional[str] = None,
     shards: Optional[int] = None,
     cache: Union[None, bool, str, SweepCache] = None,
@@ -575,20 +569,17 @@ def run_sweep_fused(
     Same signature and :class:`SweepResult` contract as ``run_sweep``,
     plus:
 
-    sync_rng:
-        Drive every row with scalar-identical streams (bit-exact against
-        the scalar and per-cell batch engines, but slow) instead of the
-        default vectorized batch streams.
     rng:
         Draw discipline (:data:`~repro.sim.rng.RNG_MODES`).  ``None``
-        keeps the default (lockstep batch, or sync when ``sync_rng``);
-        ``"free"`` lets capable kernels draw only what they consume from
-        independently derived substreams — statistically equivalent to
-        (but not bit-identical with) the batch discipline, and faster.
-        Families without
-        :attr:`~repro.core.registry.PolicyCapabilities.supports_free_rng`
-        degrade to the batch discipline with one ``UserWarning`` per
-        sweep.  Free-rng cells are cacheable but keyed distinctly.
+        keeps the default lockstep batch discipline; ``"sync"`` drives
+        every row with scalar-identical streams (bit-exact against the
+        scalar and per-cell batch engines, but slow); ``"free"`` lets
+        the kernels draw only what they consume from independently
+        derived substreams — statistically equivalent to (but not
+        bit-identical with) the batch discipline, and faster.  Families
+        without a batch kernel run on the scalar engine, announced with
+        one ``UserWarning`` per sweep.  Free-rng cells are cacheable but
+        keyed distinctly.
     shards:
         Split the grid into this many row-contiguous shards and run them
         as separate mega-batches through the fault-tolerant process
@@ -610,8 +601,8 @@ def run_sweep_fused(
         DP-family priority-state maintenance mode
         (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`): ``"dense"``,
         ``"incremental"``, or ``None`` (resolve from the environment and
-        the family capability).  Both modes are bit-identical, so the
-        cache key deliberately excludes it.
+        the family's ``incremental_dp``).  Both modes are bit-identical,
+        so the cache key deliberately excludes it.
     faults:
         ``None`` (default) keeps fail-fast semantics.  A
         :class:`~repro.experiments.faults.FaultPolicy` retries failures
@@ -627,19 +618,19 @@ def run_sweep_fused(
         optimization.
     topology:
         A :class:`~repro.topology.graph.CellTopology` — or a builder
-        called with each value's spec — switches capable policy families
-        (``supports_topology``) onto the multi-cell engine: every
+        called with each value's spec — switches batchable policy
+        families onto the multi-cell engine: every
         (seed, cell) pair of the topology becomes one engine row, and
         ``shards`` splits the topology's cells across worker processes
-        instead of splitting the sweep grid.  Families without the
-        capability degrade to the per-cell batch runner with one
-        ``UserWarning`` per sweep.
+        instead of splitting the sweep grid.  Families without a batch
+        kernel degrade to the per-cell runner with one ``UserWarning``
+        per sweep.
     """
     if num_intervals <= 0:
         raise ValueError(f"num_intervals must be positive, got {num_intervals}")
     if not seeds:
         raise ValueError("need at least one seed")
-    rng_mode = normalize_rng_mode(rng, sync_rng)
+    rng_mode = normalize_rng_mode(rng)
     _check_dp_state(dp_state)
     if shards is not None and int(shards) < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -652,7 +643,7 @@ def run_sweep_fused(
     )
 
     if topology is not None:
-        # Each capable cell is already a mega-batch — every (seed,
+        # Each batchable cell is already a mega-batch — every (seed,
         # cell-of-topology) pair is one engine row — and ``shards``
         # splits the topology's cells across worker processes instead
         # of the sweep grid.

@@ -498,7 +498,6 @@ def run_sweep_parallel(
                     seeds=seeds_t,
                     num_intervals=num_intervals,
                     groups=groups_t,
-                    sync_rng=False,
                     engine=key_engine,
                 )
                 if key is None:

@@ -161,26 +161,26 @@ def _plan_cell(
     dp_state: Optional[str],
     topology,
 ) -> _Cell:
-    """Resolve one cell against its family's declared capabilities.
+    """Resolve one cell against its family's registry descriptor.
 
-    A family without ``supports_free_rng`` runs ``rng="free"`` under the
-    default batch discipline, one without ``supports_incremental_dp``
-    runs as if ``dp_state=None``, and one without ``supports_topology``
-    runs single-domain.  ``label=None`` takes the policy's registry label.
+    A family without a batch kernel runs ``rng="free"`` as the default
+    discipline and ignores ``topology``; one without ``incremental_dp``
+    runs as if ``dp_state=None``.  ``label=None`` takes the policy's
+    registry label.
     """
     policy = factory()
-    free = registry.has_capability(policy, "supports_free_rng")
-    incremental = registry.has_capability(policy, "supports_incremental_dp")
-    multi_cell = registry.has_capability(policy, "supports_topology")
+    batchable = registry.has_kernel(policy)
+    descriptor = registry.descriptor_for(policy)
+    incremental = descriptor is not None and descriptor.incremental_dp
     return _Cell(
         value=value,
         label=registry.policy_label(policy) if label is None else label,
         spec=spec,
         factory=factory,
         policy=policy,
-        rng="batch" if rng_mode == "free" and not free else rng_mode,
+        rng="batch" if rng_mode == "free" and not batchable else rng_mode,
         dp_state=dp_state if incremental else None,
-        topology=_resolve_topology(topology, spec) if multi_cell else None,
+        topology=_resolve_topology(topology, spec) if batchable else None,
     )
 
 
@@ -193,14 +193,14 @@ _LOCKSTEP_ADVICE = (
 #: Once-per-sweep degrade advisories, in the order they are issued.
 _ADVICE = {
     "topology": (
-        "topology= is ignored for policy families without the "
-        "supports_topology capability: {labels}; those cells run "
-        "single-domain exactly as they would without a topology"
+        "topology= is ignored for policy families without a batch "
+        "kernel: {labels}; those cells run single-domain exactly as they "
+        "would without a topology"
     ),
     "free": (
-        "rng='free' is not declared (supports_free_rng) by policy "
-        "families: {labels}; those cells run under the default batch "
-        "draw discipline instead"
+        "rng='free' is ignored for policy families without a batch "
+        "kernel: {labels}; those cells run exactly as they would under "
+        "the default draw discipline"
     ),
     "channel": _LOCKSTEP_ADVICE,
     "arrivals": _LOCKSTEP_ADVICE,
@@ -225,8 +225,8 @@ def _advise(
 ) -> None:
     """Warn once per kind of degradation among a sweep's planned cells.
 
-    The kinds: a requested ``topology`` the family cannot run, a
-    requested ``rng="free"`` it does not declare, and a stateful channel
+    The kinds: a requested ``topology`` or ``rng="free"`` for a family
+    without a batch kernel, and a stateful channel
     or arrival process whose random state cannot evolve under the
     lockstep discipline — only where free draws would keep the cell on
     the batch engine (other fallbacks are the family's, not the
@@ -420,15 +420,15 @@ def run_single(
     :func:`run_sweep` but behaves as ``"batch"`` here: with a single cell
     there is no grid to fuse.  ``rng`` selects the batch draw discipline
     (:data:`~repro.sim.rng.RNG_MODES`); ``"free"`` degrades to the
-    default batch discipline for families without ``supports_free_rng``,
-    and is rejected on the scalar engine.  ``dp_state`` selects the
+    default discipline for families without a batch kernel, and is
+    rejected on the scalar engine.  ``dp_state`` selects the
     DP-family priority-state maintenance mode
     (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`; batch/fused
     engines only, bit-identical either way).  ``topology`` — a
     :class:`~repro.topology.graph.CellTopology` or a builder called with
-    the spec — runs capable families (``supports_topology``) through the
-    multi-cell engine (:func:`~repro.topology.engine.run_topology_batch`);
-    non-capable families degrade to the single-domain path.  The
+    the spec — runs batchable families through the multi-cell engine
+    (:func:`~repro.topology.engine.run_topology_batch`); families
+    without a batch kernel degrade to the single-domain path.  The
     topology degrade and a lockstep fallback to the scalar engine are
     each announced with one ``UserWarning`` (a sweep calling this per
     cell announces them once for the whole sweep instead).
@@ -528,9 +528,8 @@ def _lookup(
         seeds=seeds,
         num_intervals=num_intervals,
         groups=groups,
-        sync_rng=cell.rng == "sync",
         engine=engine,
-        rng="free" if cell.rng == "free" else None,
+        rng=cell.rng,
         topology=cell.topology,
     )
     if cell.key is None:
@@ -685,15 +684,15 @@ def run_sweep(
     See :func:`run_single` for ``engine`` semantics; ``engine="fused"``
     delegates the whole grid to
     :func:`~repro.experiments.grid.run_sweep_fused`, which batches every
-    fusable (value, seed) cell of a policy family into one engine pass.
+    batchable (value, seed) cell of a policy family into one engine pass.
     ``rng`` selects the batch draw discipline
     (:data:`~repro.sim.rng.RNG_MODES`; batch/fused engines only) and
     ``shards`` splits a fused sweep across worker processes — see
     :func:`~repro.experiments.grid.run_sweep_fused` for both.
     ``topology`` — a :class:`~repro.topology.graph.CellTopology` or a
-    builder called with each value's spec — runs capable policy families
-    (``supports_topology``) through the multi-cell engine; families
-    without the capability degrade to their single-domain path, and
+    builder called with each value's spec — runs batchable policy
+    families through the multi-cell engine; families without a batch
+    kernel degrade to their single-domain path, and
     their cells are cached under the same key as a topology-free sweep
     (they compute the identical point).  On the batch and fused engines
     every kind of degradation (topology, ``rng="free"``, stateful channel

@@ -42,7 +42,7 @@ matrices and rows may come from *different sweep cells* (different
 Glauber bias constants via ``row_policies``) as long as ``N``, the timing,
 and the policy family match.
 
-Every kernel also has a ``sync_rng`` mode in which it drives one *scalar*
+Every kernel also has an ``rng="sync"`` mode in which it drives one *scalar*
 policy clone per seed with that seed's scalar-identical random streams
 (:attr:`~repro.sim.rng.BatchRngBundle.bundles`).  That mode is the
 cross-validation bridge: it is bit-identical to the scalar engine by
@@ -129,15 +129,15 @@ def resolve_dp_state(
     """Normalize a DP priority-state request to one of :data:`DP_STATE_MODES`.
 
     ``None`` defers to the environment (``REPRO_DP_STATE``) and then to
-    the registry-capability default: ``"incremental"`` whenever the
-    policy family declares ``supports_incremental_dp``, else
-    ``"dense"``.  An *explicit* ``"incremental"`` request is strict — it
-    raises :class:`ValueError` when the family cannot honor it — while
+    the registry default: ``"incremental"`` whenever the policy family's
+    descriptor sets ``incremental_dp``, else ``"dense"``.  An *explicit*
+    ``"incremental"`` request is strict — it raises
+    :class:`ValueError` when the family cannot honor it — while
     an environment-sourced request degrades silently to ``"dense"`` (the
     variable is a global preference and must not break kernels that never
     had an incremental path).
 
-    DP kernels refine the capability default once the network is known:
+    DP kernels refine that default once the network is known:
     a dense serve set (``n <= max_transmissions + 1``) has no sparsity
     to exploit, so the silent default drops back to ``"dense"`` there
     (explicit and environment requests are honored as asked); see
@@ -157,8 +157,8 @@ def resolve_dp_state(
         if explicit:
             raise ValueError(
                 "dp_state='incremental' requires a policy family with "
-                "the supports_incremental_dp capability (see "
-                "repro.core.registry.PolicyCapabilities)"
+                "incremental DP priority state (see "
+                "repro.core.registry.PolicyDescriptor.incremental_dp)"
             )
         return "dense"
     return dp_state
@@ -701,7 +701,7 @@ class BatchPolicyKernel(ABC):
         Meaningful for DP-family kernels only; other families always
         report ``"dense"``.  May differ from the bind request when the
         kernel had to degrade (multi-pair stacks, degenerate networks)
-        or when the capability default declined the incremental path
+        or when the family default declined the incremental path
         because the serve set is not sparse (``n <= max_transmissions
         + 1`` — no win available; explicit requests are honored).
         """
@@ -711,7 +711,6 @@ class BatchPolicyKernel(ABC):
         self,
         spec: "NetworkSpec | SpecStack | Sequence[NetworkSpec]",
         num_seeds: int,
-        sync_rng: bool,
         row_policies: Optional[Sequence[IntervalMac]] = None,
         *,
         lite: bool = False,
@@ -736,17 +735,19 @@ class BatchPolicyKernel(ABC):
         read them.
 
         ``rng`` picks the draw discipline (:data:`~repro.sim.rng.RNG_MODES`;
-        ``None`` defers to ``sync_rng``).  Under ``rng="free"`` the kernel
-        draws demand-sized blocks from the bundle's independent free
+        ``None`` is ``"batch"``).  Under ``rng="free"`` the kernel draws
+        demand-sized blocks from the bundle's independent free
         substreams instead of the lockstep batch schedule — statistically
-        equivalent, not bit-identical.
+        equivalent, not bit-identical.  Whether the spec can run under
+        it at all is :func:`repro.sim.batch_sim.batch_refusal`'s call,
+        made before binding.
 
         ``dp_state`` picks the DP-family priority-state maintenance mode
         (:data:`DP_STATE_MODES`; ``None`` resolves from the environment
-        and the family's registry capability).  Bit-identical either way;
-        families without the capability ignore it (an explicit
-        ``"incremental"`` request on such a family raises).  Sync mode
-        always drives the scalar clones, so the knob is moot there.
+        and the family's ``incremental_dp``).  Bit-identical either way;
+        other families ignore it (an explicit ``"incremental"`` request
+        on such a family raises).  Sync mode always drives the scalar
+        clones, so the knob is moot there.
         """
         if isinstance(spec, SpecStack):
             stack: Optional[SpecStack] = spec
@@ -792,51 +793,23 @@ class BatchPolicyKernel(ABC):
         else:
             self._a_max = max(1, first.arrivals.max_per_link)
             self._reliabilities = first.reliabilities
-        self._rng_mode = normalize_rng_mode(rng, sync_rng)
+        self._rng_mode = normalize_rng_mode(rng)
         self._free = self._rng_mode == "free"
+        self._sync = sync = self._rng_mode == "sync"
         chan0 = first.channel
-        if not sync_rng:
-            # Batched draw pipelines need i.i.d.-within-interval attempts
-            # (the geometric pre-draw) plus, for stateful channels, a
-            # vectorized per-row state process.  Sync mode drives the
-            # scalar clones and supports any channel.
-            if not chan0.has_state and not chan0.iid_within_interval:
-                raise TypeError(
-                    f"{type(chan0).__name__} attempts are not i.i.d. within "
-                    "an interval, so the batch engine cannot pre-draw its "
-                    "retry counts; use engine='scalar' or sync_rng=True"
-                )
-            if chan0.has_state:
-                if not chan0.supports_batch_state:
-                    raise TypeError(
-                        f"this {type(chan0).__name__} declines batched "
-                        "channel state (a state with zero success "
-                        "probability breaks geometric retry draws), so the "
-                        "batch engine cannot run it; use engine='scalar' "
-                        "or sync_rng=True"
-                    )
-                if chan0.state_uses_rng and not self._free:
-                    raise TypeError(
-                        f"{type(chan0).__name__} state cannot evolve under "
-                        f"the lockstep '{self._rng_mode}' draw discipline "
-                        "of the batch engine; pass rng='free' "
-                        "(statistically equivalent) or use engine='scalar'"
-                    )
-        self._sync = bool(sync_rng)
         descriptor = registry.descriptor_for(self.policy)
         self._dp_state_req = dp_state
         self._dp_state = resolve_dp_state(
             dp_state,
             supports_incremental=(
-                descriptor is not None
-                and descriptor.capabilities.supports_incremental_dp
+                descriptor is not None and descriptor.incremental_dp
             ),
         )
-        self._lite = bool(lite) and not sync_rng
+        self._lite = bool(lite) and not sync
         self._depth = draw_chunk_depth(
             FREE_DRAW_CHUNK if self._free else DRAW_CHUNK
         )
-        if sync_rng or not chan0.has_state:
+        if sync or not chan0.has_state:
             chan_state = None
         else:
             chan_state = type(chan0).stack_rows(
@@ -853,7 +826,7 @@ class BatchPolicyKernel(ABC):
             state=chan_state,
         )
         self._rows = np.arange(self.num_seeds)[:, None]
-        if sync_rng:
+        if sync:
             # One scalar clone per seed: the sync path drives the *scalar*
             # policy with scalar-identical streams, so its outcomes are
             # bit-identical to the scalar engine by construction.  Fused
@@ -918,9 +891,8 @@ class BatchPolicyKernel(ABC):
         arrivals: np.ndarray,
         positive_debts: np.ndarray,
         rng: BatchRngBundle,
-        sync_rng: bool,
     ) -> BatchIntervalOutcome:
-        if sync_rng:
+        if self._sync:
             return self._run_interval_sync(k, arrivals, positive_debts, rng)
         return self._run_interval_ws(k, arrivals, positive_debts, rng)
 
@@ -1285,7 +1257,7 @@ class BatchDPKernel(BatchPolicyKernel):
         # multi-pair stacks and degenerate (n < 2) networks keep the
         # dense recompute; an explicit request for them degrades loudly.
         #
-        # The capability *default* additionally requires a sparse serve
+        # The family *default* additionally requires a sparse serve
         # set: when every link fits in the interval's transmission
         # budget (n <= max_transmissions + 1, e.g. the paper's N=20
         # video grid with budget 60) the timeline must visit all n

@@ -10,9 +10,10 @@ Python loops.  At 20 seeds this turns the per-interval cost from
 "20x scalar" into "roughly 1x scalar", which is where the engine's >=10x
 speedup comes from.
 
-Two RNG disciplines are supported:
+The ``rng=`` argument picks the draw discipline
+(:data:`~repro.sim.rng.RNG_MODES`):
 
-``sync_rng=False`` (default, fast)
+``"batch"`` (default, ``rng=None``)
     Vectorized draws from dedicated batch streams
     (:meth:`~repro.sim.rng.BatchRngBundle.batch_stream`).  Each
     replication is still an independent, reproducible random experiment,
@@ -20,7 +21,12 @@ Two RNG disciplines are supported:
     with scalar runs statistically rather than bit-for-bit.  Deterministic
     quantities (round-robin orders, LDF tie-breaks) are exact either way.
 
-``sync_rng=True`` (exact, for cross-validation)
+``"free"`` (fastest)
+    Demand-sized blocks from independent free substreams; statistically
+    equivalent to ``"batch"``, and the only vectorized discipline that
+    hosts stochastic channel or arrival state.
+
+``"sync"`` (exact, for cross-validation)
     Each replication consumes its scalar-identical streams in scalar
     order, by driving one scalar policy clone per seed; every trace is
     bit-identical to ``IntervalSimulator(spec, policy, seed=s)``.  This is
@@ -37,8 +43,9 @@ draw schedules never shift (stochastic state additionally requires the
 extra evolution draws).  Components without a vectorized state process —
 channels whose attempts are not i.i.d. within an interval, arrival
 processes without ``stack_rows`` — are rejected at construction with a
-``TypeError`` naming the working fallback (``sync_rng=True`` or the
-scalar engine).
+``TypeError`` naming the working fallback (``rng="sync"`` or the
+scalar engine).  :func:`batch_refusal` is the one place that decides
+what runs.
 
 Beyond one shared spec, the simulator accepts a **per-row spec stack**
 (:class:`~repro.sim.spec_stack.SpecStack`, or any sequence of specs, one
@@ -74,63 +81,97 @@ __all__ = [
     "BatchIntervalSimulator",
     "BatchSimulationResult",
     "BatchSweepStats",
+    "batch_refusal",
     "run_simulation_batch",
     "share_batch_draws",
     "supports_batch_engine",
 ]
 
 
+def batch_refusal(
+    spec: Union[NetworkSpec, SpecStack],
+    policy: IntervalMac,
+    rng_mode: str,
+) -> Optional[str]:
+    """Why ``(spec, policy)`` cannot run on the batch engine under
+    ``rng_mode``, or ``None`` when it can.
+
+    The one batch-eligibility gate: :func:`supports_batch_engine`,
+    :class:`BatchIntervalSimulator` and the topology engine all ask it.
+    ``spec`` may be a :class:`~repro.sim.spec_stack.SpecStack`, whose
+    every row must pass.  The policy's family must name a batch kernel.
+    ``"sync"`` drives scalar clones per row, so it hosts any channel and
+    arrival process.  The vectorized disciplines pre-draw geometric
+    retry counts and arrival blocks, so they need a channel with
+    i.i.d.-within-interval attempts or a vectorized state process, and
+    an arrival process that is batch-samplable or has one; stochastic
+    state evolution additionally needs ``"free"``.
+    """
+    refusal = registry.kernel_refusal(policy)
+    if refusal is not None or rng_mode == "sync":
+        return refusal
+    specs = spec.specs if isinstance(spec, SpecStack) else (spec,)
+    for channel in {id(s.channel): s.channel for s in specs}.values():
+        name = type(channel).__name__
+        if not channel.has_state:
+            if not channel.iid_within_interval:
+                return (
+                    f"{name} attempts are not i.i.d. within an interval, "
+                    "so the batch engine cannot pre-draw its retry counts; "
+                    "use engine='scalar' or rng='sync'"
+                )
+        elif not channel.supports_batch_state:
+            return (
+                f"this {name} declines batched channel state (a state "
+                "with zero success probability breaks geometric retry "
+                "draws), so the batch engine cannot run it; use "
+                "engine='scalar' or rng='sync'"
+            )
+        elif channel.state_uses_rng and rng_mode != "free":
+            return (
+                f"{name} state cannot evolve under the lockstep "
+                f"'{rng_mode}' draw discipline of the batch engine; pass "
+                "rng='free' (statistically equivalent) or use "
+                "engine='scalar'"
+            )
+    for arrivals in {id(s.arrivals): s.arrivals for s in specs}.values():
+        name = type(arrivals).__name__
+        if not arrivals.has_state:
+            if not arrivals.supports_batch_sampling:
+                return (
+                    f"{name} cannot be sampled as an independent batch "
+                    "(stateful process), so the batch engine cannot run "
+                    "it; use rng='sync' or engine='scalar'"
+                )
+        elif not arrivals.supports_batch_state:
+            return (
+                f"{name} carries per-interval state without a vectorized "
+                "batch state process, so the batch engine cannot run it; "
+                "use rng='sync' or engine='scalar'"
+            )
+        elif arrivals.state_uses_rng and rng_mode != "free":
+            return (
+                f"{name} evolves stochastic per-interval state, which the "
+                "lockstep batch draw discipline cannot host; pass "
+                "rng='free' (statistically equivalent), rng='sync' "
+                "(bit-identical, scalar-speed), or engine='scalar'"
+            )
+    return None
+
+
 def supports_batch_engine(
     spec: NetworkSpec,
     policy: IntervalMac,
     *,
-    sync_rng: bool = False,
     rng: Optional[str] = None,
 ) -> bool:
-    """Whether ``(spec, policy)`` can run on the batch engine.
+    """Whether ``(spec, policy)`` can run on the batch engine under
+    ``rng`` (:func:`batch_refusal` finds no reason it cannot).
 
-    Requires a policy family registered as ``batchable`` (consulting the
-    policy registry's capability flags rather than a type switch), a
-    channel the kernels can pre-draw (i.i.d.-within-interval attempts;
-    stateful channels additionally need vectorized batch state, the
-    family's ``supports_markov_channel`` capability, and — when the state
-    evolution is stochastic — the ``rng="free"`` discipline), and (in the
-    non-sync modes) an arrival process that is either batch-samplable or
-    supplies vectorized batch state (stochastic arrival state likewise
-    needs ``rng="free"``).
-    ``rng="free"`` additionally requires the family to declare
-    ``supports_free_rng``.  Callers that want graceful degradation (the
-    experiment runner) check this and fall back to the scalar engine.
+    Callers that want graceful degradation (the experiment runner)
+    check this and fall back to the scalar engine.
     """
-    descriptor = registry.descriptor_for(policy)
-    if descriptor is None or not descriptor.capabilities.batchable:
-        return False
-    if sync_rng and not descriptor.capabilities.supports_sync_rng:
-        return False
-    mode = normalize_rng_mode(rng, sync_rng)
-    if mode == "free" and not descriptor.capabilities.supports_free_rng:
-        return False
-    channel = spec.channel
-    if channel.has_state:
-        if mode != "sync":
-            if not channel.supports_batch_state:
-                return False
-            if not descriptor.capabilities.supports_markov_channel:
-                return False
-            if channel.state_uses_rng and mode != "free":
-                return False
-    elif not channel.iid_within_interval:
-        return False
-    arrivals = spec.arrivals
-    if mode != "sync":
-        if arrivals.has_state:
-            if not arrivals.supports_batch_state:
-                return False
-            if arrivals.state_uses_rng and mode != "free":
-                return False
-        elif not arrivals.supports_batch_sampling:
-            return False
-    return True
+    return batch_refusal(spec, policy, normalize_rng_mode(rng)) is None
 
 
 class BatchSimulationResult:
@@ -622,7 +663,7 @@ def share_batch_draws(sims: Sequence["BatchIntervalSimulator"]) -> None:
     """
     classes: List[Tuple[Tuple, List["BatchIntervalSimulator"]]] = []
     for sim in sims:
-        if sim.sync_rng or sim._arrival_draws is None:
+        if sim._arrival_draws is None:
             continue
         if getattr(sim.kernel, "_channel_draws", None) is None:
             continue
@@ -670,26 +711,22 @@ class BatchIntervalSimulator:
     Parameters
     ----------
     spec:
-        The network under test.  The channel must be batchable under the
-        chosen rng discipline (see :func:`supports_batch_engine`):
-        memoryless channels need i.i.d.-within-interval attempts, and
-        stateful ones (Gilbert-Elliott, time-varying profiles) need
-        vectorized batch state — with ``rng="free"`` when the state
-        evolution is stochastic.  May also be a
+        The network under test; :func:`batch_refusal` must accept it
+        under the chosen rng discipline, else ``TypeError`` carries its
+        message.  May also be a
         :class:`~repro.sim.spec_stack.SpecStack` (or any sequence of
         specs, one per seed) to give every replication row its own
         channel parameters, requirements and arrival parameters.
     policy:
         A policy with a batch kernel (DP/DB-DP, ELDF/LDF, round-robin,
-        static priority); :func:`~repro.sim.batch_kernels.make_batch_kernel`
-        raises ``TypeError`` otherwise.
+        static priority).
     seeds:
         One seed per replication; each matches the scalar engine's
         single-``seed`` argument.  With a spec stack, seeds may repeat
         (one row per (cell, seed) pair of a fused sweep).
-    sync_rng:
-        Consume randomness in scalar order per seed (exact but slow); see
-        the module docstring.
+    rng:
+        Draw discipline (:data:`~repro.sim.rng.RNG_MODES`; ``None`` is
+        ``"batch"``); see the module docstring.
     validate:
         Assert deliveries never exceed arrivals each step (cheap, on by
         default; benchmarks turn it off).
@@ -713,7 +750,7 @@ class BatchIntervalSimulator:
         ``"incremental"`` maintains it sparsely across intervals
         (bit-identical, O(swaps) updates, serve-set timeline solve).
         ``None`` resolves from ``REPRO_DP_STATE`` or the policy family's
-        capabilities; non-DP kernels accept only ``None``/``"dense"``.
+        ``incremental_dp``; non-DP kernels accept only ``None``/``"dense"``.
     """
 
     def __init__(
@@ -722,7 +759,6 @@ class BatchIntervalSimulator:
         policy: IntervalMac,
         seeds: Sequence[int],
         *,
-        sync_rng: bool = False,
         validate: bool = True,
         record_priorities: bool = False,
         record_traces: bool = True,
@@ -740,8 +776,7 @@ class BatchIntervalSimulator:
         self.stack = stack
         self.spec = stack.specs[0] if stack is not None else spec
         self.policy = policy
-        self.rng_mode = normalize_rng_mode(rng, sync_rng)
-        self.sync_rng = self.rng_mode == "sync"
+        self.rng_mode = normalize_rng_mode(rng)
         self.validate = bool(validate)
         self.record_traces = bool(record_traces)
         self.rng = BatchRngBundle(seeds, stream_tag=stream_tag)
@@ -753,55 +788,16 @@ class BatchIntervalSimulator:
                 f"spec stack has {stack.num_rows} rows but "
                 f"{self.rng.num_seeds} seeds were given"
             )
-        if stack is not None:
-            arrivals_have_state = stack.has_state_arrivals
-            arrival_state_rng = stack.arrival_state_uses_rng
-            arrival_state_ok = stack.supports_batch_state_arrivals
-            batch_ok = stack.supports_batch_arrivals
-        else:
-            arr = self.spec.arrivals
-            arrivals_have_state = arr.has_state
-            arrival_state_rng = arr.has_state and arr.state_uses_rng
-            arrival_state_ok = arr.supports_batch_state
-            batch_ok = arr.supports_batch_sampling
-        if not self.sync_rng:
-            if arrivals_have_state:
-                if not arrival_state_ok:
-                    raise TypeError(
-                        f"{type(self.spec.arrivals).__name__} carries "
-                        "per-interval state without a vectorized batch "
-                        "state process, so the batch engine cannot run "
-                        "it; use sync_rng=True or engine='scalar'"
-                    )
-                if arrival_state_rng and self.rng_mode != "free":
-                    raise TypeError(
-                        f"{type(self.spec.arrivals).__name__} evolves "
-                        "stochastic per-interval state, which the lockstep "
-                        "batch draw discipline cannot host; pass "
-                        "rng='free' (statistically equivalent), "
-                        "sync_rng=True (bit-identical, scalar-speed), or "
-                        "engine='scalar'"
-                    )
-            elif not batch_ok:
-                raise TypeError(
-                    f"{type(self.spec.arrivals).__name__} cannot be sampled "
-                    "as an independent batch (stateful process), so the "
-                    "batch engine cannot run it; use sync_rng=True or "
-                    "engine='scalar'"
-                )
-        if self.rng_mode == "free":
-            descriptor = registry.descriptor_for(policy)
-            if descriptor is None or not descriptor.capabilities.supports_free_rng:
-                raise TypeError(
-                    f"{type(policy).__name__}'s family does not declare "
-                    "supports_free_rng; run it under the default batch "
-                    "discipline (rng=None) instead"
-                )
+        refusal = batch_refusal(
+            stack if stack is not None else self.spec, policy, self.rng_mode
+        )
+        if refusal is not None:
+            raise TypeError(refusal)
+        self._sync = self.rng_mode == "sync"
         self.kernel = make_batch_kernel(policy)
         self.kernel.bind(
             stack if stack is not None else self.spec,
             self.rng.num_seeds,
-            self.sync_rng,
             row_policies=row_policies,
             # Trace recording reads per-link attempts and priorities;
             # stats-only runs let the kernel skip materializing them.
@@ -819,7 +815,7 @@ class BatchIntervalSimulator:
         self._pos_debts = np.empty_like(self._debts)
         self._debt_step = np.empty_like(self._debts)
         self._interval = 0
-        if self.sync_rng:
+        if self._sync:
             # Per-row process clones, each reset to its initial state:
             # rows are then bit-identical to the scalar engine and never
             # advance a shared modulating chain through each other.
@@ -843,6 +839,14 @@ class BatchIntervalSimulator:
             self._arrival_draws = None
         else:
             depth = self.kernel._depth if self.rng_mode == "free" else None
+            if stack is not None:
+                arrivals_have_state = stack.has_state_arrivals
+                arrival_state_rng = stack.arrival_state_uses_rng
+            else:
+                arrivals_have_state = self.spec.arrivals.has_state
+                arrival_state_rng = (
+                    arrivals_have_state and self.spec.arrivals.state_uses_rng
+                )
             if arrivals_have_state:
                 self._arrival_draws = _StatefulArrivalDraws(
                     stack,
@@ -861,7 +865,7 @@ class BatchIntervalSimulator:
                 )
         self._arrival_stream = (
             None
-            if self.sync_rng
+            if self._sync
             else (
                 self.rng.free_stream("arrivals")
                 if self.rng_mode == "free"
@@ -914,7 +918,7 @@ class BatchIntervalSimulator:
 
     # ------------------------------------------------------------------
     def _sample_arrivals(self) -> np.ndarray:
-        if self.sync_rng:
+        if self._sync:
             # Scalar draw order per seed: identical to IntervalSimulator
             # (including its per-interval begin_interval hook for stateful
             # processes, driven by each row's own "arrival-state" stream).
@@ -945,7 +949,6 @@ class BatchIntervalSimulator:
             arrivals,
             self._pos_debts,
             self.rng,
-            self.sync_rng,
         )
         if counters.enabled:
             counters.add("sim.kernel", perf.clock() - t0)
@@ -992,7 +995,6 @@ def run_simulation_batch(
     num_intervals: int,
     seeds: Sequence[int],
     *,
-    sync_rng: bool = False,
     validate: bool = True,
     record_priorities: bool = False,
     rng: Optional[str] = None,
@@ -1006,8 +1008,8 @@ def run_simulation_batch(
     :class:`~repro.topology.engine.TopologyResult` (per-interval traces
     are a single-domain feature; the topology engine reports per-link
     sums).  Like ``dp_state``, the direct call is strict: a policy
-    family without ``supports_topology`` raises ``TypeError`` (the
-    experiment runner degrades gracefully instead).
+    family without a batch kernel raises ``TypeError`` (the experiment
+    runner degrades gracefully instead).
     """
     if topology is not None:
         if record_priorities:
@@ -1023,7 +1025,6 @@ def run_simulation_batch(
             seeds,
             topology,
             num_intervals,
-            sync_rng=sync_rng,
             rng=rng,
             dp_state=dp_state,
             validate=validate,
@@ -1032,7 +1033,6 @@ def run_simulation_batch(
         spec,
         policy,
         seeds,
-        sync_rng=sync_rng,
         validate=validate,
         record_priorities=record_priorities,
         rng=rng,

@@ -42,24 +42,18 @@ __all__ = [
 RNG_MODES = ("sync", "batch", "free")
 
 
-def normalize_rng_mode(rng: Optional[str] = None, sync_rng: bool = False) -> str:
-    """Resolve an ``rng=`` argument plus legacy ``sync_rng`` flag to a mode.
+def normalize_rng_mode(rng: Optional[str] = None) -> str:
+    """Resolve an ``rng=`` argument to one of :data:`RNG_MODES`.
 
-    ``rng=None`` defers to ``sync_rng`` (``True`` → ``"sync"``, else
-    ``"batch"`` — today's defaults).  An explicit ``rng="sync"`` is the
-    same as ``sync_rng=True``; combining ``sync_rng=True`` with
-    ``rng="batch"``/``rng="free"`` is contradictory and raises.
+    ``None`` is the default lockstep ``"batch"`` discipline; names are
+    case-insensitive and anything else raises ``ValueError``.
     """
     if rng is None:
-        return "sync" if sync_rng else "batch"
+        return "batch"
     mode = str(rng).lower()
     if mode not in RNG_MODES:
         raise ValueError(
             f"unknown rng mode {rng!r}; expected one of {RNG_MODES}"
-        )
-    if sync_rng and mode != "sync":
-        raise ValueError(
-            f"rng={mode!r} contradicts sync_rng=True; pass one or the other"
         )
     return mode
 
@@ -153,7 +147,7 @@ class BatchRngBundle:
       :class:`RngBundle` per seed, constructed exactly as the scalar engine
       would.  Stream ``"channel"`` of seed ``s`` here is bit-identical to
       ``RngBundle(s).channel``, which is what makes scalar/batch
-      cross-validation exact (the batch engine's ``sync_rng`` mode draws
+      cross-validation exact (the batch engine's ``rng="sync"`` mode draws
       from these in scalar consumption order).
     * **Batch streams** (:meth:`batch_stream`) — one generator per stream
       name that fills ``(S, ...)``-shaped arrays in single vectorized

@@ -145,13 +145,6 @@ class SpecStack:
         )
 
     @property
-    def supports_batch_arrivals(self) -> bool:
-        """Whether every row's arrival process is batch-samplable."""
-        return all(
-            spec.arrivals.supports_batch_sampling for spec in self._specs
-        )
-
-    @property
     def has_state_arrivals(self) -> bool:
         """Whether any row's arrival process carries per-interval state."""
         return any(spec.arrivals.has_state for spec in self._specs)
@@ -161,18 +154,6 @@ class SpecStack:
         """Whether any row's arrival state evolves stochastically."""
         return any(
             spec.arrivals.has_state and spec.arrivals.state_uses_rng
-            for spec in self._specs
-        )
-
-    @property
-    def supports_batch_state_arrivals(self) -> bool:
-        """Whether every row can feed the batch engine's arrival pipeline:
-        stateless rows must be batch-samplable, stateful rows must supply
-        vectorized batch state (``stack_rows``)."""
-        return all(
-            spec.arrivals.supports_batch_state
-            if spec.arrivals.has_state
-            else spec.arrivals.supports_batch_sampling
             for spec in self._specs
         )
 

@@ -35,7 +35,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import registry
 from ..core.policies import IntervalMac
 from ..core.requirements import NetworkSpec
 from ..traffic.arrivals import BernoulliArrivals, BurstyVideoArrivals
@@ -134,12 +133,6 @@ def compile_error() -> Optional[str]:
 
 # ----------------------------------------------------------------------
 def _policy_params(policy: IntervalMac) -> Tuple[float, float]:
-    descriptor = registry.descriptor_for(policy)
-    if descriptor is None or not descriptor.capabilities.supports_topology:
-        raise TypeError(
-            f"{type(policy).__name__}'s family does not declare "
-            "supports_topology"
-        )
     num_pairs = getattr(policy, "num_pairs", None)
     bias = getattr(policy, "bias", None)
     glauber_r = getattr(bias, "glauber_r", None)

@@ -39,10 +39,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import registry
 from ..core.policies import IntervalMac
 from ..core.requirements import NetworkSpec
-from ..sim.batch_sim import BatchIntervalSimulator
+from ..sim.batch_sim import BatchIntervalSimulator, batch_refusal
 from ..sim.rng import normalize_rng_mode
 from ..sim.spec_stack import SpecStack
 from .boundary import BoundaryMasker
@@ -157,20 +156,15 @@ class TopologySimulator:
         topology: CellTopology,
         *,
         rng: Optional[str] = None,
-        sync_rng: bool = False,
         dp_state: Optional[str] = None,
         validate: bool = True,
         record_traces: bool = False,
         cells_subset: Optional[Sequence[int]] = None,
     ):
-        descriptor = registry.descriptor_for(policy)
-        if descriptor is None or not descriptor.capabilities.supports_topology:
-            raise TypeError(
-                f"{type(policy).__name__}'s family does not declare "
-                "supports_topology; run it single-domain instead (the "
-                "experiment runner degrades automatically)"
-            )
-        self.rng_mode = normalize_rng_mode(rng, sync_rng)
+        self.rng_mode = normalize_rng_mode(rng)
+        refusal = batch_refusal(spec, policy, self.rng_mode)
+        if refusal is not None:
+            raise TypeError(refusal)
         self.packing = CellPacking(spec, topology)
         self.topology = topology
         self.seeds = tuple(int(s) for s in seeds)
@@ -268,7 +262,6 @@ def run_topology_batch(
     num_intervals: int,
     *,
     rng: Optional[str] = None,
-    sync_rng: bool = False,
     dp_state: Optional[str] = None,
     validate: bool = True,
     shards: Optional[int] = None,
@@ -286,7 +279,6 @@ def run_topology_batch(
     """
     options = dict(
         rng=rng,
-        sync_rng=sync_rng,
         dp_state=dp_state,
         validate=validate,
     )

@@ -737,7 +737,7 @@ class MarkovModulatedArrivals(ArrivalProcess):
             if not p.supports_batch_state:
                 raise TypeError(
                     f"{type(p).__name__} declines batch state; run it on "
-                    "the scalar engine or under sync_rng=True"
+                    "the scalar engine or under rng='sync'"
                 )
         return _MarkovModulatedRows(processes)
 
@@ -942,7 +942,7 @@ class ParetoBurstArrivals(ArrivalProcess):
             if not p.supports_batch_state:
                 raise TypeError(
                     f"{type(p).__name__} declines batch state; run it on "
-                    "the scalar engine or under sync_rng=True"
+                    "the scalar engine or under rng='sync'"
                 )
         return _ParetoBurstRows(processes)
 
@@ -971,7 +971,7 @@ def arrivals_from_spec(text: str, num_links: int) -> ArrivalProcess:
 
     MMPP and Pareto carry stochastic per-interval state, so on the
     batch/fused engines they need ``rng="free"`` (statistically
-    equivalent) or ``sync_rng=True`` (bit-identical, scalar-speed).
+    equivalent) or ``rng="sync"`` (bit-identical, scalar-speed).
     """
     parts = str(text).split(":")
     kind, args = parts[0].lower(), parts[1:]

@@ -1,7 +1,7 @@
 """Tests for the policy registry (repro.core.registry).
 
 The registry is the single dispatch authority: every engine, the sweep
-cache, and the CLI consult :class:`PolicyDescriptor` capability flags and
+cache, and the CLI consult :class:`PolicyDescriptor` batch kernels and
 config round-trips instead of type-switching on policy classes.
 """
 
@@ -18,7 +18,7 @@ from repro.core.estimation import EstimatedDBDPPolicy
 from repro.core.fcsma import FCSMAPolicy
 from repro.core.frame_csma import FrameCSMAPolicy
 from repro.core.policies import IntervalMac
-from repro.core.registry import PolicyCapabilities, PolicyDescriptor
+from repro.core.registry import PolicyDescriptor
 from repro.core.round_robin import RoundRobinPolicy
 from repro.core.static_priority import StaticPriorityPolicy
 
@@ -108,33 +108,6 @@ def test_unregister_removes_name_and_class():
 # ----------------------------------------------------------------------
 # Descriptor validation
 # ----------------------------------------------------------------------
-def test_fusable_requires_batchable():
-    with pytest.raises(ValueError, match="batchable"):
-        PolicyCapabilities(batchable=False, fusable=True)
-
-
-def test_batchable_requires_kernel():
-    with pytest.raises(ValueError, match="batch_kernel"):
-        PolicyDescriptor(
-            name="Broken",
-            policy_class=_ToyPolicy,
-            to_config=lambda p: {},
-            from_config=lambda c: _ToyPolicy(),
-            capabilities=PolicyCapabilities(batchable=True, fusable=False),
-        )
-
-
-def test_kernel_requires_batchable_flag():
-    with pytest.raises(ValueError, match="batchable=False"):
-        PolicyDescriptor(
-            name="Broken",
-            policy_class=_ToyPolicy,
-            to_config=lambda p: {},
-            from_config=lambda c: _ToyPolicy(),
-            batch_kernel="repro.sim.batch_kernels:BatchDPKernel",
-        )
-
-
 def test_factory_defaults_to_policy_class():
     descriptor = _toy_descriptor()
     assert descriptor.factory is _ToyPolicy
@@ -234,17 +207,22 @@ def test_create_with_config():
 def test_scalar_only_families_declare_no_kernel():
     for name in ("DCF", "FCSMA", "FrameCSMA"):
         descriptor = registry.get(name)
-        assert not descriptor.capabilities.batchable
-        assert not descriptor.capabilities.fusable
         assert descriptor.batch_kernel is None
         assert not registry.has_kernel(EXEMPLARS[name]())
+        assert registry.kernel_refusal(EXEMPLARS[name]()).startswith(
+            "no batch kernel"
+        )
 
 
 def test_batchable_families_expose_kernels():
     for name in ("DB-DP", "DP", "ELDF", "LDF", "RoundRobin", "StaticPriority"):
-        descriptor = registry.get(name)
-        assert descriptor.capabilities.batchable
         assert registry.has_kernel(EXEMPLARS[name]())
+        assert registry.kernel_refusal(EXEMPLARS[name]()) is None
+
+
+def test_incremental_dp_is_the_dp_family_only():
+    for name in registry.available():
+        assert registry.get(name).incremental_dp == (name in ("DP", "DB-DP"))
 
 
 def test_make_kernel_rejects_scalar_only_policies():

@@ -52,14 +52,14 @@ class TestKeys:
             dict(seeds=(0, 2)),
             dict(num_intervals=101),
             dict(groups=(0, 0, 1, 1)),
-            dict(sync_rng=True),
+            dict(rng="sync"),
         ],
     )
     def test_any_input_change_changes_key(self, tmp_path, change):
         cache = SweepCache(tmp_path)
         base = dict(
             spec=spec(), policy=LDFPolicy(), seeds=(0, 1),
-            num_intervals=100, groups=None, sync_rng=False,
+            num_intervals=100, groups=None, rng=None,
         )
         assert cache.cell_key(**base) != cache.cell_key(**{**base, **change})
 
@@ -371,7 +371,7 @@ class TestGoldenKeys:
                 seeds=(0, 1, 2),
                 num_intervals=250,
                 groups=None,
-                sync_rng=True,
+                rng="sync",
             )
             if key != self.GOLDEN[label]:
                 mismatches[label] = key

@@ -34,7 +34,7 @@ class TestSyncExactness:
         the same physics from the same draws, and the aggregation mirrors
         the per-cell float operations."""
         kw = dict(BASE, policies={"LDF": LDFPolicy, "DB-DP": DBDPPolicy})
-        fused = run_sweep_fused(**kw, sync_rng=True)
+        fused = run_sweep_fused(**kw, rng="sync")
         scalar = run_sweep(**kw, engine="scalar")
         assert fused.points == scalar.points
         assert fused.values == scalar.values
@@ -45,7 +45,7 @@ class TestSyncExactness:
             policies={"LDF": LDFPolicy},
             groups=(0, 0, 1, 1),
         )
-        fused = run_sweep_fused(**kw, sync_rng=True)
+        fused = run_sweep_fused(**kw, rng="sync")
         scalar = run_sweep(**kw, engine="scalar")
         assert fused.points == scalar.points
 
@@ -89,7 +89,7 @@ class TestLockstepSharing:
 
 class TestStatistics:
     def test_default_mode_statistically_close_to_per_cell(self):
-        """sync_rng=False rows are fresh samples of the same estimator;
+        """Default-mode rows are fresh samples of the same estimator;
         means must agree within a loose tolerance even at this tiny
         horizon (the tight ensemble check lives in the integration
         suite)."""
@@ -128,8 +128,8 @@ class TestValidationArgs:
 class TestScalarOnlyDeclaredFallback:
     """Scalar-only families run through the fused engine by declaration.
 
-    DCF, FCSMA, and Frame-CSMA carry ``fusable=False`` capabilities in
-    their registry descriptors; ``run_sweep(engine="fused")`` must route
+    DCF, FCSMA, and Frame-CSMA name no ``batch_kernel`` in their
+    registry descriptors; ``run_sweep(engine="fused")`` must route
     each of their cells through the declared per-cell fallback and
     reproduce the per-cell runner exactly.
     """
@@ -146,13 +146,13 @@ class TestScalarOnlyDeclaredFallback:
         from repro.core import registry
 
         kw = dict(BASE, policies=("LDF", "DB-DP"), num_intervals=60)
-        by_name = run_sweep_fused(**kw, sync_rng=True)
+        by_name = run_sweep_fused(**kw, rng="sync")
         by_factory = run_sweep_fused(
             **dict(kw, policies={"LDF": LDFPolicy, "DB-DP": DBDPPolicy}),
-            sync_rng=True,
+            rng="sync",
         )
         assert by_name.points == by_factory.points
-        assert not registry.get("DCF").capabilities.fusable
+        assert registry.get("DCF").batch_kernel is None
 
 
 class TestUncacheableWarning:

@@ -320,15 +320,15 @@ _LOCKSTEP = (
 DEGRADES = {
     "topology": (
         dict(policies=["DB-DP", "FCSMA"], topology=_two_cells),
-        "topology= is ignored for policy families without the "
-        "supports_topology capability: FCSMA; those cells run "
-        "single-domain exactly as they would without a topology",
+        "topology= is ignored for policy families without a batch "
+        "kernel: FCSMA; those cells run single-domain exactly as they "
+        "would without a topology",
     ),
     "free-rng": (
         dict(policies=["LDF", "FCSMA"], rng="free"),
-        "rng='free' is not declared (supports_free_rng) by policy "
-        "families: FCSMA; those cells run under the default batch draw "
-        "discipline instead",
+        "rng='free' is ignored for policy families without a batch "
+        "kernel: FCSMA; those cells run exactly as they would under the "
+        "default draw discipline",
     ),
     "ge-channel": (
         dict(policies=["DB-DP", "LDF"], spec_builder=_ge_builder),

@@ -10,7 +10,7 @@ stream namespace, so
 * different shard counts are independent samples of the same estimator
   (statistically equivalent, asserted with the joint confidence bound of
   ``test_fused_statistical.py``);
-* ``sync_rng=True`` ignores stream tags entirely, so sharded sync runs
+* ``rng="sync"`` ignores stream tags entirely, so sharded sync runs
   are bit-identical to unsharded ones.
 """
 
@@ -67,8 +67,8 @@ class TestShardDeterminism:
 
     def test_sync_rng_sharding_is_bit_identical_to_unsharded(self):
         assert (
-            _sweep(shards=2, sync_rng=True).points
-            == _sweep(sync_rng=True).points
+            _sweep(shards=2, rng="sync").points
+            == _sweep(rng="sync").points
         )
 
     def test_in_process_fallback_matches_pooled(self):

@@ -10,7 +10,7 @@ Mirrors ``test_channel_equivalence.py`` for the traffic plane:
   fused engine with ``rng="free"`` is a *fresh sample* of the same
   estimator as the scalar engine; per-cell means must agree within a
   joint 3-sigma confidence bound.
-* **Sync identity** — ``sync_rng=True`` is bit-identical to the scalar
+* **Sync identity** — ``rng="sync"`` is bit-identical to the scalar
   engine, Markov/renewal arrival state included.
 """
 
@@ -183,11 +183,11 @@ class TestParetoBurstStatistical:
 class TestSyncIdentity:
     @pytest.mark.parametrize("builder", [_mmpp_builder, _pareto_builder])
     def test_sync_batch_bit_identical_to_scalar(self, builder):
-        """``sync_rng=True`` replays the scalar per-seed streams, arrival
+        """``rng="sync"`` replays the scalar per-seed streams, arrival
         state included."""
         spec = builder(0.8)
         seeds = (0, 1, 2)
-        sim = BatchIntervalSimulator(spec, LDFPolicy(), seeds, sync_rng=True)
+        sim = BatchIntervalSimulator(spec, LDFPolicy(), seeds, rng="sync")
         sim.run(150)
         batch = sim.result
         for s, seed in enumerate(seeds):

@@ -2,10 +2,10 @@
 
 Two levels of agreement are asserted:
 
-* ``sync_rng=True`` — every replication consumes scalar-identical random
+* ``rng="sync"`` — every replication consumes scalar-identical random
   streams in scalar order, so every per-interval trace must be
   **bit-identical** to ``IntervalSimulator(spec, policy, seed=s)``.
-* ``sync_rng=False`` (the fast production mode) — draw order differs, so
+* ``rng="batch"`` (the fast production mode) — draw order differs, so
   agreement is **statistical**: deficiency and throughput on the paper's
   Fig. 3 workload must match across a seed ensemble.
 """
@@ -49,7 +49,7 @@ class TestSyncModeBitExact:
     def test_traces_match_scalar_engine(self, spec, name):
         factory = POLICIES[name]
         batch = run_simulation_batch(
-            spec, factory(), INTERVALS, SEEDS, sync_rng=True
+            spec, factory(), INTERVALS, SEEDS, rng="sync"
         )
         for s, seed in enumerate(SEEDS):
             scalar = run_simulation(spec, factory(), INTERVALS, seed=seed)
@@ -82,7 +82,7 @@ class TestSyncModeBitExact:
             DBDPPolicy(),
             INTERVALS,
             SEEDS,
-            sync_rng=True,
+            rng="sync",
             record_priorities=True,
         )
         for s, seed in enumerate(SEEDS):

@@ -6,7 +6,7 @@ Two layers of guarantees, mirroring the Bernoulli ones:
   *fresh sample* of the same estimator as the scalar engine — per-cell
   means must agree within a joint 3-sigma confidence bound (same
   pattern as ``test_fused_statistical.py``).
-* ``sync_rng=True`` drives scalar clones from per-seed streams, so the
+* ``rng="sync"`` drives scalar clones from per-seed streams, so the
   batch engine is *bit-identical* to the scalar engine even with
   Markov channel state; the deterministic ``TimeVaryingReliability``
   schedule is additionally exact under the lockstep disciplines.
@@ -110,11 +110,11 @@ class TestGilbertElliottStatistical:
 class TestGilbertElliottSyncIdentity:
     @pytest.mark.parametrize("factory", [LDFPolicy, DBDPPolicy])
     def test_sync_batch_bit_identical_to_scalar(self, factory):
-        """Exact per-interval identity where defined: ``sync_rng=True``
+        """Exact per-interval identity where defined: ``rng="sync"``
         replays the scalar per-seed streams, Markov state included."""
         spec = _ge_builder(0.6)
         seeds = (0, 1, 2)
-        sim = BatchIntervalSimulator(spec, factory(), seeds, sync_rng=True)
+        sim = BatchIntervalSimulator(spec, factory(), seeds, rng="sync")
         sim.run(150)
         batch = sim.result
         for s, seed in enumerate(seeds):
@@ -158,7 +158,7 @@ class TestTimeVaryingReliability:
     def test_sync_batch_bit_identical_to_scalar(self):
         spec = _tv_builder(0.6)
         seeds = (0, 1)
-        sim = BatchIntervalSimulator(spec, LDFPolicy(), seeds, sync_rng=True)
+        sim = BatchIntervalSimulator(spec, LDFPolicy(), seeds, rng="sync")
         sim.run(130)  # > 2 periods: exercises the schedule wrap
         batch = sim.result
         for s, seed in enumerate(seeds):

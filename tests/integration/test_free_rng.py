@@ -11,10 +11,11 @@ here:
 * distinctness: free draws differ from the batch discipline's (same
   seeds), and the two disciplines' per-cell means agree within the same
   joint confidence bound used by ``test_fused_statistical.py``;
-* capability gating: families without ``supports_free_rng`` degrade to
-  the batch discipline with exactly one ``UserWarning`` per sweep (and
-  raise ``TypeError`` when handed to the batch simulator directly);
-* mode hygiene: ``rng="free"`` contradicts ``sync_rng=True`` and is
+* fallback: families without a batch kernel (FCSMA) run ``rng="free"``
+  cells exactly as default ones, with exactly one ``UserWarning`` per
+  sweep (and raise ``TypeError`` when handed to the batch simulator
+  directly);
+* mode hygiene: unknown modes are rejected, and ``rng="free"`` is
   meaningless on the scalar engine.
 """
 
@@ -25,8 +26,7 @@ import math
 
 import pytest
 
-from repro import DBDPPolicy, LDFPolicy, RoundRobinPolicy, run_simulation_batch
-from repro.core import registry
+from repro import DBDPPolicy, FCSMAPolicy, LDFPolicy, run_simulation_batch
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
 from repro.experiments.runner import run_single, run_sweep
@@ -50,7 +50,6 @@ def _totals(result):
 class TestNormalizeRngMode:
     def test_defaults(self):
         assert normalize_rng_mode() == "batch"
-        assert normalize_rng_mode(None, sync_rng=True) == "sync"
         assert RNG_MODES == ("sync", "batch", "free")
 
     @pytest.mark.parametrize("mode", RNG_MODES)
@@ -60,11 +59,6 @@ class TestNormalizeRngMode:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown rng mode"):
             normalize_rng_mode("quantum")
-
-    @pytest.mark.parametrize("mode", ["batch", "free"])
-    def test_sync_rng_contradiction_rejected(self, mode):
-        with pytest.raises(ValueError, match="contradicts sync_rng"):
-            normalize_rng_mode(mode, sync_rng=True)
 
 
 class TestFreeModeGuards:
@@ -161,59 +155,41 @@ class TestFreeStatisticalEquivalence:
 
 
 class TestCapabilityFallback:
-    @pytest.fixture
-    def no_free_family(self):
-        """Re-register RoundRobin with ``supports_free_rng`` withdrawn."""
-        descriptor = registry.descriptor_for(RoundRobinPolicy())
-        stripped = dataclasses.replace(
-            descriptor,
-            capabilities=dataclasses.replace(
-                descriptor.capabilities, supports_free_rng=False
-            ),
-        )
-        registry.unregister(descriptor.name)
-        registry.register(stripped)
-        try:
-            yield descriptor.name
-        finally:
-            registry.unregister(descriptor.name)
-            registry.register(descriptor)
+    """FCSMA names no batch kernel, so ``rng="free"`` cannot apply to it."""
 
-    def test_supports_batch_engine_refuses_free(self, no_free_family):
+    def test_supports_batch_engine_refuses_free(self):
         spec = builder(0.5)
-        assert supports_batch_engine(spec, RoundRobinPolicy())
-        assert not supports_batch_engine(spec, RoundRobinPolicy(), rng="free")
+        assert supports_batch_engine(spec, DBDPPolicy(), rng="free")
+        assert not supports_batch_engine(spec, FCSMAPolicy(), rng="free")
 
-    def test_direct_simulator_raises_type_error(self, no_free_family):
+    def test_direct_simulator_raises_type_error(self):
         spec = builder(0.5)
-        with pytest.raises(TypeError, match="supports_free_rng"):
-            BatchIntervalSimulator([spec] * 2, RoundRobinPolicy(), [0, 1],
+        with pytest.raises(TypeError, match="no batch kernel"):
+            BatchIntervalSimulator([spec] * 2, FCSMAPolicy(), [0, 1],
                                    rng="free")
 
-    def test_fused_sweep_degrades_with_one_warning(self, no_free_family):
+    def test_fused_sweep_degrades_with_one_warning(self):
         kw = dict(num_intervals=80, seeds=(0, 1))
-        policies = {"DB-DP": DBDPPolicy, "RoundRobin": RoundRobinPolicy}
-        with pytest.warns(UserWarning, match="supports_free_rng") as record:
+        policies = {"DB-DP": DBDPPolicy, "FCSMA": FCSMAPolicy}
+        advice = "rng='free' is ignored"
+        with pytest.warns(UserWarning, match=advice) as record:
             free = run_sweep_fused(
                 "alpha", VALUES, builder, policies, rng="free", **kw
             )
-        assert (
-            len([w for w in record if "supports_free_rng" in str(w.message)])
-            == 1
-        )
+        assert len([w for w in record if advice in str(w.message)]) == 1
         batch = run_sweep_fused("alpha", VALUES, builder, policies, **kw)
-        # Degraded cells run the default batch discipline: bit-identical
-        # to a plain batch sweep.  Capable cells run genuinely free.
+        # Degraded cells run exactly as default ones: bit-identical to a
+        # plain sweep.  Batchable cells run genuinely free.
         for f, b in zip(free.points, batch.points):
-            if f.policy == "RoundRobin":
+            if f.policy == "FCSMA":
                 assert f == b
         assert _totals(free) != _totals(batch)
 
-    def test_run_single_degrades_silently(self, no_free_family):
+    def test_run_single_degrades_silently(self):
         spec = builder(0.5)
-        free = run_single(spec, RoundRobinPolicy, 100, (0, 1), engine="batch",
+        free = run_single(spec, FCSMAPolicy, 100, (0, 1), engine="batch",
                           rng="free")
-        batch = run_single(spec, RoundRobinPolicy, 100, (0, 1), engine="batch")
+        batch = run_single(spec, FCSMAPolicy, 100, (0, 1), engine="batch")
         # run_single leaves parameter=NaN (filled by run_sweep); pin it
         # so dataclass equality compares the measurements.
         assert dataclasses.replace(free, parameter=0.0) == dataclasses.replace(

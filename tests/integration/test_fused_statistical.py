@@ -1,6 +1,6 @@
 """Statistical cross-engine equivalence: fused vs per-cell batch sweeps.
 
-In the production ``sync_rng=False`` mode the fused engine draws from
+In the production ``rng="batch"`` mode the fused engine draws from
 ``"fused"``-tagged mega-batch streams, so its cells are *fresh samples* of
 the same per-cell estimator rather than bit-identical replays.  This test
 runs a 24-seed ensemble per cell for both engines and asserts the
@@ -8,7 +8,7 @@ per-cell means agree within a 3-sigma confidence bound derived from both
 ensembles' spreads — the two estimators must be statistically
 indistinguishable, per policy and per load level.
 
-(The bit-exact ``sync_rng=True`` correspondence is covered in
+(The bit-exact ``rng="sync"`` correspondence is covered in
 ``tests/experiments/test_grid.py``; scalar-vs-batch agreement in
 ``test_batch_cross_engine.py``.)
 """

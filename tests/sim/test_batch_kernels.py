@@ -228,7 +228,7 @@ class TestKernelDispatch:
             timing=idealized_timing(6),
             delivery_ratios=0.8,
         )
-        kernel = make_batch_kernel(LDFPolicy())
+        seeds = (0, 1, 2, 3)
         with pytest.raises(
             TypeError,
             match=(
@@ -238,10 +238,10 @@ class TestKernelDispatch:
                 r"engine='scalar'"
             ),
         ):
-            kernel.bind(spec, 4, False)
-        # The named fallbacks really do bind.
-        kernel.bind(spec, 4, False, rng="free")
-        make_batch_kernel(LDFPolicy()).bind(spec, 4, True)
+            BatchIntervalSimulator(spec, LDFPolicy(), seeds)
+        # The named fallbacks really do construct.
+        BatchIntervalSimulator(spec, LDFPolicy(), seeds, rng="free")
+        BatchIntervalSimulator(spec, LDFPolicy(), seeds, rng="sync")
 
     def test_degenerate_state_rejected_with_fallback(self):
         """A GE link whose BAD state never succeeds cannot be pre-drawn
@@ -252,9 +252,8 @@ class TestKernelDispatch:
             timing=idealized_timing(6),
             delivery_ratios=0.4,
         )
-        kernel = make_batch_kernel(LDFPolicy())
         with pytest.raises(TypeError, match="engine='scalar'"):
-            kernel.bind(spec, 4, False, rng="free")
+            BatchIntervalSimulator(spec, LDFPolicy(), (0, 1), rng="free")
 
 
 class TestDPSequentialFallbackEquivalence:

@@ -46,7 +46,7 @@ class TestConstruction:
             BatchIntervalSimulator(spec, LDFPolicy(), SEEDS)
         # The named fallbacks construct fine.
         BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, rng="free")
-        BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, sync_rng=True)
+        BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, rng="sync")
 
     def test_stateful_arrivals_need_sync_mode(self):
         spec = NetworkSpec.from_delivery_ratios(
@@ -55,10 +55,10 @@ class TestConstruction:
             timing=idealized_timing(6),
             delivery_ratios=0.8,
         )
-        with pytest.raises(TypeError, match="sync_rng"):
+        with pytest.raises(TypeError, match="rng='sync'"):
             BatchIntervalSimulator(spec, LDFPolicy(), SEEDS)
         # The sync path drives scalar clones, so stateful arrivals are fine.
-        sim = BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, sync_rng=True)
+        sim = BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, rng="sync")
         sim.run(10)
         assert sim.result.num_intervals == 10
         # Free-draw mode hosts the vectorized batch-state plane.
@@ -95,7 +95,7 @@ class TestConstruction:
             delivery_ratios=0.8,
         )
         assert not supports_batch_engine(stateful, LDFPolicy())
-        assert supports_batch_engine(stateful, LDFPolicy(), sync_rng=True)
+        assert supports_batch_engine(stateful, LDFPolicy(), rng="sync")
         # Free-draw mode hosts stochastic arrival state vectorized.
         assert supports_batch_engine(stateful, LDFPolicy(), rng="free")
         from repro.traffic.arrivals import ParetoBurstArrivals
@@ -108,7 +108,30 @@ class TestConstruction:
         )
         assert not supports_batch_engine(pareto, LDFPolicy())
         assert supports_batch_engine(pareto, LDFPolicy(), rng="free")
-        assert supports_batch_engine(pareto, LDFPolicy(), sync_rng=True)
+        assert supports_batch_engine(pareto, LDFPolicy(), rng="sync")
+
+    def test_non_iid_channel_runs_under_sync_only(self):
+        """A stateless channel with non-i.i.d. attempts cannot be
+        pre-drawn, but the sync path drives scalar clones and runs it:
+        the predicate and the constructor must agree in every mode."""
+
+        class _NonIID(BernoulliChannel):
+            @property
+            def iid_within_interval(self) -> bool:
+                return False
+
+        spec = NetworkSpec.from_delivery_ratios(
+            arrivals=BernoulliArrivals.symmetric(3, 0.5),
+            channel=_NonIID((0.8, 0.8, 0.8)),
+            timing=idealized_timing(6),
+            delivery_ratios=0.8,
+        )
+        assert supports_batch_engine(spec, LDFPolicy(), rng="sync")
+        BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, rng="sync").run(5)
+        for mode in ("batch", "free"):
+            assert not supports_batch_engine(spec, LDFPolicy(), rng=mode)
+            with pytest.raises(TypeError, match="not i.i.d. within"):
+                BatchIntervalSimulator(spec, LDFPolicy(), SEEDS, rng=mode)
 
     def test_negative_interval_count_rejected(self, spec):
         sim = BatchIntervalSimulator(spec, LDFPolicy(), SEEDS)
@@ -181,7 +204,7 @@ class TestDebtAccounting:
 
 class TestValidation:
     def _cheat(self, sim):
-        def run_interval(k, arrivals, debts, rng, sync):
+        def run_interval(k, arrivals, debts, rng):
             S, N = arrivals.shape
             return BatchIntervalOutcome(
                 deliveries=arrivals + 1,

@@ -13,7 +13,7 @@ engine exists for.
 
 The knob itself resolves in three tiers: ``None`` defers to the
 ``REPRO_DP_STATE`` environment variable and then to the policy family's
-``supports_incremental_dp`` registry capability; explicit requests are
+``incremental_dp`` registry field; explicit requests are
 strict, environment requests degrade silently (see
 :func:`repro.sim.batch_kernels.resolve_dp_state`).
 """
@@ -139,7 +139,7 @@ class TestDpStateResolution:
             resolve_dp_state("sparse", supports_incremental=True)
 
     def test_explicit_incremental_without_capability_raises(self):
-        with pytest.raises(ValueError, match="supports_incremental_dp"):
+        with pytest.raises(ValueError, match="incremental DP priority state"):
             resolve_dp_state("incremental", supports_incremental=False)
 
     def test_env_request_degrades_silently(self, monkeypatch):
@@ -194,7 +194,7 @@ class TestDpStateResolution:
         assert env.dp_state == "incremental"
 
     def test_non_dp_family_rejects_explicit_incremental(self):
-        with pytest.raises(ValueError, match="supports_incremental_dp"):
+        with pytest.raises(ValueError, match="incremental DP priority state"):
             BatchIntervalSimulator(
                 video_symmetric_spec(0.6, num_links=6),
                 ELDFPolicy(),
@@ -260,7 +260,7 @@ class TestOrderMaintenancePrimitive:
 
 class TestSweepLevelDpState:
     """A sweep-level ``dp_state`` request addresses the DP-family cells
-    only; families without ``supports_incremental_dp`` (ELDF/LDF) must
+    only; families without ``incremental_dp`` (ELDF/LDF) must
     run exactly as they would with ``dp_state=None`` — neither raising
     the kernel's strict ``ValueError`` nor silently demoting their fused
     group to the per-cell fallback (whose different stream tags would

@@ -4,7 +4,7 @@ A :class:`SpecStack` lets every batch-engine row carry its own spec as
 long as link count, timing and channel family line up.  These tests cover
 the validation contract, the per-row parameter matrices, the grouped
 arrival sampling, and — the load-bearing claim — that a heterogeneous
-stack simulated with ``sync_rng=True`` reproduces each row's scalar
+stack simulated with ``rng="sync"`` reproduces each row's scalar
 simulation bit-for-bit.
 """
 
@@ -133,7 +133,7 @@ class TestHeterogeneousSimulation:
         seeds = (3, 1, 4, 1)
         specs = [video_symmetric_spec(a, num_links=4) for a in alphas]
         sim = BatchIntervalSimulator(
-            specs, factory(), seeds, sync_rng=True,
+            specs, factory(), seeds, rng="sync",
             row_policies=[factory() for _ in seeds],
         )
         batch = sim.run(200)
@@ -148,4 +148,4 @@ class TestHeterogeneousSimulation:
     def test_row_count_must_match_seed_count(self):
         specs = [video_symmetric_spec(0.5, num_links=4)] * 3
         with pytest.raises(ValueError, match="rows"):
-            BatchIntervalSimulator(specs, LDFPolicy(), (0, 1), sync_rng=True)
+            BatchIntervalSimulator(specs, LDFPolicy(), (0, 1), rng="sync")

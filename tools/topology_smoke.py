@@ -11,7 +11,7 @@ promoted) through the fused sweep engine and the on-disk sweep cache:
    only) populates the cache, then the full sweep resumes on top; the
    checkpointed cells are served warm and the result is bit-identical
    to an uncached reference run.
-3. **Degrade semantics**: a non-`supports_topology` family (FCSMA) in
+3. **Degrade semantics**: a family without a batch kernel (FCSMA) in
    the same sweep must degrade to single-domain with exactly one
    ``UserWarning`` while still producing finite points.
 4. **Wide cells**: DB-DP on cells of at least 64 links, wider than the
@@ -146,7 +146,7 @@ def drill_degrade_warning(num_intervals: int, report: dict) -> None:
         warnings.simplefilter("always")
         result = run_sweep(**kwargs)
     topo_warnings = [
-        w for w in caught if "supports_topology" in str(w.message)
+        w for w in caught if "topology= is ignored" in str(w.message)
     ]
     assert len(topo_warnings) == 1, (
         f"expected exactly one degrade warning, got {len(topo_warnings)}"
