@@ -100,7 +100,9 @@ class DCFPolicy(IntervalMac):
 
 
 # ----------------------------------------------------------------------
-# Registry descriptor (repro.core.registry).  Scalar-only, like FCSMA.
+# Registry descriptor (repro.core.registry).  Batched by the same
+# contention-round kernel as FCSMA, with the windows as per-link state
+# that persists across intervals.
 # ----------------------------------------------------------------------
 from . import registry as _registry  # noqa: E402  (self-registration)
 
@@ -115,5 +117,6 @@ _registry.register(
         from_config=lambda config: DCFPolicy(
             cw_min=int(config["cw_min"]), cw_max=int(config["cw_max"])
         ),
+        batch_kernel="repro.sim.batch_kernels:BatchDCFKernel",
     )
 )

@@ -76,6 +76,14 @@ class DebtWindowMap:
         section = int(positive_debt // self.section_width)
         return self.windows[min(section, len(self.windows) - 1)]
 
+    def window_array(self, positive_debts: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`window` of every entry of ``positive_debts``, as floats
+        written into ``out`` (same shape)."""
+        np.floor_divide(positive_debts, self.section_width, out=out)
+        np.minimum(out, len(self.windows) - 1, out=out)
+        table = np.asarray(self.windows, dtype=np.float64)
+        return table.take(out.astype(np.intp), out=out)
+
     @property
     def saturation_debt(self) -> float:
         """Debt beyond which the map stops responding (paper's criticism)."""
@@ -154,10 +162,9 @@ class FCSMAPolicy(IntervalMac):
 
 
 # ----------------------------------------------------------------------
-# Registry descriptor (repro.core.registry).  Scalar-only: FCSMA's
-# per-round contention has no vectorized kernel, so every engine falls
-# back to the scalar interval simulator — declared here instead of being
-# the implicit `else` branch of the engine dispatch switches.
+# Registry descriptor (repro.core.registry).  The contention-round batch
+# kernel runs every round of every row at once; rng="sync" drives scalar
+# clones of this class, bit-identical to the scalar engine.
 # ----------------------------------------------------------------------
 from . import registry as _registry  # noqa: E402  (self-registration)
 
@@ -171,5 +178,6 @@ _registry.register(
         from_config=lambda config: FCSMAPolicy(
             window_map=_registry.decode_config_value(config["window_map"])
         ),
+        batch_kernel="repro.sim.batch_kernels:BatchFCSMAKernel",
     )
 )

@@ -126,7 +126,11 @@ class FrameCSMAPolicy(IntervalMac):
 
 
 # ----------------------------------------------------------------------
-# Registry descriptor (repro.core.registry).  Scalar-only, like FCSMA.
+# Registry descriptor (repro.core.registry).  Scalar-only: the frame runs
+# a debt-ordered schedule of fixed per-link slot blocks, with idle slack
+# and no contention rounds, so it fits neither the ordered-service nor
+# the contention-round batch kernel; every engine falls back to the
+# scalar interval simulator for it.
 # ----------------------------------------------------------------------
 from . import registry as _registry  # noqa: E402  (self-registration)
 

@@ -70,24 +70,25 @@ ENV_VAR = "REPRO_SWEEP_CACHE"
 #: Default cache root, relative to the current working directory.
 DEFAULT_CACHE_DIR = Path(".repro_cache") / "sweeps"
 
+#: The ``repro`` package root; engine source paths are relative to it.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+
 #: Source files whose content defines the simulation semantics a cached
-#: value depends on.  Paths are relative to the ``repro`` package root.
-_ENGINE_SOURCES = (
-    "core/dp_protocol.py",
-    "core/dbdp.py",
-    "core/eldf.py",
-    "core/policies.py",
-    "core/registry.py",
-    "phy/channel.py",
-    "traffic/arrivals.py",
-    "sim/batch_kernels.py",
-    "sim/batch_sim.py",
-    "sim/interval_sim.py",
-    "sim/rng.py",
-    "sim/spec_stack.py",
-    "experiments/grid.py",
-    "experiments/runner.py",
-    "experiments/cache.py",
+#: value depends on: every Python and C source of the simulation layers
+#: (policies, PHY, traffic, engines and kernels, topology), plus the
+#: sweep modules that aggregate cells, in sorted order.  Derived from the
+#: tree rather than listed, so a new or forgotten engine file can never
+#: leave stale cells valid.
+_ENGINE_SOURCES = tuple(
+    sorted(
+        [
+            path.relative_to(_PACKAGE_ROOT).as_posix()
+            for layer in ("core", "phy", "traffic", "sim", "topology")
+            for path in (_PACKAGE_ROOT / layer).rglob("*")
+            if path.suffix in (".py", ".c")
+        ]
+        + ["experiments/grid.py", "experiments/runner.py", "experiments/cache.py"]
+    )
 )
 
 _engine_version_cache: Optional[str] = None
@@ -101,11 +102,10 @@ def engine_version() -> str:
     """
     global _engine_version_cache
     if _engine_version_cache is None:
-        root = Path(__file__).resolve().parent.parent
         digest = hashlib.sha256()
         for rel in _ENGINE_SOURCES:
             digest.update(rel.encode("utf-8"))
-            digest.update((root / rel).read_bytes())
+            digest.update((_PACKAGE_ROOT / rel).read_bytes())
         _engine_version_cache = digest.hexdigest()[:16]
     return _engine_version_cache
 

@@ -55,8 +55,8 @@ def baseline_panorama(
     """Total deficiency of every implemented MAC on the video scenario.
 
     ``engine`` is accepted for harness uniformity but these single-trace
-    studies always run on the scalar engine (contention policies and
-    stateful processes have no batch kernels).
+    studies always run on the scalar engine (one trace per policy has
+    no replications to vectorize over).
     """
     _check_engine(engine)
     intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)

@@ -9,7 +9,10 @@ Kernels exist for the policies that dominate benchmark time:
   swaps, Remark 6);
 * :class:`BatchELDFKernel` — ELDF/LDF via a stable argsort on
   ``f(d^+) p``;
-* :class:`BatchRoundRobinKernel` and :class:`BatchStaticPriorityKernel`.
+* :class:`BatchRoundRobinKernel` and :class:`BatchStaticPriorityKernel`;
+* :class:`BatchFCSMAKernel` and :class:`BatchDCFKernel` — random-backoff
+  contention rounds with collisions, all rows advancing one round at a
+  time under a per-row "still contending" mask.
 
 The shared primitive is :func:`solve_ordered_service`: given pre-drawn
 geometric retry counts, it resolves the whole "serve links in priority
@@ -66,8 +69,10 @@ import numpy as np
 
 from ..core import registry
 from ..core.dbdp import stack_swap_biases
+from ..core.dcf import DCFPolicy
 from ..core.dp_protocol import DPProtocol, max_swap_pairs
 from ..core.eldf import ELDFPolicy
+from ..core.fcsma import FCSMAPolicy
 from ..core.permutations import priority_to_link_order, validate_priority_vector
 from ..core.policies import IntervalMac
 from ..core.requirements import NetworkSpec
@@ -85,6 +90,8 @@ __all__ = [
     "BatchELDFKernel",
     "BatchRoundRobinKernel",
     "BatchStaticPriorityKernel",
+    "BatchFCSMAKernel",
+    "BatchDCFKernel",
     "solve_ordered_service",
     "make_batch_kernel",
     "has_batch_kernel",
@@ -1147,6 +1154,247 @@ class BatchStaticPriorityKernel(_BatchOrderedServeKernel):
         return np.broadcast_to(
             self._order_row, (self.num_seeds, self._order_row.size)
         )
+
+
+class _BatchContentionKernel(BatchPolicyKernel):
+    """Random-backoff contention rounds with collisions (FCSMA, DCF).
+
+    Per round, every backlogged link of a row draws a backoff uniform on
+    ``{0, ..., W - 1}``; the row's minimum wins after that many idle
+    slots, and a tie is a collision that spends one data airtime and
+    fails every transmitter.  A row stops when no link is backlogged, or
+    when the next transmission would end past the interval.  All rows
+    advance one round per loop step under a per-row "still contending"
+    mask, with the accounting of the scalar ``run_interval``.
+
+    Draws:
+
+    * A solo transmission of link ``l`` delivers when the link's solo
+      attempt count reaches ``needed_cum[row, l, delivered]`` of the
+      engine's geometric retry-count block, so channel models and draw
+      sharing work exactly as for the ordered-service kernels.  The
+      link drains once that count reaches the drain total.
+    * Backoffs come from one ``(max_transmissions, S, N)`` uniform block
+      per interval on the ``"policy"`` stream, ``b = floor(u * W)``: a
+      row transmits at most ``max_transmissions`` times per interval,
+      and the round after that can never fit, so the block covers every
+      round that matters and the draw schedule does not depend on
+      outcomes.  ``floor(u * W) < W`` holds in float64 for every
+      ``u < 1`` and integer ``W``.
+
+    Subclasses name the parameters rows must share (:meth:`_row_config`)
+    and set the windows: :meth:`_interval_windows` once per interval, and
+    :meth:`_update_windows` after each round when ``_adaptive`` (DCF's
+    binary exponential backoff).
+    """
+
+    #: Whether windows change from round to round (DCF).
+    _adaptive = False
+
+    def _on_bind(self) -> None:
+        if self._row_policies is not None:
+            for i, p in enumerate(self._row_policies):
+                if self._row_config(p) != self._row_config(self.policy):
+                    raise TypeError(
+                        f"row {i} configures {self._row_config(p)!r}, the "
+                        f"kernel uses {self._row_config(self.policy)!r}; "
+                        f"{self.name} rows must share one configuration"
+                    )
+        if self._sync:
+            return
+        S, n, M = self.num_seeds, self.spec.num_links, self._budget
+        w = SimpleNamespace()
+        w.u = np.empty((M, S, n))  # backoff uniforms, then backoffs + 1
+        w.bo = np.empty((S, n))
+        w.windows = np.empty((S, n))
+        w.tot = np.empty((S, n), dtype=self._channel_draws.dtype)
+        w.left = np.empty_like(w.tot)
+        w.live = np.empty((S, n), dtype=bool)
+        w.bmin = np.empty((M, S))
+        w.slots = np.empty(S)
+        w.fits = np.empty((M, S), dtype=bool)
+        w.eq = np.empty((M, S, n), dtype=bool)
+        # Transmitters per round (uint8 sums are the cheapest count).
+        w.cnt = np.empty(S, dtype=np.uint8 if n < 256 else np.int64)
+        w.solo = np.empty((M, S), dtype=bool)
+        w.serve3f = np.empty((S, n, self._a_max), dtype=w.left.dtype)
+        w.ones_af = np.ones(self._a_max, dtype=w.left.dtype)
+        w.countf = np.empty((S, n), dtype=w.left.dtype)
+        # Round r of a row that has transmitted in every earlier round
+        # starts after ``B`` backoff slots and r airtimes, and fits iff
+        # ``(B + b) * slot + (r + 1) * air <= T``.  The loop accumulates
+        # ``b + 1`` per round, so the bound on that sum is ``cap + r + 1``.
+        # Free backoff slots put no bound on B; the cap stays finite so
+        # that a row without contenders (an infinite sum) never fits.
+        r = np.arange(M, dtype=np.float64)
+        if self._slot > 0:
+            after_airtimes = self._interval_us - (r + 1) * self._data_air
+            cap = np.floor(after_airtimes / self._slot)
+        else:
+            cap = np.full(M, np.finfo(np.float64).max)
+        cap = cap + r + 1
+        # Per-round views, built once: slicing them in the round loop
+        # would cost as much as several of its ufunc calls.
+        w.rounds = [
+            (
+                w.u[i], w.bmin[i], w.bmin[i][:, None], float(cap[i]),
+                w.fits[i], w.fits[i][:, None], w.fits[i - 1],
+                w.eq[i], w.eq[i].view(np.uint8), w.solo[i], w.solo[i][:, None],
+            )
+            for i in range(M)
+        ]
+        self._ws = w
+
+    @staticmethod
+    @abstractmethod
+    def _row_config(policy: IntervalMac):
+        """The policy parameters every row of one stack must share."""
+
+    def _interval_windows(self, positive_debts: np.ndarray, out: np.ndarray) -> None:
+        """Set the ``(S, N)`` windows ``out`` at the interval start; by
+        default they are per-link state and stay as they are."""
+
+    def _update_windows(self, eq: np.ndarray, solo: np.ndarray) -> None:
+        """Adapt the windows after one round (``_adaptive`` kernels)."""
+
+    def _run_interval_ws(
+        self,
+        k: int,
+        arrivals: np.ndarray,
+        positive_debts: np.ndarray,
+        rng: BatchRngBundle,
+    ) -> BatchIntervalOutcome:
+        w = self._ws
+        counters = perf.counters
+        needed = self._channel_draws.next(
+            self._kstream(rng, "channel"), self._chan_rng(rng)
+        )
+        if counters.enabled:
+            t0 = perf.clock()
+        self._kstream(rng, "policy").random(out=w.u)
+        if counters.enabled:
+            t1 = perf.clock()
+            counters.add("draws.uniform_refill", t1 - t0)
+            t0 = t1
+        # Solo attempts each link still needs to drain its buffer.
+        np.copyto(w.tot, self._channel_draws.totals(needed, arrivals))
+        np.copyto(w.left, w.tot)
+        np.greater(w.left, 0, out=w.live)
+        self._interval_windows(positive_debts, w.windows)
+        u = w.u
+        adaptive = self._adaptive
+        if not adaptive:
+            # Windows are fixed for the interval: turn the whole block
+            # into ``backoff + 1`` at once.
+            np.multiply(u, w.windows, out=u)
+            np.floor(u, out=u)
+            np.add(u, 1.0, out=u)
+        w.slots.fill(0.0)
+        slots, bo, live, left, cnt = w.slots, w.bo, w.live, w.left, w.cnt
+        rounds = 0
+        with np.errstate(divide="ignore"):
+            for (
+                ur, bmin, bmin_col, cap, fits, fits_col, fits_prev,
+                eq, eq8, solo, solo_col,
+            ) in w.rounds if live.any() else ():
+                if adaptive:
+                    np.multiply(ur, w.windows, out=ur)
+                    np.floor(ur, out=ur)
+                    np.add(ur, 1.0, out=ur)
+                # ``(b + 1) / live``: drained and empty links back off
+                # forever (1 / 0 = inf), so they never win or tie.
+                np.divide(ur, live, out=bo)
+                # Ufunc reductions skip np.min/np.sum's dispatch layer,
+                # which costs more than the reduction at this size.
+                np.minimum.reduce(bo, axis=1, out=bmin)
+                # Rows that stopped earlier keep accumulating here, but
+                # the ``fits`` chain below keeps them stopped.
+                np.add(slots, bmin, out=slots)
+                np.less_equal(slots, cap, out=fits)
+                if rounds:
+                    np.logical_and(fits, fits_prev, out=fits)
+                if not fits.any():
+                    break
+                rounds += 1
+                np.equal(bo, bmin_col, out=eq)
+                np.logical_and(eq, fits_col, out=eq)
+                np.add.reduce(eq8, axis=1, out=cnt)
+                np.equal(cnt, 1, out=solo)
+                np.subtract(left, eq, out=left, where=solo_col)
+                np.greater(left, 0, out=live)
+                if adaptive:
+                    self._update_windows(eq, solo)
+        fits = w.fits[:rounds]
+        transmissions = fits.sum(axis=0)
+        collisions = transmissions - w.solo[:rounds].sum(axis=0)
+        # Accumulated values are ``b + 1`` per transmitting round.
+        backoff_slots = (
+            np.sum(w.bmin[:rounds], axis=0, where=fits) - transmissions
+        )
+        # Solo attempts made, and the packets they delivered: packet t
+        # is through once the count reaches needed_cum[t] (strictly
+        # increasing, and never past the drain total, so the count over
+        # the whole axis is the delivered count).
+        solo_attempts = w.tot - w.left
+        np.less_equal(
+            needed, solo_attempts[:, :, None], out=w.serve3f, casting="unsafe"
+        )
+        np.matmul(w.serve3f.reshape(-1, self._a_max), w.ones_af, out=w.countf.ravel())
+        deliveries = w.countf.astype(np.int64)
+        attempts = None
+        if not self._lite:
+            attempts = w.eq[:rounds].sum(axis=0, dtype=np.int64)
+        air = self._data_air
+        if counters.enabled:
+            counters.add("kernel.contention.interval", perf.clock() - t0)
+        return BatchIntervalOutcome(
+            deliveries=deliveries,
+            attempts=attempts,
+            busy_time_us=transmissions * air,
+            overhead_time_us=backoff_slots * self._slot + collisions * air,
+            collisions=collisions.astype(np.int64),
+        )
+
+
+class BatchFCSMAKernel(_BatchContentionKernel):
+    """Discretized FCSMA: windows from the positive debts, per interval."""
+
+    @staticmethod
+    def _row_config(policy: FCSMAPolicy):
+        return policy.window_map
+
+    def _interval_windows(self, positive_debts: np.ndarray, out: np.ndarray) -> None:
+        self.policy.window_map.window_array(positive_debts, out)
+
+
+class BatchDCFKernel(_BatchContentionKernel):
+    """802.11 DCF: per-link windows persist across intervals, double on
+    a collision up to ``cw_max`` and reset to ``cw_min`` after a decided
+    transmission."""
+
+    _adaptive = True
+
+    def __init__(self, policy: DCFPolicy):
+        super().__init__(policy)
+        self._cw_min = float(policy.cw_min)
+        self._cw_max = float(policy.cw_max)
+
+    @staticmethod
+    def _row_config(policy: DCFPolicy):
+        return (policy.cw_min, policy.cw_max)
+
+    def _on_bind(self) -> None:
+        super()._on_bind()
+        if not self._sync:
+            self._ws.windows.fill(self._cw_min)
+            self._ws.win = np.empty(self._ws.windows.shape, dtype=bool)
+
+    def _update_windows(self, eq: np.ndarray, solo: np.ndarray) -> None:
+        windows = self._ws.windows
+        np.multiply(windows, 2.0, out=windows, where=eq)
+        np.minimum(windows, self._cw_max, out=windows)
+        np.logical_and(eq, solo[:, None], out=self._ws.win)
+        np.copyto(windows, self._cw_min, where=self._ws.win)
 
 
 class BatchDPKernel(BatchPolicyKernel):

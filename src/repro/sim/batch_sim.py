@@ -719,7 +719,7 @@ class BatchIntervalSimulator:
         channel parameters, requirements and arrival parameters.
     policy:
         A policy with a batch kernel (DP/DB-DP, ELDF/LDF, round-robin,
-        static priority).
+        static priority, FCSMA, DCF).
     seeds:
         One seed per replication; each matches the scalar engine's
         single-``seed`` argument.  With a spec stack, seeds may repeat

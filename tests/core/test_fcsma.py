@@ -46,6 +46,15 @@ class TestDebtWindowMap:
         with pytest.raises(ValueError):
             DebtWindowMap(windows=(4,), section_width=0.0)
 
+    def test_window_array_matches_window(self):
+        """The batch kernel's vectorized map equals the scalar one."""
+        window_map = DebtWindowMap(windows=(40, 20, 8, 3), section_width=0.7)
+        debts = np.random.default_rng(3).uniform(0.0, 4.0, size=(4, 5))
+        debts[0, :4] = (0.0, 0.7, 1.4, 2.1)  # section boundaries
+        out = window_map.window_array(debts, np.empty_like(debts))
+        expected = [[window_map.window(float(d)) for d in row] for row in debts]
+        np.testing.assert_array_equal(out, expected)
+
     def test_rejects_negative_debt(self):
         with pytest.raises(ValueError):
             DebtWindowMap().window(-1.0)

@@ -205,7 +205,7 @@ def test_create_with_config():
 # Capabilities and kernels
 # ----------------------------------------------------------------------
 def test_scalar_only_families_declare_no_kernel():
-    for name in ("DCF", "FCSMA", "FrameCSMA"):
+    for name in ("FrameCSMA",):
         descriptor = registry.get(name)
         assert descriptor.batch_kernel is None
         assert not registry.has_kernel(EXEMPLARS[name]())
@@ -215,7 +215,10 @@ def test_scalar_only_families_declare_no_kernel():
 
 
 def test_batchable_families_expose_kernels():
-    for name in ("DB-DP", "DP", "ELDF", "LDF", "RoundRobin", "StaticPriority"):
+    for name in (
+        "DB-DP", "DCF", "DP", "ELDF", "FCSMA", "LDF", "RoundRobin",
+        "StaticPriority",
+    ):
         assert registry.has_kernel(EXEMPLARS[name]())
         assert registry.kernel_refusal(EXEMPLARS[name]()) is None
 
@@ -227,7 +230,7 @@ def test_incremental_dp_is_the_dp_family_only():
 
 def test_make_kernel_rejects_scalar_only_policies():
     with pytest.raises(TypeError, match="no batch kernel"):
-        registry.make_kernel(FCSMAPolicy())
+        registry.make_kernel(FrameCSMAPolicy())
 
 
 def test_kernel_family_shared_within_dp_family():
@@ -235,6 +238,7 @@ def test_kernel_family_shared_within_dp_family():
     assert registry.same_kernel_family(LDFPolicy(), ELDFPolicy())
     assert not registry.same_kernel_family(DBDPPolicy(), LDFPolicy())
     assert not registry.same_kernel_family(DBDPPolicy(), FCSMAPolicy())
+    assert not registry.same_kernel_family(FCSMAPolicy(), DCFPolicy())
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,22 @@ class TestKeys:
         v = engine_version()
         assert isinstance(v, str) and len(v) == 16
         assert v == engine_version()  # memoized, stable in-process
+        # Every registered policy family's source is hashed, so editing
+        # any policy invalidates its cached cells.
+        import inspect
+        from pathlib import Path
+
+        import repro
+        from repro.core import registry
+        from repro.experiments import cache as cache_mod
+
+        root = Path(repro.__file__).resolve().parent
+        hashed = set(cache_mod._ENGINE_SOURCES)
+        for name in registry.available():
+            source = Path(inspect.getfile(registry.get(name).policy_class))
+            rel = source.resolve().relative_to(root).as_posix()
+            assert rel in hashed, f"{name}: {rel} is not hashed"
+        assert list(cache_mod._ENGINE_SOURCES) == sorted(hashed)
 
 
 class TestRoundTrip:

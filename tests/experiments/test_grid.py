@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DBDPPolicy, FCSMAPolicy, LDFPolicy
+from repro import DBDPPolicy, FrameCSMAPolicy, LDFPolicy
 from repro.core.policies import IntervalMac as _IntervalMac
 from repro.core.policies import IntervalOutcome as _IntervalOutcome
 from repro.experiments import grid
@@ -52,19 +52,23 @@ class TestSyncExactness:
 
 class TestFallback:
     def test_unfusable_policy_falls_back_per_cell(self):
-        """FCSMA has no batch kernel; its cells must reproduce the
+        """FrameCSMA has no batch kernel; its cells must reproduce the
         per-cell runner exactly (both routes reach the same scalar
         engine with the same seeds)."""
-        kw = dict(BASE, policies={"FCSMA": FCSMAPolicy, "LDF": LDFPolicy})
+        kw = dict(
+            BASE, policies={"FrameCSMA": FrameCSMAPolicy, "LDF": LDFPolicy}
+        )
         fused = run_sweep_fused(**kw)
         per_cell = run_sweep(**kw, engine="batch")
-        fused_fcsma = [p for p in fused.points if p.policy == "FCSMA"]
-        per_cell_fcsma = [p for p in per_cell.points if p.policy == "FCSMA"]
-        assert fused_fcsma == per_cell_fcsma
+        fused_frame = [p for p in fused.points if p.policy == "FrameCSMA"]
+        per_cell_frame = [
+            p for p in per_cell.points if p.policy == "FrameCSMA"
+        ]
+        assert fused_frame == per_cell_frame
         # The fused LDF cells are fresh samples, not bit-identical; the
         # sweep must still cover every (value, policy) cell.
         assert len(fused.points) == len(per_cell.points) == 4
-        assert fused.series("LDF") and fused.series("FCSMA")
+        assert fused.series("LDF") and fused.series("FrameCSMA")
 
     def test_unstackable_group_degrades_gracefully(self, monkeypatch):
         """If stacking itself fails, the group must fall back to the
@@ -128,13 +132,14 @@ class TestValidationArgs:
 class TestScalarOnlyDeclaredFallback:
     """Scalar-only families run through the fused engine by declaration.
 
-    DCF, FCSMA, and Frame-CSMA name no ``batch_kernel`` in their
-    registry descriptors; ``run_sweep(engine="fused")`` must route
-    each of their cells through the declared per-cell fallback and
-    reproduce the per-cell runner exactly.
+    Frame-CSMA names no ``batch_kernel`` in its registry descriptor;
+    ``run_sweep(engine="fused")`` must route each of its cells through
+    the declared per-cell fallback and reproduce the per-cell runner
+    exactly.  (DCF and FCSMA name the contention-round kernel; see
+    :class:`TestContentionFamiliesFuse`.)
     """
 
-    @pytest.mark.parametrize("name", ["DCF", "FCSMA", "FrameCSMA"])
+    @pytest.mark.parametrize("name", ["FrameCSMA"])
     def test_scalar_only_policy_through_fused_engine(self, name):
         kw = dict(BASE, policies=(name,), num_intervals=60, seeds=(0, 1))
         fused = run_sweep(**kw, engine="fused")
@@ -152,7 +157,27 @@ class TestScalarOnlyDeclaredFallback:
             rng="sync",
         )
         assert by_name.points == by_factory.points
-        assert registry.get("DCF").batch_kernel is None
+        assert registry.get("FrameCSMA").batch_kernel is None
+
+
+class TestContentionFamiliesFuse:
+    """DCF and FCSMA run as fused mega-batches on the contention-round
+    kernel: under ``rng="sync"`` the fused grid equals the scalar sweep
+    field for field, and no cell falls back per cell."""
+
+    @pytest.mark.parametrize("name", ["DCF", "FCSMA"])
+    def test_sync_fused_matches_scalar_sweep(self, name, monkeypatch):
+        kw = dict(BASE, policies=(name,), num_intervals=60, seeds=(0, 1))
+        scalar = run_sweep(**kw, engine="scalar")
+
+        def per_cell(*args, **kwargs):
+            raise AssertionError("a contention cell fell back per cell")
+
+        monkeypatch.setattr(
+            grid, "_fallback_runner", lambda *args: per_cell
+        )
+        fused = run_sweep_fused(**kw, rng="sync")
+        assert fused.points == scalar.points
 
 
 class TestUncacheableWarning:
@@ -289,16 +314,16 @@ class TestFusedFaults:
 
         from repro.experiments.faults import ENV_FAULT_INJECT, FaultPolicy
 
-        kw = self.kwargs(policies={"FCSMA": FCSMAPolicy})
+        kw = self.kwargs(policies={"FrameCSMA": FrameCSMAPolicy})
         clean = run_sweep_fused(**kw)
-        monkeypatch.setenv(ENV_FAULT_INJECT, "raise:FCSMA:0.45")
+        monkeypatch.setenv(ENV_FAULT_INJECT, "raise:FrameCSMA:0.45")
         result = run_sweep_fused(
             **kw,
             faults=FaultPolicy(
                 retries=0, backoff_base=0.0, mode="best_effort"
             ),
         )
-        bad, good = result.series("FCSMA")
+        bad, good = result.series("FrameCSMA")
         assert math.isnan(bad)
-        assert good == clean.series("FCSMA")[1]
-        assert result.failures.cells == [(0.45, "FCSMA")]
+        assert good == clean.series("FrameCSMA")[1]
+        assert result.failures.cells == [(0.45, "FrameCSMA")]

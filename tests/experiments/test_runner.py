@@ -10,7 +10,7 @@ import pytest
 
 from repro import (
     DBDPPolicy,
-    FCSMAPolicy,
+    FrameCSMAPolicy,
     LDFPolicy,
     NetworkSpec,
     StaticPriorityPolicy,
@@ -66,11 +66,13 @@ class TestBatchEngine:
         assert len(point.group_deficiency) == 2
 
     def test_unsupported_policy_falls_back_to_scalar(self):
-        """FCSMA has no batch kernel: engine='batch' must silently run the
-        scalar path and reproduce it exactly (same seeds, same draws)."""
+        """FrameCSMA has no batch kernel: engine='batch' must silently run
+        the scalar path and reproduce it exactly (same seeds, same draws)."""
         spec = tiny_builder(0.5)
-        scalar = run_single(spec, FCSMAPolicy, 80, seeds=(0, 1))
-        fallback = run_single(spec, FCSMAPolicy, 80, seeds=(0, 1), engine="batch")
+        scalar = run_single(spec, FrameCSMAPolicy, 80, seeds=(0, 1))
+        fallback = run_single(
+            spec, FrameCSMAPolicy, 80, seeds=(0, 1), engine="batch"
+        )
         # (parameter is NaN in both, so compare the measured fields)
         assert fallback.policy == scalar.policy
         assert fallback.total_deficiency == scalar.total_deficiency
@@ -319,16 +321,16 @@ _LOCKSTEP = (
 #: the one advisory that sweep must emit.
 DEGRADES = {
     "topology": (
-        dict(policies=["DB-DP", "FCSMA"], topology=_two_cells),
+        dict(policies=["DB-DP", "FrameCSMA"], topology=_two_cells),
         "topology= is ignored for policy families without a batch "
-        "kernel: FCSMA; those cells run single-domain exactly as they "
+        "kernel: FrameCSMA; those cells run single-domain exactly as they "
         "would without a topology",
     ),
     "free-rng": (
-        dict(policies=["LDF", "FCSMA"], rng="free"),
+        dict(policies=["LDF", "FrameCSMA"], rng="free"),
         "rng='free' is ignored for policy families without a batch "
-        "kernel: FCSMA; those cells run exactly as they would under the "
-        "default draw discipline",
+        "kernel: FrameCSMA; those cells run exactly as they would under "
+        "the default draw discipline",
     ),
     "ge-channel": (
         dict(policies=["DB-DP", "LDF"], spec_builder=_ge_builder),

@@ -28,7 +28,7 @@ def _builder(spec):
 
 def _sweep(engine, **kwargs):
     return run_sweep(
-        "alpha*", VALUES, _spec, ["DB-DP", "FCSMA"], INTERVALS,
+        "alpha*", VALUES, _spec, ["DB-DP", "FrameCSMA"], INTERVALS,
         seeds=SEEDS, engine=engine, topology=_builder, **kwargs,
     )
 
@@ -53,23 +53,23 @@ class TestRunnerPlumbing:
             w for w in caught if "topology= is ignored" in str(w.message)
         ]
         assert len(topo_warnings) == 1
-        assert "FCSMA" in str(topo_warnings[0].message)
+        assert "FrameCSMA" in str(topo_warnings[0].message)
         # The degraded cells still produce finite points.
-        fcsma = [p for p in result.points if p.policy == "FCSMA"]
-        assert all(np.isfinite(p.total_deficiency) for p in fcsma)
+        frame = [p for p in result.points if p.policy == "FrameCSMA"]
+        assert all(np.isfinite(p.total_deficiency) for p in frame)
 
     def test_degraded_cells_match_topology_free_sweep(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             with_topo = _sweep("batch")
         plain = run_sweep(
-            "alpha*", VALUES, _spec, ["FCSMA"], INTERVALS,
+            "alpha*", VALUES, _spec, ["FrameCSMA"], INTERVALS,
             seeds=SEEDS, engine="batch",
         )
         got = {
             p.parameter: p.total_deficiency
             for p in with_topo.points
-            if p.policy == "FCSMA"
+            if p.policy == "FrameCSMA"
         }
         for p in plain.points:
             assert got[p.parameter] == p.total_deficiency
@@ -141,7 +141,7 @@ class TestBatchEntryPoint:
     def test_direct_call_is_strict_for_non_capable_families(self):
         from repro.core import registry
 
-        factory = registry.resolve_policies(["FCSMA"])["FCSMA"]
+        factory = registry.resolve_policies(["FrameCSMA"])["FrameCSMA"]
         with pytest.raises(TypeError, match="no batch kernel"):
             run_simulation_batch(
                 _spec(0.5), factory(), INTERVALS, SEEDS,

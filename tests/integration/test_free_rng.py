@@ -11,7 +11,7 @@ here:
 * distinctness: free draws differ from the batch discipline's (same
   seeds), and the two disciplines' per-cell means agree within the same
   joint confidence bound used by ``test_fused_statistical.py``;
-* fallback: families without a batch kernel (FCSMA) run ``rng="free"``
+* fallback: families without a batch kernel (FrameCSMA) run ``rng="free"``
   cells exactly as default ones, with exactly one ``UserWarning`` per
   sweep (and raise ``TypeError`` when handed to the batch simulator
   directly);
@@ -26,7 +26,14 @@ import math
 
 import pytest
 
-from repro import DBDPPolicy, FCSMAPolicy, LDFPolicy, run_simulation_batch
+from repro import (
+    DBDPPolicy,
+    DCFPolicy,
+    FCSMAPolicy,
+    FrameCSMAPolicy,
+    LDFPolicy,
+    run_simulation_batch,
+)
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
 from repro.experiments.runner import run_single, run_sweep
@@ -37,6 +44,8 @@ SEEDS = tuple(range(24))
 INTERVALS = 400
 VALUES = (0.5, 0.65)
 POLICIES = {"DB-DP": DBDPPolicy, "LDF": LDFPolicy}
+#: The equivalence checks also cover the contention-round kernel.
+EQUIVALENCE_POLICIES = {**POLICIES, "FCSMA": FCSMAPolicy, "DCF": DCFPolicy}
 
 
 def builder(alpha):
@@ -108,7 +117,7 @@ class TestFreeStatisticalEquivalence:
             parameter_name="alpha",
             values=VALUES,
             spec_builder=builder,
-            policies=POLICIES,
+            policies=EQUIVALENCE_POLICIES,
             num_intervals=INTERVALS,
             seeds=SEEDS,
         )
@@ -124,7 +133,7 @@ class TestFreeStatisticalEquivalence:
         ]
         return point
 
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("policy", sorted(EQUIVALENCE_POLICIES))
     @pytest.mark.parametrize("value", VALUES)
     def test_means_within_joint_confidence_bound(self, sweeps, policy, value):
         free, batch = sweeps
@@ -142,7 +151,7 @@ class TestFreeStatisticalEquivalence:
 
     def test_collisions_and_overhead_track(self, sweeps):
         free, batch = sweeps
-        for policy in POLICIES:
+        for policy in EQUIVALENCE_POLICIES:
             for value in VALUES:
                 f = self._cell(free, policy, value)
                 b = self._cell(batch, policy, value)
@@ -155,22 +164,23 @@ class TestFreeStatisticalEquivalence:
 
 
 class TestCapabilityFallback:
-    """FCSMA names no batch kernel, so ``rng="free"`` cannot apply to it."""
+    """FrameCSMA names no batch kernel, so ``rng="free"`` cannot apply to
+    it."""
 
     def test_supports_batch_engine_refuses_free(self):
         spec = builder(0.5)
         assert supports_batch_engine(spec, DBDPPolicy(), rng="free")
-        assert not supports_batch_engine(spec, FCSMAPolicy(), rng="free")
+        assert not supports_batch_engine(spec, FrameCSMAPolicy(), rng="free")
 
     def test_direct_simulator_raises_type_error(self):
         spec = builder(0.5)
         with pytest.raises(TypeError, match="no batch kernel"):
-            BatchIntervalSimulator([spec] * 2, FCSMAPolicy(), [0, 1],
+            BatchIntervalSimulator([spec] * 2, FrameCSMAPolicy(), [0, 1],
                                    rng="free")
 
     def test_fused_sweep_degrades_with_one_warning(self):
         kw = dict(num_intervals=80, seeds=(0, 1))
-        policies = {"DB-DP": DBDPPolicy, "FCSMA": FCSMAPolicy}
+        policies = {"DB-DP": DBDPPolicy, "FrameCSMA": FrameCSMAPolicy}
         advice = "rng='free' is ignored"
         with pytest.warns(UserWarning, match=advice) as record:
             free = run_sweep_fused(
@@ -181,15 +191,15 @@ class TestCapabilityFallback:
         # Degraded cells run exactly as default ones: bit-identical to a
         # plain sweep.  Batchable cells run genuinely free.
         for f, b in zip(free.points, batch.points):
-            if f.policy == "FCSMA":
+            if f.policy == "FrameCSMA":
                 assert f == b
         assert _totals(free) != _totals(batch)
 
     def test_run_single_degrades_silently(self):
         spec = builder(0.5)
-        free = run_single(spec, FCSMAPolicy, 100, (0, 1), engine="batch",
+        free = run_single(spec, FrameCSMAPolicy, 100, (0, 1), engine="batch",
                           rng="free")
-        batch = run_single(spec, FCSMAPolicy, 100, (0, 1), engine="batch")
+        batch = run_single(spec, FrameCSMAPolicy, 100, (0, 1), engine="batch")
         # run_single leaves parameter=NaN (filled by run_sweep); pin it
         # so dataclass equality compares the measurements.
         assert dataclasses.replace(free, parameter=0.0) == dataclasses.replace(

@@ -8,13 +8,20 @@ against brute-force sequential references on shared inputs.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import (
     BernoulliArrivals,
+    BernoulliChannel,
+    ConstantArrivals,
     DBDPPolicy,
+    DCFPolicy,
+    DebtWindowMap,
     FCSMAPolicy,
+    FrameCSMAPolicy,
     GilbertElliottChannel,
     LDFPolicy,
     NetworkSpec,
@@ -213,11 +220,13 @@ class TestKernelDispatch:
         assert has_batch_kernel(DBDPPolicy())
         assert has_batch_kernel(LDFPolicy())
         assert has_batch_kernel(RoundRobinPolicy())
-        assert not has_batch_kernel(FCSMAPolicy())
+        assert has_batch_kernel(FCSMAPolicy())
+        assert has_batch_kernel(DCFPolicy())
+        assert not has_batch_kernel(FrameCSMAPolicy())
 
     def test_unsupported_policy_raises(self):
         with pytest.raises(TypeError, match="no batch kernel"):
-            make_batch_kernel(FCSMAPolicy())
+            make_batch_kernel(FrameCSMAPolicy())
 
     def test_stochastic_state_rejected_under_lockstep(self):
         """GE under the lockstep disciplines raises a TypeError naming the
@@ -275,3 +284,202 @@ class TestDPSequentialFallbackEquivalence:
         np.testing.assert_array_equal(a.busy_time_us, b.busy_time_us)
         np.testing.assert_array_equal(a.overhead_time_us, b.overhead_time_us)
         np.testing.assert_array_equal(fast.debts, slow.debts)
+
+
+def _contention_spec(rates, timing):
+    """Links with deterministic arrivals (rate 0 or 1) on lossy channels."""
+    n = len(rates)
+    return NetworkSpec.from_delivery_ratios(
+        arrivals=BernoulliArrivals(rates=tuple(rates)),
+        channel=BernoulliChannel.symmetric(n, 0.8),
+        timing=timing,
+        delivery_ratios=0.5,
+    )
+
+
+class TestContentionKernel:
+    """The FCSMA/DCF contention-round kernel on outcomes that do not
+    depend on the draws, so they are exact in every draw discipline."""
+
+    @pytest.mark.parametrize("rng", ["batch", "free"])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            lambda: FCSMAPolicy(DebtWindowMap(windows=(1,))),
+            lambda: DCFPolicy(cw_min=1, cw_max=1),
+        ],
+        ids=["FCSMA", "DCF"],
+    )
+    @pytest.mark.parametrize(
+        "timing", [idealized_timing(6), video_symmetric_spec(0.5).timing],
+        ids=["idealized", "video"],
+    )
+    def test_single_slot_window_collides_every_round(self, policy, rng, timing):
+        spec = _contention_spec((1.0, 1.0, 0.0, 1.0), timing)
+        budget = timing.max_transmissions
+        sim = BatchIntervalSimulator(spec, policy(), (0, 1, 2), rng=rng)
+        result = sim.run(12)
+        np.testing.assert_array_equal(result.collisions, budget)
+        np.testing.assert_array_equal(result.deliveries, 0)
+        np.testing.assert_array_equal(
+            result.attempts, np.array([budget, budget, 0, budget])[None, None]
+            * np.ones_like(result.attempts)
+        )
+        np.testing.assert_array_equal(
+            result.busy_time_us, budget * timing.data_airtime_us
+        )
+        np.testing.assert_array_equal(
+            result.overhead_time_us, budget * timing.data_airtime_us
+        )
+
+    @pytest.mark.parametrize("rng", ["batch", "free"])
+    @pytest.mark.parametrize("policy", [FCSMAPolicy, DCFPolicy])
+    def test_one_backlogged_link_never_collides(self, policy, rng):
+        spec = _contention_spec((0.0, 1.0, 0.0), idealized_timing(6))
+        result = BatchIntervalSimulator(
+            spec, policy(), (0, 1, 2), rng=rng
+        ).run(40)
+        np.testing.assert_array_equal(result.collisions, 0)
+        np.testing.assert_array_equal(result.attempts[:, :, [0, 2]], 0)
+        # One packet per interval, six tries at p = 0.8: the link's
+        # attempts stop at its first success.
+        delivered = result.deliveries[:, :, 1]
+        assert delivered.mean() > 0.9
+        tries = result.attempts[:, :, 1]
+        assert np.all((tries >= 1) & (tries <= 6))
+        assert np.all((delivered == 0) == (tries == 6))
+        np.testing.assert_array_equal(result.busy_time_us, tries)
+
+
+def reference_contention(u, windows, arrivals, needed, timing, dcf=None):
+    """The scalar FCSMA/DCF round loop, one row at a time, on given
+    draws: backoff ``floor(u[r, s, l] * W)`` and channel success when the
+    solo-attempt count reaches ``needed[s, l, delivered]``.  ``dcf`` is
+    ``(cw_min, cw_max)``; DCF windows in ``windows`` are updated in place.
+    """
+    S, n = arrivals.shape
+    out = {
+        key: np.zeros((S, n), dtype=np.int64) for key in ("deliveries", "attempts")
+    }
+    out.update(
+        busy=np.zeros(S), overhead=np.zeros(S),
+        collisions=np.zeros(S, dtype=np.int64),
+    )
+    for s in range(S):
+        backlog = arrivals[s].astype(np.int64).copy()
+        solo = np.zeros(n, dtype=np.int64)
+        elapsed = backoff_us = collision_us = 0.0
+        for r in range(u.shape[0]):
+            contenders = np.flatnonzero(backlog > 0)
+            if contenders.size == 0:
+                break
+            draws = np.floor(u[r, s, contenders] * windows[s, contenders])
+            b_min = draws.min()
+            start = elapsed + b_min * timing.backoff_slot_us
+            if start + timing.data_airtime_us > timing.interval_us:
+                break
+            backoff_us += b_min * timing.backoff_slot_us
+            elapsed = start + timing.data_airtime_us
+            winners = contenders[draws == b_min]
+            out["attempts"][s, winners] += 1
+            if winners.size == 1:
+                link = winners[0]
+                solo[link] += 1
+                if dcf is not None:
+                    windows[s, link] = dcf[0]
+                if solo[link] == needed[s, link, out["deliveries"][s, link]]:
+                    out["deliveries"][s, link] += 1
+                    backlog[link] -= 1
+            else:
+                out["collisions"][s] += 1
+                collision_us += timing.data_airtime_us
+                if dcf is not None:
+                    windows[s, winners] = np.minimum(
+                        windows[s, winners] * 2, dcf[1]
+                    )
+        out["busy"][s] = elapsed - backoff_us
+        out["overhead"][s] = backoff_us + collision_us
+    return out
+
+
+class _GivenDraws:
+    """Stands in for the engine's draw objects with prepared blocks."""
+
+    def __init__(self, blocks):
+        self.blocks = iter(blocks)
+        self.dtype = np.dtype(np.float32)
+
+    # Channel draws: one cumulative retry-count block per interval.
+    def next(self, rng, state_rng=None):
+        return next(self.blocks)
+
+    def totals(self, needed, backlog):
+        return drain_totals(needed, backlog)
+
+    # Streams: the "policy" stream fills the backoff block.
+    def batch_stream(self, name):
+        return self
+
+    def random(self, out):
+        out[...] = next(self.blocks)
+
+
+class TestContentionKernelAgainstReference:
+    """On shared draws, the vectorized rounds equal the scalar loop."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [FCSMAPolicy, lambda: DCFPolicy(cw_min=4, cw_max=32)],
+        ids=["FCSMA", "DCF"],
+    )
+    @pytest.mark.parametrize(
+        "timing", [idealized_timing(9), video_symmetric_spec(0.5).timing],
+        ids=["idealized", "video"],
+    )
+    def test_outcomes_match_scalar_round_loop(self, policy, timing):
+        S, n, A, K = 5, 7, 4, 12
+        spec = NetworkSpec.from_delivery_ratios(
+            arrivals=ConstantArrivals.symmetric(n, A),  # sets A_max
+            channel=BernoulliChannel.symmetric(n, 0.6),
+            timing=timing,
+            delivery_ratios=0.5,
+        )
+        kernel = make_batch_kernel(policy())
+        kernel.bind(spec, S, rng="free")
+        rng = np.random.default_rng(11)
+        M = timing.max_transmissions
+        windows = np.full((S, n), 4.0)
+        dcf = None
+        if isinstance(kernel.policy, DCFPolicy):
+            dcf = (4.0, 32.0)
+        collisions = deliveries = 0
+        for k in range(K):
+            arrivals = rng.integers(0, A + 1, size=(S, n))
+            debts = rng.uniform(0.0, 6.0, size=(S, n))
+            needed = np.cumsum(
+                rng.geometric(0.6, size=(S, n, A)), axis=2
+            ).astype(np.float32)
+            u = rng.random((M, S, n))
+            kernel._channel_draws = _GivenDraws([needed])
+            got = kernel._run_interval_ws(
+                k, arrivals, debts, SimpleNamespace(
+                    free_stream=lambda name, u=u: _GivenDraws([u]),
+                ),
+            )
+            if dcf is None:
+                windows = np.array(
+                    [[kernel.policy.window_map.window(d) for d in row]
+                     for row in debts],
+                    dtype=float,
+                )
+            want = reference_contention(u, windows, arrivals, needed, timing, dcf)
+            np.testing.assert_array_equal(got.deliveries, want["deliveries"])
+            np.testing.assert_array_equal(got.attempts, want["attempts"])
+            np.testing.assert_array_equal(got.collisions, want["collisions"])
+            np.testing.assert_allclose(got.busy_time_us, want["busy"], rtol=1e-12)
+            np.testing.assert_allclose(
+                got.overhead_time_us, want["overhead"], rtol=1e-12, atol=1e-9
+            )
+            collisions += got.collisions.sum()
+            deliveries += got.deliveries.sum()
+        assert collisions > 0 and deliveries > 0  # not a vacuous match

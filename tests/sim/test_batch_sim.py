@@ -9,7 +9,7 @@ from repro import (
     BatchIntervalSimulator,
     BernoulliChannel,
     DBDPPolicy,
-    FCSMAPolicy,
+    FrameCSMAPolicy,
     GilbertElliottChannel,
     LDFPolicy,
     NetworkSpec,
@@ -33,7 +33,7 @@ def spec():
 class TestConstruction:
     def test_unsupported_policy_rejected(self, spec):
         with pytest.raises(TypeError, match="no batch kernel"):
-            BatchIntervalSimulator(spec, FCSMAPolicy(), SEEDS)
+            BatchIntervalSimulator(spec, FrameCSMAPolicy(), SEEDS)
 
     def test_stochastic_channel_state_needs_free_rng(self):
         spec = NetworkSpec.from_delivery_ratios(
@@ -87,7 +87,7 @@ class TestConstruction:
     def test_supports_batch_engine(self, spec):
         assert supports_batch_engine(spec, DBDPPolicy())
         assert supports_batch_engine(spec, LDFPolicy())
-        assert not supports_batch_engine(spec, FCSMAPolicy())
+        assert not supports_batch_engine(spec, FrameCSMAPolicy())
         stateful = NetworkSpec.from_delivery_ratios(
             arrivals=MarkovModulatedArrivals(3, 0.5),
             channel=BernoulliChannel.symmetric(3, 0.8),

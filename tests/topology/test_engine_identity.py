@@ -10,7 +10,7 @@ cell-keyed streams — under every draw discipline.
 import numpy as np
 import pytest
 
-from repro import DBDPPolicy
+from repro import DBDPPolicy, DCFPolicy, FCSMAPolicy
 from repro.experiments.configs import video_symmetric_spec
 from repro.sim.batch_sim import BatchIntervalSimulator
 from repro.topology import (
@@ -56,6 +56,35 @@ def test_disconnected_bit_identical_per_interval(rng):
                     getattr(independent, field),
                     err_msg=f"width {width} cell {c} rng={rng} {field}",
                 )
+
+
+@pytest.mark.parametrize("rng", ["sync", None, "free"])
+@pytest.mark.parametrize("policy", [FCSMAPolicy, DCFPolicy])
+def test_contention_kernel_disconnected_bit_identical(policy, rng):
+    """The contention-round kernel draws its backoff block per row block
+    too, so packed cells replay independent per-cell runs."""
+    spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
+    topo = partition_cells(NUM_LINKS, NUM_CELLS)
+    sim = TopologySimulator(
+        spec, policy(), SEEDS, topo, rng=rng, record_traces=True
+    )
+    sim.run(INTERVALS)
+    packed = sim.sim.result
+    S = len(SEEDS)
+    for c in range(NUM_CELLS):
+        kwargs = {} if rng == "sync" else {"stream_tag": cell_stream_tag(c)}
+        independent = BatchIntervalSimulator(
+            sim.packing.cell_specs[c], policy(), SEEDS,
+            rng=rng, record_traces=True, **kwargs,
+        ).run(INTERVALS)
+        rows = slice(c * S, (c + 1) * S)
+        for field in ("deliveries", "attempts", "collisions",
+                      "overhead_time_us"):
+            np.testing.assert_array_equal(
+                getattr(packed, field)[:, rows],
+                getattr(independent, field),
+                err_msg=f"cell {c} rng={rng} {field}",
+            )
 
 
 def test_cell_subset_merge_matches_full_run():
@@ -107,6 +136,6 @@ def test_non_capable_family_rejected():
 
     spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
     topo = partition_cells(NUM_LINKS, NUM_CELLS)
-    factory = registry.resolve_policies(["FCSMA"])["FCSMA"]
+    factory = registry.resolve_policies(["FrameCSMA"])["FrameCSMA"]
     with pytest.raises(TypeError, match="no batch kernel"):
         TopologySimulator(spec, factory(), SEEDS, topo)
