@@ -23,8 +23,8 @@ Semantics:
   row is an independent sample of the same distribution, drawn from
   ``"fused"``-tagged batch streams.
 * Cells whose spec/policy cannot join a mega-batch — no batch kernel
-  (FCSMA, DCF, frame-CSMA), stateful channels or arrivals, or per-row
-  parameters the kernels cannot stack — **fall back automatically** to
+  (frame-CSMA), stateful channels or arrivals, or per-row parameters
+  the kernels cannot stack — **fall back automatically** to
   the per-cell runner (``engine="batch"``, which itself degrades to
   scalar), so ``run_sweep_fused`` accepts anything ``run_sweep`` does.
 * Pass ``cache=True`` (or a directory / :class:`SweepCache`) to memoize
@@ -122,8 +122,8 @@ def _partition(
     """Split unresolved cells into mega-batch groups and fallbacks.
 
     A cell joins a mega-batch when the batch engine accepts it
-    (:func:`~repro.sim.batch_sim.supports_batch_engine`); scalar-only
-    families (DCF, FCSMA, frame-CSMA) and specs the gate refuses land in
+    (:func:`~repro.sim.batch_sim.supports_batch_engine`); the
+    scalar-only family (frame-CSMA) and specs the gate refuses land in
     the fallback path.  The group key includes the cell's *effective*
     draw discipline so free-draw groups never share a stack (or lockstep
     draws) with degraded batch-discipline groups.

@@ -414,8 +414,8 @@ def run_single(
 
     ``engine="batch"`` simulates all seeds simultaneously on the
     vectorized engine when the (spec, policy) pair supports it, and falls
-    back to the scalar engine per policy otherwise (e.g. FCSMA/DCF, which
-    have no batch kernels) — same statistics either way, only the random
+    back to the scalar engine per policy otherwise (e.g. frame-CSMA, which
+    has no batch kernel) — same statistics either way, only the random
     draw order differs.  ``engine="fused"`` is accepted for symmetry with
     :func:`run_sweep` but behaves as ``"batch"`` here: with a single cell
     there is no grid to fuse.  ``rng`` selects the batch draw discipline

@@ -11,8 +11,8 @@ Kernels exist for the policies that dominate benchmark time:
   ``f(d^+) p``;
 * :class:`BatchRoundRobinKernel` and :class:`BatchStaticPriorityKernel`;
 * :class:`BatchFCSMAKernel` and :class:`BatchDCFKernel` — random-backoff
-  contention rounds with collisions, all rows advancing one round at a
-  time under a per-row "still contending" mask.
+  contention rounds with collisions, each block of rounds solved at once
+  as a fixed point over which links have drained.
 
 The shared primitive is :func:`solve_ordered_service`: given pre-drawn
 geometric retry counts, it resolves the whole "serve links in priority
@@ -1156,16 +1156,36 @@ class BatchStaticPriorityKernel(_BatchOrderedServeKernel):
         )
 
 
+#: Elements a contention block spans at most: a block solves about
+#: ``_CONTENTION_BLOCK_ELEMENTS // (N * S)`` rounds at once (at least
+#: one; at most 127, so running win counts fit a byte).
+_CONTENTION_BLOCK_ELEMENTS = 1 << 15
+
+
+def _contention_dtypes(budget: int, max_window: int) -> Tuple[np.dtype, np.dtype]:
+    """The backoff-key dtype, the smallest unsigned one whose top bit
+    (the drained-link mask) lies above every backoff ``floor(u * W) <=
+    max_window - 1``, and the dtype of the idle-slot sums of an interval
+    (at most ``budget * (max_window - 1)``)."""
+    if budget * max_window >= 1 << 64:
+        raise ValueError(
+            f"contention windows up to {max_window} over {budget} rounds "
+            "overflow 64-bit backoff sums"
+        )
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if max_window <= 1 << (np.iinfo(dt).bits - 1):
+            return np.dtype(dt), np.min_scalar_type(budget * (max_window - 1))
+
+
 class _BatchContentionKernel(BatchPolicyKernel):
     """Random-backoff contention rounds with collisions (FCSMA, DCF).
 
-    Per round, every backlogged link of a row draws a backoff uniform on
+    Per round, every backlogged link of a row draws a backoff on
     ``{0, ..., W - 1}``; the row's minimum wins after that many idle
     slots, and a tie is a collision that spends one data airtime and
-    fails every transmitter.  A row stops when no link is backlogged, or
-    when the next transmission would end past the interval.  All rows
-    advance one round per loop step under a per-row "still contending"
-    mask, with the accounting of the scalar ``run_interval``.
+    fails every transmitter.  A row stops when no link is backlogged,
+    or when the next transmission would end past the interval.  The
+    accounting is the scalar ``run_interval``'s.
 
     Draws:
 
@@ -1182,8 +1202,46 @@ class _BatchContentionKernel(BatchPolicyKernel):
       outcomes.  ``floor(u * W) < W`` holds in float64 for every
       ``u < 1`` and integer ``W``.
 
+    Solve: the rounds are taken in blocks, and each block is solved as
+    a fixed point over whole-block arrays.  A round depends on the
+    rounds before it only through which links have drained, so a block
+
+    1. guesses the drained mask of every (link, round, row); the first
+       guess is that nobody drains inside the block;
+    2. computes every round of the block at once from the guess: the
+       row minimum of the integer backoff keys (a drained link's key
+       carries the dtype's top bit, so it never wins or ties), the
+       running idle-slot sum and whether the round fits, the ties and
+       the solo wins;
+    3. recomputes the mask from the running solo-win counts, and sweeps
+       again until the mask stops changing.
+
+    A round whose mask is right is computed right, and its mask depends
+    only on earlier rounds, so every sweep fixes at least one more
+    round and the fixed point is the sequential answer; a block takes
+    about one sweep more than the number of its rounds in which some
+    link drains.
+
+    Blocks are ``_CONTENTION_BLOCK_ELEMENTS // (N * S)`` rounds (from 1
+    to the budget): the whole interval at the paper's N = 20, while
+    wide stacks, whose calls are long already, take short blocks and
+    never redo many rounds.  Adaptive kernels (DCF) change windows
+    every round, so their blocks are one round, solved in one sweep.
+    Arrays are link-major, ``(N, rounds, S)``, when a block's rounds
+    times rows outnumber its links, and link-minor, ``(rounds, S, N)``,
+    otherwise, so that the reductions over links run along the longer
+    contiguous extent.
+
+    Fits: with ``B`` idle slots before round ``r``, the round fits iff
+    ``(B + b) * slot + (r + 1) * air <= T``, i.e. the running sum of
+    ``b`` is at most ``floor((T - (r + 1) * air) / slot)`` (no bound
+    under free backoff slots), and a row whose links have all drained
+    (a masked minimum) never fits.  Slots only grow and the cap only
+    shrinks, so a row that stops fitting stays stopped.
+
     Subclasses name the parameters rows must share (:meth:`_row_config`)
-    and set the windows: :meth:`_interval_windows` once per interval, and
+    and the largest window (:meth:`_max_window`), and set the windows:
+    :meth:`_interval_windows` once per interval, and
     :meth:`_update_windows` after each round when ``_adaptive`` (DCF's
     binary exponential backoff).
     """
@@ -1203,46 +1261,123 @@ class _BatchContentionKernel(BatchPolicyKernel):
         if self._sync:
             return
         S, n, M = self.num_seeds, self.spec.num_links, self._budget
-        w = SimpleNamespace()
-        w.u = np.empty((M, S, n))  # backoff uniforms, then backoffs + 1
-        w.bo = np.empty((S, n))
-        w.windows = np.empty((S, n))
-        w.tot = np.empty((S, n), dtype=self._channel_draws.dtype)
-        w.left = np.empty_like(w.tot)
-        w.live = np.empty((S, n), dtype=bool)
-        w.bmin = np.empty((M, S))
-        w.slots = np.empty(S)
-        w.fits = np.empty((M, S), dtype=bool)
-        w.eq = np.empty((M, S, n), dtype=bool)
-        # Transmitters per round (uint8 sums are the cheapest count).
-        w.cnt = np.empty(S, dtype=np.uint8 if n < 256 else np.int64)
-        w.solo = np.empty((M, S), dtype=bool)
-        w.serve3f = np.empty((S, n, self._a_max), dtype=w.left.dtype)
-        w.ones_af = np.ones(self._a_max, dtype=w.left.dtype)
-        w.countf = np.empty((S, n), dtype=w.left.dtype)
-        # Round r of a row that has transmitted in every earlier round
-        # starts after ``B`` backoff slots and r airtimes, and fits iff
-        # ``(B + b) * slot + (r + 1) * air <= T``.  The loop accumulates
-        # ``b + 1`` per round, so the bound on that sum is ``cap + r + 1``.
-        # Free backoff slots put no bound on B; the cap stays finite so
-        # that a row without contenders (an infinite sum) never fits.
+        wmax = int(self._max_window())
+        kdt, sdt = _contention_dtypes(M, wmax)
         r = np.arange(M, dtype=np.float64)
+        cap = (r + 1) * (wmax - 1)  # the largest live sum
         if self._slot > 0:
             after_airtimes = self._interval_us - (r + 1) * self._data_air
-            cap = np.floor(after_airtimes / self._slot)
-        else:
-            cap = np.full(M, np.finfo(np.float64).max)
-        cap = cap + r + 1
-        # Per-round views, built once: slicing them in the round loop
-        # would cost as much as several of its ufunc calls.
-        w.rounds = [
-            (
-                w.u[i], w.bmin[i], w.bmin[i][:, None], float(cap[i]),
-                w.fits[i], w.fits[i][:, None], w.fits[i - 1],
-                w.eq[i], w.eq[i].view(np.uint8), w.solo[i], w.solo[i][:, None],
+            cap = np.minimum(cap, np.floor(after_airtimes / self._slot))
+        # A negative cap (float rounding at the budget's edge) never
+        # fits: stop before it.
+        num_rounds = int(np.count_nonzero(cap >= 0))
+        R = 1 if self._adaptive else _CONTENTION_BLOCK_ELEMENTS // (n * S)
+        R = min(max(R, 1), 127)
+        num_blocks = -(-num_rounds // R)
+        if num_blocks:
+            R = -(-num_rounds // num_blocks)  # blocks of equal length
+        major = R * S > n
+        w = SimpleNamespace(link_major=major)
+        w.link_axis, w.round_axis = (0, 1) if major else (2, 0)
+        w.high = kdt.type(1 << (8 * kdt.itemsize - 1))
+        w.scale = kdt.type(w.high // 128)
+
+        def plane(r, dtype):
+            return np.empty((n, r, S) if major else (r, S, n), dtype=dtype)
+
+        def per_round(a):  # an (r, S) array as the 3-D reduced shape
+            return a[None] if major else a[:, :, None]
+
+        def rounds(a, lo, hi):  # rounds lo:hi of a 3-D array
+            return a[:, lo:hi] if major else a[lo:hi]
+
+        w.u = np.empty((M, S, n))  # backoff uniforms
+        w.windows = np.empty((S, n))
+        # Solo attempts each link still needs to drain its buffer, and
+        # the windows, as link planes in the layout's orientation.
+        w.left = np.empty((n, S) if major else (S, n), dtype=self._channel_draws.dtype)
+        w.windows_plane = w.windows.T if major else w.windows
+        left3 = w.left[:, None, :] if major else w.left[None]
+        w.won = np.empty(left3.shape, dtype=np.uint8)
+        w.dead = np.empty(w.left.shape, dtype=bool)
+        w.dead_key = np.empty(w.left.shape, dtype=kdt)
+        # Per block: the products u * W in draw order, backoff keys,
+        # masked keys, and per round the row minimum, whether a link is
+        # live there, and the transmitters.
+        draws = np.empty((R, S, n))
+        keys = plane(R, kdt)
+        km = plane(R, kdt)
+        bmin = np.empty((R, S), dtype=kdt)
+        alive = np.empty((R, S), dtype=bool)
+        cnt = np.empty((R, S), dtype=np.min_scalar_type(n))
+        # Per link, ``run`` at round r is 128 plus the solo wins before
+        # r less ``min(left, R)``, so its 128 bit is the drained mask; a
+        # round's wins are written one round on and summed in place.
+        # Two mask guesses, and the mask at the key's top bit when keys
+        # are wider than a byte.
+        run = plane(R + 1, np.uint8)
+        mask = plane(R, np.uint8)
+        mask2 = plane(R, np.uint8)
+        kmask = mask if kdt.itemsize == 1 else plane(R, kdt)
+        # Per round of the interval: running idle slots (``slots[r + 1]``
+        # through round r, exact while the row has a live link), the
+        # cap they must stay under, fits, solo wins and transmitters.
+        w.cap = np.repeat(np.maximum(cap, 0).astype(sdt)[:, None], S, axis=1)
+        w.slots = np.zeros((M + 1, S), dtype=sdt)
+        w.fits = np.empty((M, S), dtype=bool)
+        w.solo = np.empty((M, S), dtype=bool)
+        w.eq = plane(M, bool)
+        w.row_index = np.arange(S)
+        # Views of every block, built once: slicing them per block would
+        # cost as much as the one-round blocks' ufunc calls, which also
+        # run on 2-D views (a squeezed round axis) for the same reason.
+        w.blocks = []
+        for lo in range(0, num_rounds, R):
+            hi = min(lo + R, num_rounds)
+            k = hi - lo
+            b = SimpleNamespace(lo=lo, hi=hi, rounds=k, links=w.link_axis)
+            b.u = w.u[lo:hi]
+            b.keys = rounds(keys, 0, k)
+            b.draws = draws[:k]
+            b.draws_t = draws[:k].transpose(2, 0, 1) if major else b.draws
+            b.km = rounds(km, 0, k)
+            b.mask, b.mask2 = rounds(mask, 0, k), rounds(mask2, 0, k)
+            b.kmask = rounds(kmask, 0, k)
+            b.run = rounds(run, 0, k + 1)
+            b.run_steps = [(run[i], run[i + 1]) for i in range(k)] if not major else ()
+            b.head = rounds(run, 0, k)
+            b.base = rounds(run, 0, 1)
+            b.total = rounds(run, k, k + 1)
+            b.wins = rounds(run, 1, k + 1).view(bool)
+            b.left = left3
+            b.bmin = per_round(bmin[:k])
+            b.alive = per_round(alive[:k])
+            b.cnt = per_round(cnt[:k])
+            b.eq = rounds(w.eq, lo, hi)
+            b.fits = per_round(w.fits[lo:hi])
+            b.solo = per_round(w.solo[lo:hi])
+            b.slots = per_round(w.slots[lo + 1 : hi + 1])
+            b.slots0 = per_round(w.slots[lo : lo + 1])
+            b.cap = per_round(w.cap[lo:hi])
+            if k == 1:
+                b.u, b.draws = b.u[0], b.draws[0]
+                for name in (
+                    "keys", "draws_t", "wins", "bmin", "alive", "cnt", "eq",
+                    "fits", "solo", "slots", "slots0", "cap",
+                ):
+                    setattr(b, name, getattr(b, name).squeeze(w.round_axis))
+                b.left, b.links = w.left, 0 if major else 1
+            b.eq8 = b.eq.view(np.uint8)
+            b.views = (
+                b.keys, b.left, b.bmin, b.slots, b.slots0, b.cap, b.fits,
+                b.alive, b.eq, b.eq8, b.cnt, b.solo, b.wins,
             )
-            for i in range(M)
-        ]
+            b.last_fits = w.fits[hi - 1]
+            w.blocks.append(b)
+        fdt = w.left.dtype
+        w.serve3f = np.empty((S, n, self._a_max), dtype=fdt)
+        w.ones_af = np.ones(self._a_max, dtype=fdt)
+        w.countf = np.empty((S, n), dtype=fdt)
         self._ws = w
 
     @staticmethod
@@ -1250,12 +1385,84 @@ class _BatchContentionKernel(BatchPolicyKernel):
     def _row_config(policy: IntervalMac):
         """The policy parameters every row of one stack must share."""
 
+    @abstractmethod
+    def _max_window(self) -> int:
+        """The largest window any link can take."""
+
     def _interval_windows(self, positive_debts: np.ndarray, out: np.ndarray) -> None:
         """Set the ``(S, N)`` windows ``out`` at the interval start; by
         default they are per-link state and stay as they are."""
 
-    def _update_windows(self, eq: np.ndarray, solo: np.ndarray) -> None:
-        """Adapt the windows after one round (``_adaptive`` kernels)."""
+    def _update_windows(self, eq: np.ndarray, wins: np.ndarray) -> None:
+        """Adapt the windows after a one-round block (``_adaptive``
+        kernels): ``eq`` and ``wins`` are its transmitters and solo
+        winners, shaped like ``self._ws.windows_plane``."""
+
+    def _solve_block(self, w: SimpleNamespace, b: SimpleNamespace) -> None:
+        """Solve one block's rounds to their fixed point (class docstring)."""
+        high = w.high
+        # One load for the views every sweep uses (the one-round blocks
+        # of DCF pay this per round).
+        (keys, left, bmin, slots, slots0, cap, fits, alive, eq, eq8, cnt,
+         solo, wins) = b.views
+        np.multiply(b.u, w.windows, out=b.draws)
+        # Truncation is floor on u * W >= 0.
+        np.copyto(keys, b.draws_t, casting="unsafe")
+        one = b.rounds == 1
+        if one:
+            # One sweep is exact: mask the drained links' keys in place
+            # (a ``where=`` ufunc measured ~30x slower at N = 2000).
+            km = keys
+            np.less_equal(left, 0, out=w.dead)
+            np.multiply(w.dead, high, out=w.dead_key)
+            np.bitwise_or(km, w.dead_key, out=km)
+        else:
+            km, base, mask, mask2 = b.km, b.base, b.mask, b.mask2
+            np.minimum(left, b.rounds, out=base, casting="unsafe")
+            np.subtract(128, base, out=base)
+            # First guess: nobody drains inside the block.
+            np.bitwise_and(base, 128, out=mask)
+        links = b.links
+        while True:
+            if not one:
+                kmask = mask
+                if w.scale != 1:
+                    kmask = b.kmask
+                    np.multiply(mask, w.scale, out=kmask)
+                np.bitwise_or(keys, kmask, out=km)
+            np.minimum.reduce(km, axis=links, out=bmin, keepdims=True)
+            if one:
+                np.add(slots0, bmin, out=slots)
+            else:
+                np.add.accumulate(bmin, axis=w.round_axis, out=slots)
+                np.add(slots, slots0, out=slots)
+            np.less_equal(slots, cap, out=fits)
+            np.less(bmin, high, out=alive)
+            np.logical_and(fits, alive, out=fits)
+            # Transmitters: the minimum's links, in rounds that fit.
+            np.equal(km, bmin, out=eq)
+            np.logical_and(eq, fits, out=eq)
+            np.add.reduce(eq8, axis=links, out=cnt, keepdims=True)
+            np.equal(cnt, 1, out=solo)
+            np.logical_and(eq, solo, out=wins)
+            if one:
+                np.subtract(left, wins, out=left)
+                return
+            if w.link_major:
+                np.add.accumulate(b.run, axis=1, out=b.run)
+            else:
+                # Accumulate runs its inner loop along the summed axis:
+                # with rounds outermost, slab-wise adds are far faster.
+                for prev, cur in b.run_steps:
+                    np.add(prev, cur, out=cur)
+            np.bitwise_and(b.head, 128, out=mask2)
+            # Byte compare: far cheaper than a ufunc pass at this size.
+            if mask2.tobytes() == mask.tobytes():
+                break
+            mask, mask2 = mask2, mask
+        # Wins of the block: the last running count less the first.
+        np.subtract(b.total, b.base, out=w.won)
+        np.subtract(left, w.won, out=left)
 
     def _run_interval_ws(
         self,
@@ -1276,66 +1483,29 @@ class _BatchContentionKernel(BatchPolicyKernel):
             t1 = perf.clock()
             counters.add("draws.uniform_refill", t1 - t0)
             t0 = t1
-        # Solo attempts each link still needs to drain its buffer.
-        np.copyto(w.tot, self._channel_draws.totals(needed, arrivals))
-        np.copyto(w.left, w.tot)
-        np.greater(w.left, 0, out=w.live)
+        tot = self._channel_draws.totals(needed, arrivals)
+        np.copyto(w.left, tot.T if w.link_major else tot)
         self._interval_windows(positive_debts, w.windows)
-        u = w.u
         adaptive = self._adaptive
-        if not adaptive:
-            # Windows are fixed for the interval: turn the whole block
-            # into ``backoff + 1`` at once.
-            np.multiply(u, w.windows, out=u)
-            np.floor(u, out=u)
-            np.add(u, 1.0, out=u)
-        w.slots.fill(0.0)
-        slots, bo, live, left, cnt = w.slots, w.bo, w.live, w.left, w.cnt
         rounds = 0
-        with np.errstate(divide="ignore"):
-            for (
-                ur, bmin, bmin_col, cap, fits, fits_col, fits_prev,
-                eq, eq8, solo, solo_col,
-            ) in w.rounds if live.any() else ():
-                if adaptive:
-                    np.multiply(ur, w.windows, out=ur)
-                    np.floor(ur, out=ur)
-                    np.add(ur, 1.0, out=ur)
-                # ``(b + 1) / live``: drained and empty links back off
-                # forever (1 / 0 = inf), so they never win or tie.
-                np.divide(ur, live, out=bo)
-                # Ufunc reductions skip np.min/np.sum's dispatch layer,
-                # which costs more than the reduction at this size.
-                np.minimum.reduce(bo, axis=1, out=bmin)
-                # Rows that stopped earlier keep accumulating here, but
-                # the ``fits`` chain below keeps them stopped.
-                np.add(slots, bmin, out=slots)
-                np.less_equal(slots, cap, out=fits)
-                if rounds:
-                    np.logical_and(fits, fits_prev, out=fits)
-                if not fits.any():
-                    break
-                rounds += 1
-                np.equal(bo, bmin_col, out=eq)
-                np.logical_and(eq, fits_col, out=eq)
-                np.add.reduce(eq8, axis=1, out=cnt)
-                np.equal(cnt, 1, out=solo)
-                np.subtract(left, eq, out=left, where=solo_col)
-                np.greater(left, 0, out=live)
-                if adaptive:
-                    self._update_windows(eq, solo)
+        for b in w.blocks if w.left.any() else ():
+            self._solve_block(w, b)
+            rounds = b.hi
+            if adaptive:
+                self._update_windows(b.eq, b.wins)
+            if not np.logical_or.reduce(b.last_fits):
+                break
         fits = w.fits[:rounds]
         transmissions = fits.sum(axis=0)
         collisions = transmissions - w.solo[:rounds].sum(axis=0)
-        # Accumulated values are ``b + 1`` per transmitting round.
-        backoff_slots = (
-            np.sum(w.bmin[:rounds], axis=0, where=fits) - transmissions
-        )
+        # Idle slots: the running sum through each row's last fitting
+        # round (fitting rounds are a prefix).
+        backoff_slots = w.slots[transmissions, w.row_index].astype(np.int64)
         # Solo attempts made, and the packets they delivered: packet t
         # is through once the count reaches needed_cum[t] (strictly
         # increasing, and never past the drain total, so the count over
         # the whole axis is the delivered count).
-        solo_attempts = w.tot - w.left
+        solo_attempts = tot - (w.left.T if w.link_major else w.left)
         np.less_equal(
             needed, solo_attempts[:, :, None], out=w.serve3f, casting="unsafe"
         )
@@ -1343,7 +1513,10 @@ class _BatchContentionKernel(BatchPolicyKernel):
         deliveries = w.countf.astype(np.int64)
         attempts = None
         if not self._lite:
-            attempts = w.eq[:rounds].sum(axis=0, dtype=np.int64)
+            eq = w.eq[:, :rounds] if w.link_major else w.eq[:rounds]
+            attempts = eq.sum(axis=w.round_axis, dtype=np.int64)
+            if w.link_major:
+                attempts = np.ascontiguousarray(attempts.T)
         air = self._data_air
         if counters.enabled:
             counters.add("kernel.contention.interval", perf.clock() - t0)
@@ -1362,6 +1535,9 @@ class BatchFCSMAKernel(_BatchContentionKernel):
     @staticmethod
     def _row_config(policy: FCSMAPolicy):
         return policy.window_map
+
+    def _max_window(self) -> int:
+        return max(self.policy.window_map.windows)
 
     def _interval_windows(self, positive_debts: np.ndarray, out: np.ndarray) -> None:
         self.policy.window_map.window_array(positive_debts, out)
@@ -1383,18 +1559,19 @@ class BatchDCFKernel(_BatchContentionKernel):
     def _row_config(policy: DCFPolicy):
         return (policy.cw_min, policy.cw_max)
 
+    def _max_window(self) -> int:
+        return self.policy.cw_max
+
     def _on_bind(self) -> None:
         super()._on_bind()
         if not self._sync:
             self._ws.windows.fill(self._cw_min)
-            self._ws.win = np.empty(self._ws.windows.shape, dtype=bool)
 
-    def _update_windows(self, eq: np.ndarray, solo: np.ndarray) -> None:
-        windows = self._ws.windows
-        np.multiply(windows, 2.0, out=windows, where=eq)
+    def _update_windows(self, eq: np.ndarray, wins: np.ndarray) -> None:
+        windows = self._ws.windows_plane
+        np.ldexp(windows, eq, out=windows)  # doubles the transmitters'
         np.minimum(windows, self._cw_max, out=windows)
-        np.logical_and(eq, solo[:, None], out=self._ws.win)
-        np.copyto(windows, self._cw_min, where=self._ws.win)
+        np.copyto(windows, self._cw_min, where=wins)
 
 
 class BatchDPKernel(BatchPolicyKernel):

@@ -56,15 +56,24 @@ __all__ = [
 #: to ``dp_state="incremental"`` (persistent-inverse upkeep, backlogged
 #: serve-set selection, touched-entry zeroing).  Comparing the dense and
 #: incremental paths therefore means comparing the *sum* of their
-#: ``kernel.dp.*`` stages, not label by label.
+#: ``kernel.dp.*`` stages, not label by label.  The contention kernel
+#: (FCSMA, DCF) reports one ``kernel.contention.interval`` per interval,
+#: the ordered-service kernels ``kernel.serve.interval``; the draw
+#: objects report their refills, and the batch simulator splits each
+#: step into ``sim.arrivals``, ``sim.kernel`` and ``sim.update``.
 KNOWN_STAGES = (
     "kernel.dp.setup",
     "kernel.dp.incremental",
     "kernel.dp.timeline",
     "kernel.dp.commit",
     "kernel.serve.interval",
+    "kernel.contention.interval",
     "draws.channel_refill",
     "draws.uniform_refill",
+    "draws.arrival_refill",
+    "sim.arrivals",
+    "sim.kernel",
+    "sim.update",
 )
 
 #: Re-exported so call sites read ``perf.clock()`` instead of importing

@@ -8,8 +8,6 @@ against brute-force sequential references on shared inputs.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -39,7 +37,9 @@ from repro.sim.batch_kernels import (
     make_batch_kernel,
     solve_ordered_service,
 )
+from repro.sim import batch_kernels
 from repro.sim.batch_sim import BatchIntervalSimulator
+from tests.sim.contention_reference import ReferenceRun
 
 
 def naive_ordered_service(order, backlog, needed_cum, caps):
@@ -351,81 +351,43 @@ class TestContentionKernel:
         np.testing.assert_array_equal(result.busy_time_us, tries)
 
 
-def reference_contention(u, windows, arrivals, needed, timing, dcf=None):
-    """The scalar FCSMA/DCF round loop, one row at a time, on given
-    draws: backoff ``floor(u[r, s, l] * W)`` and channel success when the
-    solo-attempt count reaches ``needed[s, l, delivered]``.  ``dcf`` is
-    ``(cw_min, cw_max)``; DCF windows in ``windows`` are updated in place.
-    """
-    S, n = arrivals.shape
-    out = {
-        key: np.zeros((S, n), dtype=np.int64) for key in ("deliveries", "attempts")
-    }
-    out.update(
-        busy=np.zeros(S), overhead=np.zeros(S),
-        collisions=np.zeros(S, dtype=np.int64),
+def _reference_kernel(policy, timing, n, S, A, p):
+    """A kernel bound to ``S`` rows of ``n`` links (at most ``A`` packets
+    each, channel ``p``), and its reference run."""
+    spec = NetworkSpec.from_delivery_ratios(
+        arrivals=ConstantArrivals.symmetric(n, A),  # sets A_max
+        channel=BernoulliChannel.symmetric(n, p),
+        timing=timing,
+        delivery_ratios=0.5,
     )
-    for s in range(S):
-        backlog = arrivals[s].astype(np.int64).copy()
-        solo = np.zeros(n, dtype=np.int64)
-        elapsed = backoff_us = collision_us = 0.0
-        for r in range(u.shape[0]):
-            contenders = np.flatnonzero(backlog > 0)
-            if contenders.size == 0:
-                break
-            draws = np.floor(u[r, s, contenders] * windows[s, contenders])
-            b_min = draws.min()
-            start = elapsed + b_min * timing.backoff_slot_us
-            if start + timing.data_airtime_us > timing.interval_us:
-                break
-            backoff_us += b_min * timing.backoff_slot_us
-            elapsed = start + timing.data_airtime_us
-            winners = contenders[draws == b_min]
-            out["attempts"][s, winners] += 1
-            if winners.size == 1:
-                link = winners[0]
-                solo[link] += 1
-                if dcf is not None:
-                    windows[s, link] = dcf[0]
-                if solo[link] == needed[s, link, out["deliveries"][s, link]]:
-                    out["deliveries"][s, link] += 1
-                    backlog[link] -= 1
-            else:
-                out["collisions"][s] += 1
-                collision_us += timing.data_airtime_us
-                if dcf is not None:
-                    windows[s, winners] = np.minimum(
-                        windows[s, winners] * 2, dcf[1]
-                    )
-        out["busy"][s] = elapsed - backoff_us
-        out["overhead"][s] = backoff_us + collision_us
-    return out
+    kernel = make_batch_kernel(policy)
+    kernel.bind(spec, S, rng="free")
+    return kernel, ReferenceRun(kernel, S)
 
 
-class _GivenDraws:
-    """Stands in for the engine's draw objects with prepared blocks."""
-
-    def __init__(self, blocks):
-        self.blocks = iter(blocks)
-        self.dtype = np.dtype(np.float32)
-
-    # Channel draws: one cumulative retry-count block per interval.
-    def next(self, rng, state_rng=None):
-        return next(self.blocks)
-
-    def totals(self, needed, backlog):
-        return drain_totals(needed, backlog)
-
-    # Streams: the "policy" stream fills the backoff block.
-    def batch_stream(self, name):
-        return self
-
-    def random(self, out):
-        out[...] = next(self.blocks)
+def _random_intervals(run, rng, K, A, p, arrivals=None):
+    """Drive ``K`` intervals of random draws; returns the summed
+    collisions and deliveries."""
+    S, n = run.kernel.num_seeds, run.kernel.spec.num_links
+    M = run.timing.max_transmissions
+    collisions = deliveries = 0
+    for k in range(K):
+        arr = (
+            rng.integers(0, A + 1, size=(S, n)) if arrivals is None
+            else np.full((S, n), arrivals)
+        )
+        debts = rng.uniform(0.0, 6.0, size=(S, n))
+        needed = np.cumsum(
+            rng.geometric(p, size=(S, n, A)), axis=2
+        ).astype(np.float32)
+        got = run.interval(k, arr, debts, needed, rng.random((M, S, n)))
+        collisions += got.collisions.sum()
+        deliveries += got.deliveries.sum()
+    return collisions, deliveries
 
 
 class TestContentionKernelAgainstReference:
-    """On shared draws, the vectorized rounds equal the scalar loop."""
+    """On shared draws, the block solve equals the scalar round loop."""
 
     @pytest.mark.parametrize(
         "policy",
@@ -437,49 +399,96 @@ class TestContentionKernelAgainstReference:
         ids=["idealized", "video"],
     )
     def test_outcomes_match_scalar_round_loop(self, policy, timing):
-        S, n, A, K = 5, 7, 4, 12
-        spec = NetworkSpec.from_delivery_ratios(
-            arrivals=ConstantArrivals.symmetric(n, A),  # sets A_max
-            channel=BernoulliChannel.symmetric(n, 0.6),
-            timing=timing,
-            delivery_ratios=0.5,
+        kernel, run = _reference_kernel(policy(), timing, 7, 5, 4, 0.6)
+        collisions, deliveries = _random_intervals(
+            run, np.random.default_rng(11), 12, 4, 0.6
         )
-        kernel = make_batch_kernel(policy())
-        kernel.bind(spec, S, rng="free")
-        rng = np.random.default_rng(11)
-        M = timing.max_transmissions
-        windows = np.full((S, n), 4.0)
-        dcf = None
-        if isinstance(kernel.policy, DCFPolicy):
-            dcf = (4.0, 32.0)
-        collisions = deliveries = 0
-        for k in range(K):
-            arrivals = rng.integers(0, A + 1, size=(S, n))
-            debts = rng.uniform(0.0, 6.0, size=(S, n))
-            needed = np.cumsum(
-                rng.geometric(0.6, size=(S, n, A)), axis=2
-            ).astype(np.float32)
-            u = rng.random((M, S, n))
-            kernel._channel_draws = _GivenDraws([needed])
-            got = kernel._run_interval_ws(
-                k, arrivals, debts, SimpleNamespace(
-                    free_stream=lambda name, u=u: _GivenDraws([u]),
-                ),
-            )
-            if dcf is None:
-                windows = np.array(
-                    [[kernel.policy.window_map.window(d) for d in row]
-                     for row in debts],
-                    dtype=float,
-                )
-            want = reference_contention(u, windows, arrivals, needed, timing, dcf)
-            np.testing.assert_array_equal(got.deliveries, want["deliveries"])
-            np.testing.assert_array_equal(got.attempts, want["attempts"])
-            np.testing.assert_array_equal(got.collisions, want["collisions"])
-            np.testing.assert_allclose(got.busy_time_us, want["busy"], rtol=1e-12)
-            np.testing.assert_allclose(
-                got.overhead_time_us, want["overhead"], rtol=1e-12, atol=1e-9
-            )
-            collisions += got.collisions.sum()
-            deliveries += got.deliveries.sum()
         assert collisions > 0 and deliveries > 0  # not a vacuous match
+
+    @pytest.mark.parametrize(
+        "timing", [idealized_timing(60), video_symmetric_spec(0.5).timing],
+        ids=["idealized", "video"],
+    )
+    def test_drain_cascade(self, timing):
+        # One packet per link on perfect channels: every solo win drains
+        # its link, so each drain changes the guess for the rounds after
+        # it and the interval's block needs a sweep per drain.
+        kernel, run = _reference_kernel(FCSMAPolicy(), timing, 40, 3, 1, 1.0)
+        assert len(kernel._ws.blocks) == 1
+        _, deliveries = _random_intervals(
+            run, np.random.default_rng(5), 3, 1, 1.0, arrivals=1
+        )
+        assert deliveries >= 3 * 3 * 20
+
+    @pytest.mark.parametrize("n, S", [(300, 2), (20, 30)], ids=["links", "rows"])
+    def test_stack_wider_than_one_block(self, n, S):
+        # Several blocks per interval, in both array layouts; with 300
+        # links the per-round transmitter count needs more than a byte.
+        kernel, run = _reference_kernel(
+            FCSMAPolicy(), video_symmetric_spec(0.5).timing, n, S, 2, 0.7
+        )
+        assert len(kernel._ws.blocks) > 1
+        assert kernel._ws.link_major == (n < S * kernel._ws.blocks[0].rounds)
+        if n >= 256:
+            assert kernel._ws.blocks[0].cnt.dtype != np.uint8
+        collisions, deliveries = _random_intervals(
+            run, np.random.default_rng(3), 3, 2, 0.7
+        )
+        assert collisions > 0 and deliveries > 0
+
+    @pytest.mark.parametrize(
+        "policy", [FCSMAPolicy, DCFPolicy], ids=["FCSMA", "DCF"]
+    )
+    def test_idealized_rows_drain_before_the_budget(self, policy):
+        # Free backoff slots put no bound on the idle-slot sum, so a row
+        # whose links have all drained must not "fit" the rounds left
+        # (no phantom transmissions or collisions).
+        timing = idealized_timing(30)
+        kernel, run = _reference_kernel(policy(), timing, 3, 4, 1, 1.0)
+        rng = np.random.default_rng(8)
+        for k in range(10):
+            got = run.interval(
+                k, np.ones((4, 3), dtype=np.int64), rng.uniform(0, 6, (4, 3)),
+                np.ones((4, 3, 1), dtype=np.float32), rng.random((30, 4, 3)),
+            )
+            np.testing.assert_array_equal(got.deliveries, 1)
+            assert np.all(got.busy_time_us < timing.max_transmissions)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            lambda: FCSMAPolicy(DebtWindowMap(windows=(300, 200))),
+            lambda: FCSMAPolicy(DebtWindowMap(windows=(40000,))),
+            lambda: DCFPolicy(cw_min=100, cw_max=40000),
+        ],
+        ids=["FCSMA-300", "FCSMA-40000", "DCF-40000"],
+    )
+    def test_windows_above_a_byte(self, policy):
+        # Backoff keys widen with the largest window (the drained mask
+        # is the key's top bit), and the idle-slot sums with them.
+        kernel, run = _reference_kernel(
+            policy(), video_symmetric_spec(0.5).timing, 6, 3, 3, 0.7
+        )
+        assert kernel._ws.high > 128
+        _, deliveries = _random_intervals(
+            run, np.random.default_rng(4), 6, 3, 0.7
+        )
+        assert deliveries > 0
+
+    @pytest.mark.parametrize("elements", [1, 40, 200])
+    @pytest.mark.parametrize("n, S", [(3, 5), (9, 2)])
+    def test_block_lengths_and_layouts(self, monkeypatch, elements, n, S):
+        # Small element budgets force one-round and short blocks in
+        # both layouts on shapes the reference can afford.
+        monkeypatch.setattr(batch_kernels, "_CONTENTION_BLOCK_ELEMENTS", elements)
+        kernel, run = _reference_kernel(
+            FCSMAPolicy(), idealized_timing(12), n, S, 3, 0.7
+        )
+        blocks = kernel._ws.blocks
+        assert [b.lo for b in blocks[1:]] == [b.hi for b in blocks[:-1]]
+        assert blocks[0].lo == 0 and blocks[-1].hi == 12
+        assert max(b.rounds for b in blocks) <= max(1, elements // (n * S))
+        _, deliveries = _random_intervals(
+            run, np.random.default_rng(6), 5, 3, 0.7
+        )
+        assert deliveries > 0

@@ -11,6 +11,9 @@ CI core, while zero clock reads bounds the overhead far below it.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,40 @@ class TestPerfCountersApi:
             pass
         stat = perf.counters.stages["cold"]
         assert stat.calls == 1 and stat.allocs == 1
+
+
+def _reported_stage_labels():
+    """Every literal label a ``counters.add(...)`` call in ``repro.sim``
+    passes, with the file it appears in."""
+    labels = []
+    for path in sorted(Path(perf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"
+                and ast.unparse(node.func.value).split(".")[-1] == "counters"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                continue
+            labels.append((node.args[0].value, path.name))
+    return labels
+
+
+class TestKnownStages:
+    def test_scan_finds_the_kernel_stages(self):
+        found = {label for label, _ in _reported_stage_labels()}
+        assert {"kernel.dp.setup", "kernel.contention.interval"} <= found
+
+    def test_every_reported_literal_stage_is_known(self):
+        unknown = [
+            (label, where)
+            for label, where in _reported_stage_labels()
+            if label not in perf.KNOWN_STAGES
+        ]
+        assert unknown == []
 
 
 class TestHotPathOverhead:
