@@ -269,8 +269,7 @@ def _run_fused_group_with_faults(
         sim = _build_fused_sim(cells, seeds, validate)
         if sim is None:
             return False
-        for _ in range(num_intervals):
-            sim.step()
+        sim.run(num_intervals)
         _scatter_points(cells, sim.stats, len(seeds), groups)
         return True
 
@@ -324,6 +323,8 @@ def _simulate_cells(
         # equal draws across policies).
         share_batch_draws([sim for _, sim in built])
     with perf.stage("fused.run"):
+        for _, sim in built:
+            sim.plan(num_intervals)
         for _ in range(num_intervals):
             for _, sim in built:
                 sim.step()

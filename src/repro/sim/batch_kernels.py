@@ -29,12 +29,14 @@ wrapper cost rivals its C time):
 * all gather/scatter steps use raw integer fancy indexing
   (``a[rows, idx]``) rather than ``take_along_axis``/``put_along_axis``,
   whose index-building wrappers dominate at this size;
-* random draws are made in chunks of :data:`DRAW_CHUNK` intervals per
-  stream and sliced per interval, amortizing the Generator call overhead.
-  Chunking only re-orders consumption *within* a batch stream, which is a
-  private namespace — reproducibility (same seeds, same trajectory) is
-  unaffected, and chunk boundaries are independent of how ``run`` calls
-  are split because the caches live on the kernel.
+* random draws are made in chunks of several intervals per stream and
+  sliced per interval, amortizing the Generator call overhead; while the
+  kernel reads one chunk, a background thread fills the next
+  (:class:`_ChunkedDraws`).  Chunking only re-orders consumption
+  *within* a batch stream, which is a private namespace —
+  reproducibility (same seeds, same trajectory) is unaffected, and chunk
+  boundaries are independent of how ``run`` calls are split because the
+  caches live on the kernel.
 
 Kernels also accept **per-row spec parameters** (the grid-fused engine):
 ``bind`` takes either one shared spec or a
@@ -58,12 +60,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import os
+import threading
 import warnings
+import weakref
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +87,9 @@ from . import perf
 from .rng import BatchRngBundle, draw_chunk_depth, normalize_rng_mode
 from .spec_stack import SpecStack
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
+
 __all__ = [
     "BatchIntervalOutcome",
     "BatchPolicyKernel",
@@ -100,12 +107,14 @@ __all__ = [
     "DRAW_CHUNK",
 ]
 
-#: Intervals' worth of randomness drawn per Generator call in batch mode.
+#: Intervals per chunk of the batch-mode arrival cache, and the deepest
+#: chunk the byte-sized caches take (:func:`~repro.sim.rng.draw_chunk_depth`).
 DRAW_CHUNK = 64
 
-#: Default chunk depth under the ``rng="free"`` discipline.  Free mode has
-#: no lockstep-schedule constraint, so it amortizes Generator call
-#: overhead over deeper blocks (``REPRO_DRAW_CHUNK`` still overrides).
+#: Chunk depth of the free-mode caches whose values depend on it (arrival
+#: blocks, candidate integers).  Free mode has no lockstep-schedule
+#: constraint, so it amortizes Generator call overhead over deeper blocks
+#: (``REPRO_DRAW_CHUNK`` still overrides).
 FREE_DRAW_CHUNK = 256
 
 #: Priority-state maintenance modes of the DP-family kernels.
@@ -333,12 +342,194 @@ def _solve_ordered(
     np.minimum(w.delivered, backlog, out=w.delivered)
 
 
-class _ChunkedChannelDraws:
-    """Pre-drawn geometric retry counts, :data:`DRAW_CHUNK` intervals deep.
+#: The draw thread: one worker, so queued fills run one at a time in the
+#: order they were queued.  Started on first use.
+_pool: Optional[ThreadPoolExecutor] = None
 
-    ``next(rng)`` yields one interval's ``(S, N, A)`` cumulative-attempt
-    array; a fresh ``(DRAW_CHUNK, S, N, A)`` block is drawn whenever the
-    cache runs dry.
+#: Smallest chunk worth filling on the draw thread.  Handing a fill over
+#: costs the reading thread interpreter-lock switches that a small fill
+#: does not repay: queuing fig3's ~200 KB chunks made perfbench
+#: ``fig3-paper`` 1-4 % slower in-process, while ~4 MB chunks
+#: (``topology-10k``, ``large-n``) gain a third of the wall and 1-2 MB
+#: chunks were within noise either way (docs/performance.md).
+_QUEUE_MIN_BYTES = 1 << 20
+
+
+def _submit(fill, *args) -> Future:
+    """Queue ``fill(*args)`` on the draw thread."""
+    global _pool
+    if _pool is None:
+        # Imported here: a run that never simulates (a sweep served from
+        # the cache) does not pay for the import.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-draws"
+        )
+    return _pool.submit(fill, *args)
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but not its thread, so
+    # fills queued there would never run: the child starts its own.
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+#: ``id(stream) -> (weak reference to its reader, stream)``.  An entry
+#: holds its stream, so the id cannot be reused while the entry lives.
+_readers: dict = {}
+_readers_lock = threading.Lock()
+
+
+def _claim(reader, *streams) -> None:
+    """Record ``reader`` as the one reader of each generator in
+    ``streams`` (``None`` is skipped); a second reader raises.
+
+    A draw source's fills run on the draw thread at times that depend
+    on scheduling.  Values stay bit-identical only because nothing else
+    calls the generators a source fills from.
+    """
+    with _readers_lock:
+        for key in [k for k, (ref, _) in _readers.items() if ref() is None]:
+            del _readers[key]
+        for stream in streams:
+            if stream is None:
+                continue
+            entry = _readers.get(id(stream))
+            if entry is None:
+                _readers[id(stream)] = (weakref.ref(reader), stream)
+                continue
+            holder = entry[0]()
+            if holder is not reader:
+                raise RuntimeError(
+                    f"{type(reader).__name__} and {type(holder).__name__} "
+                    "read the same random stream; each stream must have "
+                    "one reader"
+                )
+
+
+class _ChunkedDraws:
+    """Per-interval blocks cut from chunks ``depth`` intervals deep, the
+    next chunk filled on the draw thread while this one is read.
+
+    ``next(*streams)`` returns the next interval's block (a view, valid
+    until the following call).  Subclasses make a chunk buffer
+    (:meth:`_buffer`; ``None`` when each fill allocates its own chunk)
+    and fill it (:meth:`_fill`, which returns the chunk).  Chunk ``c``
+    lives in buffer ``c % 2``, so chunk ``c + 1`` can be filled while
+    chunk ``c`` is read.
+
+    The run loop says how many more intervals will be read
+    (:meth:`plan`).  When a chunk is first read and the plan reaches
+    past it, the next chunk is queued on the draw thread if it holds at
+    least :data:`_QUEUE_MIN_BYTES`; nothing past the plan is drawn
+    ahead, and otherwise every chunk is filled when it is first read.
+    The generators are those of the first read (later reads must pass
+    the same ones) and have no other reader (:func:`_claim`); one
+    source's fills run one at a time in chunk order, so each generator
+    makes the same calls in the same order as if every chunk were
+    filled when first read.  An exception raised by a fill surfaces at
+    the first read of its chunk.
+
+    The consumer's time at a chunk boundary — the wait for a queued
+    chunk, or a fill of its own — is reported under :attr:`_stage`.
+    """
+
+    #: The perf stage the consumer's chunk-boundary time goes to.
+    _stage = "draws.uniform_refill"
+    #: Arrays each fill allocates (sources without a reusable buffer).
+    _fill_allocs = 0
+
+    def __init__(self, depth: int, interval_bytes: int):
+        self._depth = int(depth)
+        self._ahead = self._depth * interval_bytes >= _QUEUE_MIN_BYTES
+        self._chunk: Optional[np.ndarray] = None
+        self._pos = self._depth
+        self._start = -self._depth  # read index of the chunk's first row
+        self._drawn = 0  # intervals of chunks filled or queued
+        self._limit = 0  # reads the run loop has planned
+        self._next: Optional[Future] = None
+        self._buffers: list = []
+        self._allocs = 0  # buffers made since the last report
+        self._streams: Optional[tuple] = None
+
+    def plan(self, num_intervals: int) -> None:
+        """Allow drawing ahead through ``num_intervals`` further reads."""
+        self._limit = self._start + self._pos + int(num_intervals)
+        self._queue_next()
+
+    def next(self, *streams) -> np.ndarray:
+        if self._pos >= self._depth:
+            self._advance(streams)
+        block = self._chunk[self._pos]
+        self._pos += 1
+        return block
+
+    def _advance(self, streams: tuple) -> None:
+        counters = perf.counters
+        if counters.enabled:
+            t0 = perf.clock()
+        if self._streams is None:
+            _claim(self, *streams)
+            self._streams = streams
+        elif len(streams) != len(self._streams) or any(
+            a is not b for a, b in zip(streams, self._streams)
+        ):
+            raise RuntimeError(
+                f"{type(self).__name__} must read the same random streams "
+                "on every interval"
+            )
+        if self._next is None:
+            self._chunk = self._fill(self._next_buffer(), *streams)
+        else:
+            queued, self._next = self._next, None
+            self._chunk = queued.result()
+        self._start += self._depth
+        self._pos = 0
+        self._queue_next()
+        if counters.enabled:
+            allocs, self._allocs = self._allocs + self._fill_allocs, 0
+            counters.add(self._stage, perf.clock() - t0, allocs)
+
+    def _queue_next(self) -> None:
+        if (
+            self._ahead
+            and self._next is None
+            and self._streams is not None
+            and self._drawn < self._limit
+        ):
+            self._next = _submit(
+                self._fill, self._next_buffer(), *self._streams
+            )
+
+    def _next_buffer(self):
+        """The buffer of the next chunk to draw (made on first use)."""
+        i = (self._drawn // self._depth) % 2
+        if i == len(self._buffers):
+            buffer = self._buffer()
+            self._allocs += buffer is not None
+            self._buffers.append(buffer)
+        self._drawn += self._depth
+        return self._buffers[i]
+
+    def _buffer(self):
+        return None
+
+    def _fill(self, buffer, *streams) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _ChunkedChannelDraws(_ChunkedDraws):
+    """Pre-drawn geometric retry counts, chunked by bytes.
+
+    ``next(rng, state_rng)`` yields one interval's ``(S, N, A)``
+    cumulative-attempt array from a ``(depth, S, N, A)`` chunk; the depth
+    is :func:`~repro.sim.rng.draw_chunk_depth`'s byte rule (one
+    ``standard_exponential`` call per chunk, so values do not depend on
+    it).
 
     Draws use inverse-transform sampling, ``g = max(ceil(E / lambda), 1)``
     with ``E`` standard exponential and ``lambda = -log(1 - p)``, which is
@@ -351,14 +542,16 @@ class _ChunkedChannelDraws:
     ``2**53``.
 
     With ``state`` (a :class:`~repro.phy.channel.ChannelStateRows`) the
-    probabilities are no longer a fixed plane: each refill evolves the
-    channel state once per buffered interval and scales that interval's
-    draws by its own ``(S, N)`` reliability plane.  Inverse-transform
-    sampling makes this nearly free — the exponential stream is
-    probability-independent, so dynamic channels reuse the same bulk
-    generation and only swap the per-interval scale.  The static path is
-    byte-for-byte unchanged when ``state`` is ``None``.
+    probabilities are no longer a fixed plane: each fill evolves the
+    channel state once per buffered interval (from ``state_rng`` when the
+    state is random) and scales that interval's draws by its own
+    ``(S, N)`` reliability plane, held with the chunk buffer.
+    Inverse-transform sampling makes this nearly free — the exponential
+    stream is probability-independent, so dynamic channels reuse the same
+    bulk generation and only swap the per-interval scale.
     """
+
+    _stage = "draws.channel_refill"
 
     def __init__(
         self,
@@ -402,12 +595,14 @@ class _ChunkedChannelDraws:
         # smallest positive float32 the ziggurat can emit); 128 leaves slack.
         worst_cum = a_max * np.ceil(128.0 * worst_scale + 1.0)
         dtype = np.float32 if worst_cum < 2**24 else np.float64
+        interval = (num_seeds, num_links, a_max)
+        nbytes = int(np.prod(interval)) * np.dtype(dtype).itemsize
+        if depth is None:
+            depth = draw_chunk_depth(DRAW_CHUNK, nbytes)
+        super().__init__(depth, nbytes)
         self._scale = scale.astype(dtype)
-        self._depth = DRAW_CHUNK if depth is None else int(depth)
-        self._shape = (self._depth, num_seeds, num_links, a_max)
+        self._shape = (self._depth, *interval)
         self._dtype = dtype
-        self._cache: Optional[np.ndarray] = None
-        self._pos = self._depth
         # Drain-totals gather scratch, reused every interval: the flat
         # index of ``cum[s, l, backlog - 1]`` inside a raveled (S, N, A)
         # block is ``(s * N + l) * A + (backlog - 1)``.
@@ -417,16 +612,8 @@ class _ChunkedChannelDraws:
         self._tot_idx = np.empty((num_seeds, num_links), dtype=np.int64)
         self._tot_mask = np.empty((num_seeds, num_links), dtype=bool)
         self._tot2 = np.empty((num_seeds, num_links), dtype=dtype)
-        self._gen_buf: Optional[np.ndarray] = None
         self._lazy = False
         self._state = state
-        # Per-interval probability planes of one refill block, evolved at
-        # refill time and turned into geometric scales in place.
-        self._probs_buf = (
-            np.empty((self._depth, num_seeds, num_links), dtype=np.float64)
-            if state is not None
-            else None
-        )
 
     @property
     def dtype(self) -> np.dtype:
@@ -444,7 +631,7 @@ class _ChunkedChannelDraws:
         return self._state is not None
 
     def set_lazy(self) -> None:
-        """Switch to raw-draw mode: refills only generate exponentials.
+        """Switch to raw-draw mode: fills only generate exponentials.
 
         The scale/ceil/cumsum transform — four full passes over the
         ``(depth, S, N, A)`` block, the dominant ``kernel.dp.setup``
@@ -464,7 +651,7 @@ class _ChunkedChannelDraws:
                 "lazy channel draws are static-plane only; dynamic "
                 "channel state requires eager (dense) draws"
             )
-        if self._cache is not None:
+        if self._buffers:
             raise RuntimeError(
                 "cannot switch channel-draw transform mode mid-stream"
             )
@@ -475,66 +662,46 @@ class _ChunkedChannelDraws:
         s2 = self._scale.reshape(self._scale.shape[1], self._scale.shape[2])
         return np.ascontiguousarray(np.broadcast_to(s2, (num_seeds, s2.shape[1])))
 
-    def next(
-        self,
-        rng: np.random.Generator,
-        state_rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        if self._pos >= self._depth:
-            if perf.counters.enabled:
-                t0 = perf.clock()
-            allocs = 0
-            # Refill into one persistent buffer — the previous chunk is
-            # fully consumed by the time we get here, and the generated
-            # stream does not depend on the destination.
-            if self._gen_buf is None:
-                self._gen_buf = np.empty(self._shape, dtype=self._dtype)
-                allocs = 1
-            draws = self._gen_buf
-            rng.standard_exponential(dtype=self._dtype, out=draws)
-            if self._lazy:
-                # Raw mode: generation is the whole refill; consumers
-                # transform the rows they gather.
-                self._cache = draws
-            else:
-                if self._state is not None:
-                    # Evolve the state one step per buffered interval and
-                    # turn each interval's (S, N) probability plane into
-                    # geometric scales, all in place in the plane buffer:
-                    # p -> -1 / log1p(-p), with p == 1 -> scale 0 as in
-                    # the static precompute above.
-                    p = self._probs_buf
-                    self._state.evolve_block(self._depth, state_rng, out=p)
-                    np.negative(p, out=p)
-                    np.log1p(p, out=p)
-                    with np.errstate(divide="ignore"):
-                        np.divide(-1.0, p, out=p)
-                    np.multiply(
-                        draws,
-                        p.reshape(self._depth, *self._shape[1:3], 1),
-                        out=draws,
-                    )
-                else:
-                    np.multiply(draws, self._scale, out=draws)
-                np.ceil(draws, out=draws)
-                np.maximum(draws, 1.0, out=draws)
-                # Running cumsum along the arrival axis, in place.  The
-                # axis is tiny (A slots), so A-1 whole-cube slice adds
-                # beat ``np.cumsum``'s short-segment scan by ~5x at this
-                # shape — identical values, every partial sum an exact
-                # small integer.
-                flat = draws.reshape(-1, self._shape[-1])
-                for a in range(1, self._shape[-1]):
-                    np.add(flat[:, a], flat[:, a - 1], out=flat[:, a])
-                self._cache = draws
-            self._pos = 0
-            if perf.counters.enabled:
-                perf.counters.add(
-                    "draws.channel_refill", perf.clock() - t0, allocs
-                )
-        block = self._cache[self._pos]
-        self._pos += 1
-        return block
+    def _buffer(self):
+        # Each buffer has its own probability plane for dynamic channels.
+        planes = (
+            np.empty(self._shape[:3], dtype=np.float64)
+            if self._state is not None
+            else None
+        )
+        return np.empty(self._shape, dtype=self._dtype), planes
+
+    def _fill(self, buffer, rng, state_rng=None) -> np.ndarray:
+        draws, p = buffer
+        rng.standard_exponential(dtype=self._dtype, out=draws)
+        if self._lazy:
+            # Raw mode: generation is the whole fill; consumers transform
+            # the rows they gather.
+            return draws
+        if p is not None:
+            # Evolve the state one step per buffered interval and turn
+            # each interval's (S, N) probability plane into geometric
+            # scales, all in place in the plane buffer: p -> -1 /
+            # log1p(-p), with p == 1 -> scale 0 as in the static
+            # precompute above.
+            self._state.evolve_block(self._depth, state_rng, out=p)
+            np.negative(p, out=p)
+            np.log1p(p, out=p)
+            with np.errstate(divide="ignore"):
+                np.divide(-1.0, p, out=p)
+            np.multiply(draws, p[..., None], out=draws)
+        else:
+            np.multiply(draws, self._scale, out=draws)
+        np.ceil(draws, out=draws)
+        np.maximum(draws, 1.0, out=draws)
+        # Running cumsum along the arrival axis, in place.  The axis is
+        # tiny (A slots), so A-1 whole-cube slice adds beat
+        # ``np.cumsum``'s short-segment scan by ~5x at this shape —
+        # identical values, every partial sum an exact small integer.
+        flat = draws.reshape(-1, self._shape[-1])
+        for a in range(1, self._shape[-1]):
+            np.add(flat[:, a], flat[:, a - 1], out=flat[:, a])
+        return draws
 
     def totals(self, needed_cum: np.ndarray, backlog: np.ndarray) -> np.ndarray:
         """Per-link drain totals for the interval's block (``(S, N)``).
@@ -560,122 +727,75 @@ class _ChunkedChannelDraws:
         return self._tot2
 
 
-class _ChunkedUniforms:
+class _ChunkedUniforms(_ChunkedDraws):
     """Pre-drawn ``random()`` blocks of a fixed per-interval shape.
 
-    Each chunk is one ``Generator.random`` call, so the stream's values
-    per interval are independent of ``depth`` (see
-    :func:`~repro.sim.rng.draw_chunk_depth`).  The chunk buffer is
-    allocated once and refilled in place (``Generator.random(out=...)``
-    produces the same values as a fresh allocation), so steady-state
-    refills are allocation-free.
+    Each chunk is one ``Generator.random`` call into a reused buffer,
+    so the stream's values per interval are independent of ``depth``,
+    which the byte rule of :func:`~repro.sim.rng.draw_chunk_depth` sets.
     """
 
     def __init__(self, *per_interval_shape: int, depth: Optional[int] = None):
-        self._depth = DRAW_CHUNK if depth is None else int(depth)
+        nbytes = 8 * int(np.prod(per_interval_shape))
+        if depth is None:
+            depth = draw_chunk_depth(DRAW_CHUNK, nbytes)
+        super().__init__(depth, nbytes)
         self._shape = (self._depth, *per_interval_shape)
-        self._cache: Optional[np.ndarray] = None
-        self._pos = self._depth
 
-    def _refill(self, rng: np.random.Generator) -> int:
-        """Fill the persistent chunk buffer; returns allocations made."""
-        allocs = 0
-        if self._cache is None:
-            self._cache = np.empty(self._shape)
-            allocs = 1
-        rng.random(out=self._cache)
-        return allocs
+    def _buffer(self):
+        return np.empty(self._shape)
 
-    def next(self, rng: np.random.Generator) -> np.ndarray:
-        if self._pos >= self._depth:
-            if perf.counters.enabled:
-                t0 = perf.clock()
-            allocs = self._refill(rng)
-            self._pos = 0
-            if perf.counters.enabled:
-                perf.counters.add(
-                    "draws.uniform_refill", perf.clock() - t0, allocs
-                )
-        block = self._cache[self._pos]
-        self._pos += 1
-        return block
+    def _fill(self, buffer, rng) -> np.ndarray:
+        rng.random(out=buffer)
+        return buffer
 
 
 class _ChunkedArgmaxUniforms(_ChunkedUniforms):
-    """Uniform chunks consumed only through their per-row argmax.
+    """Single-pair DP candidate indices: ``1 + argmax`` of each row of an
+    interval's ``(S, M)`` uniform slice, as ``(S,)`` intp.
 
-    The single-pair DP candidate draw needs ``argmax`` over the last axis
-    of each interval's ``(S, M)`` uniform slice; computing the argmax for
-    the whole ``(depth, S, M)`` chunk once at refill time gives the same
-    values (``block.argmax(axis=2)[pos] == block[pos].argmax(axis=1)``)
-    while amortizing the reduction's call overhead across the chunk.
+    Both priority-state paths read the candidate this way, so they consume
+    identical generator values.  The argmax over the whole ``(depth, S,
+    M)`` chunk is taken at fill time: the same values
+    (``block.argmax(axis=2)[pos] == block[pos].argmax(axis=1)``) with the
+    reduction's call overhead amortized across the chunk.
     """
 
-    def __init__(self, *per_interval_shape: int, depth: Optional[int] = None):
-        super().__init__(*per_interval_shape, depth=depth)
-        self._argmax: Optional[np.ndarray] = None
+    def _buffer(self):
+        return np.empty(self._shape), np.empty(self._shape[:2], dtype=np.intp)
 
-    def next_argmax(self, rng: np.random.Generator) -> np.ndarray:
-        if self._pos >= self._depth:
-            if perf.counters.enabled:
-                t0 = perf.clock()
-            allocs = self._refill(rng)
-            if self._argmax is None:
-                self._argmax = np.empty(self._shape[:2], dtype=np.intp)
-                allocs += 1
-            np.argmax(self._cache, axis=2, out=self._argmax)
-            self._pos = 0
-            if perf.counters.enabled:
-                perf.counters.add(
-                    "draws.uniform_refill", perf.clock() - t0, allocs
-                )
-        row = self._argmax[self._pos]
-        self._pos += 1
-        return row
+    def _fill(self, buffer, rng) -> np.ndarray:
+        uniforms, cands = buffer
+        rng.random(out=uniforms)
+        np.argmax(uniforms, axis=2, out=cands)
+        np.add(cands, 1, out=cands)
+        return cands
 
 
-class _ChunkedIntegers:
+class _ChunkedIntegers(_ChunkedDraws):
     """Pre-drawn ``integers(low, high)`` blocks (free-rng discipline only).
 
     The single-pair DP candidate index is uniform on ``{1, .., n-1}``; the
-    lockstep batch schedule derives it as ``1 + argmax`` of an ``(S, n-1)``
-    uniform slice so that both priority-state paths consume identical
-    generator values.  The free discipline has no such constraint and
-    draws the integers directly — ``(n-1)x`` less generated randomness
-    for the identical distribution.
+    lockstep batch schedule derives it from an ``(S, n-1)`` uniform slice
+    (:class:`_ChunkedArgmaxUniforms`).  The free discipline has no such
+    constraint and draws the integers directly — ``(n-1)x`` less
+    generated randomness for the identical distribution.  Bounded
+    integers make values depend on the chunk depth, so ``depth`` is
+    fixed by the caller.
     """
 
-    def __init__(
-        self,
-        low: int,
-        high: int,
-        *per_interval_shape: int,
-        depth: Optional[int] = None,
-    ):
+    # ``Generator.integers`` has no ``out=`` form: one allocation per
+    # chunk.
+    _fill_allocs = 1
+
+    def __init__(self, low: int, high: int, *per_interval_shape: int, depth: int):
+        super().__init__(depth, 8 * int(np.prod(per_interval_shape)))
         self._low = int(low)
         self._high = int(high)
-        self._depth = DRAW_CHUNK if depth is None else int(depth)
         self._shape = (self._depth, *per_interval_shape)
-        self._cache: Optional[np.ndarray] = None
-        self._pos = self._depth
 
-    def next(self, rng: np.random.Generator) -> np.ndarray:
-        if self._pos >= self._depth:
-            if perf.counters.enabled:
-                t0 = perf.clock()
-            # ``Generator.integers`` has no ``out=`` form; one block
-            # allocation per chunk is already O(1) per chunk.
-            self._cache = rng.integers(
-                self._low, self._high, size=self._shape, dtype=np.int64
-            )
-            self._pos = 0
-            if perf.counters.enabled:
-                perf.counters.add(
-                    "draws.uniform_refill", perf.clock() - t0, 1
-                )
-        block = self._cache[self._pos]
-        self._pos += 1
-        return block
+    def _fill(self, buffer, rng) -> np.ndarray:
+        return rng.integers(self._low, self._high, size=self._shape, dtype=np.int64)
 
 
 class BatchPolicyKernel(ABC):
@@ -813,6 +933,9 @@ class BatchPolicyKernel(ABC):
             ),
         )
         self._lite = bool(lite) and not sync
+        # Depth of the free-mode caches whose values depend on it
+        # (arrival blocks, candidate integers); the channel and uniform
+        # caches size themselves by bytes.
         self._depth = draw_chunk_depth(
             FREE_DRAW_CHUNK if self._free else DRAW_CHUNK
         )
@@ -829,7 +952,6 @@ class BatchPolicyKernel(ABC):
             self._reliabilities,
             self.num_seeds,
             self._a_max,
-            depth=self._depth,
             state=chan_state,
         )
         self._rows = np.arange(self.num_seeds)[:, None]
@@ -891,6 +1013,16 @@ class BatchPolicyKernel(ABC):
         if getattr(self, "_chan_state_uses_rng", False):
             return self._kstream(rng, "channel-state")
         return None
+
+    def plan(self, num_intervals: int) -> None:
+        """Let the draw caches fill ahead through ``num_intervals``
+        further intervals (:class:`_ChunkedDraws`)."""
+        for source in self._draw_sources():
+            source.plan(num_intervals)
+
+    def _draw_sources(self) -> tuple:
+        """The chunked draw caches :meth:`run_interval` reads."""
+        return (self._channel_draws,)
 
     def run_interval(
         self,
@@ -1248,6 +1380,10 @@ class _BatchContentionKernel(BatchPolicyKernel):
 
     #: Whether windows change from round to round (DCF).
     _adaptive = False
+    #: The ``"policy"`` stream each interval's backoff block is drawn from
+    #: directly, with no draw cache: claimed (:func:`_claim`) so that no
+    #: cache filling on the draw thread ever reads it too.
+    _policy_stream = None
 
     def _on_bind(self) -> None:
         if self._row_policies is not None:
@@ -1478,7 +1614,11 @@ class _BatchContentionKernel(BatchPolicyKernel):
         )
         if counters.enabled:
             t0 = perf.clock()
-        self._kstream(rng, "policy").random(out=w.u)
+        policy = self._kstream(rng, "policy")
+        if policy is not self._policy_stream:
+            _claim(self, policy)
+            self._policy_stream = policy
+        policy.random(out=w.u)
         if counters.enabled:
             t1 = perf.clock()
             counters.add("draws.uniform_refill", t1 - t0)
@@ -1643,19 +1783,20 @@ class BatchDPKernel(BatchPolicyKernel):
                 f"reducible on {n} links; the bound is {max_swap_pairs(n)}"
             )
         P = self.num_pairs if n >= 2 else 0
-        self._coin_draws = _ChunkedUniforms(
-            self.num_seeds, 2 * P, depth=self._depth
-        )
-        self._cand_ints: Optional[_ChunkedIntegers] = None
-        if self._free and P == 1:
+        self._coin_draws = _ChunkedUniforms(self.num_seeds, 2 * P)
+        if P != 1:
+            # Remark-6 pair subsets: the argsort of (S, M) uniforms.
+            self._cand_draws = _ChunkedUniforms(
+                self.num_seeds, max(0, (n - 1) - (P - 1))
+            )
+        elif self._free:
             # Free discipline: draw the single-pair candidate index as a
             # demand-sized integer block instead of (S, n-1) uniforms.
-            self._cand_ints = _ChunkedIntegers(
+            self._cand_draws = _ChunkedIntegers(
                 1, n, self.num_seeds, depth=self._depth
             )
-        self._cand_draws = _ChunkedArgmaxUniforms(
-            self.num_seeds, max(0, (n - 1) - (P - 1)), depth=self._depth
-        )
+        else:
+            self._cand_draws = _ChunkedArgmaxUniforms(self.num_seeds, n - 1)
         self._pair_idx = np.arange(P, dtype=np.int64)[None, :]
         # With integer-valued timing parameters, every dead time is an
         # exact integer and ``floor(x / air)`` provably equals
@@ -1997,7 +2138,7 @@ class BatchDPKernel(BatchPolicyKernel):
             t0 = perf.clock()
 
         # -- setup: candidate pair, coins, backoffs (all O(S)) -------------
-        cands = self._draw_candidates_ws(rng)
+        cands = self._draw_candidates(rng)
         np.add(cands, w.row_off, out=w.pi2)
         np.subtract(w.pi2, 1, out=w.pi)
         inv_flat = w.inv.ravel()
@@ -2416,6 +2557,9 @@ class BatchDPKernel(BatchPolicyKernel):
         w.fits_b[s] = fb
         w.start_a[s] = sta
 
+    def _draw_sources(self) -> tuple:
+        return (self._channel_draws, self._coin_draws, self._cand_draws)
+
     @property
     def priorities(self) -> np.ndarray:
         """Current ``(S, N)`` priority stack (sigma per replication)."""
@@ -2423,42 +2567,28 @@ class BatchDPKernel(BatchPolicyKernel):
             return np.asarray([c.priorities for c in self._clones], dtype=np.int64)
         return self._sigma.copy()
 
-    def _draw_candidates(self, rng: BatchRngBundle, S: int, n: int) -> np.ndarray:
-        """``(S, P)`` sorted non-consecutive candidate indices per row."""
-        P = self.num_pairs
-        shared = self._kstream(rng, "shared")
-        if P == 1:
-            draws = self._cand_draws.next(shared)  # (S, n-1) uniforms
-            return 1 + np.argmax(draws, axis=1, keepdims=True).astype(np.int64)
+    def _draw_candidates(self, rng: BatchRngBundle) -> np.ndarray:
+        """``(S, P)`` sorted non-consecutive candidate indices per row.
+
+        A single pair's index comes straight from ``_cand_draws``: the
+        ``1 + argmax`` of an ``(S, n-1)`` uniform slice, or under
+        ``rng="free"`` a direct integer block (:class:`_ChunkedIntegers`)
+        — same uniform-on-``{1..n-1}`` distribution, a fraction of the
+        generated randomness.  Both priority-state paths draw through
+        here, so they consume identical generator values in identical
+        order.
+        """
+        draws = self._cand_draws.next(self._kstream(rng, "shared"))
+        if self.num_pairs == 1:
+            np.copyto(self._ws.cands[:, 0], draws)
+            return self._ws.cands
         # Gap bijection (see draw_candidate_indices): uniform P-subsets of
         # [1, M] with M = (n - 1) - (P - 1), then shift the i-th smallest
         # by i.  The subset comes from the first P slots of a uniform
         # permutation (argsort of i.i.d. uniforms).
-        draws = self._cand_draws.next(shared)
+        P = self.num_pairs
         subset = np.sort(np.argsort(draws, axis=1)[:, :P] + 1, axis=1)
         return subset + self._pair_idx
-
-    def _draw_candidates_ws(self, rng: BatchRngBundle) -> np.ndarray:
-        """Workspace candidate draw: same stream consumption and values as
-        :meth:`_draw_candidates`, buffered for the single-pair case.
-
-        Under ``rng="free"`` the single-pair candidate comes from a direct
-        integer block (:class:`_ChunkedIntegers`) instead of the argmax of
-        an ``(S, n-1)`` uniform slice — same uniform-on-``{1..n-1}``
-        distribution, a fraction of the generated randomness.  Both
-        priority-state paths draw through here, so they consume identical
-        generator values in identical order.
-        """
-        if self.num_pairs == 1:
-            if self._free:
-                row = self._cand_ints.next(rng.free_stream("shared"))
-                np.copyto(self._ws.cands[:, 0], row)
-                return self._ws.cands
-            am = self._cand_draws.next_argmax(rng.batch_stream("shared"))
-            np.add(am, 1, out=self._ws.cands[:, 0])
-            return self._ws.cands
-        S, n = self.num_seeds, self.spec.num_links
-        return self._draw_candidates(rng, S, n)
 
     def _run_interval_ws(
         self,
@@ -2502,7 +2632,7 @@ class BatchDPKernel(BatchPolicyKernel):
             t0 = perf.clock()
 
         if n >= 2:
-            cands = self._draw_candidates_ws(rng)
+            cands = self._draw_candidates(rng)
             P = cands.shape[1]
             # Inverse permutation by scatter (sigma is a permutation of
             # 1..n, so this equals argsort(sigma)).

@@ -71,6 +71,8 @@ from . import perf
 from .batch_kernels import (
     DRAW_CHUNK,
     BatchIntervalOutcome,
+    _ChunkedDraws,
+    _claim,
     make_batch_kernel,
 )
 from .results import SimulationResult
@@ -449,14 +451,26 @@ class BatchSweepStats:
         return np.stack(self._overhead_rows).mean(axis=0)
 
 
-class _BatchArrivalDraws:
+class _BatchArrivalDraws(_ChunkedDraws):
     """Chunked arrival blocks for the vectorized (non-sync) RNG mode.
 
     Batch-samplable processes are stateless (i.i.d. across both
-    replications and intervals), so :data:`DRAW_CHUNK` intervals' worth of
+    replications and intervals), so ``depth`` intervals' worth of
     arrivals can come from one oversized draw — same distribution, far
-    fewer Generator round-trips.
+    fewer Generator round-trips.  Chunks are filled ahead on the draw
+    thread like every :class:`~repro.sim.batch_kernels._ChunkedDraws`.
+
+    Sampling may make several Generator calls per chunk (bursty
+    processes draw uniforms, then integers), so the chunk depth changes
+    how the stream's values interleave: unlike the single-call channel
+    and uniform chunks, it is not sized by bytes.  Batch mode keeps
+    :data:`~repro.sim.batch_kernels.DRAW_CHUNK` whatever
+    ``REPRO_DRAW_CHUNK`` says; the free discipline (statistical
+    equivalence is its contract) passes the kernel's deeper depth.
     """
+
+    _stage = "draws.arrival_refill"
+    _fill_allocs = 1
 
     def __init__(
         self,
@@ -465,48 +479,24 @@ class _BatchArrivalDraws:
         num_seeds: int,
         depth: Optional[int] = None,
     ):
-        # The depth stays fixed at DRAW_CHUNK in batch mode even when the
-        # kernels use a deeper REPRO_DRAW_CHUNK: arrival sampling may make
-        # several Generator calls per block (e.g. bursty uniforms then
-        # integers), so the block size changes how the stream's values
-        # interleave — unlike the single-call channel/uniform chunks, a
-        # different depth here would change the trajectory.  The free
-        # discipline has no trajectory-preservation constraint (statistical
-        # equivalence is the contract; arrivals stay i.i.d. per interval at
-        # any block size), so it passes the kernel's deeper chunk depth.
+        super().__init__(
+            DRAW_CHUNK if depth is None else depth,
+            8 * num_seeds * spec.num_links,
+        )
         self._stack = stack
         self._spec = spec
         self._num_seeds = num_seeds
-        self._depth = DRAW_CHUNK if depth is None else int(depth)
-        self._cache: Optional[np.ndarray] = None
-        self._pos = self._depth
 
-    def next(self, rng: np.random.Generator) -> np.ndarray:
-        if self._pos >= self._depth:
-            if perf.counters.enabled:
-                t0 = perf.clock()
-            if self._stack is not None:
-                self._cache = self._stack.sample_arrival_block(
-                    rng, self._depth
-                )
-            else:
-                flat = self._spec.arrivals.sample_batch(
-                    rng, self._depth * self._num_seeds
-                )
-                self._cache = flat.reshape(
-                    self._depth, self._num_seeds, self._spec.num_links
-                )
-            self._pos = 0
-            if perf.counters.enabled:
-                perf.counters.add(
-                    "draws.arrival_refill", perf.clock() - t0, 1
-                )
-        block = self._cache[self._pos]
-        self._pos += 1
-        return block
+    def _fill(self, buffer, rng) -> np.ndarray:
+        if self._stack is not None:
+            return self._stack.sample_arrival_block(rng, self._depth)
+        flat = self._spec.arrivals.sample_batch(
+            rng, self._depth * self._num_seeds
+        )
+        return flat.reshape(self._depth, self._num_seeds, self._spec.num_links)
 
 
-class _StatefulArrivalDraws:
+class _StatefulArrivalDraws(_ChunkedDraws):
     """Chunked arrival blocks when some rows carry evolving state.
 
     Stateless rows draw exactly as :class:`_BatchArrivalDraws` would —
@@ -519,6 +509,9 @@ class _StatefulArrivalDraws:
     only the arrivals stream through ``next``).
     """
 
+    _stage = "draws.arrival_refill"
+    _fill_allocs = 1
+
     def __init__(
         self,
         stack: Optional[SpecStack],
@@ -527,10 +520,14 @@ class _StatefulArrivalDraws:
         depth: Optional[int] = None,
         state_rng: Optional[np.random.Generator] = None,
     ):
+        super().__init__(
+            DRAW_CHUNK if depth is None else depth,
+            8 * num_seeds * spec.num_links,
+        )
         specs = stack.specs if stack is not None else (spec,) * num_seeds
         self._num_seeds = num_seeds
         self._n = specs[0].num_links
-        self._depth = DRAW_CHUNK if depth is None else int(depth)
+        _claim(self, state_rng)
         self._state_rng = state_rng
         # Stateless rows grouped by process equality (one sample_batch per
         # distinct process); stateful rows grouped by class (one stacked
@@ -563,31 +560,18 @@ class _StatefulArrivalDraws:
             )
             for cls, procs, rows in by_class
         ]
-        self._cache = np.empty(
-            (self._depth, num_seeds, self._n), dtype=np.int64
-        )
-        self._pos = self._depth
 
-    def next(self, rng: np.random.Generator) -> np.ndarray:
-        if self._pos >= self._depth:
-            if perf.counters.enabled:
-                t0 = perf.clock()
-            for proc, rows in self._stateless:
-                flat = proc.sample_batch(rng, self._depth * len(rows))
-                self._cache[:, rows] = flat.reshape(
-                    self._depth, len(rows), self._n
-                )
-            for state_rows, rows, buf in self._state_groups:
-                state_rows.evolve_block(self._depth, self._state_rng, buf)
-                self._cache[:, rows] = buf
-            self._pos = 0
-            if perf.counters.enabled:
-                perf.counters.add(
-                    "draws.arrival_refill", perf.clock() - t0, 1
-                )
-        block = self._cache[self._pos]
-        self._pos += 1
-        return block
+    def _buffer(self):
+        return np.empty((self._depth, self._num_seeds, self._n), dtype=np.int64)
+
+    def _fill(self, chunk, rng) -> np.ndarray:
+        for proc, rows in self._stateless:
+            flat = proc.sample_batch(rng, self._depth * len(rows))
+            chunk[:, rows] = flat.reshape(self._depth, len(rows), self._n)
+        for state_rows, rows, buf in self._state_groups:
+            state_rows.evolve_block(self._depth, self._state_rng, buf)
+            chunk[:, rows] = buf
+        return chunk
 
 
 class _FanoutDraws:
@@ -615,19 +599,15 @@ class _FanoutDraws:
         """Whether the shared source serves raw (untransformed) draws."""
         return bool(getattr(self._inner, "lazy", False))
 
-    def next(
-        self,
-        rng: np.random.Generator,
-        state_rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
+    def plan(self, num_intervals: int) -> None:
+        self._inner.plan(num_intervals)
+
+    def next(self, *streams) -> np.ndarray:
         if self._remaining == 0:
-            if state_rng is None:
-                self._block = self._inner.next(rng)
-            else:
-                # Channel-state fan-out: the state evolves once per cycle
-                # from the first client's stream (the classes guarantee
-                # every client's stream would be identical).
-                self._block = self._inner.next(rng, state_rng)
+            # The first client's streams (channel-state included) feed
+            # the cycle; the classes guarantee every client's streams
+            # would be identical.
+            self._block = self._inner.next(*streams)
             self._remaining = self._consumers
             self._totals = None
         self._remaining -= 1
@@ -970,6 +950,19 @@ class BatchIntervalSimulator:
         if counters.enabled:
             counters.add("sim.update", perf.clock() - t0)
 
+    def plan(self, num_intervals: int) -> None:
+        """Say that ``num_intervals`` further :meth:`step` calls follow.
+
+        The draw caches then fill their next chunks on the draw thread
+        while the kernel reads the current ones, but never past those
+        intervals.  :meth:`run` plans its own horizon; a loop that calls
+        :meth:`step` itself plans first (or fills every chunk when it is
+        first read).
+        """
+        if self._arrival_draws is not None:
+            self._arrival_draws.plan(num_intervals)
+        self.kernel.plan(num_intervals)
+
     def run(
         self,
         num_intervals: int,
@@ -979,6 +972,7 @@ class BatchIntervalSimulator:
         (or, with ``record_traces=False``, the streaming stats)."""
         if num_intervals < 0:
             raise ValueError(f"num_intervals must be >= 0, got {num_intervals}")
+        self.plan(num_intervals)
         if progress is None:
             for _ in range(num_intervals):
                 self.step()

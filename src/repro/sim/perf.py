@@ -25,7 +25,12 @@ import), read results with :meth:`PerfCounters.snapshot` /
 :meth:`PerfCounters.summary`, and reset between measurements with
 :func:`reset`.  The registry is intentionally not thread-safe: the hot
 loops it instruments are single-threaded, and the parallel sweep runner
-runs one registry per worker process.
+runs one registry per worker process.  The draw thread that fills the
+next chunk of random draws while the kernel reads the current one
+(:class:`repro.sim.batch_kernels._ChunkedDraws`) never reports: the
+``draws.*_refill`` stages measure what the *consuming* thread spent at
+each chunk boundary — its wait for a chunk filled ahead, or a fill of
+its own when none was — so the stages still add up to the wall time.
 """
 
 from __future__ import annotations

@@ -58,24 +58,42 @@ def normalize_rng_mode(rng: Optional[str] = None) -> str:
     return mode
 
 
-def draw_chunk_depth(default: int = 64) -> int:
-    """Chunk depth (intervals per Generator call) for batch draw caches.
+#: Bytes per chunk for draw caches sized by :func:`draw_chunk_depth`.
+#: Chunks are filled on a background thread while the kernel reads the
+#: previous one, so depth buys nothing once the Generator call overhead
+#: is amortized, and peak memory grows with it.  Measured over 1-16 MiB
+#: on perfbench's ``topology-10k`` and ``large-n`` tasks
+#: (docs/performance.md): 1 MiB was the slowest; 8-16 MiB ran
+#: ``large-n`` up to 12 % faster than 4 MiB but raised both workloads'
+#: peak memory, 16 MiB above what the old 64-deep chunks took.
+_DRAW_CHUNK_BYTES = 4 << 20
 
-    Reads ``REPRO_DRAW_CHUNK`` from the environment, falling back to
-    ``default``.  Changing the depth is **value-preserving** for every
-    stream that fills its whole chunk with a *single* Generator call
-    (channel retry draws via ``standard_exponential``, policy/shared
-    uniforms via ``random``): a chunk of depth ``D`` consumes exactly
-    ``D`` intervals' worth of the stream in interval order, so interval
-    ``k`` reads the same generator values at any depth.  It is *not*
-    value-preserving for arrival blocks — ``sample_batch`` of the bursty
-    process makes two generator calls (uniforms, then integers) whose
-    interleaving depends on the block size — so the arrival cache in
-    :mod:`repro.sim.batch_sim` keeps a fixed depth regardless of this
-    setting.
+
+def draw_chunk_depth(default: int = 64, interval_bytes: int = 0) -> int:
+    """Chunk depth (intervals per chunk) for batch draw caches.
+
+    ``REPRO_DRAW_CHUNK`` in the environment sets every depth.  Otherwise
+    a cache that passes its per-interval size ``interval_bytes`` gets
+    ``clamp(_DRAW_CHUNK_BYTES // interval_bytes, 1, default)``, and one
+    that does not gets ``default``.
+
+    Only caches whose values do not depend on the depth may pass
+    ``interval_bytes``: those that fill a whole chunk with a *single*
+    Generator call in interval order (channel retry draws via
+    ``standard_exponential``, policy/shared uniforms via ``random``).
+    A chunk of depth ``D`` consumes exactly ``D`` intervals' worth of
+    the stream, so interval ``k`` reads the same generator values at any
+    depth.  Arrival blocks are *not* such a cache — ``sample_batch`` of
+    the bursty process makes two generator calls (uniforms, then
+    integers) whose interleaving depends on the block size — and
+    neither are ``Generator.integers`` blocks (bounded integers are
+    drawn from 64-bit words whose unused half is dropped at the end of
+    each call), so the byte rule never sizes those.
     """
     raw = os.environ.get("REPRO_DRAW_CHUNK", "")
     if not raw:
+        if interval_bytes > 0:
+            return max(1, min(int(default), _DRAW_CHUNK_BYTES // interval_bytes))
         return int(default)
     try:
         depth = int(raw)

@@ -20,7 +20,7 @@ no cross-cell communication happens during an interval.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,20 +100,29 @@ class BoundaryMasker:
         self.draws = BoundaryOwnerDraws(topology, seeds)
         self._num_seeds = len(tuple(seeds))
         row_base = {c: i * self._num_seeds for i, c in enumerate(cells)}
-        # One entry per packed membership of each boundary link:
-        # (boundary index, membership ordinal, packed row base, local slot).
-        entries = []
+        # One entry per packed membership of each boundary link: its
+        # boundary index, membership ordinal, and the (row, slot) of the
+        # membership in every seed's packed row.
+        b_idx, ordinal, rows, slots = [], [], [], []
+        seed_idx = np.arange(self._num_seeds)
         for b, link in enumerate(topology.boundary_links):
             for j, (c, i) in enumerate(topology.memberships[link]):
                 if c in row_base:
-                    entries.append((b, j, row_base[c], i))
-        self._entries: Tuple[Tuple[int, int, int, int], ...] = tuple(entries)
-        self._seed_idx = np.arange(self._num_seeds)
+                    b_idx.append(b)
+                    ordinal.append(j)
+                    rows.append(row_base[c] + seed_idx)
+                    slots.append(i)
+        # (S, E) planes: seed s, entry e.
+        self._boundary = np.array(b_idx, dtype=np.intp)
+        self._ordinal = np.array(ordinal, dtype=np.int8)
+        self._rows = np.array(rows, dtype=np.intp).reshape(-1, self._num_seeds).T
+        self._slots = np.broadcast_to(
+            np.array(slots, dtype=np.intp), self._rows.shape
+        )
 
     def apply(self, k: int, arrivals: np.ndarray) -> np.ndarray:
         """Mask interval ``k``'s arrivals in place and return them."""
         owners = self.draws.owners_at(k)
-        for b, j, base, local in self._entries:
-            losers = self._seed_idx[owners[:, b] != j]
-            arrivals[base + losers, local] = 0
+        losers = owners[:, self._boundary] != self._ordinal
+        arrivals[self._rows[losers], self._slots[losers]] = 0
         return arrivals
