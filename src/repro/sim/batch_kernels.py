@@ -1724,12 +1724,15 @@ class BatchDPKernel(BatchPolicyKernel):
 
     Empty priority-claiming packets couple the timeline: whether one fits
     depends on the airtime used before it, which depends on earlier
-    service.  The kernel assumes every wanted empty packet fits (by far
-    the common case), solves the whole stack in closed form, then
-    *verifies* the assumption per replication; rows where it fails —
-    end-of-interval pressure near overload — are re-run with an exact
-    sequential sweep over that row's pre-drawn retry counts, so the result
-    is identical to sequential evaluation in all cases.
+    service.  The kernel assumes every wanted empty packet fits and
+    solves the whole stack in closed form.  The assumption fails often
+    near overload (two thirds of the row-intervals of an N=2000 stack at
+    alpha 0.45-0.65), and under most timings that changes no output; see
+    :attr:`_repair_needed` for the condition under which it can.  Only
+    then does the kernel verify the assumption per replication and re-run
+    the rows where it fails with an exact sequential sweep over their
+    pre-drawn retry counts, so the result is identical to sequential
+    evaluation in all cases.
     """
 
     #: Test hook: route *every* replication through the exact sequential
@@ -1737,6 +1740,27 @@ class BatchDPKernel(BatchPolicyKernel):
     #: so the outcome must be bit-identical to the vectorized path — the
     #: test-suite uses this to prove the closed-form timeline correct.
     _force_sequential = False
+
+    #: Whether a claim that misfits can change an output; set at bind.
+    #:
+    #: Lemma: with exact integer timings (``_exact_div``) and
+    #: ``empty_air <= data_air + slot``, the closed-form pass is already
+    #: exact.  Let ``j0`` be the first position whose wanted claim does
+    #: not fit: its start is exact (every claim before it fit) and
+    #: exceeds ``T - empty_air`` (``>= T`` when ``empty_air == 0``).
+    #: Backoffs are distinct and increase along the service order, and
+    #: attempts and fitting claims only accumulate, so every later
+    #: position starts at least one slot after ``j0``: past
+    #: ``T - empty_air + slot >= T - data_air``, so neither a data
+    #: packet nor a claim fits there.  The closed form counts ``j0``'s
+    #: claim as aired, which only pushes those positions later, so it
+    #: too gives them zero attempts, zero deliveries and no fit.  Only
+    #: the workspace ``start`` of positions past ``j0`` is off (by the
+    #: claims counted wrongly), and nothing reads it there: the commit
+    #: reads ``start`` only where a link transmitted.  The video
+    #: (66 <= 330 + 9), low-latency (66 <= 122 + 9) and idealized
+    #: (0 <= 1 + 0) timings all satisfy the condition.
+    _repair_needed = True
 
     def __init__(self, policy: DPProtocol):
         super().__init__(policy)
@@ -1817,6 +1841,10 @@ class BatchDPKernel(BatchPolicyKernel):
                 self._slot,
                 self._empty_air,
             )
+        )
+        self._repair_needed = not (
+            self._exact_div
+            and self._empty_air <= self._data_air + self._slot
         )
         # The incremental sparse path covers the paper's protocol — one
         # candidate pair on a real network, off sync mode.  Remark-6
@@ -2341,7 +2369,7 @@ class BatchDPKernel(BatchPolicyKernel):
                 self._resolve_row_inc(
                     s, arrivals, needed, posk, active, from_start=True
                 )
-        else:
+        elif self._repair_needed:
             np.logical_not(w.fits_a, out=w.t1)
             np.logical_and(w.t1, w.wa, out=w.t1)
             np.logical_not(w.fits_b, out=w.t2)
@@ -2776,17 +2804,16 @@ class BatchDPKernel(BatchPolicyKernel):
             np.less(w.start, T, out=w.fits)
         np.logical_and(w.fits, w.iep, out=w.fits)
 
+        bad_rows = None
         if self._force_sequential:
             bad_rows = np.arange(S)
             first_bad = np.zeros(S, dtype=np.int64)
-        else:
+        elif self._repair_needed:
             np.not_equal(w.fits, w.iep, out=w.mm)
             if w.mm.any():
                 bad_rows = np.flatnonzero(w.mm.any(axis=1))
                 first_bad = np.argmax(w.mm, axis=1)
-            else:
-                bad_rows = None
-        if bad_rows is not None and len(bad_rows):
+        if bad_rows is not None:
             for s in bad_rows:
                 j0 = int(first_bad[s])
                 self._resolve_row_sequential(

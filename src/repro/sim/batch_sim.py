@@ -76,7 +76,7 @@ from .batch_kernels import (
     make_batch_kernel,
 )
 from .results import SimulationResult
-from .rng import BatchRngBundle, normalize_rng_mode
+from .rng import BatchRngBundle, normalize_rng_mode, row_blocks
 from .spec_stack import SpecStack
 
 __all__ = [
@@ -528,50 +528,63 @@ class _StatefulArrivalDraws(_ChunkedDraws):
         self._num_seeds = num_seeds
         self._n = specs[0].num_links
         _claim(self, state_rng)
-        self._state_rng = state_rng
-        # Stateless rows grouped by process equality (one sample_batch per
-        # distinct process); stateful rows grouped by class (one stacked
-        # state plane per family).
-        stateless: List[Tuple] = []
-        by_class: List[Tuple[type, List, List[int]]] = []
-        for i, sp in enumerate(specs):
-            proc = sp.arrivals
-            if proc.has_state:
-                for cls, procs, rows in by_class:
-                    if type(proc) is cls:
-                        procs.append(proc)
-                        rows.append(i)
-                        break
-                else:
-                    by_class.append((type(proc), [proc], [i]))
-            else:
-                for rep, rows in stateless:
-                    if proc == rep:
-                        rows.append(i)
-                        break
-                else:
-                    stateless.append((proc, [i]))
-        self._stateless = [(proc, rows) for proc, rows in stateless]
+        self._procs = [sp.arrivals for sp in specs]
+        # Rows group within each row block of the streams (the whole stack
+        # under a plain generator), so a block draws what an independent
+        # run over its rows alone would draw.  Stateless rows group by
+        # process equality (one sample_batch per distinct process), per
+        # block of the arrivals stream on first use; stateful rows group
+        # by class (one stacked state plane per family and block).
+        self._stateless: dict = {}
         self._state_groups = [
             (
                 cls.stack_rows(procs),
                 rows,
                 np.empty((self._depth, len(rows), self._n), dtype=np.int64),
+                gen,
             )
-            for cls, procs, rows in by_class
+            for lo, hi, gen in row_blocks(state_rng, num_seeds)
+            for cls, procs, rows in _group_rows(
+                self._procs, lo, hi, lambda p: type(p) if p.has_state else None
+            )
         ]
 
     def _buffer(self):
         return np.empty((self._depth, self._num_seeds, self._n), dtype=np.int64)
 
     def _fill(self, chunk, rng) -> np.ndarray:
-        for proc, rows in self._stateless:
-            flat = proc.sample_batch(rng, self._depth * len(rows))
-            chunk[:, rows] = flat.reshape(self._depth, len(rows), self._n)
-        for state_rows, rows, buf in self._state_groups:
-            state_rows.evolve_block(self._depth, self._state_rng, buf)
+        for lo, hi, gen in row_blocks(rng, self._num_seeds):
+            groups = self._stateless.get((lo, hi))
+            if groups is None:
+                groups = self._stateless[lo, hi] = _group_rows(
+                    self._procs, lo, hi, lambda p: None if p.has_state else p
+                )
+            for proc, _, rows in groups:
+                flat = proc.sample_batch(gen, self._depth * len(rows))
+                chunk[:, rows] = flat.reshape(self._depth, len(rows), self._n)
+        for state_rows, rows, buf, gen in self._state_groups:
+            state_rows.evolve_block(self._depth, gen, buf)
             chunk[:, rows] = buf
         return chunk
+
+
+def _group_rows(procs: Sequence, lo: int, hi: int, key: Callable) -> List:
+    """``[(key, processes, rows)]``: rows ``lo:hi`` grouped by
+    ``key(process)`` in order of first appearance, skipping rows whose
+    key is ``None``."""
+    groups: List[Tuple] = []
+    for i in range(lo, hi):
+        k = key(procs[i])
+        if k is None:
+            continue
+        for gk, group, rows in groups:
+            if gk == k:
+                group.append(procs[i])
+                rows.append(i)
+                break
+        else:
+            groups.append((k, [procs[i]], [i]))
+    return groups
 
 
 class _FanoutDraws:

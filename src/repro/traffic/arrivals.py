@@ -324,6 +324,9 @@ class BurstyVideoArrivals(ArrivalProcess):
                 raise ValueError(f"alpha must lie in [0, 1], got {a}")
         if self.burst_max < 1:
             raise ValueError(f"burst_max must be >= 1, got {self.burst_max}")
+        # The per-call comparand, converted once (not a field: equality,
+        # hashing and the config codec see ``alphas`` only).
+        object.__setattr__(self, "_alpha_vec", np.asarray(self.alphas))
 
     @classmethod
     def symmetric(cls, num_links: int, alpha: float, burst_max: int = 6):
@@ -342,15 +345,16 @@ class BurstyVideoArrivals(ArrivalProcess):
         return self.burst_max
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        active = rng.random(self.num_links) < np.asarray(self.alphas)
+        active = rng.random(self.num_links) < self._alpha_vec
         bursts = rng.integers(1, self.burst_max + 1, size=self.num_links)
         return self._check(np.where(active, bursts, 0).astype(np.int64))
 
     def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
         shape = (num_seeds, self.num_links)
-        active = rng.random(shape) < np.asarray(self.alphas)
-        bursts = rng.integers(1, self.burst_max + 1, size=shape)
-        return self._check_batch(np.where(active, bursts, 0).astype(np.int64), num_seeds)
+        active = rng.random(shape) < self._alpha_vec
+        bursts = rng.integers(1, self.burst_max + 1, size=shape, dtype=np.int64)
+        np.multiply(bursts, active, out=bursts)
+        return self._check_batch(bursts, num_seeds)
 
     def take_links(
         self, links: Sequence[int], pad: int = 0

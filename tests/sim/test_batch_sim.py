@@ -20,7 +20,12 @@ from repro import (
 )
 from repro.experiments.configs import video_symmetric_spec
 from repro.sim.batch_kernels import BatchIntervalOutcome
-from repro.traffic.arrivals import BernoulliArrivals, MarkovModulatedArrivals
+from repro.traffic.arrivals import (
+    BernoulliArrivals,
+    BurstyVideoArrivals,
+    MarkovModulatedArrivals,
+    arrivals_from_spec,
+)
 
 SEEDS = (0, 1, 2)
 
@@ -182,6 +187,49 @@ class TestReproducibility:
             for field in ("arrivals", "deliveries", "attempts"):
                 np.testing.assert_array_equal(
                     getattr(packed, field)[:, rows], getattr(alone, field)
+                )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ("mmpp:0.7:0.1:0.8:0.85",) * 6,
+            ("pareto:0.2:1.5:32",) * 6,
+            ("mmpp:0.7:0.1:0.8:0.85", "bursty", "pareto:0.2:1.5:32") * 2,
+        ],
+        ids=["mmpp", "pareto", "mixed"],
+    )
+    def test_stateful_arrival_row_blocks_replay_independent_runs(self, rows):
+        """Stateful arrivals under per-row stream tags: each block of rows
+        evolves its state from its own block's stream, exactly as an
+        independent run over those rows does.  (The state draw once put
+        rows on axis 2 and raised under row blocks.)"""
+        n = 6
+
+        def row_spec(text):
+            return NetworkSpec.from_delivery_ratios(
+                arrivals=(
+                    BurstyVideoArrivals.symmetric(n, 0.5)
+                    if text == "bursty"
+                    else arrivals_from_spec(text, n)
+                ),
+                channel=BernoulliChannel.symmetric(n, 0.7),
+                timing=idealized_timing(n),
+                delivery_ratios=0.6,
+            )
+
+        specs = [row_spec(text) for text in rows]
+        packed = BatchIntervalSimulator(
+            specs, DBDPPolicy(), SEEDS * 2, rng="free",
+            stream_tag=["a"] * 3 + ["b"] * 3,
+        ).run(60)
+        for i, tag in enumerate("ab"):
+            block = slice(3 * i, 3 * i + 3)
+            alone = BatchIntervalSimulator(
+                specs[block], DBDPPolicy(), SEEDS, rng="free", stream_tag=tag
+            ).run(60)
+            for field in ("arrivals", "deliveries", "attempts"):
+                np.testing.assert_array_equal(
+                    getattr(packed, field)[:, block], getattr(alone, field)
                 )
 
     def test_progress_callback(self, spec):

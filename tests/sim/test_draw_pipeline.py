@@ -145,6 +145,7 @@ CASES = [
     ("batch", "static", "bursty", None, lambda: DBDPPolicy(num_pairs=2), False),
     ("batch", "tv", "bursty", None, LDFPolicy, False),
     ("free", "ge", "bursty", None, FCSMAPolicy, False),
+    ("free", "static", "mmpp", "dense", DBDPPolicy, True),
 ]
 
 

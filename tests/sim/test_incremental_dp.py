@@ -84,8 +84,8 @@ class TestDenseIncrementalBitIdentity:
         _assert_runs_identical(dense, inc, f"N={n}")
 
     def test_congested_stack_identical(self):
-        # High alpha keeps everyone backlogged, so commits, misfitting
-        # empty claims, and resolver activations all fire constantly.
+        # High alpha keeps everyone backlogged, so commits and
+        # misfitting empty claims fire constantly.
         _, dense = _run(20, "dense", 250, alpha=0.95)
         _, inc = _run(20, "incremental", 250, alpha=0.95)
         _assert_runs_identical(dense, inc, "congested")

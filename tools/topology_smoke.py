@@ -11,7 +11,7 @@ promoted) through the fused sweep engine and the on-disk sweep cache:
    only) populates the cache, then the full sweep resumes on top; the
    checkpointed cells are served warm and the result is bit-identical
    to an uncached reference run.
-3. **Degrade semantics**: a family without a batch kernel (FCSMA) in
+3. **Degrade semantics**: a family without a batch kernel (FrameCSMA) in
    the same sweep must degrade to single-domain with exactly one
    ``UserWarning`` while still producing finite points.
 4. **Wide cells**: DB-DP on cells of at least 64 links, wider than the
@@ -140,7 +140,7 @@ def drill_checkpoint_resume(num_intervals: int, report: dict) -> None:
 
 
 def drill_degrade_warning(num_intervals: int, report: dict) -> None:
-    kwargs = sweep_kwargs(num_intervals, ["DB-DP", "FCSMA"])
+    kwargs = sweep_kwargs(num_intervals, ["DB-DP", "FrameCSMA"])
     print("[topology-smoke] mixed sweep with a non-capable family...")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -151,16 +151,16 @@ def drill_degrade_warning(num_intervals: int, report: dict) -> None:
     assert len(topo_warnings) == 1, (
         f"expected exactly one degrade warning, got {len(topo_warnings)}"
     )
-    assert "FCSMA" in str(topo_warnings[0].message)
-    fcsma = [p for p in result.points if p.policy == "FCSMA"]
-    assert fcsma and all(
-        math.isfinite(p.total_deficiency) for p in fcsma
-    ), "degraded FCSMA cells did not produce finite points"
-    print("[topology-smoke] FCSMA degraded with one warning. OK")
+    assert "FrameCSMA" in str(topo_warnings[0].message)
+    frame = [p for p in result.points if p.policy == "FrameCSMA"]
+    assert frame and all(
+        math.isfinite(p.total_deficiency) for p in frame
+    ), "degraded FrameCSMA cells did not produce finite points"
+    print("[topology-smoke] FrameCSMA degraded with one warning. OK")
     report["degrade"] = {
         "warnings": len(topo_warnings),
-        "degraded_family": "FCSMA",
-        "finite_points": len(fcsma),
+        "degraded_family": "FrameCSMA",
+        "finite_points": len(frame),
     }
 
 
