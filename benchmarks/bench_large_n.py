@@ -5,12 +5,15 @@ solves an ``(S, N)``-plane timeline (with ``(N, N)`` exclusion matmuls)
 every interval, so its per-interval cost grows as O(S*N^2) even though a
 single interval can only change the priority permutation by one adjacent
 swap and only ``K = min(N, max_transmissions + 1)`` links can possibly
-transmit.  ``dp_state="incremental"`` keeps the inverse permutation and
-serve-order tables alive in the workspace across intervals, applies
-accepted swaps in O(commits), and solves the timeline on the ``(S, K)``
-backlogged serve set only — bit-identical by construction (asserted here
-and in ``tests/sim/test_incremental_dp.py``) and asymptotically flat in
-N outside the O(S*N) candidate/selection scans.
+transmit.  The incremental priority-state path keeps the inverse
+permutation and serve-order tables alive in the workspace across
+intervals, applies accepted swaps in O(commits), and solves the timeline
+on the ``(S, K)`` backlogged serve set only — bit-identical by
+construction (asserted here and in ``tests/sim/test_incremental_dp.py``)
+and asymptotically flat in N outside the O(S*N) candidate/selection
+scans.  The kernel picks that path itself when N > max_transmissions +
+1; this benchmark runs both paths at every N through the kernel's
+private ``_force_dp_state`` hook.
 
 This benchmark sweeps N over {20, 100, 500, 2000, 10000} on the video
 workload, asserts bit-identity per N, times both paths interleaved
@@ -42,6 +45,7 @@ import numpy as np
 from repro import DBDPPolicy
 from repro.experiments.configs import video_symmetric_spec
 from repro.sim import perf
+from repro.sim.batch_kernels import BatchDPKernel
 from repro.sim.batch_sim import BatchIntervalSimulator
 
 from _bench_utils import bench_intervals
@@ -73,25 +77,29 @@ def _output_path() -> Path:
     )
 
 
-def _build(n: int, dp_state: str) -> BatchIntervalSimulator:
+def _build(n: int, path: str) -> BatchIntervalSimulator:
+    """A stats-only DB-DP simulator on priority-state ``path``."""
     spec = video_symmetric_spec(ALPHA, num_links=n)
-    return BatchIntervalSimulator(
-        spec,
-        DBDPPolicy(),
-        seeds=range(NUM_SEEDS),
-        record_traces=False,  # stats-only: O(S*N) memory at N=10000
-        validate=False,
-        dp_state=dp_state,
-    )
+    BatchDPKernel._force_dp_state = path
+    try:
+        sim = BatchIntervalSimulator(
+            spec,
+            DBDPPolicy(),
+            seeds=range(NUM_SEEDS),
+            record_traces=False,  # stats-only: O(S*N) memory at N=10000
+            validate=False,
+        )
+    finally:
+        BatchDPKernel._force_dp_state = None
+    assert sim.dp_state == path
+    return sim
 
 
 def _assert_identical(n: int) -> None:
     """Dense and incremental must produce bit-identical streaming stats."""
     stats = {}
     for mode in ("dense", "incremental"):
-        sim = _build(n, mode)
-        assert sim.dp_state == mode
-        stats[mode] = sim.run(IDENTITY_INTERVALS)
+        stats[mode] = _build(n, mode).run(IDENTITY_INTERVALS)
     d, i = stats["dense"], stats["incremental"]
     assert np.array_equal(d.delivery_sums, i.delivery_sums), (
         f"N={n}: delivery sums diverged between dense and incremental"

@@ -1,9 +1,9 @@
 """Multi-cell topology layer throughput: 10k links as cell-parallel rows.
 
-The single-domain DP engine has a structural wall at large N: even with
-``dp_state="incremental"`` every interval still scans all N links, and
-the committed BENCH_LARGE_N.json baseline manages ~106 intervals/sec at
-N=10000.  The topology layer (``repro.topology``) removes the wall by
+The single-domain DP engine has a structural wall at large N: even on
+its incremental priority-state path every interval still scans all N
+links, and the committed BENCH_LARGE_N.json baseline manages ~106
+intervals/sec at N=10000.  The topology layer (``repro.topology``) removes the wall by
 partitioning the 10,000 links into 400 interference cells of 25 links
 and simulating each (seed, cell) pair as an independent row — the
 compiled cell kernel (``repro.topology.cellsim``) walks those rows at
@@ -134,8 +134,8 @@ def test_topology_scaling():
         seeds=range(NUM_SEEDS),
         record_traces=False,
         validate=False,
-        dp_state="incremental",
     )
+    assert sim.dp_state == "incremental"  # N=10000 > max_transmissions + 1
     gc.collect()
     t0 = time.perf_counter()
     sim.run(intervals)

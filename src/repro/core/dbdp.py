@@ -232,6 +232,5 @@ _registry.register(
         to_config=dp_family_config,
         from_config=_dbdp_from_config,
         batch_kernel="repro.sim.batch_kernels:BatchDPKernel",
-        incremental_dp=True,
     )
 )

@@ -534,6 +534,5 @@ _registry.register(
         ),
         factory=None,  # the generic protocol needs an explicit bias
         batch_kernel="repro.sim.batch_kernels:BatchDPKernel",
-        incremental_dp=True,
     )
 )

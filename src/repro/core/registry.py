@@ -16,15 +16,13 @@ switches with a single source of truth: each policy family registers one
   ``DB-DP``'s descriptor, for example),
 * a config round-trip (:meth:`PolicyDescriptor.config_of` /
   :meth:`PolicyDescriptor.build`) used for cache fingerprints and
-  by-name construction,
+  by-name construction, and
 * an optional batch-kernel factory (a lazy ``"module:Class"`` reference,
   so policy modules never import the simulation engine) — naming one is
   what makes a family *batchable*: every batch path (per-cell, fused,
   topology, every ``rng=`` discipline, stateful channels and arrivals)
   is then open to it, subject only to the spec checks of
-  :func:`repro.sim.batch_sim.batch_refusal` — and
-* ``incremental_dp``, set by the DP family, whose kernel can maintain its
-  priority state incrementally (``dp_state="incremental"``).
+  :func:`repro.sim.batch_sim.batch_refusal`.
 
 Adding a new policy is now a one-file change::
 
@@ -147,14 +145,6 @@ class PolicyDescriptor:
         Lazy ``"module:ClassName"`` reference to the family's
         :class:`~repro.sim.batch_kernels.BatchPolicyKernel`, or a
         callable ``policy -> kernel``; ``None`` for scalar-only families.
-    incremental_dp:
-        The batch kernel can maintain the priority state incrementally
-        (``dp_state="incremental"``): the permutation, its inverse and
-        the serve-order tables persist in the workspace across intervals
-        and only accepted adjacent swaps are applied, so the per-interval
-        cost tracks the protocol's O(num_pairs) moves instead of N.
-        Bit-identical to the dense recompute; families without it always
-        run dense.
     """
 
     name: str
@@ -163,7 +153,6 @@ class PolicyDescriptor:
     from_config: Callable[[dict], Any]
     factory: Optional[Callable[[], Any]] = _FACTORY_UNSET
     batch_kernel: Union[None, str, Callable[[Any], Any]] = None
-    incremental_dp: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:

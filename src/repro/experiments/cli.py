@@ -164,17 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine fused unless --engine is given)",
     )
     parser.add_argument(
-        "--dp-state",
-        choices=["dense", "incremental"],
-        default=None,
-        dest="dp_state",
-        help="DP-family priority-state maintenance for the batch/fused "
-        "engines: 'dense' rebuilds the service order every interval, "
-        "'incremental' maintains it across intervals with O(swaps) "
-        "updates and a serve-set timeline solve (bit-identical, much "
-        "faster at large link counts; default: resolved per policy family)",
-    )
-    parser.add_argument(
         "--csv",
         action="store_true",
         help="emit CSV instead of aligned tables",
@@ -229,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 #: Any of them (or ``--cells``) on a figure without ``--engine`` lands it
 #: on the fused engine instead of erroring on the scalar default.
 _SWEEP_ENGINE_FLAGS = (
-    "rng", "shards", "dp_state", "channel", "arrivals",
+    "rng", "shards", "channel", "arrivals",
 )
 
 

@@ -299,7 +299,6 @@ _SWEEP_KEYWORDS = (
     "faults",
     "rng",
     "shards",
-    "dp_state",
     "topology",
     "channel",
     "arrivals",

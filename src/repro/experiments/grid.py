@@ -77,7 +77,6 @@ from .runner import (
     _assemble,
     _Cell,
     _cell_runner,
-    _check_dp_state,
     _lookup,
     _plan_cell,
     _plan_sweep,
@@ -198,10 +197,7 @@ def _build_fused_sim(
     """Stack one group's cells into a mega-batch simulator.
 
     The group shares one draw discipline and one kernel family, hence
-    one planned ``rng`` and ``dp_state`` (a non-DP family runs as with
-    ``dp_state=None`` instead of letting the kernel's strict ValueError
-    demote the whole group to the per-cell fallback, whose different
-    stream tags would silently change the group's draws).
+    one planned ``rng``.
 
     Stack construction and kernel binding may legitimately reject a group
     (heterogeneous timings, unstackable per-row policy parameters); those
@@ -229,7 +225,6 @@ def _build_fused_sim(
             record_traces=False,
             row_policies=row_policies,
             stream_tag=stream_tag,
-            dp_state=cells[0].dp_state,
         )
     except (TypeError, ValueError):
         return None
@@ -286,8 +281,8 @@ def _run_fused_group_with_faults(
 
 def _fallback_runner(num_intervals, seeds, groups):
     """Cells no mega-batch could take run on the per-cell batch runner,
-    with its default draw discipline and DP state."""
-    return _cell_runner(num_intervals, seeds, groups, "batch", None, None)
+    with its default draw discipline."""
+    return _cell_runner(num_intervals, seeds, groups, "batch", None)
 
 
 def _simulate_cells(
@@ -369,7 +364,6 @@ def _run_shard(
     groups: Optional[Tuple[int, ...]],
     rng_mode: str,
     validate: bool,
-    dp_state: Optional[str],
     attempt: int,
 ) -> Tuple[_ShardSpec, List[Tuple[float, str, SweepPoint]]]:
     """Worker-side execution of one shard (module-level, picklable)."""
@@ -382,8 +376,7 @@ def _run_shard(
             specs[value] = spec_builder(value)
         cells.append(
             _plan_cell(
-                value, label, specs[value], policies[label], rng_mode,
-                dp_state, None,
+                value, label, specs[value], policies[label], rng_mode, None
             )
         )
     fallback: List[_Cell] = []
@@ -452,7 +445,6 @@ def _run_sweep_fused_sharded(
     store: Optional[SweepCache],
     shards: int,
     failures: List[CellFailure],
-    dp_state: Optional[str] = None,
 ) -> None:
     """Split the grid into row-contiguous shards and dispatch them.
 
@@ -506,7 +498,7 @@ def _run_sweep_fused_sharded(
     groups_t = tuple(groups) if groups is not None else None
     submit_args = (
         spec_builder, policies, num_intervals, seeds, groups_t,
-        rng_mode, validate, dp_state,
+        rng_mode, validate,
     )
     faults = faults or FaultPolicy(retries=0, backoff_base=0.0)
     try:
@@ -561,7 +553,6 @@ def run_sweep_fused(
     shards: Optional[int] = None,
     cache: Union[None, bool, str, SweepCache] = None,
     validate: bool = True,
-    dp_state: Optional[str] = None,
     faults: Optional[FaultPolicy] = None,
     topology=None,
 ) -> SweepResult:
@@ -598,12 +589,6 @@ def run_sweep_fused(
     validate:
         Per-step deliveries-vs-arrivals assertion (on by default;
         benchmarks disable it).
-    dp_state:
-        DP-family priority-state maintenance mode
-        (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`): ``"dense"``,
-        ``"incremental"``, or ``None`` (resolve from the environment and
-        the family's ``incremental_dp``).  Both modes are bit-identical,
-        so the cache key deliberately excludes it.
     faults:
         ``None`` (default) keeps fail-fast semantics.  A
         :class:`~repro.experiments.faults.FaultPolicy` retries failures
@@ -632,15 +617,13 @@ def run_sweep_fused(
     if not seeds:
         raise ValueError("need at least one seed")
     rng_mode = normalize_rng_mode(rng)
-    _check_dp_state(dp_state)
     if shards is not None and int(shards) < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     seeds = tuple(int(s) for s in seeds)
     store = resolve_cache(cache)
     policies = registry.resolve_policies(policies)
     cells = _plan_sweep(
-        values, spec_builder, policies, rng_mode, dp_state, topology,
-        stacklevel=3,
+        values, spec_builder, policies, rng_mode, topology, stacklevel=3,
     )
 
     if topology is not None:
@@ -651,7 +634,7 @@ def run_sweep_fused(
         return _sweep_cells(
             parameter_name, values, cells,
             _cell_runner(
-                num_intervals, seeds, groups, "fused", rng_mode, dp_state,
+                num_intervals, seeds, groups, "fused", rng_mode,
                 validate=validate, shards=shards,
             ),
             num_intervals=num_intervals, seeds=seeds, groups=groups,
@@ -675,8 +658,7 @@ def run_sweep_fused(
     if shards is not None and int(shards) > 1 and len(cells) > 1:
         _run_sweep_fused_sharded(
             cells, spec_builder, policies, num_intervals, seeds, groups,
-            rng_mode, validate, faults, store, int(shards),
-            failures, dp_state=dp_state,
+            rng_mode, validate, faults, store, int(shards), failures,
         )
     elif faults is None:
         _simulate_cells(

@@ -132,7 +132,7 @@ def _resolve_topology(topology, spec: NetworkSpec):
 class _Cell:
     """One (value, policy) cell of a sweep and the plan it runs under.
 
-    ``rng`` / ``dp_state`` / ``topology`` are what the cell's policy
+    ``rng`` / ``topology`` are what the cell's policy
     family actually honours of the sweep's requests (see
     :func:`_plan_cell`); the rest is the sweep's bookkeeping.
     """
@@ -143,7 +143,6 @@ class _Cell:
     factory: PolicyFactory
     policy: object
     rng: str
-    dp_state: Optional[str]
     topology: object
     key: Optional[str] = None
     point: Optional[SweepPoint] = None
@@ -158,20 +157,16 @@ def _plan_cell(
     spec: NetworkSpec,
     factory: PolicyFactory,
     rng_mode: str,
-    dp_state: Optional[str],
     topology,
 ) -> _Cell:
     """Resolve one cell against its family's registry descriptor.
 
     A family without a batch kernel runs ``rng="free"`` as the default
-    discipline and ignores ``topology``; one without ``incremental_dp``
-    runs as if ``dp_state=None``.  ``label=None`` takes the policy's
-    registry label.
+    discipline and ignores ``topology``.  ``label=None`` takes the
+    policy's registry label.
     """
     policy = factory()
     batchable = registry.has_kernel(policy)
-    descriptor = registry.descriptor_for(policy)
-    incremental = descriptor is not None and descriptor.incremental_dp
     return _Cell(
         value=value,
         label=registry.policy_label(policy) if label is None else label,
@@ -179,7 +174,6 @@ def _plan_cell(
         factory=factory,
         policy=policy,
         rng="batch" if rng_mode == "free" and not batchable else rng_mode,
-        dp_state=dp_state if incremental else None,
         topology=_resolve_topology(topology, spec) if batchable else None,
     )
 
@@ -277,7 +271,6 @@ def _plan_sweep(
     spec_builder: Callable[[float], NetworkSpec],
     policies: Dict[str, PolicyFactory],
     rng_mode: str,
-    dp_state: Optional[str],
     topology,
     stacklevel: int,
     advise: bool = True,
@@ -290,8 +283,7 @@ def _plan_sweep(
         for label, factory in policies.items():
             cells.append(
                 _plan_cell(
-                    float(value), label, spec, factory, rng_mode, dp_state,
-                    topo,
+                    float(value), label, spec, factory, rng_mode, topo
                 )
             )
     if advise:
@@ -307,7 +299,6 @@ def _run_single_topology(
     groups: Optional[Sequence[int]],
     topology,
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
     validate: bool = True,
     shards: Optional[int] = None,
 ) -> SweepPoint:
@@ -321,7 +312,6 @@ def _run_single_topology(
         topology,
         num_intervals,
         rng=rng,
-        dp_state=dp_state,
         validate=validate,
         shards=shards,
     )
@@ -341,21 +331,6 @@ def _run_single_topology(
     )
 
 
-def _check_dp_state(dp_state: Optional[str]) -> None:
-    """Reject unknown ``dp_state`` strings before any per-family degrade.
-
-    Non-DP families run with the request nulled out, which would
-    otherwise let a typo pass silently.
-    """
-    from ..sim.batch_kernels import DP_STATE_MODES
-
-    if dp_state is not None and dp_state not in DP_STATE_MODES:
-        raise ValueError(
-            f"unknown dp_state {dp_state!r}; expected one of "
-            f"{DP_STATE_MODES} or None"
-        )
-
-
 def _run_single_batch(
     spec: NetworkSpec,
     policy,
@@ -363,12 +338,9 @@ def _run_single_batch(
     seeds: Sequence[int],
     groups: Optional[Sequence[int]],
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
 ) -> SweepPoint:
     """One (spec, policy) cell on the batch engine: all seeds in one run."""
-    batch = run_simulation_batch(
-        spec, policy, num_intervals, seeds, rng=rng, dp_state=dp_state,
-    )
+    batch = run_simulation_batch(spec, policy, num_intervals, seeds, rng=rng)
     totals = batch.total_deficiency()  # (S,)
     collisions = batch.collisions.sum(axis=0).astype(float)  # (S,)
     overheads = (
@@ -407,7 +379,6 @@ def run_single(
     groups: Optional[Sequence[int]] = None,
     engine: str = "scalar",
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
 ) -> SweepPoint:
     """Average one policy's deficiency on one spec across seeds.
@@ -421,10 +392,7 @@ def run_single(
     there is no grid to fuse.  ``rng`` selects the batch draw discipline
     (:data:`~repro.sim.rng.RNG_MODES`); ``"free"`` degrades to the
     default discipline for families without a batch kernel, and is
-    rejected on the scalar engine.  ``dp_state`` selects the
-    DP-family priority-state maintenance mode
-    (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`; batch/fused
-    engines only, bit-identical either way).  ``topology`` — a
+    rejected on the scalar engine.  ``topology`` — a
     :class:`~repro.topology.graph.CellTopology` or a builder called with
     the spec — runs batchable families through the multi-cell engine
     (:func:`~repro.topology.engine.run_topology_batch`); families
@@ -435,7 +403,6 @@ def run_single(
     """
     if engine not in _ENGINES:
         raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    _check_dp_state(dp_state)
     if rng is not None and engine == "scalar":
         raise ValueError(
             f"rng={rng!r} requires engine='batch' or 'fused'; the scalar "
@@ -449,7 +416,7 @@ def run_single(
     if engine in ("batch", "fused"):
         rng_mode = normalize_rng_mode(rng)
         cell = _plan_cell(
-            float("nan"), None, spec, factory, rng_mode, dp_state, topology
+            float("nan"), None, spec, factory, rng_mode, topology
         )
         if not _SWEEP_ADVISED.get():
             # Passing the cell's own discipline keeps a direct call's
@@ -458,12 +425,11 @@ def run_single(
         if cell.topology is not None:
             return _run_single_topology(
                 spec, cell.policy, num_intervals, seeds, groups,
-                cell.topology, rng=cell.rng, dp_state=cell.dp_state,
+                cell.topology, rng=cell.rng,
             )
         if supports_batch_engine(spec, cell.policy, rng=cell.rng):
             return _run_single_batch(
-                spec, cell.policy, num_intervals, seeds, groups,
-                cell.rng, cell.dp_state,
+                spec, cell.policy, num_intervals, seeds, groups, cell.rng
             )
     totals: List[float] = []
     group_totals: List[np.ndarray] = []
@@ -636,7 +602,6 @@ def _cell_runner(
     groups: Optional[Sequence[int]],
     engine: str,
     rng: Optional[str],
-    dp_state: Optional[str],
     validate: bool = True,
     shards: Optional[int] = None,
 ) -> Callable[[_Cell], SweepPoint]:
@@ -648,12 +613,12 @@ def _cell_runner(
         if cell.topology is not None:
             return _run_single_topology(
                 cell.spec, cell.policy, num_intervals, seeds, groups,
-                cell.topology, rng=cell.rng, dp_state=cell.dp_state,
+                cell.topology, rng=cell.rng,
                 validate=validate, shards=shards,
             )
         return run_single(
             cell.spec, cell.factory, num_intervals, seeds, groups, engine,
-            rng, dp_state,
+            rng,
         )
 
     return compute
@@ -672,7 +637,6 @@ def run_sweep(
     faults: Optional[FaultPolicy] = None,
     rng: Optional[str] = None,
     shards: Optional[int] = None,
-    dp_state: Optional[str] = None,
     topology=None,
 ) -> SweepResult:
     """Run every (value, policy) cell and aggregate across seeds.
@@ -739,7 +703,6 @@ def run_sweep(
             num_intervals,
             seeds,
             groups,
-            dp_state=dp_state,
             cache=cache,
             faults=faults,
             rng=rng,
@@ -756,20 +719,17 @@ def run_sweep(
             "topology= requires engine='batch' or 'fused'; the scalar "
             "engine is single-domain only"
         )
-    _check_dp_state(dp_state)
     from .cache import resolve_cache  # cache.py imports this module
 
     seeds_t = tuple(int(s) for s in seeds)
     cells = _plan_sweep(
         values, spec_builder, registry.resolve_policies(policies),
-        normalize_rng_mode(rng), dp_state, topology, stacklevel=3,
+        normalize_rng_mode(rng), topology, stacklevel=3,
         advise=engine != "scalar",
     )
     return _sweep_cells(
         parameter_name, values, cells,
-        _cell_runner(
-            num_intervals, seeds_t, groups, engine, rng, dp_state
-        ),
+        _cell_runner(num_intervals, seeds_t, groups, engine, rng),
         num_intervals=num_intervals, seeds=seeds_t, groups=groups,
         engine=engine, store=resolve_cache(cache), faults=faults,
     )

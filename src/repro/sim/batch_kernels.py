@@ -61,7 +61,6 @@ import copy
 import dataclasses
 import os
 import threading
-import warnings
 import weakref
 from abc import ABC, abstractmethod
 from bisect import bisect_right
@@ -102,8 +101,6 @@ __all__ = [
     "solve_ordered_service",
     "make_batch_kernel",
     "has_batch_kernel",
-    "resolve_dp_state",
-    "DP_STATE_MODES",
     "DRAW_CHUNK",
 ]
 
@@ -113,71 +110,8 @@ DRAW_CHUNK = 64
 
 #: Chunk depth of the free-mode caches whose values depend on it (arrival
 #: blocks, candidate integers).  Free mode has no lockstep-schedule
-#: constraint, so it amortizes Generator call overhead over deeper blocks
-#: (``REPRO_DRAW_CHUNK`` still overrides).
+#: constraint, so it amortizes Generator call overhead over deeper blocks.
 FREE_DRAW_CHUNK = 256
-
-#: Priority-state maintenance modes of the DP-family kernels.
-#:
-#: * ``"dense"`` — every interval rebuilds the inverse permutation, the
-#:   service order and the full per-position timeline from ``sigma``:
-#:   O(S*N) per interval (plus the solver's O(S*N^2) prefix matmuls on
-#:   the workspace path).  The historical behaviour, kept as the
-#:   reference.
-#: * ``"incremental"`` — the inverse permutation persists in the
-#:   workspace across intervals and only the accepted adjacent swaps are
-#:   applied (O(S*num_pairs) state upkeep); the timeline solve runs on
-#:   the at-most ``max_transmissions + 1`` backlogged links that can
-#:   possibly transmit instead of all N, so per-interval cost tracks the
-#:   protocol's O(1) moves rather than the network size.
-#:
-#: Both modes are bit-identical (same RNG consumption, same exact-integer
-#: arithmetic — proven in ``tests/sim/test_incremental_dp.py``); the knob
-#: exists for baseline benchmarking and as an escape hatch.
-DP_STATE_MODES = ("dense", "incremental")
-
-
-def resolve_dp_state(
-    dp_state: Optional[str] = None,
-    *,
-    supports_incremental: bool = False,
-) -> str:
-    """Normalize a DP priority-state request to one of :data:`DP_STATE_MODES`.
-
-    ``None`` defers to the environment (``REPRO_DP_STATE``) and then to
-    the registry default: ``"incremental"`` whenever the policy family's
-    descriptor sets ``incremental_dp``, else ``"dense"``.  An *explicit*
-    ``"incremental"`` request is strict — it raises
-    :class:`ValueError` when the family cannot honor it — while
-    an environment-sourced request degrades silently to ``"dense"`` (the
-    variable is a global preference and must not break kernels that never
-    had an incremental path).
-
-    DP kernels refine that default once the network is known:
-    a dense serve set (``n <= max_transmissions + 1``) has no sparsity
-    to exploit, so the silent default drops back to ``"dense"`` there
-    (explicit and environment requests are honored as asked); see
-    :attr:`BatchPolicyKernel.dp_state`.
-    """
-    explicit = dp_state is not None
-    if not explicit:
-        dp_state = os.environ.get("REPRO_DP_STATE", "") or None
-        if dp_state is None:
-            return "incremental" if supports_incremental else "dense"
-    dp_state = str(dp_state).lower()
-    if dp_state not in DP_STATE_MODES:
-        raise ValueError(
-            f"unknown dp_state {dp_state!r}; choose from {DP_STATE_MODES}"
-        )
-    if dp_state == "incremental" and not supports_incremental:
-        if explicit:
-            raise ValueError(
-                "dp_state='incremental' requires a policy family with "
-                "incremental DP priority state (see "
-                "repro.core.registry.PolicyDescriptor.incremental_dp)"
-            )
-        return "dense"
-    return dp_state
 
 
 @dataclass
@@ -823,16 +757,14 @@ class BatchPolicyKernel(ABC):
 
     @property
     def dp_state(self) -> str:
-        """The bound priority-state mode (:data:`DP_STATE_MODES`).
+        """The priority-state path chosen at bind, for run reports:
+        ``"dense"`` or ``"incremental"``.
 
-        Meaningful for DP-family kernels only; other families always
-        report ``"dense"``.  May differ from the bind request when the
-        kernel had to degrade (multi-pair stacks, degenerate networks)
-        or when the family default declined the incremental path
-        because the serve set is not sparse (``n <= max_transmissions
-        + 1`` — no win available; explicit requests are honored).
+        Only :class:`BatchDPKernel` has an incremental path, and it
+        picks it from the network it binds; every other family reports
+        ``"dense"``.
         """
-        return getattr(self, "_dp_state", "dense")
+        return "dense"
 
     def bind(
         self,
@@ -842,7 +774,6 @@ class BatchPolicyKernel(ABC):
         *,
         lite: bool = False,
         rng: Optional[str] = None,
-        dp_state: Optional[str] = None,
     ) -> None:
         """Attach to a network and reset all per-replication state.
 
@@ -868,13 +799,6 @@ class BatchPolicyKernel(ABC):
         equivalent, not bit-identical.  Whether the spec can run under
         it at all is :func:`repro.sim.batch_sim.batch_refusal`'s call,
         made before binding.
-
-        ``dp_state`` picks the DP-family priority-state maintenance mode
-        (:data:`DP_STATE_MODES`; ``None`` resolves from the environment
-        and the family's ``incremental_dp``).  Bit-identical either way;
-        other families ignore it (an explicit ``"incremental"`` request
-        on such a family raises).  Sync mode always drives the scalar
-        clones, so the knob is moot there.
         """
         if isinstance(spec, SpecStack):
             stack: Optional[SpecStack] = spec
@@ -924,14 +848,6 @@ class BatchPolicyKernel(ABC):
         self._free = self._rng_mode == "free"
         self._sync = sync = self._rng_mode == "sync"
         chan0 = first.channel
-        descriptor = registry.descriptor_for(self.policy)
-        self._dp_state_req = dp_state
-        self._dp_state = resolve_dp_state(
-            dp_state,
-            supports_incremental=(
-                descriptor is not None and descriptor.incremental_dp
-            ),
-        )
         self._lite = bool(lite) and not sync
         # Depth of the free-mode caches whose values depend on it
         # (arrival blocks, candidate integers); the channel and uniform
@@ -1741,6 +1657,15 @@ class BatchDPKernel(BatchPolicyKernel):
     #: test-suite uses this to prove the closed-form timeline correct.
     _force_sequential = False
 
+    #: Test hook: ``"dense"`` or ``"incremental"`` replaces the sparse
+    #: serve-set test (``n > max_transmissions + 1``) of the priority-state
+    #: choice, so the test-suite can run both paths on one input; the
+    #: structural limits (one pair, static channel, not sync) still apply.
+    _force_dp_state: Optional[str] = None
+
+    #: Whether the bound stack runs the incremental priority-state path.
+    _use_inc = False
+
     #: Whether a claim that misfits can change an output; set at bind.
     #:
     #: Lemma: with exact integer timings (``_exact_div``) and
@@ -1768,6 +1693,27 @@ class BatchDPKernel(BatchPolicyKernel):
         self.num_pairs = policy.num_pairs
         self._initial = policy._initial
         self._active_bias = policy.bias
+
+    @property
+    def dp_state(self) -> str:
+        """The priority-state path chosen at bind.
+
+        * ``"dense"`` — every interval rebuilds the inverse permutation,
+          the service order and the full per-position timeline from
+          ``sigma``: O(S*N) per interval.
+        * ``"incremental"`` — the inverse permutation persists in the
+          workspace across intervals and only the accepted adjacent
+          swaps are applied; the timeline solve runs on the at-most
+          ``max_transmissions + 1`` backlogged links that can transmit
+          instead of all N, so per-interval cost tracks the protocol's
+          O(1) moves rather than the network size.
+
+        Both paths consume the same draws with the same exact-integer
+        arithmetic and are bit-identical
+        (``tests/sim/test_incremental_dp.py``).  :meth:`_on_bind` picks
+        the incremental one exactly where it can win.
+        """
+        return "incremental" if self._use_inc else "dense"
 
     def _on_bind(self) -> None:
         if self._row_policies is not None:
@@ -1846,56 +1792,25 @@ class BatchDPKernel(BatchPolicyKernel):
             self._exact_div
             and self._empty_air <= self._data_air + self._slot
         )
-        # The incremental sparse path covers the paper's protocol — one
-        # candidate pair on a real network, off sync mode.  Remark-6
-        # multi-pair stacks and degenerate (n < 2) networks keep the
-        # dense recompute; an explicit request for them degrades loudly.
-        #
-        # The family *default* additionally requires a sparse serve
-        # set: when every link fits in the interval's transmission
-        # budget (n <= max_transmissions + 1, e.g. the paper's N=20
-        # video grid with budget 60) the timeline must visit all n
-        # positions either way and the incremental path's serve-set
-        # selection is pure overhead (BENCH_LARGE_N.json records
-        # ~0.8x at N=20) — so the silent default only picks the
-        # incremental path where it wins.  Explicit and
-        # environment-sourced requests are honored as asked (the path
-        # is bit-identical regardless).
-        if (
-            self._dp_state == "incremental"
-            and self._dp_state_req is None
-            and not os.environ.get("REPRO_DP_STATE", "")
-            and n <= self._budget + 1
-        ):
-            self._dp_state = "dense"
-        if self._dp_state == "incremental" and self._channel_draws.dynamic:
-            # The incremental path consumes lazy raw draws scaled by a
-            # static (S, N) plane; a channel-state process makes that
-            # plane per-interval, so dynamic channels keep the dense
-            # recompute (the draws cannot be deferred).
-            if self._dp_state_req == "incremental":
-                warnings.warn(
-                    "dp_state='incremental' requires a static channel "
-                    f"plane; {type(self.spec.channel).__name__} evolves "
-                    "per interval, so this bind falls back to the dense "
-                    "recompute",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self._dp_state = "dense"
+        # The incremental path (:attr:`dp_state`) needs one candidate
+        # pair, a static channel plane (it scales lazy raw draws by a
+        # fixed (S, N) plane) and the workspace path (sync drives the
+        # scalar clones).  It wins only on a sparse serve set: when every
+        # link fits in the interval's transmission budget (n <=
+        # max_transmissions + 1, e.g. the paper's N=20 video grid with
+        # budget 60) the timeline visits all n positions either way and
+        # the serve-set selection is pure overhead (BENCH_LARGE_N.json
+        # records ~0.8x at N=20).
+        if self._force_dp_state is None:
+            sparse = n > self._budget + 1
+        else:
+            sparse = self._force_dp_state == "incremental"
         self._use_inc = (
-            self._dp_state == "incremental" and not self._sync and P == 1
+            sparse
+            and P == 1
+            and not self._sync
+            and not self._channel_draws.dynamic
         )
-        if self._dp_state == "incremental" and not self._use_inc:
-            if self._dp_state_req == "incremental" and not self._sync:
-                warnings.warn(
-                    "dp_state='incremental' covers single-pair DP stacks "
-                    f"only (num_pairs={self.num_pairs}, n={n}); this bind "
-                    "falls back to the dense recompute (bit-identical)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self._dp_state = "dense"
         if self._use_inc:
             self._alloc_dp_ws_inc()
         elif not self._sync:

@@ -464,9 +464,9 @@ class _BatchArrivalDraws(_ChunkedDraws):
     processes draw uniforms, then integers), so the chunk depth changes
     how the stream's values interleave: unlike the single-call channel
     and uniform chunks, it is not sized by bytes.  Batch mode keeps
-    :data:`~repro.sim.batch_kernels.DRAW_CHUNK` whatever
-    ``REPRO_DRAW_CHUNK`` says; the free discipline (statistical
-    equivalence is its contract) passes the kernel's deeper depth.
+    :data:`~repro.sim.batch_kernels.DRAW_CHUNK`; the free discipline
+    (statistical equivalence is its contract) passes the kernel's deeper
+    depth.
     """
 
     _stage = "draws.arrival_refill"
@@ -664,8 +664,7 @@ def share_batch_draws(sims: Sequence["BatchIntervalSimulator"]) -> None:
         draws = sim.kernel._channel_draws
         # Chunk depth is part of the class key: blocks are shared by
         # reference, so lockstep clients must consume identically-shaped
-        # chunks (depths can differ when only some kernels honor
-        # REPRO_DRAW_CHUNK).
+        # chunks.
         # The rng mode is part of the key too: batch and free simulators
         # draw from disjoint stream namespaces, so their blocks differ.
         # Lazy (raw-draw) kernels transform gathered rows themselves;
@@ -736,14 +735,6 @@ class BatchIntervalSimulator:
         Namespace tag for the batch RNG streams, or one tag per row to
         give each block of equally-tagged rows its own streams; see
         :class:`~repro.sim.rng.BatchRngBundle`.
-    dp_state:
-        Priority-state maintenance mode for DP-family kernels
-        (:data:`~repro.sim.batch_kernels.DP_STATE_MODES`): ``"dense"``
-        re-derives the service order from sigma every interval,
-        ``"incremental"`` maintains it sparsely across intervals
-        (bit-identical, O(swaps) updates, serve-set timeline solve).
-        ``None`` resolves from ``REPRO_DP_STATE`` or the policy family's
-        ``incremental_dp``; non-DP kernels accept only ``None``/``"dense"``.
     """
 
     def __init__(
@@ -758,7 +749,6 @@ class BatchIntervalSimulator:
         row_policies: Optional[Sequence[IntervalMac]] = None,
         stream_tag: Union[None, str, Sequence[Optional[str]]] = None,
         rng: Optional[str] = None,
-        dp_state: Optional[str] = None,
     ):
         if isinstance(spec, SpecStack):
             stack: Optional[SpecStack] = spec
@@ -796,9 +786,7 @@ class BatchIntervalSimulator:
             # stats-only runs let the kernel skip materializing them.
             lite=not self.record_traces,
             rng=self.rng_mode,
-            dp_state=dp_state,
         )
-        self.dp_state = self.kernel.dp_state
         self._q_rows = (
             stack.requirement_matrix
             if stack is not None
@@ -887,6 +875,12 @@ class BatchIntervalSimulator:
         """The interval resolver, for run reports: always ``"numpy"``,
         the kernels' preallocated-workspace NumPy path."""
         return "numpy"
+
+    @property
+    def dp_state(self) -> str:
+        """The priority-state path the kernel chose at bind, for run
+        reports (:attr:`~repro.sim.batch_kernels.BatchPolicyKernel.dp_state`)."""
+        return self.kernel.dp_state
 
     @property
     def seeds(self) -> Tuple[int, ...]:
@@ -1005,7 +999,6 @@ def run_simulation_batch(
     validate: bool = True,
     record_priorities: bool = False,
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
     topology=None,
 ) -> BatchSimulationResult:
     """One-shot convenience wrapper around :class:`BatchIntervalSimulator`.
@@ -1014,9 +1007,9 @@ def run_simulation_batch(
     the multi-cell lowering instead and returns its aggregated
     :class:`~repro.topology.engine.TopologyResult` (per-interval traces
     are a single-domain feature; the topology engine reports per-link
-    sums).  Like ``dp_state``, the direct call is strict: a policy
-    family without a batch kernel raises ``TypeError`` (the experiment
-    runner degrades gracefully instead).
+    sums).  The direct call is strict: a policy family without a batch
+    kernel raises ``TypeError`` (the experiment runner degrades
+    gracefully instead).
     """
     if topology is not None:
         if record_priorities:
@@ -1033,7 +1026,6 @@ def run_simulation_batch(
             topology,
             num_intervals,
             rng=rng,
-            dp_state=dp_state,
             validate=validate,
         )
     sim = BatchIntervalSimulator(
@@ -1043,6 +1035,5 @@ def run_simulation_batch(
         validate=validate,
         record_priorities=record_priorities,
         rng=rng,
-        dp_state=dp_state,
     )
     return sim.run(num_intervals)

@@ -10,7 +10,6 @@ spawning, so any simulation is reproducible from a single integer.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -72,8 +71,7 @@ _DRAW_CHUNK_BYTES = 4 << 20
 def draw_chunk_depth(default: int = 64, interval_bytes: int = 0) -> int:
     """Chunk depth (intervals per chunk) for batch draw caches.
 
-    ``REPRO_DRAW_CHUNK`` in the environment sets every depth.  Otherwise
-    a cache that passes its per-interval size ``interval_bytes`` gets
+    A cache that passes its per-interval size ``interval_bytes`` gets
     ``clamp(_DRAW_CHUNK_BYTES // interval_bytes, 1, default)``, and one
     that does not gets ``default``.
 
@@ -90,22 +88,9 @@ def draw_chunk_depth(default: int = 64, interval_bytes: int = 0) -> int:
     drawn from 64-bit words whose unused half is dropped at the end of
     each call), so the byte rule never sizes those.
     """
-    raw = os.environ.get("REPRO_DRAW_CHUNK", "")
-    if not raw:
-        if interval_bytes > 0:
-            return max(1, min(int(default), _DRAW_CHUNK_BYTES // interval_bytes))
-        return int(default)
-    try:
-        depth = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_DRAW_CHUNK must be a positive integer, got {raw!r}"
-        ) from exc
-    if depth < 1:
-        raise ValueError(
-            f"REPRO_DRAW_CHUNK must be a positive integer, got {depth}"
-        )
-    return depth
+    if interval_bytes > 0:
+        return max(1, min(int(default), _DRAW_CHUNK_BYTES // interval_bytes))
+    return int(default)
 
 
 class RngBundle:

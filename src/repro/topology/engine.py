@@ -156,7 +156,6 @@ class TopologySimulator:
         topology: CellTopology,
         *,
         rng: Optional[str] = None,
-        dp_state: Optional[str] = None,
         validate: bool = True,
         record_traces: bool = False,
         cells_subset: Optional[Sequence[int]] = None,
@@ -189,7 +188,6 @@ class TopologySimulator:
             policy,
             self.seeds * len(cells),
             rng=self.rng_mode,
-            dp_state=dp_state,
             validate=validate,
             record_traces=record_traces,
             stream_tag=[cell_stream_tag(c) for c in cells for _ in self.seeds],
@@ -262,7 +260,6 @@ def run_topology_batch(
     num_intervals: int,
     *,
     rng: Optional[str] = None,
-    dp_state: Optional[str] = None,
     validate: bool = True,
     shards: Optional[int] = None,
     max_workers: Optional[int] = None,
@@ -277,11 +274,7 @@ def run_topology_batch(
     cannot start), shards run sequentially in process — same answer, no
     parallelism.  An exception raised by a shard's simulation propagates.
     """
-    options = dict(
-        rng=rng,
-        dp_state=dp_state,
-        validate=validate,
-    )
+    options = dict(rng=rng, validate=validate)
     if not shards or shards <= 1:
         sim = TopologySimulator(spec, policy, seeds, topology, **options)
         return sim.run(num_intervals)

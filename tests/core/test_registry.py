@@ -223,11 +223,6 @@ def test_batchable_families_expose_kernels():
         assert registry.kernel_refusal(EXEMPLARS[name]()) is None
 
 
-def test_incremental_dp_is_the_dp_family_only():
-    for name in registry.available():
-        assert registry.get(name).incremental_dp == (name in ("DP", "DB-DP"))
-
-
 def test_make_kernel_rejects_scalar_only_policies():
     with pytest.raises(TypeError, match="no batch kernel"):
         registry.make_kernel(FrameCSMAPolicy())

@@ -33,6 +33,7 @@ from repro import (
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
 from repro.sim.batch_sim import BatchIntervalSimulator
+from tests.sim.dp_paths import dp_path
 
 SEEDS = (0, 1, 2, 3)
 INTERVALS = 250
@@ -104,15 +105,15 @@ def test_fused_sweep_digest_pinned():
 
 @pytest.mark.parametrize("dp_state", ["dense", "incremental"])
 def test_n200_dbdp_digest_pinned(dp_state):
-    sim = BatchIntervalSimulator(
-        video_symmetric_spec(0.55, num_links=200),
-        DBDPPolicy(),
-        seeds=(0, 1, 2),
-        record_traces=True,
-        record_priorities=True,
-        validate=False,
-        dp_state=dp_state,
-    )
+    with dp_path(dp_state):
+        sim = BatchIntervalSimulator(
+            video_symmetric_spec(0.55, num_links=200),
+            DBDPPolicy(),
+            seeds=(0, 1, 2),
+            record_traces=True,
+            record_priorities=True,
+            validate=False,
+        )
     assert sim.dp_state == dp_state
     assert result_digest(sim.run(40)) == N200_DIGEST
 

@@ -31,6 +31,7 @@ from repro.sim.batch_kernels import BatchDPKernel
 from repro.sim.batch_sim import BatchIntervalSimulator
 from repro.topology import grid_cells, run_topology_batch
 from repro.traffic.arrivals import BurstyVideoArrivals
+from tests.sim.dp_paths import dp_path
 
 N = 12
 ALPHA = 0.7
@@ -79,15 +80,15 @@ def _spec(timing: IntervalTiming) -> NetworkSpec:
 def _sim(spec, dp_state, *, seeds=SEEDS, repair=None, oracle=False):
     """A traced DB-DP simulator; ``repair`` overrides the gate's verdict,
     ``oracle`` routes every row through the exact sweep."""
-    sim = BatchIntervalSimulator(
-        spec,
-        DBDPPolicy(),
-        seeds,
-        record_traces=True,
-        record_priorities=True,
-        validate=False,
-        dp_state=dp_state,
-    )
+    with dp_path(dp_state):
+        sim = BatchIntervalSimulator(
+            spec,
+            DBDPPolicy(),
+            seeds,
+            record_traces=True,
+            record_priorities=True,
+            validate=False,
+        )
     assert sim.dp_state == dp_state
     if repair is not None:
         sim.kernel._repair_needed = repair

@@ -50,6 +50,7 @@ from repro.sim.batch_kernels import (
 )
 from repro.topology import grid_cells, run_topology_batch
 from repro.traffic.arrivals import BurstyVideoArrivals, arrivals_from_spec
+from tests.sim.dp_paths import dp_path
 
 N = 8
 SEEDS = (3, 4, 5)
@@ -100,19 +101,25 @@ def _spec(channel: str, arrivals: str) -> NetworkSpec:
     )
 
 
-def _simulate(case, drive: str):
-    """Traces of one run; ``drive`` is ``"run"`` (planned horizon) or
-    ``"step"`` (no plan: every chunk filled when first read)."""
+def _build(case) -> BatchIntervalSimulator:
     rng, channel, arrivals, dp_state, policy, tags = case
     seeds = SEEDS * 2 if tags else SEEDS
-    sim = BatchIntervalSimulator(
-        _spec(channel, arrivals),
-        policy(),
-        seeds,
-        rng=rng,
-        dp_state=dp_state,
-        stream_tag=["a"] * 3 + ["b"] * 3 if tags else None,
-    )
+    with dp_path(dp_state):
+        return BatchIntervalSimulator(
+            _spec(channel, arrivals),
+            policy(),
+            seeds,
+            rng=rng,
+            stream_tag=["a"] * 3 + ["b"] * 3 if tags else None,
+        )
+
+
+def _simulate(case, drive: str, sim=None):
+    """Traces of one run; ``drive`` is ``"run"`` (planned horizon) or
+    ``"step"`` (no plan: every chunk filled when first read).  ``sim``
+    is the case's simulator if already built."""
+    if sim is None:
+        sim = _build(case)
     if drive == "run":
         result = sim.run(INTERVALS)
     else:
@@ -180,11 +187,16 @@ def test_concurrent_simulations_under_fast_thread_switching(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(batch_kernels, "_pool", _SyncPool())
         expected = [_simulate(case, "run")[1] for case in cases]
+    # Bound here: the DP path hook is one class attribute for the process.
+    sims = [_build(case) for case in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=len(cases)) as pool:
-            futures = [pool.submit(_simulate, case, "run") for case in cases]
+            futures = [
+                pool.submit(_simulate, case, "run", sim)
+                for case, sim in zip(cases, sims)
+            ]
             got = [f.result(timeout=300)[1] for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -243,8 +255,7 @@ def test_byte_rule_depth_leaves_blocks_unchanged(name):
             np.testing.assert_array_equal(a, b, err_msg=f"interval {k}")
 
 
-def test_byte_rule_sizes_wide_caches_and_caps_small_ones(monkeypatch):
-    monkeypatch.delenv("REPRO_DRAW_CHUNK", raising=False)
+def test_byte_rule_sizes_wide_caches_and_caps_small_ones():
     per_interval = 3200 * 26 * 6 * 4  # topology-10k's channel block
     assert rng_mod.draw_chunk_depth(64, per_interval) == max(
         1, rng_mod._DRAW_CHUNK_BYTES // per_interval
@@ -252,8 +263,23 @@ def test_byte_rule_sizes_wide_caches_and_caps_small_ones(monkeypatch):
     assert rng_mod.draw_chunk_depth(64, 48) == 64
     assert rng_mod.draw_chunk_depth(64, 1 << 40) == 1
     assert rng_mod.draw_chunk_depth(256) == 256
-    monkeypatch.setenv("REPRO_DRAW_CHUNK", "5")
-    assert rng_mod.draw_chunk_depth(64, per_interval) == 5
+
+
+def test_free_draws_ignore_the_environment(monkeypatch):
+    """Free-mode arrival and candidate blocks take their values from
+    their depth, and the sweep cache keys neither the depth nor the
+    environment: no variable may change it."""
+    spec = _spec("static", "bursty")
+    runs = []
+    for chunk in (None, "5"):
+        if chunk is not None:
+            monkeypatch.setenv("REPRO_DRAW_CHUNK", chunk)
+        result = BatchIntervalSimulator(
+            spec, DBDPPolicy(), SEEDS, rng="free"
+        ).run(40)
+        runs.append((result.arrivals, result.deliveries, result.attempts))
+    for a, b in zip(*runs):
+        np.testing.assert_array_equal(a, b)
 
 
 # -- exceptions ----------------------------------------------------------

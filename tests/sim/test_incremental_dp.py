@@ -1,4 +1,5 @@
-"""Bit-identity and knob tests for ``dp_state="incremental"``.
+"""Bit-identity of the DP kernel's two priority-state paths, and the
+rule that picks one.
 
 The incremental sparse priority-state engine keeps the DP kernel's
 inverse permutation and serve-order tables alive in the workspace across
@@ -9,21 +10,34 @@ the dense recompute under the same RNG bundle: every derived quantity is
 a small exact integer carried in float, so the two state-maintenance
 strategies must agree on every interval of every replication — asserted
 here per interval, across draw disciplines, and at the large N the
-engine exists for.
+engine exists for.  The tests pick the path through the kernel's
+private ``_force_dp_state`` hook (:mod:`tests.sim.dp_paths`).
 
-The knob itself resolves in three tiers: ``None`` defers to the
-``REPRO_DP_STATE`` environment variable and then to the policy family's
-``incremental_dp`` registry field; explicit requests are
-strict, environment requests degrade silently (see
-:func:`repro.sim.batch_kernels.resolve_dp_state`).
+No option picks the path: ``BatchDPKernel`` binds the incremental one
+exactly when the stack has one swap pair, a static channel, a non-sync
+draw discipline and more links than ``max_transmissions + 1``, and every
+other kernel family reports ``"dense"``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro import DBDPPolicy, ELDFPolicy
+from repro import (
+    ConstantSwapBias,
+    DBDPPolicy,
+    DCFPolicy,
+    DPProtocol,
+    ELDFPolicy,
+    EstimatedDBDPPolicy,
+    FCSMAPolicy,
+    LDFPolicy,
+    RoundRobinPolicy,
+    StaticPriorityPolicy,
+)
 from repro.core.permutations import (
     apply_adjacent_swap,
     apply_swap_to_order,
@@ -31,8 +45,13 @@ from repro.core.permutations import (
     priority_to_link_order,
 )
 from repro.experiments.configs import video_symmetric_spec
-from repro.sim.batch_kernels import DP_STATE_MODES, resolve_dp_state
-from repro.sim.batch_sim import BatchIntervalSimulator
+from repro.phy.channel import channel_from_spec
+from repro.sim.batch_sim import BatchIntervalSimulator, batch_refusal
+from repro.topology import TopologySimulator, partition_cells
+from tests.sim.dp_paths import dp_path
+
+#: The video timing's transmission budget: at most 61 links transmit.
+BUDGET = video_symmetric_spec(0.6, num_links=2).timing.max_transmissions
 
 
 def _run(
@@ -45,16 +64,16 @@ def _run(
     seeds=(0, 1, 2),
     force_sequential=False,
 ):
-    sim = BatchIntervalSimulator(
-        video_symmetric_spec(alpha, num_links=n),
-        DBDPPolicy(),
-        seeds=seeds,
-        record_traces=True,
-        record_priorities=True,
-        validate=False,
-        rng=rng,
-        dp_state=dp_state,
-    )
+    with dp_path(dp_state):
+        sim = BatchIntervalSimulator(
+            video_symmetric_spec(alpha, num_links=n),
+            DBDPPolicy(),
+            seeds=seeds,
+            record_traces=True,
+            record_priorities=True,
+            validate=False,
+            rng=rng,
+        )
     if force_sequential:
         sim.kernel._force_sequential = True
     return sim, sim.run(num_intervals)
@@ -118,115 +137,198 @@ class TestCrossBackendIdentity:
 
 
 class TestDpStateResolution:
-    """Capability default, strict explicit requests, soft environment
-    requests."""
+    """The kernel picks its path from the network it binds; no request,
+    environment variable or registry field reaches it."""
 
-    def test_modes_tuple(self):
-        assert DP_STATE_MODES == ("dense", "incremental")
+    def test_default_is_incremental_for_capable_workspace(self):
+        # The path follows the kernel, not a registry entry: a subclass
+        # served by the DP kernel (EstimatedDBDPPolicy rides on DB-DP)
+        # takes the incremental state on the workspace path, and its
+        # sync clones never do.
+        spec = video_symmetric_spec(0.6, num_links=BUDGET + 2)
+        for rng, expected in (
+            ("batch", "incremental"),
+            ("free", "incremental"),
+            ("sync", "dense"),
+        ):
+            sim = BatchIntervalSimulator(
+                spec, EstimatedDBDPPolicy(), seeds=(0,), validate=False,
+                rng=rng,
+            )
+            assert sim.dp_state == expected, rng
 
-    def test_default_is_incremental_for_capable_workspace(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        assert (
-            resolve_dp_state(None, supports_incremental=True) == "incremental"
-        )
+    def test_default_is_dense_when_not_capable(self):
+        # Only the DP kernel has an incremental path; the hook is the
+        # DP kernel's and reaches no other family.
+        spec = video_symmetric_spec(0.6, num_links=BUDGET + 2)
+        with dp_path("incremental"):
+            for policy in NON_DP_POLICIES:
+                sim = BatchIntervalSimulator(
+                    spec, policy(), seeds=(0,), validate=False
+                )
+                assert sim.dp_state == "dense", policy
+                assert sim.kernel.dp_state == "dense", policy
 
-    def test_default_is_dense_when_not_capable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        assert resolve_dp_state(None, supports_incremental=False) == "dense"
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown dp_state"):
-            resolve_dp_state("sparse", supports_incremental=True)
-
-    def test_explicit_incremental_without_capability_raises(self):
-        with pytest.raises(ValueError, match="incremental DP priority state"):
-            resolve_dp_state("incremental", supports_incremental=False)
-
-    def test_env_request_degrades_silently(self, monkeypatch):
+    def test_env_request_degrades_silently(self, monkeypatch, recwarn):
+        # No environment variable steers the path, whatever it asks for.
         monkeypatch.setenv("REPRO_DP_STATE", "incremental")
-        assert (
-            resolve_dp_state(None, supports_incremental=False) == "dense"
+        small = BatchIntervalSimulator(
+            video_symmetric_spec(0.6, num_links=20), DBDPPolicy(),
+            seeds=(0,), validate=False,
         )
-        assert (
-            resolve_dp_state(None, supports_incremental=True) == "incremental"
+        assert small.dp_state == "dense"
+        monkeypatch.setenv("REPRO_DP_STATE", "dense")
+        big = BatchIntervalSimulator(
+            video_symmetric_spec(0.6, num_links=BUDGET + 2), DBDPPolicy(),
+            seeds=(0,), validate=False,
         )
+        assert big.dp_state == "incremental"
+        assert not recwarn.list
 
-    def test_env_unknown_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DP_STATE", "bogus")
-        with pytest.raises(ValueError, match="unknown dp_state"):
-            resolve_dp_state(None, supports_incremental=True)
-
-    def test_simulator_reports_resolved_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DP_STATE", raising=False)
+    def test_simulator_reports_resolved_mode(self):
         # Sparse serve set (N > max_transmissions + 1 = 61 on the video
-        # timing): the capability default picks the incremental path.
+        # timing): the kernel picks the incremental path, and the
+        # simulator reports the kernel's choice.
         big = video_symmetric_spec(0.6, num_links=80)
         sim = BatchIntervalSimulator(
             big, DBDPPolicy(), seeds=(0,), validate=False
         )
-        assert sim.dp_state == "incremental"
+        assert sim.dp_state == sim.kernel.dp_state == "incremental"
+        with pytest.raises(AttributeError):
+            sim.dp_state = "dense"
 
-    def test_default_declines_incremental_on_dense_serve_set(
-        self, monkeypatch
-    ):
-        # Paper-scale N (20 links, budget 60): every link fits in the
-        # budget, there is no sparsity to exploit, and the silent
-        # default keeps the dense path — an explicit request (or the
-        # environment) still gets the bit-identical incremental path.
-        monkeypatch.delenv("REPRO_DP_STATE", raising=False)
-        spec = video_symmetric_spec(0.6, num_links=20)
-        auto = BatchIntervalSimulator(
-            spec, DBDPPolicy(), seeds=(0,), validate=False
-        )
-        assert auto.dp_state == "dense"
-        explicit = BatchIntervalSimulator(
-            spec,
-            DBDPPolicy(),
-            seeds=(0,),
-            validate=False,
-            dp_state="incremental",
-        )
-        assert explicit.dp_state == "incremental"
-        monkeypatch.setenv("REPRO_DP_STATE", "incremental")
-        env = BatchIntervalSimulator(
-            spec, DBDPPolicy(), seeds=(0,), validate=False
-        )
-        assert env.dp_state == "incremental"
+    def test_default_declines_incremental_on_dense_serve_set(self):
+        # The whole rule, pinned as a table: every (family, pairs, N,
+        # channel, rng) combination binds dense except these four.
+        incremental = {
+            ("DP", 1, BUDGET + 2, "static", "batch"),
+            ("DP", 1, BUDGET + 2, "static", "free"),
+            ("DB-DP", 1, BUDGET + 2, "static", "batch"),
+            ("DB-DP", 1, BUDGET + 2, "static", "free"),
+        }
+        families = {
+            "DP": lambda pairs: DPProtocol(
+                ConstantSwapBias(0.5), num_pairs=pairs
+            ),
+            "DB-DP": lambda pairs: DBDPPolicy(num_pairs=pairs),
+        }
+        seen = set()
+        for family, make in families.items():
+            for pairs in (1, 2):
+                for n in (1, 2, BUDGET + 1, BUDGET + 2):
+                    if pairs == 2 and n == 2:
+                        continue  # two pairs need n >= 5
+                    for channel, spec in _channel_specs(n).items():
+                        for rng in ("sync", "batch", "free"):
+                            policy = make(pairs)
+                            if batch_refusal(spec, policy, rng) is not None:
+                                assert (channel, rng) == ("ge", "batch")
+                                continue
+                            sim = BatchIntervalSimulator(
+                                spec, policy, seeds=(0,), validate=False,
+                                rng=rng,
+                            )
+                            case = (family, pairs, n, channel, rng)
+                            expected = (
+                                "incremental" if case in incremental
+                                else "dense"
+                            )
+                            assert sim.dp_state == expected, case
+                            seen.add(case)
+        assert incremental <= seen
+        assert len(seen) == 2 * 7 * (3 * 3 - 1)
+        # Topologies bind one stack of equal-width cells: narrower than
+        # the budget stays dense, wider goes incremental.
+        for cells, expected in ((4, "dense"), (2, "incremental")):
+            topo = partition_cells(128, cells)
+            sim = TopologySimulator(
+                video_symmetric_spec(0.6, num_links=128), DBDPPolicy(),
+                (0,), topo,
+            )
+            assert sim.sim.dp_state == expected, cells
+
+    def test_multipair_stays_dense_and_identical(self):
+        # Remark-6 multi-pair stacks keep the dense recompute even
+        # when the hook asks for the incremental path.
+        spec = video_symmetric_spec(0.6, num_links=8)
+        runs = {}
+        for path in ("incremental", "dense"):
+            with dp_path(path):
+                sim = BatchIntervalSimulator(
+                    spec,
+                    DBDPPolicy(num_pairs=2),
+                    seeds=(0, 1),
+                    record_priorities=True,
+                    validate=False,
+                )
+            assert sim.dp_state == "dense"
+            runs[path] = sim.run(120)
+        _assert_runs_identical(runs["dense"], runs["incremental"], "multi-pair")
 
     def test_non_dp_family_rejects_explicit_incremental(self):
-        with pytest.raises(ValueError, match="incremental DP priority state"):
-            BatchIntervalSimulator(
-                video_symmetric_spec(0.6, num_links=6),
-                ELDFPolicy(),
-                seeds=(0,),
-                validate=False,
-                dp_state="incremental",
-            )
+        # No entry point takes a path request: ``dp_state=`` is an
+        # unexpected keyword everywhere, before any family is looked at.
+        from repro import run_simulation_batch
+        from repro.experiments import figures
+        from repro.experiments.grid import run_sweep_fused
+        from repro.experiments.runner import run_single, run_sweep
+        from repro.topology import run_topology_batch
 
-    def test_multipair_degrades_with_warning_and_stays_identical(self):
-        # Remark-6 multi-pair stacks keep the dense recompute; an
-        # explicit request degrades loudly, then runs bit-identically.
-        spec = video_symmetric_spec(0.6, num_links=8)
-        with pytest.warns(RuntimeWarning, match="single-pair"):
-            sim = BatchIntervalSimulator(
-                spec,
-                DBDPPolicy(num_pairs=2),
-                seeds=(0, 1),
-                record_priorities=True,
-                validate=False,
+        spec = video_symmetric_spec(0.6, num_links=6)
+        calls = {
+            "BatchIntervalSimulator": lambda: BatchIntervalSimulator(
+                spec, ELDFPolicy(), seeds=(0,), dp_state="incremental"
+            ),
+            "run_simulation_batch": lambda: run_simulation_batch(
+                spec, ELDFPolicy(), 5, (0,), dp_state="incremental"
+            ),
+            "run_single": lambda: run_single(
+                spec, ELDFPolicy, 5, (0,), engine="batch",
                 dp_state="incremental",
-            )
-        assert sim.dp_state == "dense"
-        inc_req = sim.run(120)
-        dense = BatchIntervalSimulator(
-            spec,
-            DBDPPolicy(num_pairs=2),
-            seeds=(0, 1),
-            record_priorities=True,
-            validate=False,
-            dp_state="dense",
-        ).run(120)
-        _assert_runs_identical(dense, inc_req, "multi-pair degrade")
+            ),
+            "run_sweep": lambda: run_sweep(
+                "alpha", [0.6], video_symmetric_spec, ["LDF"], 5,
+                engine="batch", dp_state="incremental",
+            ),
+            "run_sweep_fused": lambda: run_sweep_fused(
+                "alpha", [0.6], video_symmetric_spec, ["LDF"], 5,
+                dp_state="incremental",
+            ),
+            "run_topology_batch": lambda: run_topology_batch(
+                spec, ELDFPolicy(), (0,), partition_cells(6, 2), 5,
+                dp_state="incremental",
+            ),
+            "fig3": lambda: figures.fig3(
+                num_intervals=5, policies=["LDF"], dp_state="incremental"
+            ),
+        }
+        for entry, call in calls.items():
+            with pytest.raises(TypeError, match="dp_state"):
+                call()
+
+
+NON_DP_POLICIES = (
+    ELDFPolicy,
+    LDFPolicy,
+    RoundRobinPolicy,
+    StaticPriorityPolicy,
+    FCSMAPolicy,
+    DCFPolicy,
+)
+
+
+def _channel_specs(n):
+    """The video spec on ``n`` links under each channel kind."""
+    spec = video_symmetric_spec(0.6, num_links=n)
+    return {
+        "static": spec,
+        "ge": dataclasses.replace(
+            spec, channel=channel_from_spec("ge:0.1:0.3", n)
+        ),
+        "tv": dataclasses.replace(
+            spec, channel=channel_from_spec("tv:drift:50:0.2", n)
+        ),
+    }
 
 
 class TestOrderMaintenancePrimitive:
@@ -259,12 +361,9 @@ class TestOrderMaintenancePrimitive:
 
 
 class TestSweepLevelDpState:
-    """A sweep-level ``dp_state`` request addresses the DP-family cells
-    only; families without ``incremental_dp`` (ELDF/LDF) must
-    run exactly as they would with ``dp_state=None`` — neither raising
-    the kernel's strict ``ValueError`` nor silently demoting their fused
-    group to the per-cell fallback (whose different stream tags would
-    change the draws)."""
+    """The sweep engines run DP cells on whatever path the kernel picks;
+    forcing either path through the hook changes no sweep output, and
+    leaves families without an incremental path (ELDF/LDF) alone."""
 
     POLICIES = {"DBDP": DBDPPolicy, "LDF": ELDFPolicy}
 
@@ -283,10 +382,11 @@ class TestSweepLevelDpState:
             "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES, **kw
         )
         for mode in ("dense", "incremental"):
-            got = run_sweep_fused(
-                "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES,
-                dp_state=mode, **kw
-            )
+            with dp_path(mode):
+                got = run_sweep_fused(
+                    "alpha", [0.55, 0.65], video_symmetric_spec,
+                    self.POLICIES, **kw
+                )
             assert self._points(got) == self._points(base), mode
 
     def test_batch_sweep_is_invariant_to_dp_state(self):
@@ -297,38 +397,9 @@ class TestSweepLevelDpState:
             "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES, 40,
             **kw
         )
-        got = run_sweep(
-            "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES, 40,
-            dp_state="incremental", **kw
-        )
+        with dp_path("incremental"):
+            got = run_sweep(
+                "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES,
+                40, **kw
+            )
         assert self._points(got) == self._points(base)
-
-    def test_run_single_degrades_for_non_dp_family(self):
-        from repro.experiments.runner import run_single
-
-        spec = video_symmetric_spec(0.6)
-        base = run_single(spec, ELDFPolicy, 40, seeds=(0, 1), engine="batch")
-        got = run_single(
-            spec, ELDFPolicy, 40, seeds=(0, 1), engine="batch",
-            dp_state="incremental",
-        )
-        assert got.total_deficiency == base.total_deficiency
-        assert got.collisions == base.collisions
-
-    @pytest.mark.parametrize("entry", ["run_single", "run_sweep_fused"])
-    def test_unknown_dp_state_rejected_before_degrade(self, entry):
-        from repro.experiments.grid import run_sweep_fused
-        from repro.experiments.runner import run_single
-
-        spec = video_symmetric_spec(0.6)
-        with pytest.raises(ValueError, match="dp_state"):
-            if entry == "run_single":
-                run_single(
-                    spec, ELDFPolicy, 20, seeds=(0,), engine="batch",
-                    dp_state="bogus",
-                )
-            else:
-                run_sweep_fused(
-                    "alpha", [0.6], video_symmetric_spec, self.POLICIES,
-                    num_intervals=20, seeds=(0,), dp_state="bogus",
-                )

@@ -27,6 +27,7 @@ from repro.topology import (
     partition_cells,
     run_topology_batch,
 )
+from tests.sim.dp_paths import dp_path
 
 SEEDS = (0, 1, 2)
 INTERVALS = 60
@@ -98,14 +99,15 @@ def test_stateful_channel_digest_pinned():
 )
 def test_wide_cells_incremental_matches_dense(topo, rng):
     """Cells wider than max_transmissions + 1 bind the incremental DP
-    state by default, bit-identical to the dense recompute."""
+    state, bit-identical to the dense recompute."""
     spec = video_symmetric_spec(0.55, num_links=topo.num_links)
     traces = {}
-    for dp_state in (None, "dense"):
-        sim = TopologySimulator(
-            spec, DBDPPolicy(), SEEDS[:2], topo,
-            rng=rng, dp_state=dp_state, record_traces=True,
-        )
+    for path in (None, "dense"):
+        with dp_path(path):
+            sim = TopologySimulator(
+                spec, DBDPPolicy(), SEEDS[:2], topo,
+                rng=rng, record_traces=True,
+            )
         sim.run(40)
         traces[sim.sim.dp_state] = sim.sim.result
     assert set(traces) == {"incremental", "dense"}
