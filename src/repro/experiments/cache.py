@@ -74,7 +74,7 @@ DEFAULT_CACHE_DIR = Path(".repro_cache") / "sweeps"
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 #: Source files whose content defines the simulation semantics a cached
-#: value depends on: every Python and C source of the simulation layers
+#: value depends on: every Python source of the simulation layers
 #: (policies, PHY, traffic, engines and kernels, topology), plus the
 #: sweep modules that aggregate cells, in sorted order.  Derived from the
 #: tree rather than listed, so a new or forgotten engine file can never
@@ -84,8 +84,7 @@ _ENGINE_SOURCES = tuple(
         [
             path.relative_to(_PACKAGE_ROOT).as_posix()
             for layer in ("core", "phy", "traffic", "sim", "topology")
-            for path in (_PACKAGE_ROOT / layer).rglob("*")
-            if path.suffix in (".py", ".c")
+            for path in (_PACKAGE_ROOT / layer).rglob("*.py")
         ]
         + ["experiments/grid.py", "experiments/runner.py", "experiments/cache.py"]
     )

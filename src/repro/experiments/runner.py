@@ -162,11 +162,21 @@ def _plan_cell(
     """Resolve one cell against its family's registry descriptor.
 
     A family without a batch kernel runs ``rng="free"`` as the default
-    discipline and ignores ``topology``.  ``label=None`` takes the
+    discipline and ignores ``topology``.  A topology cell the topology
+    engine cannot run (:func:`~repro.topology.engine.topology_refusal`)
+    raises ``TypeError`` here, before any cell of its sweep runs: that
+    engine has no fallback to degrade to.  ``label=None`` takes the
     policy's registry label.
     """
     policy = factory()
     batchable = registry.has_kernel(policy)
+    topology = _resolve_topology(topology, spec) if batchable else None
+    if topology is not None:
+        from ..topology import topology_refusal
+
+        refusal = topology_refusal(spec, policy, rng_mode)
+        if refusal is not None:
+            raise TypeError(refusal)
     return _Cell(
         value=value,
         label=registry.policy_label(policy) if label is None else label,
@@ -174,7 +184,7 @@ def _plan_cell(
         factory=factory,
         policy=policy,
         rng="batch" if rng_mode == "free" and not batchable else rng_mode,
-        topology=_resolve_topology(topology, spec) if batchable else None,
+        topology=topology,
     )
 
 

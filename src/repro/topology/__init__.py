@@ -7,15 +7,17 @@ Public surface of the multi-cell layer (see ``docs/topology.md``):
   :func:`~repro.topology.graph.partition_cells` /
   :func:`~repro.topology.graph.grid_cells` builders;
 * :class:`~repro.topology.engine.TopologySimulator` and
-  :func:`~repro.topology.engine.run_topology_batch` — the numpy lowering
-  onto the batch engine (bit-identical per cell, shard-invariant);
-* :func:`~repro.topology.cellsim.compiled_available` and
-  :func:`~repro.topology.cellsim.run_topology_compiled` — the optional
-  C cell kernel (statistically equivalent, built on demand with the
-  system compiler, no new dependencies).
+  :func:`~repro.topology.engine.run_topology_batch` — the lowering onto
+  the batch engine (bit-identical per cell, shard-invariant), gated by
+  :func:`~repro.topology.engine.topology_refusal`.
 """
 from .boundary import BoundaryMasker, BoundaryOwnerDraws
-from .engine import TopologyResult, TopologySimulator, run_topology_batch
+from .engine import (
+    TopologyResult,
+    TopologySimulator,
+    run_topology_batch,
+    topology_refusal,
+)
 from .graph import (
     TOPOLOGY_STREAM_TAG,
     CellTopology,
@@ -39,4 +41,5 @@ __all__ = [
     "partition_cells",
     "run_topology_batch",
     "single_cell",
+    "topology_refusal",
 ]

@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core import registry
 from ..core.policies import IntervalMac
 from ..core.requirements import NetworkSpec
 from ..sim.batch_sim import BatchIntervalSimulator, batch_refusal
@@ -48,7 +49,12 @@ from .boundary import BoundaryMasker
 from .graph import CellTopology, cell_stream_tag
 from .pack import CellPacking
 
-__all__ = ["TopologySimulator", "TopologyResult", "run_topology_batch"]
+__all__ = [
+    "TopologySimulator",
+    "TopologyResult",
+    "run_topology_batch",
+    "topology_refusal",
+]
 
 
 class _PackedBatchSim(BatchIntervalSimulator):
@@ -145,6 +151,43 @@ class TopologyResult:
 
 
 # ----------------------------------------------------------------------
+def topology_refusal(
+    spec: NetworkSpec, policy: IntervalMac, rng_mode: str
+) -> Optional[str]:
+    """Why :class:`TopologySimulator` cannot run ``(spec, policy)`` under
+    ``rng_mode``, or ``None`` when it can.
+
+    The batch engine's gate (:func:`~repro.sim.batch_sim.batch_refusal`)
+    plus per-cell slicing of the channel and arrival models
+    (``take_links``).  The topology engine has no scalar counterpart, so
+    a draw-discipline refusal names the discipline that does run the
+    stateful model rather than the batch gate's single-domain advice.
+    """
+    refusal = registry.kernel_refusal(policy)
+    if refusal is not None:
+        return refusal
+    for model in (spec.channel, spec.arrivals):
+        try:
+            model.take_links((0,))
+        except TypeError as exc:  # links not independent: no cell slices
+            return str(exc)
+    if batch_refusal(spec, policy, rng_mode) is None:
+        return None
+    # Sliceable models the batch gate refuses are the stateful ones.
+    names = "/".join(
+        type(m).__name__ for m in (spec.channel, spec.arrivals) if m.has_state
+    )
+    fix = (
+        "rng='free' (statistically equivalent)"
+        if batch_refusal(spec, policy, "free") is None
+        else "rng='sync'"
+    )
+    return (
+        f"{names} cannot run on the topology engine under the "
+        f"{rng_mode!r} draw discipline; pass {fix}"
+    )
+
+
 class TopologySimulator:
     """Advance every (seed, cell) pair of a topology in one batch."""
 
@@ -160,22 +203,26 @@ class TopologySimulator:
         record_traces: bool = False,
         cells_subset: Optional[Sequence[int]] = None,
     ):
-        self.rng_mode = normalize_rng_mode(rng)
-        refusal = batch_refusal(spec, policy, self.rng_mode)
-        if refusal is not None:
-            raise TypeError(refusal)
-        self.packing = CellPacking(spec, topology)
-        self.topology = topology
         self.seeds = tuple(int(s) for s in seeds)
+        if not self.seeds:
+            raise ValueError("need at least one seed")
         if cells_subset is None:
             cells = tuple(range(topology.num_cells))
         else:
             cells = tuple(int(c) for c in cells_subset)
-            if len(set(cells)) != len(cells) or not all(
-                0 <= c < topology.num_cells for c in cells
+            if (
+                not cells
+                or len(set(cells)) != len(cells)
+                or not all(0 <= c < topology.num_cells for c in cells)
             ):
                 raise ValueError(f"bad cell subset {cells}")
         self.cells = cells
+        self.rng_mode = normalize_rng_mode(rng)
+        refusal = topology_refusal(spec, policy, self.rng_mode)
+        if refusal is not None:
+            raise TypeError(refusal)
+        self.packing = CellPacking(spec, topology)
+        self.topology = topology
         cell_specs = [self.packing.cell_specs[c] for c in cells]
         a_max = {max(1, spec_c.arrivals.max_per_link) for spec_c in cell_specs}
         if self.rng_mode != "sync" and len(a_max) > 1:

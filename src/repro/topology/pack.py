@@ -57,7 +57,6 @@ class CellPacking:
         specs: List[NetworkSpec] = []
         member = np.full((topology.num_cells, self.width), -1, dtype=np.int64)
         b_idx = np.full((topology.num_cells, self.width), -1, dtype=np.int32)
-        b_member = np.full((topology.num_cells, self.width), -1, dtype=np.int8)
         for c, cell in enumerate(topology.cells):
             pad = self.width - len(cell)
             # Per-cell slices: pads never arrive and always deliver, so
@@ -73,7 +72,6 @@ class CellPacking:
                 reqs.append(float(qs[l]) / m)
                 if m > 1:
                     b_idx[c, i] = b_index[l]
-                    b_member[c, i] = mships[l].index((c, i))
             specs.append(
                 NetworkSpec(
                     arrivals=arrivals,
@@ -88,9 +86,6 @@ class CellPacking:
         #: ``(C, width)`` boundary-link index per (cell, local), -1 if the
         #: slot is interior or a pad.
         self.boundary_index_matrix = b_idx
-        #: ``(C, width)`` this membership's ordinal among the boundary
-        #: link's memberships (matches the owner draw's range), -1 n/a.
-        self.boundary_member_matrix = b_member
 
     # ------------------------------------------------------------------
     @property

@@ -17,6 +17,7 @@ from repro import (
 )
 from repro.core.policies import IntervalMac, IntervalOutcome
 from repro.experiments.configs import video_symmetric_spec
+from repro.experiments.faults import FaultPolicy
 from repro.experiments.runner import run_single, run_sweep
 from repro.phy.channel import channel_from_spec
 from repro.topology import grid_cells
@@ -369,3 +370,42 @@ def test_each_degrade_is_announced_once_per_sweep(kind, engine, tmp_path):
         run_sweep(**kwargs)
     emitted = [str(w.message) for w in caught if w.category is UserWarning]
     assert emitted == [advisory]
+
+
+#: Topology sweeps whose draw state the topology engine cannot run: the
+#: model each refusal must name, and whether rng='free' is its fix.
+TOPOLOGY_REFUSALS = {
+    "ge-batch": (_ge_builder, None, "GilbertElliottChannel", True),
+    "mmpp-batch": (_mmpp_builder, None, "MarkovModulatedArrivals", False),
+    "mmpp-free": (_mmpp_builder, "free", "MarkovModulatedArrivals", False),
+}
+
+
+@pytest.mark.parametrize("best_effort", [False, True])
+@pytest.mark.parametrize("engine", ["batch", "fused"])
+@pytest.mark.parametrize("case", sorted(TOPOLOGY_REFUSALS))
+def test_refused_topology_draw_state_fails_before_any_cell(
+    case, engine, best_effort, tmp_path
+):
+    """The topology engine has no fallback, so planning refuses the whole
+    sweep with one TypeError: no cell runs (FrameCSMA's degraded cells
+    come first and would be cached), best-effort does not NaN-fill it,
+    and the advice never names the single-domain scalar engine."""
+    builder, rng, model, advises_free = TOPOLOGY_REFUSALS[case]
+    faults = (
+        FaultPolicy(retries=0, backoff_base=0.0, mode="best_effort")
+        if best_effort
+        else None
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(TypeError, match=model) as raised:
+            run_sweep(
+                "alpha", (0.5, 0.6), builder, ["FrameCSMA", "DB-DP"], 20,
+                seeds=(0, 1), engine=engine, rng=rng, topology=_two_cells,
+                cache=str(tmp_path), faults=faults,
+            )
+    message = str(raised.value)
+    assert ("rng='free'" in message) == advises_free
+    assert "scalar" not in message
+    assert not any(tmp_path.rglob("*.json"))

@@ -22,7 +22,6 @@ KNOWN = {
     "REPRO_SCALE",  # figure horizon scale (repro.experiments.configs)
     "REPRO_SWEEP_CACHE",  # sweep cache directory (repro.experiments.cache)
     "REPRO_FAULT_INJECT",  # fault-injection hooks (repro.experiments.faults)
-    "REPRO_CELLSIM",  # C cell kernel switch (repro.topology.cellsim)
 }
 
 

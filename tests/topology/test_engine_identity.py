@@ -139,3 +139,22 @@ def test_non_capable_family_rejected():
     factory = registry.resolve_policies(["FrameCSMA"])["FrameCSMA"]
     with pytest.raises(TypeError, match="no batch kernel"):
         TopologySimulator(spec, factory(), SEEDS, topo)
+
+
+@pytest.mark.parametrize(
+    "seeds, cells, message",
+    [
+        ((), None, "need at least one seed"),
+        (SEEDS, (), r"bad cell subset \(\)"),
+        (SEEDS, (0, 0), r"bad cell subset \(0, 0\)"),
+        (SEEDS, (NUM_CELLS,), "bad cell subset"),
+    ],
+)
+def test_bad_seeds_or_cell_subset_rejected(seeds, cells, message):
+    spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
+    topo = partition_cells(NUM_LINKS, NUM_CELLS)
+    with pytest.raises(ValueError, match=message):
+        TopologySimulator(spec, DBDPPolicy(), seeds, topo, cells_subset=cells)
+    if cells is None:
+        with pytest.raises(ValueError, match=message):
+            run_topology_batch(spec, DBDPPolicy(), seeds, topo, INTERVALS)
