@@ -32,62 +32,55 @@ PolicyDescriptor` per policy family (name, config round-trip, batch
     CLI dispatch through it.  ``registry.available()`` lists the names.
 """
 
-from .core import registry
-from .core.dbdp import DBDPPolicy, GlauberDebtBias, PAPER_R
-from .core.debt import DebtLedger
-from .core.dcf import DCFPolicy
-from .core.dp_protocol import (
-    ConstantSwapBias,
-    DPProtocol,
-    PerLinkSwapBias,
-    SwapBias,
-)
-from .core.eldf import ELDFPolicy, LDFPolicy
-from .core.estimation import EstimatedDBDPPolicy, ReliabilityEstimator
-from .core.fcsma import DebtWindowMap, FCSMAPolicy
-from .core.frame_csma import FrameCSMAPolicy
-from .core.round_robin import RoundRobinPolicy
-from .core.influence import (
-    DebtInfluenceFunction,
-    LinearInfluence,
-    LogInfluence,
-    PaperLogInfluence,
-    PowerInfluence,
-)
-from .core.policies import IntervalMac, IntervalOutcome
-from .core.registry import PolicyDescriptor
-from .core.requirements import NetworkSpec
-from .core.static_priority import StaticPriorityPolicy
-from .phy.channel import (
-    BernoulliChannel,
-    GilbertElliottChannel,
-    TimeVaryingReliability,
-    channel_from_spec,
-)
-from .phy.timing import (
-    Dot11aPhy,
-    IntervalTiming,
-    idealized_timing,
-    low_latency_timing,
-    video_timing,
-)
-from .sim.batch_sim import (
-    BatchIntervalSimulator,
-    BatchSimulationResult,
-    run_simulation_batch,
-    supports_batch_engine,
-)
-from .sim.interval_sim import IntervalSimulator, run_simulation
-from .sim.results import SimulationResult, SimulationSummary
-from .sim.rng import BatchRngBundle, RngBundle
-from .traffic.arrivals import (
-    ArrivalProcess,
-    BernoulliArrivals,
-    BurstyVideoArrivals,
-    ConstantArrivals,
-    CorrelatedBurstArrivals,
-    TruncatedPoissonArrivals,
-)
+#: Public name -> the submodule that defines it.  ``import repro`` loads
+#: none of them: :func:`__getattr__` imports a name's submodule the first
+#: time the name is used, so a run pays only for the layers it reaches.
+_SUBMODULE_OF = {
+    name: submodule
+    for submodule, names in {
+        "core": ("registry",),
+        "core.dbdp": ("DBDPPolicy", "GlauberDebtBias", "PAPER_R"),
+        "core.debt": ("DebtLedger",),
+        "core.dcf": ("DCFPolicy",),
+        "core.dp_protocol": (
+            "ConstantSwapBias", "DPProtocol", "PerLinkSwapBias", "SwapBias",
+        ),
+        "core.eldf": ("ELDFPolicy", "LDFPolicy"),
+        "core.estimation": ("EstimatedDBDPPolicy", "ReliabilityEstimator"),
+        "core.fcsma": ("DebtWindowMap", "FCSMAPolicy"),
+        "core.frame_csma": ("FrameCSMAPolicy",),
+        "core.round_robin": ("RoundRobinPolicy",),
+        "core.influence": (
+            "DebtInfluenceFunction", "LinearInfluence", "LogInfluence",
+            "PaperLogInfluence", "PowerInfluence",
+        ),
+        "core.policies": ("IntervalMac", "IntervalOutcome"),
+        "core.registry": ("PolicyDescriptor",),
+        "core.requirements": ("NetworkSpec",),
+        "core.static_priority": ("StaticPriorityPolicy",),
+        "phy.channel": (
+            "BernoulliChannel", "GilbertElliottChannel",
+            "TimeVaryingReliability", "channel_from_spec",
+        ),
+        "phy.timing": (
+            "Dot11aPhy", "IntervalTiming", "idealized_timing",
+            "low_latency_timing", "video_timing",
+        ),
+        "sim.batch_sim": (
+            "BatchIntervalSimulator", "BatchSimulationResult",
+            "run_simulation_batch", "supports_batch_engine",
+        ),
+        "sim.interval_sim": ("IntervalSimulator", "run_simulation"),
+        "sim.results": ("SimulationResult", "SimulationSummary"),
+        "sim.rng": ("BatchRngBundle", "RngBundle"),
+        "traffic.arrivals": (
+            "ArrivalProcess", "BernoulliArrivals", "BurstyVideoArrivals",
+            "ConstantArrivals", "CorrelatedBurstArrivals",
+            "TruncatedPoissonArrivals",
+        ),
+    }.items()
+    for name in names
+}
 
 __version__ = "1.0.0"
 
@@ -153,3 +146,18 @@ __all__ = [
     "registry",
     "PolicyDescriptor",
 ]
+
+
+def __getattr__(name: str):
+    """``from .<submodule> import <name>`` on first access (PEP 562)."""
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # fromlist gives import-statement semantics: a name that is itself a
+    # submodule (``registry``) is imported as one.
+    module = __import__(f"{__name__}.{submodule}", fromlist=(name,))
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import inspect
 import os
 import sys
@@ -28,24 +29,19 @@ import time
 from typing import List, Optional
 
 from ..core import registry
-from .charts import ascii_chart
 from .faults import MODE_BEST_EFFORT, FaultPolicy
-from .convergence_study import convergence_vs_network_size
-from .extensions import (
-    baseline_panorama,
-    burst_loss_robustness,
-    correlated_traffic_robustness,
-)
 from .figures import ALL_FIGURES, SWEEP_FIGURES
 from .reporting import figure_to_csv, format_figure
-from .summary import evaluate_paper_claims, format_verdicts
 
-#: Extension studies exposed next to the paper figures.
+#: Extension studies exposed next to the paper figures, as
+#: ``"module:function"`` references imported only by the target that
+#: runs them (``summary`` and ``--chart`` likewise import their modules
+#: in their own branches).
 EXTENSIONS = {
-    "ext-baselines": baseline_panorama,
-    "ext-burst-loss": burst_loss_robustness,
-    "ext-correlated-traffic": correlated_traffic_robustness,
-    "ext-convergence": convergence_vs_network_size,
+    "ext-baselines": "extensions:baseline_panorama",
+    "ext-burst-loss": "extensions:burst_loss_robustness",
+    "ext-correlated-traffic": "extensions:correlated_traffic_robustness",
+    "ext-convergence": "convergence_study:convergence_vs_network_size",
 }
 
 __all__ = ["main", "build_parser"]
@@ -256,10 +252,13 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
     if args.intervals is not None:
         kwargs["num_intervals"] = args.intervals
     if name == "summary":
+        from .summary import evaluate_paper_claims, format_verdicts
+
         verdicts = evaluate_paper_claims(seed=args.seeds[0], **kwargs)
         return format_verdicts(verdicts)
     if name in EXTENSIONS:
-        func = EXTENSIONS[name]
+        module, attr = EXTENSIONS[name].split(":")
+        func = getattr(importlib.import_module(f".{module}", __package__), attr)
         # Extensions have heterogeneous signatures (the burst-loss study
         # is a fused sweep, the others are scalar single-trace studies);
         # thread each flag only where the study accepts it.
@@ -315,6 +314,8 @@ def _run_one(name: str, args: argparse.Namespace) -> str:
         return figure_to_csv(result)
     text = format_figure(result)
     if args.chart and len(result.x_values) >= 2:
+        from .charts import ascii_chart
+
         text += "\n" + ascii_chart(result)
     failures = getattr(result, "failures", None)
     if failures:

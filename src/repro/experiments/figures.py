@@ -30,7 +30,6 @@ import numpy as np
 from ..core import registry
 from ..core.requirements import NetworkSpec
 from ..phy.channel import channel_from_spec
-from ..sim.interval_sim import run_simulation
 from .configs import (
     ASYMMETRIC_GROUPS,
     LOW_LATENCY_INTERVALS,
@@ -206,6 +205,8 @@ def fig5(
     passes one engine to every figure) but single-trace figures always run
     on the scalar engine — there is no seed stack or grid to vectorize.
     """
+    from ..sim.interval_sim import run_simulation
+
     _check_engine(engine)
     intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
     spec = video_symmetric_spec(0.55, delivery_ratio=0.93)
@@ -247,6 +248,8 @@ def fig6(
     non-zero timely-throughput.  ``engine`` is accepted for harness
     uniformity; single-trace figures always run on the scalar engine.
     """
+    from ..sim.interval_sim import run_simulation
+
     _check_engine(engine)
     intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
     spec = video_symmetric_spec(0.60, delivery_ratio=0.9)

@@ -46,19 +46,22 @@ import functools
 import pickle
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from ..core import registry
 from ..core.requirements import NetworkSpec
 from ..sim import perf
-from ..sim.batch_sim import (
-    BatchIntervalSimulator,
-    BatchSweepStats,
-    share_batch_draws,
-    supports_batch_engine,
-)
 from ..sim.rng import normalize_rng_mode
 from .cache import SweepCache, resolve_cache, warn_uncacheable
 from .configs import PolicyFactory
@@ -83,6 +86,9 @@ from .runner import (
     _settle,
     _sweep_cells,
 )
+
+if TYPE_CHECKING:
+    from ..sim.batch_sim import BatchIntervalSimulator, BatchSweepStats
 
 __all__ = ["run_sweep_fused", "FUSED_STREAM_TAG"]
 
@@ -125,13 +131,17 @@ def _partition(
     scalar-only family (frame-CSMA) and specs the gate refuses land in
     the fallback path.  The group key includes the cell's *effective*
     draw discipline so free-draw groups never share a stack (or lockstep
-    draws) with degraded batch-discipline groups.
+    draws) with degraded batch-discipline groups.  When every cell hit
+    the cache, nothing is partitioned and no engine is imported.
     """
+    cold = [cell for cell in cells if cell.point is None]
+    if not cold:
+        return {}, []
+    from ..sim.batch_sim import supports_batch_engine
+
     fused_groups: Dict[Tuple, List[_Cell]] = {}
     fallback: List[_Cell] = []
-    for cell in cells:
-        if cell.point is not None:
-            continue
+    for cell in cold:
         if supports_batch_engine(cell.spec, cell.policy, rng=cell.rng):
             key = (_group_signature(cell), cell.rng)
             fused_groups.setdefault(key, []).append(cell)
@@ -205,6 +215,8 @@ def _build_fused_sim(
     turn into a per-cell fallback (``None``).  Errors raised
     mid-simulation are real failures and propagate from the run loop.
     """
+    from ..sim.batch_sim import BatchIntervalSimulator
+
     num_seeds = len(seeds)
     row_specs: List[NetworkSpec] = []
     row_seeds: List[int] = []
@@ -228,6 +240,14 @@ def _build_fused_sim(
         )
     except (TypeError, ValueError):
         return None
+
+
+def share_batch_draws(sims: Sequence[BatchIntervalSimulator]) -> None:
+    """:func:`repro.sim.batch_sim.share_batch_draws`, imported only by a
+    sweep that built simulators."""
+    from ..sim import batch_sim
+
+    batch_sim.share_batch_draws(sims)
 
 
 def _fail_cells(cells: Sequence[_Cell], groups: Optional[Sequence[int]]) -> None:
@@ -302,6 +322,8 @@ def _simulate_cells(
     """
     fused_groups, singles = _partition(cells)
     fallback.extend(singles)
+    if not fused_groups:
+        return  # every cell hit the cache or falls back: nothing to build
     built: List[Tuple[List[_Cell], BatchIntervalSimulator]] = []
     with perf.stage("fused.build"):
         for group_cells in fused_groups.values():

@@ -40,10 +40,18 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core import registry
 from ..core.requirements import NetworkSpec
@@ -58,6 +66,9 @@ from .faults import (
     nan_point,
 )
 from .runner import SweepPoint, SweepResult, run_single
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["run_sweep_parallel"]
 
@@ -184,9 +195,10 @@ class _Orchestrator:
                 try:
                     self._submit_ready(pool)
                     respawn = self._poll()
-                except BrokenProcessPool:
-                    # submit() on a broken pool; inflight futures carry
-                    # the same exception and are harvested on respawn.
+                except BrokenExecutor:
+                    # submit() on a broken pool (BrokenProcessPool is a
+                    # BrokenExecutor); inflight futures carry the same
+                    # exception and are harvested on respawn.
                     respawn = True
                 if respawn:
                     pool = self._respawn(pool)
@@ -199,6 +211,10 @@ class _Orchestrator:
 
     # -- pool lifecycle ------------------------------------------------
     def _new_pool(self) -> ProcessPoolExecutor:
+        # Imported here: loading the process pool pulls in
+        # multiprocessing, which a sweep served from the cache never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=self.max_workers)
 
     def _shutdown(self, pool: ProcessPoolExecutor) -> None:
@@ -362,7 +378,7 @@ class _Orchestrator:
             return False
         try:
             _, point = future.result(timeout=0)
-        except BrokenProcessPool as exc:
+        except BrokenExecutor as exc:
             if state.shared:
                 state.isolate = True
                 self._refund(state)

@@ -18,8 +18,6 @@ import numpy as np
 
 from ..core import registry
 from ..core.requirements import NetworkSpec
-from ..sim.batch_sim import run_simulation_batch, supports_batch_engine
-from ..sim.interval_sim import run_simulation
 from ..sim.rng import normalize_rng_mode
 from .configs import PolicyFactory
 from .faults import (
@@ -114,10 +112,10 @@ def _resolve_topology(topology, spec: NetworkSpec):
     spec (sweeps change the spec per value; a builder like
     ``lambda spec: grid_cells(spec.num_links, 4)`` adapts to each one).
     """
-    from ..topology import CellTopology
-
     if topology is None:
         return None
+    from ..topology import CellTopology
+
     if not isinstance(topology, CellTopology):
         topology = topology(spec)
     if topology.num_links != spec.num_links:
@@ -174,7 +172,7 @@ def _plan_cell(
     if topology is not None:
         from ..topology import topology_refusal
 
-        refusal = topology_refusal(spec, policy, rng_mode)
+        refusal = topology_refusal(spec, policy, rng_mode, topology)
         if refusal is not None:
             raise TypeError(refusal)
     return _Cell(
@@ -258,14 +256,12 @@ def _advise(
             )
             if model.has_state and model.state_uses_rng
         ]
-        if (
-            random_state
-            and cell.topology is None
-            and cell.rng == "batch"
-            and supports_batch_engine(cell.spec, cell.policy, rng="free")
-        ):
-            for kind, model in random_state:
-                note(kind, cell.label, type(model).__name__)
+        if random_state and cell.topology is None and cell.rng == "batch":
+            from ..sim.batch_sim import supports_batch_engine
+
+            if supports_batch_engine(cell.spec, cell.policy, rng="free"):
+                for kind, model in random_state:
+                    note(kind, cell.label, type(model).__name__)
     for kind, text in _ADVICE.items():
         if kind in found:
             labels, names = found[kind]
@@ -350,6 +346,8 @@ def _run_single_batch(
     rng: Optional[str] = None,
 ) -> SweepPoint:
     """One (spec, policy) cell on the batch engine: all seeds in one run."""
+    from ..sim.batch_sim import run_simulation_batch
+
     batch = run_simulation_batch(spec, policy, num_intervals, seeds, rng=rng)
     totals = batch.total_deficiency()  # (S,)
     collisions = batch.collisions.sum(axis=0).astype(float)  # (S,)
@@ -437,10 +435,14 @@ def run_single(
                 spec, cell.policy, num_intervals, seeds, groups,
                 cell.topology, rng=cell.rng,
             )
+        from ..sim.batch_sim import supports_batch_engine
+
         if supports_batch_engine(spec, cell.policy, rng=cell.rng):
             return _run_single_batch(
                 spec, cell.policy, num_intervals, seeds, groups, cell.rng
             )
+    from ..sim.interval_sim import run_simulation
+
     totals: List[float] = []
     group_totals: List[np.ndarray] = []
     collisions: List[float] = []

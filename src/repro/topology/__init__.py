@@ -11,22 +11,25 @@ Public surface of the multi-cell layer (see ``docs/topology.md``):
   the batch engine (bit-identical per cell, shard-invariant), gated by
   :func:`~repro.topology.engine.topology_refusal`.
 """
-from .boundary import BoundaryMasker, BoundaryOwnerDraws
-from .engine import (
-    TopologyResult,
-    TopologySimulator,
-    run_topology_batch,
-    topology_refusal,
-)
-from .graph import (
-    TOPOLOGY_STREAM_TAG,
-    CellTopology,
-    cell_stream_tag,
-    grid_cells,
-    partition_cells,
-    single_cell,
-)
-from .pack import CellPacking
+#: Public name -> the submodule that defines it, imported on first
+#: access (see ``repro.__getattr__``): building a topology loads neither
+#: the engine nor the batch simulator it lowers onto.
+_SUBMODULE_OF = {
+    name: submodule
+    for submodule, names in {
+        "boundary": ("BoundaryMasker", "BoundaryOwnerDraws"),
+        "engine": (
+            "TopologyResult", "TopologySimulator", "run_topology_batch",
+            "topology_refusal",
+        ),
+        "graph": (
+            "TOPOLOGY_STREAM_TAG", "CellTopology", "cell_stream_tag",
+            "grid_cells", "partition_cells", "single_cell",
+        ),
+        "pack": ("CellPacking",),
+    }.items()
+    for name in names
+}
 
 __all__ = [
     "BoundaryMasker",
@@ -43,3 +46,16 @@ __all__ = [
     "single_cell",
     "topology_refusal",
 ]
+
+
+def __getattr__(name: str):
+    """``from .<submodule> import <name>`` on first access (PEP 562)."""
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = __import__(f"{__name__}.{submodule}", fromlist=(name,))
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

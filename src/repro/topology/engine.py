@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -152,14 +151,19 @@ class TopologyResult:
 
 # ----------------------------------------------------------------------
 def topology_refusal(
-    spec: NetworkSpec, policy: IntervalMac, rng_mode: str
+    spec: NetworkSpec,
+    policy: IntervalMac,
+    rng_mode: str,
+    topology: CellTopology,
 ) -> Optional[str]:
-    """Why :class:`TopologySimulator` cannot run ``(spec, policy)`` under
-    ``rng_mode``, or ``None`` when it can.
+    """Why :class:`TopologySimulator` cannot run ``(spec, policy)`` on
+    ``topology`` under ``rng_mode``, or ``None`` when it can.
 
     The batch engine's gate (:func:`~repro.sim.batch_sim.batch_refusal`)
     plus per-cell slicing of the channel and arrival models
-    (``take_links``).  The topology engine has no scalar counterpart, so
+    (``take_links``) and, outside ``rng="sync"``, one ``A_max`` for
+    every cell of the topology (packed rows draw their arrivals as one
+    block).  The topology engine has no scalar counterpart, so
     a draw-discipline refusal names the discipline that does run the
     stateful model rather than the batch gate's single-domain advice.
     """
@@ -171,21 +175,32 @@ def topology_refusal(
             model.take_links((0,))
         except TypeError as exc:  # links not independent: no cell slices
             return str(exc)
-    if batch_refusal(spec, policy, rng_mode) is None:
-        return None
-    # Sliceable models the batch gate refuses are the stateful ones.
-    names = "/".join(
-        type(m).__name__ for m in (spec.channel, spec.arrivals) if m.has_state
-    )
-    fix = (
-        "rng='free' (statistically equivalent)"
-        if batch_refusal(spec, policy, "free") is None
-        else "rng='sync'"
-    )
-    return (
-        f"{names} cannot run on the topology engine under the "
-        f"{rng_mode!r} draw discipline; pass {fix}"
-    )
+    if batch_refusal(spec, policy, rng_mode) is not None:
+        # Sliceable models the batch gate refuses are the stateful ones.
+        names = "/".join(
+            type(m).__name__ for m in (spec.channel, spec.arrivals) if m.has_state
+        )
+        fix = (
+            "rng='free' (statistically equivalent)"
+            if batch_refusal(spec, policy, "free") is None
+            else "rng='sync'"
+        )
+        return (
+            f"{names} cannot run on the topology engine under the "
+            f"{rng_mode!r} draw discipline; pass {fix}"
+        )
+    if rng_mode != "sync":
+        width = topology.max_cell_size
+        a_max = {
+            max(1, spec.arrivals.take_links(cell, width - len(cell)).max_per_link)
+            for cell in topology.cells
+        }
+        if len(a_max) > 1:
+            return (
+                f"cells must share one A_max for packed draws: got "
+                f"{sorted(a_max)}"
+            )
+    return None
 
 
 class TopologySimulator:
@@ -218,18 +233,12 @@ class TopologySimulator:
                 raise ValueError(f"bad cell subset {cells}")
         self.cells = cells
         self.rng_mode = normalize_rng_mode(rng)
-        refusal = topology_refusal(spec, policy, self.rng_mode)
+        refusal = topology_refusal(spec, policy, self.rng_mode, topology)
         if refusal is not None:
             raise TypeError(refusal)
         self.packing = CellPacking(spec, topology)
         self.topology = topology
         cell_specs = [self.packing.cell_specs[c] for c in cells]
-        a_max = {max(1, spec_c.arrivals.max_per_link) for spec_c in cell_specs}
-        if self.rng_mode != "sync" and len(a_max) > 1:
-            raise TypeError(
-                f"cells must share one A_max for packed draws: got "
-                f"{sorted(a_max)}"
-            )
         self.sim = _PackedBatchSim(
             SpecStack([spec_c for spec_c in cell_specs for _ in self.seeds]),
             policy,
@@ -345,6 +354,8 @@ def _run_shards_in_pool(payloads, workers: int) -> Optional[List[TopologyResult]
         pickle.dumps(payloads)
     except (pickle.PicklingError, TypeError, AttributeError):
         return None
+    from concurrent.futures import ProcessPoolExecutor
+
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
     except (OSError, NotImplementedError):  # no usable semaphores or pipes

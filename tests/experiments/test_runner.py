@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from repro import (
+    BernoulliChannel,
+    ConstantArrivals,
     DBDPPolicy,
     FrameCSMAPolicy,
     LDFPolicy,
     NetworkSpec,
     StaticPriorityPolicy,
+    video_timing,
 )
 from repro.core.policies import IntervalMac, IntervalOutcome
 from repro.experiments.configs import video_symmetric_spec
@@ -408,4 +411,42 @@ def test_refused_topology_draw_state_fails_before_any_cell(
     message = str(raised.value)
     assert ("rng='free'" in message) == advises_free
     assert "scalar" not in message
+    assert not any(tmp_path.rglob("*.json"))
+
+
+def _mixed_a_max_builder(alpha):
+    """Two cells of ``_two_cells`` whose arrivals slice to A_max 1 and 2."""
+    return NetworkSpec(
+        arrivals=ConstantArrivals((1, 1, 2, 2)),
+        channel=BernoulliChannel.symmetric(4, 0.8),
+        timing=video_timing(),
+        requirements=(0.5,) * 4,
+    )
+
+
+@pytest.mark.parametrize("best_effort", [False, True])
+@pytest.mark.parametrize("engine", ["batch", "fused"])
+def test_mixed_a_max_topology_fails_before_any_cell(
+    engine, best_effort, tmp_path
+):
+    """Cells that slice to different arrival maxima cannot share packed
+    draws: planning refuses the sweep with the engine's own message before
+    FrameCSMA's degraded cells run and are cached, and best-effort does
+    not NaN-fill it."""
+    faults = (
+        FaultPolicy(retries=0, backoff_base=0.0, mode="best_effort")
+        if best_effort
+        else None
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(TypeError) as raised:
+            run_sweep(
+                "alpha", (0.5,), _mixed_a_max_builder, ["FrameCSMA", "DB-DP"],
+                10, engine=engine, topology=_two_cells, cache=str(tmp_path),
+                faults=faults,
+            )
+    assert str(raised.value) == (
+        "cells must share one A_max for packed draws: got [1, 2]"
+    )
     assert not any(tmp_path.rglob("*.json"))

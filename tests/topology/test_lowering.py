@@ -15,7 +15,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro import DBDPPolicy, ELDFPolicy, GilbertElliottChannel
+from repro import (
+    BernoulliChannel,
+    ConstantArrivals,
+    DBDPPolicy,
+    ELDFPolicy,
+    GilbertElliottChannel,
+    NetworkSpec,
+    video_timing,
+)
 from repro.experiments.configs import (
     video_asymmetric_spec,
     video_symmetric_spec,
@@ -137,6 +145,23 @@ def test_shard_exception_propagates(monkeypatch):
         run_topology_batch(
             _boundary_spec(), DBDPPolicy(), SEEDS, _boundary_topology(),
             INTERVALS, shards=2, max_workers=2,
+        )
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+def test_cells_with_different_a_max_are_refused_at_any_shard_count(shards):
+    """Each shard here packs one cell, so the run is refused sharded as
+    unsharded only because the gate looks at the whole topology."""
+    spec = NetworkSpec(
+        arrivals=ConstantArrivals((1, 1, 2, 2)),
+        channel=BernoulliChannel.symmetric(4, 0.8),
+        timing=video_timing(),
+        requirements=(0.5,) * 4,
+    )
+    with pytest.raises(TypeError, match=r"one A_max .*: got \[1, 2\]"):
+        run_topology_batch(
+            spec, DBDPPolicy(), SEEDS, grid_cells(4, 2), 5,
+            shards=shards, max_workers=1,
         )
 
 
