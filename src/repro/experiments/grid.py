@@ -72,7 +72,6 @@ from .faults import (
     fire_fault_hooks,
     nan_point,
 )
-from .parallel import _CellState, _Orchestrator
 from .runner import (
     SweepPoint,
     SweepResult,
@@ -129,10 +128,13 @@ def _partition(
     A cell joins a mega-batch when the batch engine accepts it
     (:func:`~repro.sim.batch_sim.supports_batch_engine`); the
     scalar-only family (frame-CSMA) and specs the gate refuses land in
-    the fallback path.  The group key includes the cell's *effective*
-    draw discipline so free-draw groups never share a stack (or lockstep
-    draws) with degraded batch-discipline groups.  When every cell hit
-    the cache, nothing is partitioned and no engine is imported.
+    the fallback path; cells whose kernel refuses the interval timing
+    (:meth:`~repro.sim.batch_kernels.BatchPolicyKernel.timing_refusal`)
+    are announced with one ``UserWarning``.  The group key includes the
+    cell's *effective* draw discipline so free-draw groups never share a
+    stack (or lockstep draws) with degraded batch-discipline groups.
+    When every cell hit the cache, nothing is partitioned and no engine
+    is imported.
     """
     cold = [cell for cell in cells if cell.point is None]
     if not cold:
@@ -141,12 +143,26 @@ def _partition(
 
     fused_groups: Dict[Tuple, List[_Cell]] = {}
     fallback: List[_Cell] = []
+    refused_timing: List[str] = []
     for cell in cold:
         if supports_batch_engine(cell.spec, cell.policy, rng=cell.rng):
             key = (_group_signature(cell), cell.rng)
             fused_groups.setdefault(key, []).append(cell)
-        else:
-            fallback.append(cell)
+            continue
+        fallback.append(cell)
+        if registry.has_kernel(cell.policy) and cell.label not in refused_timing:
+            kernel = registry.descriptor_for(cell.policy).kernel_factory()
+            if kernel.timing_refusal(cell.spec.timing) is not None:
+                refused_timing.append(cell.label)
+    if refused_timing:
+        warnings.warn(
+            "the batch kernel cannot solve this interval timing; these "
+            "cells fall back to the scalar engine: "
+            f"{', '.join(refused_timing)}.  Pass rng='sync' to keep them "
+            "on the batch engine (bit-identical to scalar)",
+            UserWarning,
+            stacklevel=4,
+        )
     return fused_groups, fallback
 
 
@@ -428,32 +444,6 @@ def _checkpoint(
             cell.cached = True
 
 
-class _ShardOrchestrator(_Orchestrator):
-    """Drives whole shards through the parallel fault machinery.
-
-    Inherits retry/backoff, pool respawn on worker death, and
-    ``cell_timeout`` expiry unchanged; only the work unit and the
-    outcome fan-out differ — one shard success resolves (and
-    checkpoints) every member cell, one permanent shard failure fails
-    them all individually so the report still names each lost cell.
-    """
-
-    task_fn = staticmethod(_run_shard)
-
-    def __init__(self, states, *, cells_by_id, **kwargs):
-        super().__init__(states, **kwargs)
-        self._cells_by_id: Dict[Tuple[float, str], _Cell] = cells_by_id
-
-    def _record_success(self, state, outcome) -> None:
-        _checkpoint(outcome, self._cells_by_id, self.store)
-
-    def _record_permanent_failure(self, state, exc: BaseException) -> None:
-        super()._record_permanent_failure(state, exc)
-        _fail_cells(
-            [self._cells_by_id[m] for m in state.cell.members], self.groups
-        )
-
-
 def _run_sweep_fused_sharded(
     cells: List[_Cell],
     spec_builder: Callable[[float], NetworkSpec],
@@ -530,6 +520,8 @@ def _run_sweep_fused_sharded(
         picklable = False
 
     if picklable:
+        from .parallel import _CellState, _ShardOrchestrator
+
         _ShardOrchestrator(
             [_CellState(cell=sh) for sh in cold],
             cells_by_id=by_id,

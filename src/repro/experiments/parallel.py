@@ -65,6 +65,7 @@ from .faults import (
     fire_fault_hooks,
     nan_point,
 )
+from .grid import _checkpoint, _fail_cells, _run_shard
 from .runner import SweepPoint, SweepResult, run_single
 
 if TYPE_CHECKING:
@@ -429,6 +430,34 @@ class _Orchestrator:
         )
         for value, label in unit.members:
             self.outcomes[(value, label)] = nan_point(label, self.groups)
+
+
+class _ShardOrchestrator(_Orchestrator):
+    """Drives whole shards of a grid-fused sweep
+    (:func:`~repro.experiments.grid.run_sweep_fused` with ``shards=``)
+    through the parallel fault machinery.
+
+    Inherits retry/backoff, pool respawn on worker death, and
+    ``cell_timeout`` expiry unchanged; only the work unit and the
+    outcome fan-out differ — one shard success resolves (and
+    checkpoints) every member cell, one permanent shard failure fails
+    them all individually so the report still names each lost cell.
+    """
+
+    task_fn = staticmethod(_run_shard)
+
+    def __init__(self, states, *, cells_by_id, **kwargs):
+        super().__init__(states, **kwargs)
+        self._cells_by_id = cells_by_id  # (value, label) -> runner cell
+
+    def _record_success(self, state, outcome) -> None:
+        _checkpoint(outcome, self._cells_by_id, self.store)
+
+    def _record_permanent_failure(self, state, exc: BaseException) -> None:
+        super()._record_permanent_failure(state, exc)
+        _fail_cells(
+            [self._cells_by_id[m] for m in state.cell.members], self.groups
+        )
 
 
 def run_sweep_parallel(

@@ -63,8 +63,8 @@ import os
 import threading
 import weakref
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -88,6 +88,8 @@ from .spec_stack import SpecStack
 
 if TYPE_CHECKING:
     from concurrent.futures import Future, ThreadPoolExecutor
+
+    from ..phy.timing import IntervalTiming
 
 __all__ = [
     "BatchIntervalOutcome",
@@ -765,6 +767,13 @@ class BatchPolicyKernel(ABC):
         ``"dense"``.
         """
         return "dense"
+
+    @classmethod
+    def timing_refusal(cls, timing: "IntervalTiming") -> Optional[str]:
+        """Why this family's vectorized path cannot solve ``timing``, or
+        ``None`` when it can (:func:`repro.sim.batch_sim.batch_refusal`
+        asks it outside ``rng="sync"``)."""
+        return None
 
     def bind(
         self,
@@ -1640,22 +1649,13 @@ class BatchDPKernel(BatchPolicyKernel):
 
     Empty priority-claiming packets couple the timeline: whether one fits
     depends on the airtime used before it, which depends on earlier
-    service.  The kernel assumes every wanted empty packet fits and
-    solves the whole stack in closed form.  The assumption fails often
+    service.  The kernel counts every wanted empty packet as aired and
+    solves the whole stack in closed form.  That assumption fails often
     near overload (two thirds of the row-intervals of an N=2000 stack at
-    alpha 0.45-0.65), and under most timings that changes no output; see
-    :attr:`_repair_needed` for the condition under which it can.  Only
-    then does the kernel verify the assumption per replication and re-run
-    the rows where it fails with an exact sequential sweep over their
-    pre-drawn retry counts, so the result is identical to sequential
-    evaluation in all cases.
+    alpha 0.45-0.65), yet changes no output on every timing the kernel
+    accepts; see :meth:`timing_refusal` for the lemma and the timings it
+    leaves to the scalar engine.
     """
-
-    #: Test hook: route *every* replication through the exact sequential
-    #: sweep instead of only assumption-violating ones.  Draws are shared,
-    #: so the outcome must be bit-identical to the vectorized path — the
-    #: test-suite uses this to prove the closed-form timeline correct.
-    _force_sequential = False
 
     #: Test hook: ``"dense"`` or ``"incremental"`` replaces the sparse
     #: serve-set test (``n > max_transmissions + 1``) of the priority-state
@@ -1666,26 +1666,64 @@ class BatchDPKernel(BatchPolicyKernel):
     #: Whether the bound stack runs the incremental priority-state path.
     _use_inc = False
 
-    #: Whether a claim that misfits can change an output; set at bind.
-    #:
-    #: Lemma: with exact integer timings (``_exact_div``) and
-    #: ``empty_air <= data_air + slot``, the closed-form pass is already
-    #: exact.  Let ``j0`` be the first position whose wanted claim does
-    #: not fit: its start is exact (every claim before it fit) and
-    #: exceeds ``T - empty_air`` (``>= T`` when ``empty_air == 0``).
-    #: Backoffs are distinct and increase along the service order, and
-    #: attempts and fitting claims only accumulate, so every later
-    #: position starts at least one slot after ``j0``: past
-    #: ``T - empty_air + slot >= T - data_air``, so neither a data
-    #: packet nor a claim fits there.  The closed form counts ``j0``'s
-    #: claim as aired, which only pushes those positions later, so it
-    #: too gives them zero attempts, zero deliveries and no fit.  Only
-    #: the workspace ``start`` of positions past ``j0`` is off (by the
-    #: claims counted wrongly), and nothing reads it there: the commit
-    #: reads ``start`` only where a link transmitted.  The video
-    #: (66 <= 330 + 9), low-latency (66 <= 122 + 9) and idealized
-    #: (0 <= 1 + 0) timings all satisfy the condition.
-    _repair_needed = True
+    @staticmethod
+    def _time_units(timing: "IntervalTiming") -> Tuple[int, int, int, int]:
+        """``timing``'s interval, data airtime, empty airtime and slot as
+        integers, in the largest decimal unit (1 us, 0.1 us, ...) that
+        makes all four integral: a 0.8 us slot is 8 units of 0.1 us.
+        Each value is read as the decimal its float prints as."""
+        values = [
+            Decimal(repr(float(v))).normalize()
+            for v in (
+                timing.interval_us,
+                timing.data_airtime_us,
+                timing.empty_airtime_us,
+                timing.backoff_slot_us,
+            )
+        ]
+        digits = max(0, -min(v.as_tuple().exponent for v in values))
+        T, air, empty, slot = (int(v.scaleb(digits)) for v in values)
+        return T, air, empty, slot
+
+    @classmethod
+    def timing_refusal(cls, timing: "IntervalTiming") -> Optional[str]:
+        """``None`` when the closed-form timeline is exact for ``timing``.
+
+        The timeline runs in the integer units of :meth:`_time_units`.
+        Lemma: with integer timings and ``empty_air <= data_air + slot``,
+        counting every wanted claim as aired changes no output.  Let
+        ``j0`` be the first position whose wanted claim does not fit: its
+        start is exact (every claim before it fit) and exceeds ``T -
+        empty_air`` (``>= T`` when ``empty_air == 0``).  Backoffs are
+        distinct integers increasing along the service order, and attempts
+        and fitting claims only accumulate, so every later position starts
+        at least one slot after ``j0``: past ``T - empty_air + slot >= T -
+        data_air``, where neither a data packet nor a claim fits.  The
+        closed form counts ``j0``'s claim as aired, which only pushes those
+        positions later, so it too gives them zero attempts, zero
+        deliveries and no fit.  Only the workspace ``start`` of positions
+        past ``j0`` is off, and the swap commit reads ``start`` only where
+        a link transmitted.
+
+        Every value, start and ceiling stays an exact float32 integer
+        while the interval is under ``2**24`` units, and the float32
+        divide that floors the attempt ceilings keeps its error (``q *
+        2**-24 <= T / air * 2**-24``) below the ``1 / air`` distance of a
+        non-integer quotient from the next integer.  The video (66 <= 330
+        + 9), low-latency (66 <= 122 + 9) and idealized (0 <= 1 + 0)
+        timings, and every :class:`~repro.phy.timing.Dot11aPhy` timing
+        (a header-only frame is shorter than a data exchange), qualify;
+        the others run under ``rng="sync"`` or on the scalar engine.
+        """
+        T, air, empty, slot = cls._time_units(timing)
+        if T < 2**24 and empty <= air + slot:
+            return None
+        return (
+            f"{timing} is outside the batch DP timeline, which needs "
+            "empty_airtime_us <= data_airtime_us + backoff_slot_us and an "
+            "interval under 2**24 decimal time units; use rng='sync' or "
+            "engine='scalar'"
+        )
 
     def __init__(self, policy: DPProtocol):
         super().__init__(policy)
@@ -1768,30 +1806,16 @@ class BatchDPKernel(BatchPolicyKernel):
         else:
             self._cand_draws = _ChunkedArgmaxUniforms(self.num_seeds, n - 1)
         self._pair_idx = np.arange(P, dtype=np.int64)[None, :]
-        # With integer-valued timing parameters, every dead time is an
-        # exact integer and ``floor(x / air)`` provably equals
-        # ``floor_divide(x, air)``: the true quotient is either an exact
-        # integer (exactly representable, correctly rounded) or at least
-        # ``1 / air`` away from one — far beyond the division's half-ulp
-        # error.  ``np.divide`` + ``np.floor`` is ~10x faster than
-        # ``np.floor_divide``'s divmod loop, so take it when safe.
-        # The interval bound additionally keeps the quotient's float32
-        # rounding error (q * 2**-24 <= T/air * 2**-24) below that 1/air
-        # margin, so the caps divide may land directly in the float32
-        # solver dtype.
-        self._exact_div = self._interval_us < 2**24 and all(
-            float(v).is_integer()
-            for v in (
-                self._interval_us,
-                self._data_air,
-                self._slot,
-                self._empty_air,
-            )
-        )
-        self._repair_needed = not (
-            self._exact_div
-            and self._empty_air <= self._data_air + self._slot
-        )
+        if not self._sync:
+            refusal = self.timing_refusal(self.spec.timing)
+            if refusal is not None:
+                raise TypeError(refusal)
+            # The timeline's comparisons and ceilings run in integer time
+            # units (see timing_refusal); busy and overhead stay counts
+            # times the microsecond constants.
+            T, air, empty, slot = self._time_units(self.spec.timing)
+            self._units = (float(T), float(air), float(empty), float(slot))
+            self._budget = T // air
         # The incremental path (:attr:`dp_state`) needs one candidate
         # pair, a static channel plane (it scales lazy raw draws by a
         # fixed (S, N) plane) and the workspace path (sync drives the
@@ -1839,27 +1863,16 @@ class BatchDPKernel(BatchPolicyKernel):
         w.we = np.zeros((S, n), dtype=bool)
         w.iep = np.empty((S, n), dtype=bool)
         w.fits = np.empty((S, n), dtype=bool)
-        w.mm = np.empty((S, n), dtype=bool)
         w.tx = np.empty((S, n), dtype=bool)
-        # Timeline floats.  With integer-valued timings every timeline
-        # quantity (dead time, start, caps, attempt prefix) is an exact
-        # integer bounded by the interval length, so whenever
-        # ``interval_us < 2**24`` the whole timeline fits float32 exactly
-        # and the divide+floor caps stay provably exact (same 1/air
-        # margin argument as ``_exact_div``, with the 2**-24 relative
-        # error of float32).  Otherwise fall back to float64.
-        tlf = w.workf if self._exact_div else np.float64
-        w.iepf = np.empty((S, n), dtype=tlf)
-        w.ebf = np.empty((S, n), dtype=tlf)
-        w.mexcl_tl = (
-            w.mexcl
-            if tlf == w.workf
-            else np.triu(np.ones((n, n), dtype=np.float64), 1)
-        )
-        w.dead = np.empty((S, n), dtype=tlf)
-        w.tmpf = np.empty((S, n), dtype=tlf)
-        w.attb = np.empty((S, n), dtype=tlf)
-        w.start = np.empty((S, n), dtype=tlf)
+        # Timeline planes in time units (see timing_refusal): every dead
+        # time, start, ceiling and attempt prefix is an exact integer in
+        # the solver dtype.
+        w.iepf = np.empty((S, n), dtype=w.workf)
+        w.ebf = np.empty((S, n), dtype=w.workf)
+        w.dead = np.empty((S, n), dtype=w.workf)
+        w.tmpf = np.empty((S, n), dtype=w.workf)
+        w.attb = np.empty((S, n), dtype=w.workf)
+        w.start = np.empty((S, n), dtype=w.workf)
         # Per-row reductions.
         w.idle = np.empty(S, dtype=np.int64)
         w.ne = np.empty(S, dtype=np.int64)
@@ -1911,7 +1924,6 @@ class BatchDPKernel(BatchPolicyKernel):
         S, n = self.num_seeds, self.spec.num_links
         A = self._a_max
         workf = self._channel_draws.dtype
-        tlf = workf if self._exact_div else np.float64
         K = min(n, self._budget + 1)
         self._inc_k = K
         self._inc_small = K >= n
@@ -1965,8 +1977,8 @@ class BatchDPKernel(BatchPolicyKernel):
         w.uksel = np.empty((S, K), dtype=workf)
         w.countk = np.empty((S, K), dtype=workf)
         w.capk = np.empty((S, K), dtype=workf)
-        w.deadk = np.empty((S, K), dtype=tlf)
-        w.tmpk = np.empty((S, K), dtype=tlf)
+        w.deadk = np.empty((S, K), dtype=workf)
+        w.tmpk = np.empty((S, K), dtype=workf)
         w.boolk = np.empty((S, K), dtype=bool)
         w.boolk2 = np.empty((S, K), dtype=bool)
         w.boolk3 = np.empty((S, K), dtype=bool)
@@ -1984,7 +1996,6 @@ class BatchDPKernel(BatchPolicyKernel):
         w.chan_scale = self._channel_draws.scale_rows(S)
         w.scalek = np.empty((S * K, 1), dtype=workf)
         w.skoff = (np.arange(S * K, dtype=np.int64) * A).reshape(S, K)
-        w.cum_row = None  # (n, A) scratch, built on first misfit row
         # Pair scratch — same shapes as the dense path (P == 1 here).
         w.cands = np.empty((S, 1), dtype=np.int64)
         w.candm1 = np.empty((S, 1), dtype=np.int64)
@@ -2019,8 +2030,6 @@ class BatchDPKernel(BatchPolicyKernel):
         w.fits_a = np.empty(S, dtype=bool)
         w.fits_b = np.empty(S, dtype=bool)
         w.txa = np.empty(S, dtype=bool)
-        w.t1 = np.empty(S, dtype=bool)
-        w.t2 = np.empty(S, dtype=bool)
         w.ne = np.empty(S, dtype=np.int64)
         w.idle = np.empty(S, dtype=np.int64)
         w.tmpi_s = np.empty(S, dtype=np.int64)
@@ -2069,10 +2078,7 @@ class BatchDPKernel(BatchPolicyKernel):
         w = self._ws
         counters = perf.counters
         S, n = arrivals.shape
-        T = self._interval_us
-        air = self._data_air
-        slot = self._slot
-        empty_air = self._empty_air
+        T, air, empty_air, slot = self._units
         lite = self._lite
         sigma = self._sigma
         sigma_out = None if lite else sigma.copy()
@@ -2214,17 +2220,13 @@ class BatchDPKernel(BatchPolicyKernel):
             np.logical_and(w.boolk4, w.wb[:, None], out=w.boolk4)
             np.copyto(w.ek, w.boolk3, casting="unsafe")
             np.add(w.ek, w.boolk4, out=w.ek)
-            # Attempt ceilings (same divide/floor discipline as dense).
+            # Attempt ceilings (same divide/floor as dense).
             np.multiply(w.bk, slot, out=w.deadk)
             np.multiply(w.ek, empty_air, out=w.tmpk)
             np.add(w.deadk, w.tmpk, out=w.deadk)
             np.subtract(T, w.deadk, out=w.deadk)
-            if self._exact_div:
-                np.divide(w.deadk, air, out=w.capk)
-                np.floor(w.capk, out=w.capk)
-            else:
-                np.floor_divide(w.deadk, air, out=w.deadk)
-                np.copyto(w.capk, w.deadk, casting="unsafe")
+            np.divide(w.deadk, air, out=w.capk)
+            np.floor(w.capk, out=w.capk)
             np.cumsum(w.totk, axis=1, out=w.cumk)
             np.subtract(w.cumk, w.totk, out=w.cumk)  # exclusive prefix
             np.subtract(w.capk, w.cumk, out=w.budk)
@@ -2261,8 +2263,9 @@ class BatchDPKernel(BatchPolicyKernel):
             w.ua.fill(0)
             w.idle.fill(0)
         np.add(w.att_a, w.ua, out=w.att_b)
-        # Candidate service starts under the all-empties-fit
-        # assumption, then the fit check (dense semantics verbatim).
+        # Candidate service starts with every wanted claim counted as
+        # aired (see timing_refusal), then the fit check (dense
+        # semantics verbatim).
         np.multiply(w.att_a, air, out=w.start_a)
         np.multiply(w.bmin[:, 0], slot, out=w.tmps)
         np.add(w.start_a, w.tmps, out=w.start_a)
@@ -2279,22 +2282,6 @@ class BatchDPKernel(BatchPolicyKernel):
             np.less(w.start_b, T, out=w.fits_b)
         np.logical_and(w.fits_a, w.wa, out=w.fits_a)
         np.logical_and(w.fits_b, w.wb, out=w.fits_b)
-        if self._force_sequential:
-            for s in range(S):
-                self._resolve_row_inc(
-                    s, arrivals, needed, posk, active, from_start=True
-                )
-        elif self._repair_needed:
-            np.logical_not(w.fits_a, out=w.t1)
-            np.logical_and(w.t1, w.wa, out=w.t1)
-            np.logical_not(w.fits_b, out=w.t2)
-            np.logical_and(w.t2, w.wb, out=w.t2)
-            np.logical_or(w.t1, w.t2, out=w.t1)
-            if w.t1.any():
-                for s in np.flatnonzero(w.t1):
-                    self._resolve_row_inc(
-                        int(s), arrivals, needed, posk, active
-                    )
         np.greater(w.ua, 0, out=w.txa)
         np.logical_or(w.txa, w.fits_a, out=w.txa)
         np.copyto(w.ne, w.fits_a, casting="unsafe")
@@ -2305,10 +2292,11 @@ class BatchDPKernel(BatchPolicyKernel):
         np.maximum(w.idle, w.tmpi_s, out=w.idle)
         np.multiply(w.bmax[:, 0], w.fits_b, out=w.tmpi_s)
         np.maximum(w.idle, w.tmpi_s, out=w.idle)
-        np.multiply(w.att_tot_f, air, out=w.busy)
-        np.multiply(w.ne, empty_air, out=w.eus)
+        np.copyto(w.busy, w.att_tot_f)
+        np.multiply(w.busy, self._data_air, out=w.busy)
+        np.multiply(w.ne, self._empty_air, out=w.eus)
         np.add(w.busy, w.eus, out=w.busy)
-        np.multiply(w.idle, slot, out=w.ovh)
+        np.multiply(w.idle, self._slot, out=w.ovh)
         np.add(w.ovh, w.eus, out=w.ovh)
         if counters.enabled:
             counters.add("kernel.dp.timeline", perf.clock() - t0)
@@ -2336,169 +2324,6 @@ class BatchDPKernel(BatchPolicyKernel):
             collisions=w.zeroi,
             priorities=sigma_out,
         )
-
-    def _resolve_row_inc(
-        self,
-        s: int,
-        arrivals: np.ndarray,
-        needed: np.ndarray,
-        posk: np.ndarray,
-        active: bool,
-        from_start: bool = False,
-    ) -> None:
-        """Exact sequential sweep of one row for the incremental path.
-
-        The incremental analogue of :meth:`_resolve_row_sequential`: the
-        vectorized solve assumed every wanted empty claim fits, so the
-        first wrong column is the earliest misfitting claim — position
-        ``c - 1`` if the up-mover's claim misfit, else ``c``.  Everything
-        strictly before it (attempt counts, drain totals, the idle
-        high-water of the prefix) is already exact, so the sweep resumes
-        there: zero the serve-set entries at positions >= the resume
-        point, walk forward with the dense path's scalar arithmetic, and
-        stop once every later position's attempt ceiling is provably
-        exhausted (no claims remain past ``c``).  Every link that can
-        receive attempts is in the serve set, so the zero-then-rewrite of
-        the suffix is complete.  ``from_start`` (the force-sequential
-        verification mode) walks the whole row instead and trusts nothing
-        from the vector pass; ``active=False`` marks the vector per-entry
-        tables (uk/bk) as not computed this interval, which is only
-        consistent with an empty prefix.  Writes the per-row outputs
-        (att_tot, ua, idle, fits, start_a) in the workspace; the caller's
-        idle fold for fitting claims runs afterwards and is idempotent
-        with the walk's own idle updates.
-        """
-        w = self._ws
-        T = self._interval_us
-        air = self._data_air
-        slot = self._slot
-        empty_air = self._empty_air
-        n = self.spec.num_links
-        track = not self._lite
-        c = int(w.cands[s, 0])
-        swap = bool(w.cc[s, 0])
-        wa = bool(w.wa[s])
-        wb = bool(w.wb[s])
-        bmin = int(w.bmin[s, 0])
-        bmax = int(w.bmax[s, 0])
-        sel = w.sel_flat[s]
-        pos_row = posk[s]
-        if from_start:
-            j0 = 0
-            i0 = 0
-            att_total = 0
-            ua = 0
-            fa = False
-            sta = 0.0
-        elif wa and not bool(w.fits_a[s]):
-            j0 = c - 1
-            i0 = int(np.searchsorted(pos_row, j0))
-            att_total = int(w.att_a[s])
-            ua = 0
-            fa = False
-            sta = 0.0
-        else:
-            j0 = c
-            i0 = int(np.searchsorted(pos_row, j0))
-            att_total = int(w.att_b[s])
-            ua = int(w.ua[s])
-            fa = bool(w.fits_a[s])
-            sta = float(w.start_a[s])
-        ef = 1 if fa else 0
-        fb = False
-        idle = 0
-        if i0 > 0 and active:
-            # Idle high-water of the untouched prefix: backoffs of the
-            # serve-set entries that actually transmitted data (fitting
-            # claims are folded in by the caller).
-            uk_row = w.uk[s]
-            bk_row = w.bk[s]
-            for i in range(i0):
-                if uk_row[i] > 0:
-                    b = int(bk_row[i])
-                    if b > idle:
-                        idle = b
-        w.delivered.ravel()[sel[i0:]] = 0
-        if track:
-            w.attempts_i.ravel()[sel[i0:]] = 0
-        inv_row = w.inv[s]
-        arr_row = arrivals[s]
-        # Raw draws: transform this row's whole (n, A) plane into a reused
-        # scratch.  Only misfitting-claim rows come through here, so the
-        # O(n*A) pass stays off the steady-state path.
-        cum_rows = w.cum_row
-        if cum_rows is None:
-            cum_rows = w.cum_row = np.empty(
-                needed.shape[1:], dtype=needed.dtype
-            )
-        np.multiply(needed[s], w.chan_scale[s][:, None], out=cum_rows)
-        np.ceil(cum_rows, out=cum_rows)
-        np.maximum(cum_rows, 1.0, out=cum_rows)
-        np.cumsum(cum_rows, axis=1, out=cum_rows)
-        delivered = w.delivered
-        attempts = w.attempts_i
-        for j in range(j0, n):
-            if j == c - 1:
-                link = int(inv_row[c]) if swap else int(inv_row[c - 1])
-                b = bmin
-            elif j == c:
-                link = int(inv_row[c - 1]) if swap else int(inv_row[c])
-                b = bmax
-            elif j > c:
-                link = int(inv_row[j])
-                b = j + 2
-            else:
-                link = int(inv_row[j])
-                b = j
-            backlog = int(arr_row[link])
-            dead = b * slot + ef * empty_air
-            start = att_total * air + dead
-            if j == c - 1:
-                sta = start
-            if backlog > 0:
-                cap = int((T - dead) // air)
-                budget = cap - att_total
-                if budget > 0:
-                    cum = cum_rows[link]
-                    tot = int(cum[backlog - 1])
-                    if tot <= budget:
-                        used = tot
-                        served = backlog
-                    else:
-                        used = budget
-                        served = bisect_right(cum, budget, 0, backlog)
-                    att_total += used
-                    delivered[s, link] = served
-                    if track:
-                        attempts[s, link] = used
-                    if b > idle:
-                        idle = b
-                    if j == c - 1:
-                        ua = used
-            elif (j == c - 1 and wa) or (j == c and wb):
-                if empty_air > 0:
-                    fits = start + empty_air <= T
-                else:
-                    fits = start < T
-                if fits:
-                    ef += 1
-                    if b > idle:
-                        idle = b
-                    if j == c - 1:
-                        fa = True
-                    else:
-                        fb = True
-            # Positions past j all carry backoff >= j + 3 (the candidate
-            # pair is behind us), so once that ceiling is exhausted no
-            # later link can transmit and no claims remain — stop.
-            if j >= c and int((T - (j + 3) * slot - ef * empty_air) // air) <= att_total:
-                break
-        w.att_tot_f[s] = att_total
-        w.ua[s] = ua
-        w.idle[s] = idle
-        w.fits_a[s] = fa
-        w.fits_b[s] = fb
-        w.start_a[s] = sta
 
     def _draw_sources(self) -> tuple:
         return (self._channel_draws, self._coin_draws, self._cand_draws)
@@ -2564,10 +2389,7 @@ class BatchDPKernel(BatchPolicyKernel):
         counters = perf.counters
         S, n = arrivals.shape
         rows = self._rows
-        T = self._interval_us
-        air = self._data_air
-        slot = self._slot
-        empty_air = self._empty_air
+        T, air, empty_air, slot = self._units
         lite = self._lite
         sigma = self._sigma
         sigma_out = None if lite else sigma.copy()
@@ -2686,20 +2508,15 @@ class BatchDPKernel(BatchPolicyKernel):
         # integer-valued floats and faster than cumsum's short-row
         # scan at benchmark shapes.
         np.copyto(w.iepf, w.iep, casting="unsafe")
-        np.matmul(w.iepf, w.mexcl_tl, out=w.ebf)  # empties before
+        np.matmul(w.iepf, w.mexcl, out=w.ebf)  # empties before
         np.multiply(w.bpos, slot, out=w.dead)
         np.multiply(w.ebf, empty_air, out=w.tmpf)
         np.add(w.dead, w.tmpf, out=w.dead)
         np.subtract(T, w.dead, out=w.tmpf)
-        if self._exact_div:  # same floors, minus divmod (see _on_bind)
-            # Dividing straight into the solver dtype is exact here:
-            # the quotient's float32 rounding error is below the
-            # 1 / air margin whenever interval_us < 2**24.
-            np.divide(w.tmpf, air, out=w.caps_f)
-            np.floor(w.caps_f, out=w.caps_f)
-        else:
-            np.floor_divide(w.tmpf, air, out=w.tmpf)
-            np.copyto(w.caps_f, w.tmpf, casting="unsafe")
+        # floor(x / air) by divide + floor, straight into the solver
+        # dtype: exact on integer units (see timing_refusal).
+        np.divide(w.tmpf, air, out=w.caps_f)
+        np.floor(w.caps_f, out=w.caps_f)
         if arrivals.any():
             self._serve_ordered_ws(w, arrivals, needed)
         else:
@@ -2718,44 +2535,18 @@ class BatchDPKernel(BatchPolicyKernel):
         else:
             np.less(w.start, T, out=w.fits)
         np.logical_and(w.fits, w.iep, out=w.fits)
-
-        bad_rows = None
-        if self._force_sequential:
-            bad_rows = np.arange(S)
-            first_bad = np.zeros(S, dtype=np.int64)
-        elif self._repair_needed:
-            np.not_equal(w.fits, w.iep, out=w.mm)
-            if w.mm.any():
-                bad_rows = np.flatnonzero(w.mm.any(axis=1))
-                first_bad = np.argmax(w.mm, axis=1)
-        if bad_rows is not None:
-            for s in bad_rows:
-                j0 = int(first_bad[s])
-                self._resolve_row_sequential(
-                    int(s),
-                    j0,
-                    int(w.attb[s, j0]),
-                    int(w.ebf[s, j0]),
-                    order[s],
-                    w.bpos[s],
-                    w.iep[s],
-                    arrivals[s],
-                    needed[int(s)],
-                    w.delivered,
-                    w.att_pos,
-                    w.fits,
-                    w.start,
-                )
         np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
-        np.multiply(w.busyf, air, out=w.busy)
+        # Multiply in float64: a float32 product rounds airtimes like 0.4 us.
+        np.copyto(w.busy, w.busyf)
+        np.multiply(w.busy, self._data_air, out=w.busy)
         np.greater(w.att_pos, 0, out=w.tx)
         np.logical_or(w.tx, w.fits, out=w.tx)
         np.multiply(w.bpos, w.tx, out=w.tmpi2)
         w.tmpi2.max(axis=1, out=w.idle)
         np.sum(w.fits, axis=1, out=w.ne)
-        np.multiply(w.ne, empty_air, out=w.eus)
+        np.multiply(w.ne, self._empty_air, out=w.eus)
         np.add(w.busy, w.eus, out=w.busy)
-        np.multiply(w.idle, slot, out=w.ovh)
+        np.multiply(w.idle, self._slot, out=w.ovh)
         np.add(w.ovh, w.eus, out=w.ovh)
         if counters.enabled:
             counters.add("kernel.dp.timeline", perf.clock() - t0)
@@ -2810,78 +2601,6 @@ class BatchDPKernel(BatchPolicyKernel):
             collisions=w.zeroi,
             priorities=sigma_out,
         )
-
-    def _resolve_row_sequential(
-        self,
-        s: int,
-        j0: int,
-        att_total: int,
-        empties_fit: int,
-        order_row: np.ndarray,
-        backoff_row: np.ndarray,
-        is_empty_row: np.ndarray,
-        arrivals_row: np.ndarray,
-        needed_cum_row: np.ndarray,
-        deliveries: np.ndarray,
-        attempts_pos: np.ndarray,
-        fits_pos: np.ndarray,
-        start_pos: np.ndarray,
-    ) -> None:
-        """Exact sequential sweep of one replication's interval timeline,
-        resuming from position ``j0`` with ``att_total`` attempts already
-        used and ``empties_fit`` empty claims already on air.
-
-        Uses the same pre-drawn retry counts and the same integer-ceiling
-        arithmetic as the vectorized path, so the combined result equals a
-        full sequential evaluation of the whole stack.  Operates on plain
-        Python scalars — at tens of links that beats per-element ndarray
-        indexing by an order of magnitude.  ``deliveries`` is
-        link-indexed, the remaining output arrays position-indexed
-        (matching :func:`solve_ordered_service`); the caller rebuilds the
-        link view of the attempts from ``attempts_pos``.
-        """
-        T = self._interval_us
-        air = self._data_air
-        slot = self._slot
-        empty_air = self._empty_air
-        order_l = order_row.tolist()
-        backoff_l = backoff_row.tolist()
-        empty_l = is_empty_row.tolist()
-        arrivals_l = arrivals_row.tolist()
-        for j in range(j0, len(order_l)):
-            link = order_l[j]
-            backlog = arrivals_l[link]
-            start = att_total * air + empties_fit * empty_air + backoff_l[j] * slot
-            fits = False
-            used = 0
-            served = 0
-            if backlog > 0:
-                cap = int((T - backoff_l[j] * slot - empties_fit * empty_air) // air)
-                budget = cap - att_total
-                if budget > 0:
-                    # Indexing the ndarray row directly beats converting
-                    # the whole (N, A) cum block to nested lists: only a
-                    # handful of scalars per link are ever read.
-                    cum = needed_cum_row[link]
-                    tot = int(cum[backlog - 1])
-                    if tot <= budget:
-                        used = tot
-                        served = backlog
-                    else:
-                        used = budget
-                        served = bisect_right(cum, budget, 0, backlog)
-                    att_total += used
-            elif empty_l[j]:
-                if empty_air > 0:
-                    fits = start + empty_air <= T
-                else:
-                    fits = start < T
-                if fits:
-                    empties_fit += 1
-            deliveries[s, link] = served
-            attempts_pos[s, j] = used
-            fits_pos[s, j] = fits
-            start_pos[s, j] = start
 
 
 def make_batch_kernel(policy: IntervalMac) -> BatchPolicyKernel:

@@ -107,10 +107,16 @@ def batch_refusal(
     retry counts and arrival blocks, so they need a channel with
     i.i.d.-within-interval attempts or a vectorized state process, and
     an arrival process that is batch-samplable or has one; stochastic
-    state evolution additionally needs ``"free"``.
+    state evolution additionally needs ``"free"``.  The family's kernel
+    must also solve the interval timing
+    (:meth:`~repro.sim.batch_kernels.BatchPolicyKernel.timing_refusal`).
     """
     refusal = registry.kernel_refusal(policy)
     if refusal is not None or rng_mode == "sync":
+        return refusal
+    kernel = registry.descriptor_for(policy).kernel_factory()
+    refusal = kernel.timing_refusal(spec.timing)
+    if refusal is not None:
         return refusal
     specs = spec.specs if isinstance(spec, SpecStack) else (spec,)
     for channel in {id(s.channel): s.channel for s in specs}.values():

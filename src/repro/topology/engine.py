@@ -165,7 +165,8 @@ def topology_refusal(
     every cell of the topology (packed rows draw their arrivals as one
     block).  The topology engine has no scalar counterpart, so
     a draw-discipline refusal names the discipline that does run the
-    stateful model rather than the batch gate's single-domain advice.
+    stateful model rather than the batch gate's single-domain advice;
+    a timing the kernel cannot solve keeps the batch gate's message.
     """
     refusal = registry.kernel_refusal(policy)
     if refusal is not None:
@@ -175,11 +176,15 @@ def topology_refusal(
             model.take_links((0,))
         except TypeError as exc:  # links not independent: no cell slices
             return str(exc)
-    if batch_refusal(spec, policy, rng_mode) is not None:
-        # Sliceable models the batch gate refuses are the stateful ones.
+    refusal = batch_refusal(spec, policy, rng_mode)
+    if refusal is not None:
+        # Sliceable models the batch gate refuses are the stateful ones;
+        # with none, the kernel refused the timing.
         names = "/".join(
             type(m).__name__ for m in (spec.channel, spec.arrivals) if m.has_state
         )
+        if not names:
+            return refusal
         fix = (
             "rng='free' (statistically equivalent)"
             if batch_refusal(spec, policy, "free") is None

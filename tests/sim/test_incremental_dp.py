@@ -49,6 +49,7 @@ from repro.phy.channel import channel_from_spec
 from repro.sim.batch_sim import BatchIntervalSimulator, batch_refusal
 from repro.topology import TopologySimulator, partition_cells
 from tests.sim.dp_paths import dp_path
+from tests.sim.dp_reference import ReferenceCheck
 
 #: The video timing's transmission budget: at most 61 links transmit.
 BUDGET = video_symmetric_spec(0.6, num_links=2).timing.max_transmissions
@@ -62,8 +63,11 @@ def _run(
     alpha=0.55,
     rng=None,
     seeds=(0, 1, 2),
-    force_sequential=False,
+    check=False,
 ):
+    """Run DB-DP on the video network; ``check=True`` compares every
+    interval with the exact sequential reference (:class:`ReferenceCheck`,
+    returned as ``sim.check``)."""
     with dp_path(dp_state):
         sim = BatchIntervalSimulator(
             video_symmetric_spec(alpha, num_links=n),
@@ -74,8 +78,8 @@ def _run(
             validate=False,
             rng=rng,
         )
-    if force_sequential:
-        sim.kernel._force_sequential = True
+    if check:
+        sim.check = ReferenceCheck(sim.kernel)
     return sim, sim.run(num_intervals)
 
 
@@ -110,11 +114,11 @@ class TestDenseIncrementalBitIdentity:
         _assert_runs_identical(dense, inc, "congested")
 
     def test_forced_sequential_rows_match_vectorized(self):
-        # The per-row Python resolver is the vectorized block solve's
-        # fallback; forcing it on every row must change nothing.
-        _, vec = _run(20, "incremental", 150)
-        _, seq = _run(20, "incremental", 150, force_sequential=True)
-        _assert_runs_identical(vec, seq, "force_sequential")
+        # Every row of the serve-set block solve must equal the exact
+        # sequential sweep on the same draws, misfitting claims included.
+        sim, _ = _run(20, "incremental", 150, alpha=0.95, check=True)
+        assert sim.check.intervals == 150
+        assert sim.check.misfits > 0
 
     def test_free_rng_discipline_identical_across_dp_state(self):
         # free mode draws different values than batch mode, but dense

@@ -29,6 +29,9 @@ NOT_ON_A_CACHED_RUN = (
     "repro.experiments.summary",
     "repro.analysis.capacity",
     "concurrent.futures.process",
+    "repro.experiments.parallel",
+    "concurrent.futures",
+    "logging",
 )
 
 
