@@ -353,10 +353,10 @@ class _ChunkedDraws:
 
     ``next(*streams)`` returns the next interval's block (a view, valid
     until the following call).  Subclasses make a chunk buffer
-    (:meth:`_buffer`; ``None`` when each fill allocates its own chunk)
-    and fill it (:meth:`_fill`, which returns the chunk).  Chunk ``c``
-    lives in buffer ``c % 2``, so chunk ``c + 1`` can be filled while
-    chunk ``c`` is read.
+    (:meth:`_buffer`; ``None`` only for the free-mode candidate integers,
+    whose fill allocates its own chunk) and fill it (:meth:`_fill`,
+    which returns the chunk).  Chunk ``c`` lives in buffer ``c % 2``, so
+    chunk ``c + 1`` can be filled while chunk ``c`` is read.
 
     The run loop says how many more intervals will be read
     (:meth:`plan`).  When a chunk is first read and the plan reaches
@@ -695,13 +695,21 @@ class _ChunkedArgmaxUniforms(_ChunkedUniforms):
     M)`` chunk is taken at fill time: the same values
     (``block.argmax(axis=2)[pos] == block[pos].argmax(axis=1)``) with the
     reduction's call overhead amortized across the chunk.
+
+    Only the ``(depth, S)`` indices outlive a fill, so each buffer slot
+    holds just those; the ``(depth, S, M)`` uniforms go to one scratch
+    block that both slots share, since one source's fills never overlap.
     """
 
-    def _buffer(self):
-        return np.empty(self._shape), np.empty(self._shape[:2], dtype=np.intp)
+    _uniforms: Optional[np.ndarray] = None
 
-    def _fill(self, buffer, rng) -> np.ndarray:
-        uniforms, cands = buffer
+    def _buffer(self):
+        if self._uniforms is None:
+            self._uniforms = np.empty(self._shape)
+        return np.empty(self._shape[:2], dtype=np.intp)
+
+    def _fill(self, cands, rng) -> np.ndarray:
+        uniforms = self._uniforms
         rng.random(out=uniforms)
         np.argmax(uniforms, axis=2, out=cands)
         np.add(cands, 1, out=cands)
@@ -1091,7 +1099,9 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
             w.att_pos.fill(0)
             w.delivered.fill(0)
         np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
-        np.multiply(w.busyf, self._data_air, out=w.busy)
+        # Multiply in float64: a float32 product rounds airtimes like 0.4 us.
+        np.copyto(w.busy, w.busyf)
+        np.multiply(w.busy, self._data_air, out=w.busy)
         if not lite:
             w.attempts_f.ravel()[w.oflat.ravel()] = w.att_pos.ravel()
             np.copyto(w.attempts_i, w.attempts_f, casting="unsafe")

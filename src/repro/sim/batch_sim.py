@@ -77,7 +77,7 @@ from .batch_kernels import (
 )
 from .results import SimulationResult
 from .rng import BatchRngBundle, normalize_rng_mode, row_blocks
-from .spec_stack import SpecStack
+from .spec_stack import SpecStack, _row_index
 
 __all__ = [
     "BatchIntervalSimulator",
@@ -457,14 +457,18 @@ class BatchSweepStats:
         return np.stack(self._overhead_rows).mean(axis=0)
 
 
-class _BatchArrivalDraws(_ChunkedDraws):
-    """Chunked arrival blocks for the vectorized (non-sync) RNG mode.
+class _ArrivalDraws(_ChunkedDraws):
+    """Chunked arrival blocks, kept narrow and widened per interval.
 
-    Batch-samplable processes are stateless (i.i.d. across both
-    replications and intervals), so ``depth`` intervals' worth of
-    arrivals can come from one oversized draw — same distribution, far
-    fewer Generator round-trips.  Chunks are filled ahead on the draw
-    thread like every :class:`~repro.sim.batch_kernels._ChunkedDraws`.
+    A chunk holds ``(depth, S, N)`` counts in the narrowest dtype that
+    holds the stack's ``A_max`` (``np.min_scalar_type``: uint8 for
+    every shipped process), in two buffers made once (:meth:`_buffer`).
+    :meth:`next` copies the interval's row into one int64 ``(S, N)``
+    plane the source owns, so consumers see int64 exactly as drawn and
+    may write into it (the topology engine's boundary masker zeroes
+    entries in place) without touching the chunk.  Subclasses fill a
+    chunk from int64 draws checked against ``A_max``, so no value
+    wraps.
 
     Sampling may make several Generator calls per chunk (bursty
     processes draw uniforms, then integers), so the chunk depth changes
@@ -476,7 +480,50 @@ class _BatchArrivalDraws(_ChunkedDraws):
     """
 
     _stage = "draws.arrival_refill"
-    _fill_allocs = 1
+
+    def __init__(
+        self,
+        stack: Optional[SpecStack],
+        spec: NetworkSpec,
+        num_seeds: int,
+        depth: Optional[int],
+    ):
+        # A fill's cost is its int64 draws, whatever the chunk keeps, so
+        # the draw-thread hand-off rule weighs it at 8 bytes per value.
+        super().__init__(
+            DRAW_CHUNK if depth is None else depth,
+            8 * num_seeds * spec.num_links,
+        )
+        self._a_max = (
+            stack.max_arrivals_per_link
+            if stack is not None
+            else max(1, spec.arrivals.max_per_link)
+        )
+        self._shape = (self._depth, num_seeds, spec.num_links)
+        self._plane = np.empty(self._shape[1:], dtype=np.int64)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The chunk dtype: the narrowest that holds ``A_max``."""
+        return np.min_scalar_type(self._a_max)
+
+    def next(self, *streams) -> np.ndarray:
+        np.copyto(self._plane, super().next(*streams))
+        return self._plane
+
+    def _buffer(self):
+        return np.empty(self._shape, dtype=self.dtype)
+
+
+class _BatchArrivalDraws(_ArrivalDraws):
+    """Chunked arrival blocks for the vectorized (non-sync) RNG mode.
+
+    Batch-samplable processes are stateless (i.i.d. across both
+    replications and intervals), so ``depth`` intervals' worth of
+    arrivals can come from one oversized draw — same distribution, far
+    fewer Generator round-trips — which ``sample_batch`` checks against
+    the process's ``max_per_link``.
+    """
 
     def __init__(
         self,
@@ -485,24 +532,20 @@ class _BatchArrivalDraws(_ChunkedDraws):
         num_seeds: int,
         depth: Optional[int] = None,
     ):
-        super().__init__(
-            DRAW_CHUNK if depth is None else depth,
-            8 * num_seeds * spec.num_links,
-        )
+        super().__init__(stack, spec, num_seeds, depth)
         self._stack = stack
         self._spec = spec
-        self._num_seeds = num_seeds
 
-    def _fill(self, buffer, rng) -> np.ndarray:
+    def _fill(self, chunk, rng) -> np.ndarray:
         if self._stack is not None:
-            return self._stack.sample_arrival_block(rng, self._depth)
-        flat = self._spec.arrivals.sample_batch(
-            rng, self._depth * self._num_seeds
-        )
-        return flat.reshape(self._depth, self._num_seeds, self._spec.num_links)
+            return self._stack.sample_arrival_block(rng, self._depth, chunk)
+        depth, num_seeds, _ = self._shape
+        flat = self._spec.arrivals.sample_batch(rng, depth * num_seeds)
+        chunk[...] = flat.reshape(self._shape)
+        return chunk
 
 
-class _StatefulArrivalDraws(_ChunkedDraws):
+class _StatefulArrivalDraws(_ArrivalDraws):
     """Chunked arrival blocks when some rows carry evolving state.
 
     Stateless rows draw exactly as :class:`_BatchArrivalDraws` would —
@@ -512,11 +555,10 @@ class _StatefulArrivalDraws(_ChunkedDraws):
     class into :class:`~repro.traffic.arrivals.ArrivalStateRows` planes
     that evolve one interval per block slot, consuming the dedicated
     ``"arrival-state"`` substream held internally (fan-out sharing passes
-    only the arrivals stream through ``next``).
+    only the arrivals stream through ``next``).  Each state group evolves
+    into its own int64 block, checked against ``A_max`` on every fill
+    before it is narrowed into the chunk.
     """
-
-    _stage = "draws.arrival_refill"
-    _fill_allocs = 1
 
     def __init__(
         self,
@@ -526,10 +568,7 @@ class _StatefulArrivalDraws(_ChunkedDraws):
         depth: Optional[int] = None,
         state_rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__(
-            DRAW_CHUNK if depth is None else depth,
-            8 * num_seeds * spec.num_links,
-        )
+        super().__init__(stack, spec, num_seeds, depth)
         specs = stack.specs if stack is not None else (spec,) * num_seeds
         self._num_seeds = num_seeds
         self._n = specs[0].num_links
@@ -545,7 +584,7 @@ class _StatefulArrivalDraws(_ChunkedDraws):
         self._state_groups = [
             (
                 cls.stack_rows(procs),
-                rows,
+                _row_index(rows),
                 np.empty((self._depth, len(rows), self._n), dtype=np.int64),
                 gen,
             )
@@ -554,9 +593,6 @@ class _StatefulArrivalDraws(_ChunkedDraws):
                 self._procs, lo, hi, lambda p: type(p) if p.has_state else None
             )
         ]
-
-    def _buffer(self):
-        return np.empty((self._depth, self._num_seeds, self._n), dtype=np.int64)
 
     def _fill(self, chunk, rng) -> np.ndarray:
         for lo, hi, gen in row_blocks(rng, self._num_seeds):
@@ -567,9 +603,16 @@ class _StatefulArrivalDraws(_ChunkedDraws):
                 )
             for proc, _, rows in groups:
                 flat = proc.sample_batch(gen, self._depth * len(rows))
-                chunk[:, rows] = flat.reshape(self._depth, len(rows), self._n)
+                chunk[:, _row_index(rows)] = flat.reshape(
+                    self._depth, len(rows), self._n
+                )
         for state_rows, rows, buf, gen in self._state_groups:
             state_rows.evolve_block(self._depth, gen, buf)
+            if buf.min() < 0 or buf.max() > self._a_max:
+                raise AssertionError(
+                    f"{type(state_rows).__name__} arrivals outside "
+                    f"[0, {self._a_max}]"
+                )
             chunk[:, rows] = buf
         return chunk
 

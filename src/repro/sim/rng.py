@@ -93,6 +93,40 @@ def draw_chunk_depth(default: int = 64, interval_bytes: int = 0) -> int:
     return int(default)
 
 
+def _keyed_seed_sequence(
+    seeds: Sequence[int], key: str
+) -> np.random.SeedSequence:
+    """The seed sequence of ``SeedSequence(entropy=list(seeds),
+    spawn_key=[ord(c) for c in key])``, built from one uint32 array.
+
+    NumPy assembles that entropy as each seed's 32-bit words (least
+    significant first; a seed of 0 is one word), zero-padded to the
+    4-word pool when a spawn key follows, then one word per code point
+    of ``key``.  Passing those words as the entropy gives the same pool,
+    hence the same generators, without NumPy coercing every code point
+    through Python ints.  A negative seed raises ``ValueError``, as
+    NumPy does.
+    """
+    words = []
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"expected non-negative integer seed, got {seed}")
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+        while seed:
+            words.append(seed & 0xFFFFFFFF)
+            seed >>= 32
+    if key:
+        words.extend([0] * (4 - len(words)))
+    entropy = np.concatenate(
+        [
+            np.array(words, dtype=np.uint32),
+            np.frombuffer(key.encode("utf-32-le"), dtype=np.uint32),
+        ]
+    )
+    return np.random.SeedSequence(entropy=entropy)
+
+
 class RngBundle:
     """Named, independent ``numpy.random.Generator`` streams from one seed.
 
@@ -116,8 +150,7 @@ class RngBundle:
             # Derive a per-name child seed from the master seed and a stable
             # hash of the name; SeedSequence mixes both into a full-entropy
             # state, so distinct names give independent streams.
-            name_key = [ord(c) for c in name]
-            seq = np.random.SeedSequence(entropy=self._seed, spawn_key=name_key)
+            seq = _keyed_seed_sequence((self._seed,), name)
             self._streams[name] = np.random.Generator(np.random.PCG64(seq))
         return self._streams[name]
 
@@ -272,10 +305,7 @@ class BatchRngBundle:
                 namespace = f"{kind}:"
                 if self._stream_tag is not None:
                     namespace = f"{kind}[{self._stream_tag}]:"
-                seq = np.random.SeedSequence(
-                    entropy=list(self._seeds),
-                    spawn_key=[ord(c) for c in namespace + name],
-                )
+                seq = _keyed_seed_sequence(self._seeds, namespace + name)
                 self._streams[key] = np.random.Generator(np.random.PCG64(seq))
         return self._streams[key]
 

@@ -26,7 +26,7 @@ arrival process so one vectorized draw covers every row using that process.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,22 +182,39 @@ class SpecStack:
             cached = self._arrival_groups_cache[(lo, hi)] = groups
         return cached
 
-    def sample_arrival_block(self, rng, depth: int) -> np.ndarray:
+    def sample_arrival_block(
+        self, rng, depth: int, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Draw ``depth`` intervals of arrivals for every row at once.
 
-        Returns a ``(depth, R, N)`` int64 array.  Rows sharing one arrival
-        process are drawn in a single ``sample_batch`` call (i.i.d. across
-        intervals and rows, so a flat oversized draw has the right joint
+        Fills and returns ``out``, a ``(depth, R, N)`` array of any
+        integer dtype that holds :attr:`max_arrivals_per_link` (a new
+        int64 array when ``None``).  Rows sharing one arrival process are
+        drawn in a single ``sample_batch`` call (i.i.d. across intervals
+        and rows, so a flat oversized draw has the right joint
         distribution); a sweep with ``V`` distinct parameter values costs
         ``V`` generator calls per block instead of ``R``.  Under
         :class:`~repro.sim.rng.RowBlockStreams` each row block is grouped
-        and drawn from its own generator.
+        and drawn from its own generator.  The draws are int64 whatever
+        ``out`` holds; ``sample_batch`` checks them against the process's
+        ``max_per_link``, so a narrower ``out`` never wraps.
         """
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-        out = np.empty((depth, self.num_rows, self._n), dtype=np.int64)
+        if out is None:
+            out = np.empty((depth, self.num_rows, self._n), dtype=np.int64)
         for lo, hi, gen in row_blocks(rng, self.num_rows):
             for rep, rows in self._arrival_groups(lo, hi):
                 flat = rep.arrivals.sample_batch(gen, depth * len(rows))
-                out[:, rows] = flat.reshape(depth, len(rows), self._n)
+                out[:, _row_index(rows)] = flat.reshape(
+                    depth, len(rows), self._n
+                )
         return out
+
+
+def _row_index(rows: List[int]):
+    """``rows`` as a slice when they are contiguous (a strided copy),
+    else the list itself (a fancy-index scatter)."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return slice(rows[0], rows[-1] + 1)
+    return rows

@@ -20,16 +20,18 @@ from repro import (
     DBDPPolicy,
     DCFPolicy,
     DebtWindowMap,
+    ELDFPolicy,
     FCSMAPolicy,
     FrameCSMAPolicy,
     GilbertElliottChannel,
     LDFPolicy,
     NetworkSpec,
     RoundRobinPolicy,
+    StaticPriorityPolicy,
     idealized_timing,
 )
 from repro.experiments.configs import video_symmetric_spec
-from repro.phy.timing import low_latency_timing
+from repro.phy.timing import IntervalTiming, low_latency_timing
 from repro.sim.batch_kernels import (
     DRAW_CHUNK,
     BatchDPKernel,
@@ -496,3 +498,30 @@ class TestContentionKernelAgainstReference:
             run, np.random.default_rng(6), 5, 3, 0.7
         )
         assert deliveries > 0
+
+
+class TestOrderedServeBusyTime:
+    """Busy time is attempts times the data airtime, taken in float64.
+
+    On ``IntervalTiming(1.2, 0.4, 0.05, 0.0)`` a float32 product reads
+    two 0.4 us attempts as 0.800000011920929 us."""
+
+    @pytest.mark.parametrize(
+        "policy",
+        [ELDFPolicy, LDFPolicy, RoundRobinPolicy, StaticPriorityPolicy],
+    )
+    @pytest.mark.parametrize("rng", ["batch", "free"])
+    def test_busy_is_a_float64_product(self, policy, rng):
+        spec = NetworkSpec.from_delivery_ratios(
+            arrivals=BernoulliArrivals.symmetric(8, 0.15),
+            channel=BernoulliChannel.symmetric(8, 0.7),
+            timing=IntervalTiming(1.2, 0.4, 0.05, 0.0),
+            delivery_ratios=0.6,
+        )
+        sim = BatchIntervalSimulator(
+            spec, policy(), (0, 1, 2), rng=rng, record_traces=True
+        )
+        result = sim.run(200)
+        attempts = result.attempts.sum(axis=-1)
+        np.testing.assert_array_equal(result.busy_time_us, attempts * 0.4)
+        assert set(np.unique(result.busy_time_us)) == {0.0, 0.4, 0.8}

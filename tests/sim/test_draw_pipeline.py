@@ -17,7 +17,10 @@ moves *when* a fill runs:
   switching, still equal their synchronous runs;
 * each generator has one reader, nothing is drawn past the plan or
   queued below the size that repays the hand-off, and forked workers
-  started after the draw thread finish their work.
+  started after the draw thread finish their work;
+* arrival chunks hold the narrowest dtype that fits ``A_max`` in two
+  reused buffers, never wrap a value, and hand each interval out as an
+  int64 plane that the boundary masker may zero without touching them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ import pytest
 
 from repro import (
     BatchIntervalSimulator,
+    BernoulliArrivals,
     BernoulliChannel,
+    ConstantArrivals,
     DBDPPolicy,
     FCSMAPolicy,
     LDFPolicy,
@@ -42,14 +47,18 @@ from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.parallel import run_sweep_parallel
 from repro.experiments.runner import run_sweep
 from repro.phy.channel import channel_from_spec
-from repro.sim import batch_kernels, rng as rng_mod
+from repro.sim import batch_kernels, perf, rng as rng_mod
 from repro.sim.batch_kernels import (
     _ChunkedArgmaxUniforms,
     _ChunkedChannelDraws,
     _ChunkedUniforms,
 )
-from repro.topology import grid_cells, run_topology_batch
-from repro.traffic.arrivals import BurstyVideoArrivals, arrivals_from_spec
+from repro.topology import TopologySimulator, grid_cells, run_topology_batch
+from repro.traffic.arrivals import (
+    BurstyVideoArrivals,
+    ParetoBurstArrivals,
+    arrivals_from_spec,
+)
 from tests.sim.dp_paths import dp_path
 
 N = 8
@@ -410,6 +419,155 @@ def test_small_chunks_are_filled_when_first_read():
     source.next(stream)
     batch_kernels._submit(lambda: None).result(timeout=60)
     assert stream.calls == 1
+
+
+# -- narrow arrival chunks -----------------------------------------------
+ARRIVALS = {
+    "bursty": lambda: BurstyVideoArrivals.symmetric(N, 0.5),
+    "bernoulli": lambda: BernoulliArrivals.symmetric(N, 0.5),
+    "mmpp": lambda: arrivals_from_spec("mmpp:0.7:0.1:0.8:0.85", N),
+    "pareto": lambda: arrivals_from_spec("pareto:0.2:1.5:32", N),
+    "constant-300": lambda: ConstantArrivals.symmetric(N, 300),
+}
+
+
+def _arrival_spec(arrivals) -> NetworkSpec:
+    if isinstance(arrivals, str):
+        arrivals = ARRIVALS[arrivals]()
+    return NetworkSpec.from_delivery_ratios(
+        arrivals=arrivals,
+        channel=BernoulliChannel.symmetric(N, 0.7),
+        timing=idealized_timing(N),
+        delivery_ratios=0.6,
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, dtype",
+    [
+        (["bursty"], np.uint8),
+        (["bernoulli"], np.uint8),
+        (["mmpp"], np.uint8),
+        (["pareto"], np.uint8),
+        (["bursty", "bernoulli", "bursty"], np.uint8),
+        (["mmpp", "bursty", "pareto"], np.uint8),
+        (["constant-300"], np.uint16),
+    ],
+    ids=lambda v: "+".join(v) if isinstance(v, list) else np.dtype(v).name,
+)
+def test_arrival_chunks_take_the_narrowest_dtype(rows, dtype):
+    specs = [_arrival_spec(name) for name in rows]
+    stateful = any(spec.arrivals.has_state for spec in specs)
+    sim = BatchIntervalSimulator(
+        specs if len(specs) > 1 else specs[0],
+        LDFPolicy(),
+        SEEDS,
+        rng="free" if stateful else "batch",
+        record_traces=True,
+    )
+    result = sim.run(5)
+    source = sim._arrival_draws
+    assert source.dtype == dtype
+    assert [b.dtype for b in source._buffers] == [np.dtype(dtype)]
+    if rows == ["constant-300"]:
+        assert np.all(result.arrivals == 300)
+
+
+@pytest.mark.usefixtures("queue_all")
+@pytest.mark.parametrize(
+    "rng, depth, arrivals",
+    [
+        ("batch", batch_kernels.DRAW_CHUNK, "bursty"),
+        ("free", batch_kernels.FREE_DRAW_CHUNK, "bursty"),
+        ("free", batch_kernels.FREE_DRAW_CHUNK, "mmpp"),
+    ],
+)
+def test_arrival_chunks_reuse_two_buffers(monkeypatch, rng, depth, arrivals):
+    monkeypatch.setattr(perf.counters, "enabled", True)
+    perf.counters.reset()
+    sim = BatchIntervalSimulator(
+        _arrival_spec(arrivals), DBDPPolicy(), SEEDS, rng=rng
+    )
+    source = sim._arrival_draws
+    assert source._depth == depth
+    sim.run(3 * depth + 1)  # four chunks
+    buffers = source._buffers
+    assert len(buffers) == 2 and buffers[0] is not buffers[1]
+    assert any(source._chunk is b for b in buffers)
+    assert perf.counters.stages["draws.arrival_refill"].allocs == 2
+    perf.counters.reset()
+
+
+class _LyingBursty(BurstyVideoArrivals):
+    @property
+    def max_per_link(self) -> int:
+        return 1
+
+
+class _LyingPareto(ParetoBurstArrivals):
+    @property
+    def max_per_link(self) -> int:
+        return 1
+
+
+@pytest.mark.parametrize(
+    "arrivals, rng",
+    [
+        (_LyingBursty(alphas=(0.9,) * N), "batch"),
+        (_LyingPareto(N, 0.9, peak=3), "free"),
+    ],
+    ids=["stateless", "stateful"],
+)
+def test_arrivals_above_the_declared_maximum_raise(arrivals, rng):
+    sim = BatchIntervalSimulator(
+        _arrival_spec(arrivals), LDFPolicy(), SEEDS, rng=rng
+    )
+    assert sim._arrival_draws.dtype == np.uint8
+    with pytest.raises(AssertionError, match=r"outside \[0, 1\]"):
+        sim.run(10)
+
+
+def test_boundary_masks_reach_the_plane_not_the_chunk():
+    """The boundary masker zeroes non-owner arrivals in the interval's
+    int64 plane; the chunk keeps the values as drawn."""
+    topology = grid_cells(60, 4, 0.2)
+    spec = video_symmetric_spec(0.6, num_links=60)
+    masked = TopologySimulator(spec, DBDPPolicy(), (0, 1), topology)
+    unmasked = TopologySimulator(spec, DBDPPolicy(), (0, 1), topology)
+    unmasked.sim._mask = None
+    zeroed = 0
+    for _ in range(20):
+        masked.step()
+        unmasked.step()
+        source = masked.sim._arrival_draws
+        row = source._chunk[source._pos - 1]
+        plane = source._plane
+        np.testing.assert_array_equal(row, unmasked.sim._arrival_draws._plane)
+        assert plane.dtype == np.int64
+        assert np.all((plane == row) | (plane == 0))
+        zeroed += int(np.count_nonzero((plane == 0) & (row > 0)))
+    assert zeroed > 0
+
+
+@pytest.mark.parametrize(
+    "rng, arrivals", [("batch", "bursty"), ("free", "bursty"), ("free", "mmpp")]
+)
+def test_interval_arrivals_are_int64(rng, arrivals):
+    sim = BatchIntervalSimulator(
+        _arrival_spec(arrivals), DBDPPolicy(), SEEDS, rng=rng,
+        record_traces=True,
+    )
+    seen = []
+    run_interval = sim.kernel.run_interval
+
+    def spy(k, arrivals, *args):
+        seen.append(arrivals.dtype)
+        return run_interval(k, arrivals, *args)
+
+    sim.kernel.run_interval = spy
+    result = sim.run(70)
+    assert set(seen) == {np.dtype(np.int64)}
+    assert result.arrivals.dtype == np.int64
 
 
 # -- forked workers --------------------------------------------------------

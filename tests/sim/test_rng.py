@@ -158,3 +158,59 @@ class TestRowBlocks:
         with pytest.raises(ValueError, match="3 row stream tags for 4 seeds"):
             BatchRngBundle(self.SEEDS, stream_tag=("a", "a", "b"))
 
+
+
+class TestStreamDerivation:
+    """Streams are seeded from one uint32 entropy array; the pool must be
+    the one ``SeedSequence(entropy=seeds, spawn_key=code points)`` builds,
+    so every stream keeps the values it had."""
+
+    @staticmethod
+    def _expected(seeds, key):
+        return np.random.Generator(
+            np.random.PCG64(
+                np.random.SeedSequence(
+                    entropy=list(seeds), spawn_key=[ord(c) for c in key]
+                )
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 7, 2**70 + 3]
+    )
+    def test_scalar_streams(self, seed):
+        bundle = RngBundle(seed)
+        for name in ("arrivals", "channel", "policy", "shared", "x"):
+            np.testing.assert_array_equal(
+                bundle.stream(name).random(8),
+                self._expected((seed,), name).random(8),
+            )
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [(5,), (0,), tuple(range(8)), (3, 2**33 + 1), (0, 0, 0, 0, 0)],
+        ids=["one", "zero", "eight", "wide", "five-zeros"],
+    )
+    @pytest.mark.parametrize("tag", [None, "fused"])
+    def test_vector_streams(self, seeds, tag):
+        bundle = BatchRngBundle(seeds, stream_tag=tag)
+        prefix = "" if tag is None else f"[{tag}]"
+        for kind in ("batch", "free"):
+            for name in ("arrivals", "channel"):
+                stream = getattr(bundle, f"{kind}_stream")(name)
+                want = self._expected(seeds, f"{kind}{prefix}:{name}")
+                np.testing.assert_array_equal(stream.random(8), want.random(8))
+
+    def test_per_row_tagged_blocks(self):
+        bundle = BatchRngBundle((1, 2, 3), stream_tag=["a", "a", "cell:7"])
+        stream = bundle.batch_stream("arrivals")
+        for (lo, hi), gen in zip(stream.bounds, stream.generators):
+            tag = "a" if lo == 0 else "cell:7"
+            want = self._expected((1, 2, 3)[lo:hi], f"batch[{tag}]:arrivals")
+            np.testing.assert_array_equal(gen.random(8), want.random(8))
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            RngBundle(-1).stream("arrivals")
+        with pytest.raises(ValueError):
+            BatchRngBundle((1, -2)).batch_stream("arrivals")

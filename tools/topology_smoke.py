@@ -18,6 +18,10 @@ promoted) through the fused sweep engine and the on-disk sweep cache:
    interval's transmission budget, so the kernel binds the incremental
    DP state; the sweep runs cold then warm through the cache and the
    warm result must be bit-identical.
+5. **Free draws**: the smoke grid under ``rng="free"`` (deeper draw
+   chunks, independent substreams) runs cold then warm through the
+   cache, bit-identical, and its run split over two shard processes
+   equals its run in one.
 
 Writes ``TOPOLOGY_SMOKE.json`` for CI artifact upload; exits non-zero
 on any violated assertion.
@@ -213,6 +217,40 @@ def drill_wide_cells(num_intervals: int, report: dict) -> None:
         }
 
 
+def drill_free_draws(num_intervals: int, report: dict) -> None:
+    kwargs = dict(sweep_kwargs(num_intervals, ["DB-DP"]), rng="free")
+    with tempfile.TemporaryDirectory(prefix="topology_smoke_") as tmp:
+        cache = SweepCache(tmp)
+        print("[topology-smoke] cold sweep under rng='free'...")
+        cold = run_sweep(cache=cache, **kwargs)
+        print("[topology-smoke] warm rng='free' re-run from the cache...")
+        warm = run_sweep(cache=cache, **kwargs)
+        assert cache.hits == len(VALUES), (
+            f"expected all {len(VALUES)} free cells served warm, "
+            f"got {cache.hits} hits"
+        )
+        assert _points(cold) == _points(warm), (
+            "warm rng='free' sweep is not bit-identical to the cold run"
+        )
+    print("[topology-smoke] rng='free' sweep on 1 and 2 shards...")
+    one = run_sweep(shards=1, **kwargs)
+    two = run_sweep(shards=2, **kwargs)
+    assert _points(one) == _points(two), (
+        "rng='free' sweep on 2 shards is not bit-identical to 1 shard"
+    )
+    assert _points(one) == _points(cold), (
+        "uncached rng='free' sweep is not bit-identical to the cold run"
+    )
+    print("[topology-smoke] rng='free' cold/warm and shards agree. OK")
+    report["free_draws"] = {
+        "rng": "free",
+        "warm_hits": cache.hits,
+        "cold_warm_bit_identical": True,
+        "shards": [1, 2],
+        "shards_bit_identical": True,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -235,6 +273,7 @@ def main(argv=None) -> int:
     drill_checkpoint_resume(args.intervals, report)
     drill_degrade_warning(args.intervals, report)
     drill_wide_cells(args.intervals, report)
+    drill_free_draws(args.intervals, report)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     print(f"[topology-smoke] wrote {args.out}")
