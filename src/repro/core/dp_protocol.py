@@ -408,13 +408,18 @@ class DPProtocol(IntervalMac):
 
         # Steps 5-6: run the interval timeline.  The link with backoff beta
         # starts after exactly beta idle slots (counters freeze while the
-        # channel is busy), i.e. at busy_time + beta * slot.
+        # channel is busy), i.e. at busy_time + beta * slot.  Starts,
+        # budgets and fit tests run in integer time units
+        # (IntervalTiming.time_units); busy and overhead times stay sums
+        # of the microsecond constants.
+        T, air, empty, slot = timing.time_units
         deliveries = np.zeros(n, dtype=np.int64)
         attempts = np.zeros(n, dtype=np.int64)
         transmitted = [False] * n
-        service_start = [float("inf")] * n
+        service_start = [float("inf")] * n  # in time units
         busy_us = 0.0
         empty_us = 0.0
+        aired = 0  # data and empty airtime so far, in time units
         idle_slots_used = 0
 
         for link in sorted(range(n), key=lambda l: backoffs[l]):
@@ -422,9 +427,9 @@ class DPProtocol(IntervalMac):
             wants_empty = link in has_empty
             if backlog == 0 and not wants_empty:
                 continue
-            start = busy_us + empty_us + backoffs[link] * timing.backoff_slot_us
+            start = aired + backoffs[link] * slot
             if backlog > 0:
-                budget = int((timing.interval_us - start) // timing.data_airtime_us)
+                budget = (T - start) // air
                 if budget <= 0:
                     continue  # Remark 4: cannot fit a packet; stay idle.
                 served, used = serve_link_attempts(
@@ -433,20 +438,22 @@ class DPProtocol(IntervalMac):
                 deliveries[link] = served
                 attempts[link] = used
                 busy_us += used * timing.data_airtime_us
+                aired += used * air
                 transmitted[link] = used > 0
                 if used > 0:
                     service_start[link] = start
                     idle_slots_used = max(idle_slots_used, backoffs[link])
             else:
                 # Empty priority-claiming packet.
-                if timing.empty_airtime_us > 0:
-                    fits = start + timing.empty_airtime_us <= timing.interval_us
+                if empty > 0:
+                    fits = start + empty <= T
                 else:
                     # Idealized mode: a zero-length claim still needs a live
                     # instant on the channel (condition C1's spare capacity).
-                    fits = start < timing.interval_us
+                    fits = start < T
                 if fits:
                     empty_us += timing.empty_airtime_us
+                    aired += empty
                     transmitted[link] = True
                     service_start[link] = start
                     idle_slots_used = max(idle_slots_used, backoffs[link])
@@ -468,8 +475,7 @@ class DPProtocol(IntervalMac):
                 xi[down] == -1
                 and xi[up] == 1
                 and transmitted[up]
-                and service_start[up] + timing.data_airtime_us
-                <= timing.interval_us
+                and service_start[up] + air <= T
             )
             decisions.append(
                 SwapDecision(

@@ -74,9 +74,10 @@ class FrameCSMAPolicy(IntervalMac):
         n = spec.num_links
 
         control_us = self.control_slots * timing.backoff_slot_us
-        budget_slots = int(
-            (timing.interval_us - control_us) // timing.data_airtime_us
-        )
+        # Counted in integer time units (IntervalTiming.time_units), so a
+        # decimal timing does not floor low in float.
+        T, air, _, slot = timing.time_units
+        budget_slots = (T - self.control_slots * slot) // air
         deliveries = np.zeros(n, dtype=np.int64)
         attempts = np.zeros(n, dtype=np.int64)
         if budget_slots <= 0:

@@ -66,18 +66,21 @@ class StaticPriorityPolicy(IntervalMac):
         deliveries = np.zeros(spec.num_links, dtype=np.int64)
         attempts = np.zeros(spec.num_links, dtype=np.int64)
         elapsed_us = 0.0
+        # Budgets count attempts against the interval's capacity in
+        # integer time units (IntervalTiming.time_units), never in float.
+        free_attempts = timing.max_transmissions
         for link in self._order:
             backlog = int(arrivals[link])
             if backlog == 0:
                 continue
-            budget = int((timing.interval_us - elapsed_us) // timing.data_airtime_us)
-            if budget <= 0:
+            if free_attempts <= 0:
                 break
             served, used = serve_link_attempts(
-                link, backlog, budget, spec.channel, rng.channel
+                link, backlog, free_attempts, spec.channel, rng.channel
             )
             deliveries[link] = served
             attempts[link] = used
+            free_attempts -= used
             elapsed_us += used * timing.data_airtime_us
 
         return IntervalOutcome(

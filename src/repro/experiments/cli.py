@@ -108,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="split a fused sweep into K row-contiguous shards run in "
-        "parallel worker processes (requires --engine fused; sweep "
-        "figures only)",
+        "parallel worker processes, with --cells too (requires --engine "
+        "fused; sweep figures only)",
     )
     parser.add_argument(
         "--cells",
@@ -119,9 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate each sweep point as a multi-cell interference "
         "topology of C cells (grid_cells over the spec's links) instead "
         "of one collision domain; policy families with a batch kernel "
-        "run on the topology engine, others degrade with a warning "
-        "(sweep figures only; implies --engine fused unless --engine is "
-        "given)",
+        "run on the topology engine, one process per topology (spread "
+        "sweep points over processes with --shards), others degrade with "
+        "a warning (sweep figures only; implies --engine fused unless "
+        "--engine is given)",
     )
     parser.add_argument(
         "--cross-cell-fraction",

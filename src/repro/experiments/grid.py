@@ -37,7 +37,11 @@ Semantics:
 * ``shards=K`` splits the grid into K row-contiguous shards dispatched
   through the fault-tolerant process orchestrator of
   :mod:`repro.experiments.parallel`, so a mega-batch sweep uses every
-  core and inherits retry/respawn/checkpoint-resume per shard.
+  core and inherits retry/respawn/checkpoint-resume per shard.  A
+  ``topology=`` sweep shards the same way; each of its topology cells
+  runs on the multi-cell engine inside its shard's process.
+* Every cell is checkpointed the moment it settles: mega-batch cells
+  right after their group scatters, fallback cells one by one.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ from .runner import (
     _lookup,
     _plan_cell,
     _plan_sweep,
+    _resolve_topology,
     _settle,
-    _sweep_cells,
 )
 
 if TYPE_CHECKING:
@@ -127,8 +131,10 @@ def _partition(
 
     A cell joins a mega-batch when the batch engine accepts it
     (:func:`~repro.sim.batch_sim.supports_batch_engine`); the
-    scalar-only family (frame-CSMA) and specs the gate refuses land in
-    the fallback path; cells whose kernel refuses the interval timing
+    scalar-only family (frame-CSMA), specs the gate refuses and
+    topology cells (each already one packed batch of every (seed, cell)
+    row) land in the fallback path; cells whose kernel refuses the
+    interval timing
     (:meth:`~repro.sim.batch_kernels.BatchPolicyKernel.timing_refusal`)
     are announced with one ``UserWarning``.  The group key includes the
     cell's *effective* draw discipline so free-draw groups never share a
@@ -145,12 +151,18 @@ def _partition(
     fallback: List[_Cell] = []
     refused_timing: List[str] = []
     for cell in cold:
-        if supports_batch_engine(cell.spec, cell.policy, rng=cell.rng):
+        if cell.topology is None and supports_batch_engine(
+            cell.spec, cell.policy, rng=cell.rng
+        ):
             key = (_group_signature(cell), cell.rng)
             fused_groups.setdefault(key, []).append(cell)
             continue
         fallback.append(cell)
-        if registry.has_kernel(cell.policy) and cell.label not in refused_timing:
+        if (
+            cell.topology is None
+            and registry.has_kernel(cell.policy)
+            and cell.label not in refused_timing
+        ):
             kernel = registry.descriptor_for(cell.policy).kernel_factory()
             if kernel.timing_refusal(cell.spec.timing) is not None:
                 refused_timing.append(cell.label)
@@ -315,10 +327,13 @@ def _run_fused_group_with_faults(
         fallback.extend(cells)
 
 
-def _fallback_runner(num_intervals, seeds, groups):
-    """Cells no mega-batch could take run on the per-cell batch runner,
-    with its default draw discipline."""
-    return _cell_runner(num_intervals, seeds, groups, "batch", None)
+def _fallback_runner(num_intervals, seeds, groups, validate):
+    """Cells no mega-batch could take run one by one: topology cells on
+    the topology engine under their planned discipline, the rest on the
+    per-cell batch runner with its default draw discipline."""
+    return _cell_runner(
+        num_intervals, seeds, groups, "batch", None, validate=validate
+    )
 
 
 def _simulate_cells(
@@ -402,31 +417,51 @@ def _run_shard(
     groups: Optional[Tuple[int, ...]],
     rng_mode: str,
     validate: bool,
+    topology,
     attempt: int,
 ) -> Tuple[_ShardSpec, List[Tuple[float, str, SweepPoint]]]:
     """Worker-side execution of one shard (module-level, picklable)."""
     for value, label in shard.members:
         fire_fault_hooks(value, label, attempt)
-    specs: Dict[float, NetworkSpec] = {}
+    planned: Dict[float, Tuple[NetworkSpec, object]] = {}
     cells: List[_Cell] = []
     for value, label in shard.members:
-        if value not in specs:
-            specs[value] = spec_builder(value)
+        if value not in planned:
+            spec = spec_builder(value)
+            planned[value] = (spec, _resolve_topology(topology, spec))
+        spec, topo = planned[value]
         cells.append(
-            _plan_cell(
-                value, label, specs[value], policies[label], rng_mode, None
-            )
+            _plan_cell(value, label, spec, policies[label], rng_mode, topo)
         )
     fallback: List[_Cell] = []
     _simulate_cells(
         cells, seeds, validate, num_intervals, groups,
         _shard_tag(shard.index, shard.count), fallback,
     )
-    compute = _fallback_runner(num_intervals, seeds, groups)
+    compute = _fallback_runner(num_intervals, seeds, groups, validate)
     with _advised():  # the sweep advised once, in the parent process
         for cell in fallback:
             cell.point = compute(cell)
     return shard, [(c.value, c.label, c.point) for c in cells]
+
+
+def _store_settled(
+    cells: Sequence[_Cell], store: Optional[SweepCache]
+) -> None:
+    """Checkpoint every cell that has just settled (a point, not served
+    from the cache, not a best-effort failure): a sweep stopped right
+    now resumes from all of them."""
+    if store is None:
+        return
+    for cell in cells:
+        if (
+            cell.point is not None
+            and cell.key is not None
+            and not cell.cached
+            and not cell.failed
+        ):
+            store.put(cell.key, cell.point)
+            cell.cached = True
 
 
 def _checkpoint(
@@ -434,14 +469,11 @@ def _checkpoint(
     cells_by_id: Dict[Tuple[float, str], _Cell],
     store: Optional[SweepCache],
 ) -> None:
-    """Resolve a finished shard's cells, storing each one at once: a
-    sweep killed right now resumes from every shard recorded so far."""
-    for value, label, point in points:
-        cell = cells_by_id[(value, label)]
+    """Resolve a finished shard's cells and store them at once."""
+    cells = [cells_by_id[(value, label)] for value, label, _ in points]
+    for cell, (_, _, point) in zip(cells, points):
         cell.point = point
-        if store is not None and cell.key is not None:
-            store.put(cell.key, point)
-            cell.cached = True
+    _store_settled(cells, store)
 
 
 def _run_sweep_fused_sharded(
@@ -457,6 +489,7 @@ def _run_sweep_fused_sharded(
     store: Optional[SweepCache],
     shards: int,
     failures: List[CellFailure],
+    topology,
 ) -> None:
     """Split the grid into row-contiguous shards and dispatch them.
 
@@ -471,10 +504,10 @@ def _run_sweep_fused_sharded(
     Without a fault policy the shards still run strict with zero
     retries, so a worker exception surfaces as a
     :class:`~repro.experiments.faults.SweepCellError` naming the shard.
-    Unpicklable builders/policies fall back to sequential in-process
-    shard execution through the same retry loop — identical results,
-    since shard draw streams depend only on the shard count, not on
-    where they run.
+    An unpicklable builder, policy or topology falls back to sequential
+    in-process shard execution through the same retry loop — identical
+    results, since shard draw streams depend only on the shard count,
+    not on where they run.
     """
     count = max(1, min(int(shards), len(cells)))
     base, extra = divmod(len(cells), count)
@@ -510,11 +543,11 @@ def _run_sweep_fused_sharded(
     groups_t = tuple(groups) if groups is not None else None
     submit_args = (
         spec_builder, policies, num_intervals, seeds, groups_t,
-        rng_mode, validate,
+        rng_mode, validate, topology,
     )
     faults = faults or FaultPolicy(retries=0, backoff_base=0.0)
     try:
-        pickle.dumps((spec_builder, policies))
+        pickle.dumps((spec_builder, policies, topology))
         picklable = True
     except Exception:
         picklable = False
@@ -537,7 +570,7 @@ def _run_sweep_fused_sharded(
         return
 
     warnings.warn(
-        "spec_builder/policies are not picklable; running shards "
+        "spec_builder/policies/topology are not picklable; running shards "
         "sequentially in-process (results are identical — shard draw "
         "streams depend only on the shard count, not on where they run)",
         UserWarning,
@@ -619,12 +652,14 @@ def run_sweep_fused(
     topology:
         A :class:`~repro.topology.graph.CellTopology` — or a builder
         called with each value's spec — switches batchable policy
-        families onto the multi-cell engine: every
-        (seed, cell) pair of the topology becomes one engine row, and
-        ``shards`` splits the topology's cells across worker processes
-        instead of splitting the sweep grid.  Families without a batch
-        kernel degrade to the per-cell runner with one ``UserWarning``
-        per sweep.
+        families onto the multi-cell engine: every (seed, cell) pair of
+        the topology becomes one row of that cell's own engine run, in
+        one process, so topology cells never join a mega-batch.
+        ``shards`` splits the sweep grid as it does without a topology;
+        a topology cell draws from per-cell streams, not from its
+        shard's, so its point is the same at every shard count.
+        Families without a batch kernel degrade to the per-cell runner
+        with one ``UserWarning`` per sweep.
     """
     if num_intervals <= 0:
         raise ValueError(f"num_intervals must be positive, got {num_intervals}")
@@ -639,21 +674,6 @@ def run_sweep_fused(
     cells = _plan_sweep(
         values, spec_builder, policies, rng_mode, topology, stacklevel=3,
     )
-
-    if topology is not None:
-        # Each batchable cell is already a mega-batch — every (seed,
-        # cell-of-topology) pair is one engine row — and ``shards``
-        # splits the topology's cells across worker processes instead
-        # of the sweep grid.
-        return _sweep_cells(
-            parameter_name, values, cells,
-            _cell_runner(
-                num_intervals, seeds, groups, "fused", rng_mode,
-                validate=validate, shards=shards,
-            ),
-            num_intervals=num_intervals, seeds=seeds, groups=groups,
-            engine="fused", store=store, faults=faults,
-        )
 
     # Cache lookups first: hit cells never touch an engine.  Cells whose
     # policy (or spec) has no registered fingerprint simply run uncached
@@ -673,12 +693,14 @@ def run_sweep_fused(
         _run_sweep_fused_sharded(
             cells, spec_builder, policies, num_intervals, seeds, groups,
             rng_mode, validate, faults, store, int(shards), failures,
+            topology,
         )
     elif faults is None:
         _simulate_cells(
             cells, seeds, validate, num_intervals, groups,
             FUSED_STREAM_TAG, fallback,
         )
+        _store_settled(cells, store)
     else:
         # Faulty groups must be rebuildable in isolation, so each group
         # runs its own build + interval loop (no cross-family lockstep;
@@ -690,14 +712,11 @@ def run_sweep_fused(
                     group_cells, seeds, validate, num_intervals,
                     groups, faults, failures, fallback,
                 )
+                _store_settled(group_cells, store)
 
-    compute = _fallback_runner(num_intervals, seeds, groups)
+    compute = _fallback_runner(num_intervals, seeds, groups, validate)
     with _advised():
         for cell in fallback:
             _settle(cell, compute, faults, seeds, groups, failures)
-
-    if store is not None:
-        for cell in cells:
-            if cell.key is not None and not cell.cached and not cell.failed:
-                store.put(cell.key, cell.point)
+            _store_settled([cell], store)
     return _assemble(parameter_name, values, cells, failures)

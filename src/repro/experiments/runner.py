@@ -306,20 +306,13 @@ def _run_single_topology(
     topology,
     rng: Optional[str] = None,
     validate: bool = True,
-    shards: Optional[int] = None,
 ) -> SweepPoint:
     """One (spec, policy) cell on the multi-cell topology engine."""
     from ..topology import run_topology_batch
 
     result = run_topology_batch(
-        spec,
-        policy,
-        seeds,
-        topology,
-        num_intervals,
-        rng=rng,
-        validate=validate,
-        shards=shards,
+        spec, policy, seeds, topology, num_intervals,
+        rng=rng, validate=validate,
     )
     totals = result.total_deficiency()  # (S,)
     group_mean = None
@@ -615,7 +608,6 @@ def _cell_runner(
     engine: str,
     rng: Optional[str],
     validate: bool = True,
-    shards: Optional[int] = None,
 ) -> Callable[[_Cell], SweepPoint]:
     """How :func:`_sweep_cells` computes one planned cell: on the
     topology engine when the cell runs multi-cell, else through
@@ -625,8 +617,7 @@ def _cell_runner(
         if cell.topology is not None:
             return _run_single_topology(
                 cell.spec, cell.policy, num_intervals, seeds, groups,
-                cell.topology, rng=cell.rng,
-                validate=validate, shards=shards,
+                cell.topology, rng=cell.rng, validate=validate,
             )
         return run_single(
             cell.spec, cell.factory, num_intervals, seeds, groups, engine,

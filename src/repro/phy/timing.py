@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import Decimal
+from functools import cached_property
+from typing import Tuple
 
 __all__ = [
     "Dot11aPhy",
@@ -135,6 +138,30 @@ class IntervalTiming:
                 f"{self.data_airtime_us} us > {self.interval_us} us"
             )
 
+    @cached_property
+    def time_units(self) -> Tuple[int, int, int, int]:
+        """The interval, data airtime, empty airtime and slot as integers,
+        in the largest decimal unit (1 us, 0.1 us, ...) that makes all
+        four integral: a 0.8 us slot is 8 units of 0.1 us.  Each value is
+        read as the decimal its float prints as.
+
+        Every attempt budget and timeline comparison of the policies and
+        kernels runs in these units, so a decimal timing never floors
+        low in binary float (``1.2 // 0.4 == 2.0``).
+        """
+        values = [
+            Decimal(repr(float(v))).normalize()
+            for v in (
+                self.interval_us,
+                self.data_airtime_us,
+                self.empty_airtime_us,
+                self.backoff_slot_us,
+            )
+        ]
+        digits = max(0, -min(v.as_tuple().exponent for v in values))
+        T, air, empty, slot = (int(v.scaleb(digits)) for v in values)
+        return T, air, empty, slot
+
     @property
     def max_transmissions(self) -> int:
         """Transmission opportunities per interval with zero contention.
@@ -142,7 +169,8 @@ class IntervalTiming:
         For the paper's video scenario this is 60 (20 ms / 330 us); for the
         low-latency scenario 16 (2 ms / 120 us).
         """
-        return int(self.interval_us // self.data_airtime_us)
+        T, air, _, _ = self.time_units
+        return T // air
 
     @property
     def is_idealized(self) -> bool:

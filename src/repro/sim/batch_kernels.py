@@ -64,7 +64,6 @@ import threading
 import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from decimal import Decimal
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -1676,30 +1675,12 @@ class BatchDPKernel(BatchPolicyKernel):
     #: Whether the bound stack runs the incremental priority-state path.
     _use_inc = False
 
-    @staticmethod
-    def _time_units(timing: "IntervalTiming") -> Tuple[int, int, int, int]:
-        """``timing``'s interval, data airtime, empty airtime and slot as
-        integers, in the largest decimal unit (1 us, 0.1 us, ...) that
-        makes all four integral: a 0.8 us slot is 8 units of 0.1 us.
-        Each value is read as the decimal its float prints as."""
-        values = [
-            Decimal(repr(float(v))).normalize()
-            for v in (
-                timing.interval_us,
-                timing.data_airtime_us,
-                timing.empty_airtime_us,
-                timing.backoff_slot_us,
-            )
-        ]
-        digits = max(0, -min(v.as_tuple().exponent for v in values))
-        T, air, empty, slot = (int(v.scaleb(digits)) for v in values)
-        return T, air, empty, slot
-
     @classmethod
     def timing_refusal(cls, timing: "IntervalTiming") -> Optional[str]:
         """``None`` when the closed-form timeline is exact for ``timing``.
 
-        The timeline runs in the integer units of :meth:`_time_units`.
+        The timeline runs in the integer units of
+        :attr:`~repro.phy.timing.IntervalTiming.time_units`.
         Lemma: with integer timings and ``empty_air <= data_air + slot``,
         counting every wanted claim as aired changes no output.  Let
         ``j0`` be the first position whose wanted claim does not fit: its
@@ -1725,7 +1706,7 @@ class BatchDPKernel(BatchPolicyKernel):
         (a header-only frame is shorter than a data exchange), qualify;
         the others run under ``rng="sync"`` or on the scalar engine.
         """
-        T, air, empty, slot = cls._time_units(timing)
+        T, air, empty, slot = timing.time_units
         if T < 2**24 and empty <= air + slot:
             return None
         return (
@@ -1823,9 +1804,7 @@ class BatchDPKernel(BatchPolicyKernel):
             # The timeline's comparisons and ceilings run in integer time
             # units (see timing_refusal); busy and overhead stay counts
             # times the microsecond constants.
-            T, air, empty, slot = self._time_units(self.spec.timing)
-            self._units = (float(T), float(air), float(empty), float(slot))
-            self._budget = T // air
+            self._units = tuple(float(u) for u in self.spec.timing.time_units)
         # The incremental path (:attr:`dp_state`) needs one candidate
         # pair, a static channel plane (it scales lazy raw draws by a
         # fixed (S, N) plane) and the workspace path (sync drives the

@@ -1048,35 +1048,12 @@ def run_simulation_batch(
     validate: bool = True,
     record_priorities: bool = False,
     rng: Optional[str] = None,
-    topology=None,
 ) -> BatchSimulationResult:
     """One-shot convenience wrapper around :class:`BatchIntervalSimulator`.
 
-    ``topology`` — a :class:`~repro.topology.graph.CellTopology` — runs
-    the multi-cell lowering instead and returns its aggregated
-    :class:`~repro.topology.engine.TopologyResult` (per-interval traces
-    are a single-domain feature; the topology engine reports per-link
-    sums).  The direct call is strict: a policy family without a batch
-    kernel raises ``TypeError`` (the experiment runner degrades
-    gracefully instead).
+    Multi-cell runs have their own entry point,
+    :func:`~repro.topology.engine.run_topology_batch`.
     """
-    if topology is not None:
-        if record_priorities:
-            raise ValueError(
-                "record_priorities is a single-domain trace feature; it "
-                "is not supported with topology="
-            )
-        from ..topology import run_topology_batch
-
-        return run_topology_batch(
-            spec,
-            policy,
-            seeds,
-            topology,
-            num_intervals,
-            rng=rng,
-            validate=validate,
-        )
     sim = BatchIntervalSimulator(
         spec,
         policy,

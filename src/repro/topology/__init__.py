@@ -8,7 +8,7 @@ Public surface of the multi-cell layer (see ``docs/topology.md``):
   :func:`~repro.topology.graph.grid_cells` builders;
 * :class:`~repro.topology.engine.TopologySimulator` and
   :func:`~repro.topology.engine.run_topology_batch` — the lowering onto
-  the batch engine (bit-identical per cell, shard-invariant), gated by
+  the batch engine (bit-identical per cell, in one process), gated by
   :func:`~repro.topology.engine.topology_refusal`.
 """
 #: Public name -> the submodule that defines it, imported on first

@@ -13,10 +13,8 @@ Ownership is drawn uniformly over the link's memberships from a
 dedicated substream of the topology-level RNG bundle
 (``BatchRngBundle(seeds, stream_tag="topology").free_stream("boundary")``
 — the free-substream scheme), which makes the tie-break a pure function
-of (topology, seeds): independent of the simulation's own RNG
-discipline, of how cells are packed into rows, and of how cells are
-sharded across workers.  Cells therefore stay embarrassingly parallel:
-no cross-cell communication happens during an interval.
+of (topology, seeds), independent of the simulation's own RNG
+discipline.  No cross-cell communication happens during an interval.
 """
 from __future__ import annotations
 
@@ -82,36 +80,24 @@ class BoundaryOwnerDraws:
 
 
 class BoundaryMasker:
-    """Zero non-owner memberships' arrivals in a packed ``(R, width)`` block.
+    """Zero non-owner memberships' arrivals in a packed ``(R, width)`` block
+    whose rows are cell-major, ``S`` seeds per cell."""
 
-    ``cells`` names the packed cells in row order (a shard may pack a
-    subset); memberships outside the packing are skipped — their rows
-    live in another shard, which consumes the *same* owner draws, so the
-    global assignment stays consistent across shards.
-    """
-
-    def __init__(
-        self,
-        packing: CellPacking,
-        seeds: Sequence[int],
-        cells: Sequence[int],
-    ):
+    def __init__(self, packing: CellPacking, seeds: Sequence[int]):
         topology = packing.topology
         self.draws = BoundaryOwnerDraws(topology, seeds)
         self._num_seeds = len(tuple(seeds))
-        row_base = {c: i * self._num_seeds for i, c in enumerate(cells)}
-        # One entry per packed membership of each boundary link: its
-        # boundary index, membership ordinal, and the (row, slot) of the
+        # One entry per membership of each boundary link: its boundary
+        # index, membership ordinal, and the (row, slot) of the
         # membership in every seed's packed row.
         b_idx, ordinal, rows, slots = [], [], [], []
         seed_idx = np.arange(self._num_seeds)
         for b, link in enumerate(topology.boundary_links):
             for j, (c, i) in enumerate(topology.memberships[link]):
-                if c in row_base:
-                    b_idx.append(b)
-                    ordinal.append(j)
-                    rows.append(row_base[c] + seed_idx)
-                    slots.append(i)
+                b_idx.append(b)
+                ordinal.append(j)
+                rows.append(c * self._num_seeds + seed_idx)
+                slots.append(i)
         # (S, E) planes: seed s, entry e.
         self._boundary = np.array(b_idx, dtype=np.intp)
         self._ordinal = np.array(ordinal, dtype=np.int8)

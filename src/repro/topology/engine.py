@@ -20,9 +20,9 @@ included), so row (c, s) of the packed run computes bit-identically to
 row s of the independent cell run, given that the packed cells share one
 ``A_max`` and one channel-draw dtype (checked for ``A_max``; the dtype
 only widens for reliabilities below ~1e-4).  That is the
-disconnected-topology identity guarantee, and it also makes results
-invariant under cell packing order and sharding.  Sync mode draws from
-per-seed scalar bundles keyed by seed value alone.
+disconnected-topology identity guarantee, and it also makes a cell's
+results independent of which sweep shard runs its topology.  Sync mode
+draws from per-seed scalar bundles keyed by seed value alone.
 
 **Boundary resolution.**  Topologies with boundary links mask non-owner
 memberships' arrivals before each interval (see
@@ -31,10 +31,8 @@ topology-level free substream, so cells never communicate mid-interval.
 """
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,23 +69,20 @@ class _PackedBatchSim(BatchIntervalSimulator):
 # ----------------------------------------------------------------------
 @dataclass
 class TopologyResult:
-    """Aggregated outcome of a multi-cell run (possibly one shard).
+    """Aggregated outcome of a multi-cell run.
 
     ``delivery_sums`` is ``(S, num_links)`` over *global* links — each
     link's deliveries summed over its packed memberships (the boundary
-    masker guarantees at most one membership delivers per interval).  A
-    shard over a cell subset reports partial sums; :meth:`merge` adds
-    shards together.
+    masker guarantees at most one membership delivers per interval).
     """
 
     topology: CellTopology
-    cells: Tuple[int, ...]
     seeds: Tuple[int, ...]
     num_intervals: int
     requirements: np.ndarray
     delivery_sums: np.ndarray
     collision_sums: np.ndarray
-    overhead_cell_rows: np.ndarray  # (C_packed, S) per-row interval means
+    overhead_cell_rows: np.ndarray  # (C, S) per-row interval means
 
     @property
     def num_seeds(self) -> int:
@@ -117,36 +112,8 @@ class TopologyResult:
         )
 
     def mean_overhead_us(self) -> np.ndarray:
-        """Per-seed protocol overhead, averaged across packed cells."""
+        """Per-seed protocol overhead, averaged across cells."""
         return self.overhead_cell_rows.mean(axis=0)
-
-    @staticmethod
-    def merge(parts: Sequence["TopologyResult"]) -> "TopologyResult":
-        if not parts:
-            raise ValueError("nothing to merge")
-        first = parts[0]
-        for p in parts[1:]:
-            if (
-                p.seeds != first.seeds
-                or p.num_intervals != first.num_intervals
-                or p.topology.fingerprint() != first.topology.fingerprint()
-            ):
-                raise ValueError("shards disagree on workload identity")
-        cells = tuple(c for p in parts for c in p.cells)
-        if len(set(cells)) != len(cells):
-            raise ValueError("shards overlap on cells")
-        return TopologyResult(
-            topology=first.topology,
-            cells=cells,
-            seeds=first.seeds,
-            num_intervals=first.num_intervals,
-            requirements=first.requirements,
-            delivery_sums=sum(p.delivery_sums for p in parts),
-            collision_sums=sum(p.collision_sums for p in parts),
-            overhead_cell_rows=np.concatenate(
-                [p.overhead_cell_rows for p in parts], axis=0
-            ),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -221,40 +188,32 @@ class TopologySimulator:
         rng: Optional[str] = None,
         validate: bool = True,
         record_traces: bool = False,
-        cells_subset: Optional[Sequence[int]] = None,
     ):
         self.seeds = tuple(int(s) for s in seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if cells_subset is None:
-            cells = tuple(range(topology.num_cells))
-        else:
-            cells = tuple(int(c) for c in cells_subset)
-            if (
-                not cells
-                or len(set(cells)) != len(cells)
-                or not all(0 <= c < topology.num_cells for c in cells)
-            ):
-                raise ValueError(f"bad cell subset {cells}")
-        self.cells = cells
+        self.cells = tuple(range(topology.num_cells))
         self.rng_mode = normalize_rng_mode(rng)
         refusal = topology_refusal(spec, policy, self.rng_mode, topology)
         if refusal is not None:
             raise TypeError(refusal)
         self.packing = CellPacking(spec, topology)
         self.topology = topology
-        cell_specs = [self.packing.cell_specs[c] for c in cells]
         self.sim = _PackedBatchSim(
-            SpecStack([spec_c for spec_c in cell_specs for _ in self.seeds]),
+            SpecStack(
+                [cell for cell in self.packing.cell_specs for _ in self.seeds]
+            ),
             policy,
-            self.seeds * len(cells),
+            self.seeds * len(self.cells),
             rng=self.rng_mode,
             validate=validate,
             record_traces=record_traces,
-            stream_tag=[cell_stream_tag(c) for c in cells for _ in self.seeds],
+            stream_tag=[
+                cell_stream_tag(c) for c in self.cells for _ in self.seeds
+            ],
         )
         if topology.boundary_links:
-            self.sim._mask = BoundaryMasker(self.packing, self.seeds, cells)
+            self.sim._mask = BoundaryMasker(self.packing, self.seeds)
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -269,13 +228,10 @@ class TopologySimulator:
         S = len(self.seeds)
         return TopologyResult(
             topology=self.topology,
-            cells=self.cells,
             seeds=self.seeds,
             num_intervals=stats.num_intervals,
             requirements=self.packing.spec.requirement_vector,
-            delivery_sums=self.packing.aggregate_rows(
-                stats.delivery_sums, S, cells=self.cells
-            ),
+            delivery_sums=self.packing.aggregate_rows(stats.delivery_sums, S),
             collision_sums=stats.collision_sums.reshape(
                 len(self.cells), S
             ).sum(axis=0),
@@ -286,33 +242,6 @@ class TopologySimulator:
 
 
 # ----------------------------------------------------------------------
-def _split_cells(num_cells: int, shards: int) -> List[Tuple[int, ...]]:
-    shards = max(1, min(int(shards), num_cells))
-    base, extra = divmod(num_cells, shards)
-    groups, start = [], 0
-    for i in range(shards):
-        size = base + (1 if i < extra else 0)
-        groups.append(tuple(range(start, start + size)))
-        start += size
-    return groups
-
-
-def _run_shard_task(payload) -> TopologyResult:
-    (
-        spec,
-        policy,
-        seeds,
-        topology,
-        cells,
-        num_intervals,
-        options,
-    ) = payload
-    sim = TopologySimulator(
-        spec, policy, seeds, topology, cells_subset=cells, **options
-    )
-    return sim.run(num_intervals)
-
-
 def run_topology_batch(
     spec: NetworkSpec,
     policy: IntervalMac,
@@ -322,52 +251,14 @@ def run_topology_batch(
     *,
     rng: Optional[str] = None,
     validate: bool = True,
-    shards: Optional[int] = None,
-    max_workers: Optional[int] = None,
 ) -> TopologyResult:
-    """Run a multi-cell simulation, optionally sharded over cell groups.
-
-    Sharding is bit-invariant: every cell's draws are keyed by its global
-    index and the boundary owner stream spans the whole topology, so any
-    shard count (including in-process fallback) merges to the same
-    result.  Shard processes fork the current interpreter; if a pool
-    cannot be used (a payload that cannot be pickled, or workers that
-    cannot start), shards run sequentially in process — same answer, no
-    parallelism.  An exception raised by a shard's simulation propagates.
-    """
-    options = dict(rng=rng, validate=validate)
-    if not shards or shards <= 1:
-        sim = TopologySimulator(spec, policy, seeds, topology, **options)
-        return sim.run(num_intervals)
-    groups = _split_cells(topology.num_cells, shards)
-    payloads = [
-        (spec, policy, tuple(seeds), topology, cells, num_intervals, options)
-        for cells in groups
-    ]
-    workers = max_workers or min(len(groups), os.cpu_count() or 1)
-    parts = _run_shards_in_pool(payloads, workers) if workers > 1 else None
-    if parts is None:
-        parts = [_run_shard_task(p) for p in payloads]
-    return TopologyResult.merge(parts)
-
-
-def _run_shards_in_pool(payloads, workers: int) -> Optional[List[TopologyResult]]:
-    """Shard results from a process pool, or ``None`` when no pool can run
-    them: a payload that cannot be pickled, or workers that cannot start.
-    An exception raised inside a shard propagates."""
-    try:
-        pickle.dumps(payloads)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, NotImplementedError):  # no usable semaphores or pipes
-        return None
-    with pool:
-        try:
-            futures = [pool.submit(_run_shard_task, p) for p in payloads]
-        except OSError:  # worker processes could not be started
-            return None
-        return [f.result() for f in futures]
+    """Run a multi-cell simulation: every (seed, cell) pair of
+    ``topology`` advances as one row of a single batch simulator, in
+    this process.  A sweep spreads its (value, policy) cells over worker
+    processes by sharding its grid
+    (:func:`~repro.experiments.grid.run_sweep_fused` with ``shards=``);
+    one topology never splits across processes."""
+    sim = TopologySimulator(
+        spec, policy, seeds, topology, rng=rng, validate=validate
+    )
+    return sim.run(num_intervals)

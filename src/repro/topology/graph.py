@@ -46,7 +46,8 @@ def cell_stream_tag(cell_index: int) -> str:
 
     Keyed by the cell's index in the topology — *not* by its position in
     any packed batch — so a cell's random trajectory is invariant under
-    re-packing, sharding, and the presence of other cells.
+    re-packing, the presence of other cells, and the sweep shard that
+    runs its topology.
     """
     return f"{TOPOLOGY_STREAM_TAG}:cell{int(cell_index)}"
 

@@ -103,32 +103,22 @@ class CellPacking:
         idx[idx < 0] = self.topology.num_links
         return idx
 
-    def aggregate_rows(
-        self, rows: np.ndarray, num_seeds: int, cells=None
-    ) -> np.ndarray:
+    def aggregate_rows(self, rows: np.ndarray, num_seeds: int) -> np.ndarray:
         """Sum per-row per-local values onto global links -> ``(S, N)``.
 
-        ``rows`` is ``(C_packed * S, width)`` in cell-major row order for
-        the packed ``cells`` (all cells when ``None``).  Each global link
-        receives the sum over its packed memberships; the boundary layer
-        guarantees at most one membership is nonzero per interval, so
-        sums never double-count.  Pads scatter into a sacrificial extra
-        column (see :attr:`scatter_index`).
+        ``rows`` is ``(C * S, width)`` in cell-major row order.  Each
+        global link receives the sum over its packed memberships; the
+        boundary layer guarantees at most one membership is nonzero per
+        interval, so sums never double-count.  Pads scatter into a
+        sacrificial extra column (see :attr:`scatter_index`).
         """
-        cell_list = (
-            list(range(self.num_cells)) if cells is None else list(cells)
-        )
-        C, W = len(cell_list), self.width
+        C, W = self.num_cells, self.width
         S = int(num_seeds)
         if rows.shape != (C * S, W):
             raise ValueError(
                 f"expected rows of shape {(C * S, W)}, got {rows.shape}"
             )
-        if cells is None:
-            idx = self.scatter_index
-        else:
-            idx = self.member_matrix[cell_list].ravel().copy()
-            idx[idx < 0] = self.topology.num_links
+        idx = self.scatter_index
         out = np.zeros((S, self.topology.num_links + 1), dtype=rows.dtype)
         per_seed = rows.reshape(C, S, W).transpose(1, 0, 2).reshape(S, C * W)
         np.add.at(out, (slice(None), idx), per_seed)

@@ -327,3 +327,41 @@ class TestFusedFaults:
         assert math.isnan(bad)
         assert good == clean.series("FrameCSMA")[1]
         assert result.failures.cells == [(0.45, "FrameCSMA")]
+
+    @pytest.mark.filterwarnings("ignore:topology= is ignored")
+    @pytest.mark.parametrize("topology", [None, "cells"])
+    def test_strict_failure_keeps_every_finished_cell(
+        self, monkeypatch, tmp_path, topology
+    ):
+        """Each cell is checkpointed as it settles: a strict failure in
+        the last fallback cell leaves the other five in the cache, and a
+        rerun serves them warm."""
+        from repro.experiments.cache import SweepCache
+        from repro.experiments.faults import (
+            ENV_FAULT_INJECT,
+            FaultPolicy,
+            SweepCellError,
+        )
+        from repro.topology import grid_cells
+
+        kw = self.kwargs(
+            values=[0.3, 0.45, 0.6],
+            policies={"DB-DP": DBDPPolicy, "FrameCSMA": FrameCSMAPolicy},
+            topology=(
+                None if topology is None
+                else lambda spec: grid_cells(spec.num_links, 2)
+            ),
+        )
+        cache = SweepCache(tmp_path)
+        monkeypatch.setenv(ENV_FAULT_INJECT, "raise:FrameCSMA:0.6")
+        with pytest.raises(SweepCellError) as err:
+            run_sweep_fused(
+                **kw, cache=cache,
+                faults=FaultPolicy(retries=0, backoff_base=0.0),
+            )
+        assert (err.value.value, err.value.policy) == (0.6, "FrameCSMA")
+        assert cache.stores == 5
+        monkeypatch.delenv(ENV_FAULT_INJECT)
+        resumed = run_sweep_fused(**kw, cache=cache)
+        assert cache.hits == 5
+        assert resumed.points == run_sweep_fused(**kw).points

@@ -29,6 +29,7 @@ from repro.experiments.faults import ENV_FAULT_INJECT, FaultPolicy, SweepCellErr
 from repro.experiments.grid import run_sweep_fused
 from repro.experiments.parallel import _Orchestrator
 from repro.experiments.runner import run_sweep
+from repro.topology import grid_cells
 
 VALUES = (0.5, 0.55, 0.6, 0.65)
 POLICIES = {"DB-DP": DBDPPolicy, "LDF": LDFPolicy}
@@ -38,6 +39,10 @@ INTERVALS = 100
 
 def _totals(result):
     return [p.total_deficiency for p in result.points]
+
+
+def _two_cells(spec):
+    return grid_cells(spec.num_links, 2, 0.2)
 
 
 def _sweep(**overrides):
@@ -148,6 +153,17 @@ class TestShardFaultRecovery:
         )
         assert recovered.points == reference.points
 
+    def test_topology_worker_kill_retries_and_recovers(self, monkeypatch):
+        # Topology cells draw from per-cell streams, so the recovered
+        # 2-shard sweep equals the unsharded one.
+        reference = _sweep(topology=_two_cells)
+        monkeypatch.setenv(ENV_FAULT_INJECT, "kill:DB-DP:0.65:1")
+        recovered = _sweep(
+            topology=_two_cells, shards=2,
+            faults=FaultPolicy(retries=1, backoff_base=0.0),
+        )
+        assert recovered.points == reference.points
+
     def test_permanent_kill_is_strict_by_default(self, monkeypatch):
         monkeypatch.setenv(ENV_FAULT_INJECT, "kill:DB-DP:0.65:*")
         with pytest.raises(SweepCellError, match="shard"):
@@ -234,3 +250,30 @@ class TestPoolBreakAttribution:
         assert err.value.policy == f"shard {shards}/{shards} ({last} cells)"
         assert err.value.attempts == 1
         assert cache.stores == num_cells - last
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_topology_sweep_culprit_is_named_and_innocents_checkpoint(
+        self, monkeypatch, tmp_path, max_workers, shards
+    ):
+        monkeypatch.setattr(
+            _Orchestrator,
+            "_new_pool",
+            lambda self: ProcessPoolExecutor(max_workers=max_workers),
+        )
+        monkeypatch.setenv(ENV_FAULT_INJECT, "kill:DB-DP:0.65:*")
+        cache = SweepCache(tmp_path)
+        with pytest.raises(SweepCellError) as err:
+            _sweep(
+                topology=_two_cells, shards=shards, cache=cache,
+                faults=FaultPolicy(retries=0, backoff_base=0.0),
+            )
+        num_cells = len(VALUES) * len(POLICIES)
+        last = num_cells // shards
+        assert err.value.policy == f"shard {shards}/{shards} ({last} cells)"
+        assert err.value.attempts == 1
+        assert cache.stores == num_cells - last
+        monkeypatch.delenv(ENV_FAULT_INJECT)
+        resumed = _sweep(topology=_two_cells, shards=shards, cache=cache)
+        assert cache.hits == num_cells - last
+        assert resumed.points == _sweep(topology=_two_cells).points

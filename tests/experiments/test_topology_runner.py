@@ -10,8 +10,7 @@ from repro.experiments.cache import SweepCache
 from repro.experiments.cli import build_parser, main
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.runner import run_single, run_sweep
-from repro.sim.batch_sim import run_simulation_batch
-from repro.topology import TopologyResult, grid_cells
+from repro.topology import TopologyResult, grid_cells, run_topology_batch
 
 SEEDS = (0, 1)
 INTERVALS = 40
@@ -130,10 +129,9 @@ class TestCacheKeys:
 
 
 class TestBatchEntryPoint:
-    def test_run_simulation_batch_returns_topology_result(self):
-        result = run_simulation_batch(
-            _spec(0.5), DBDPPolicy(), INTERVALS, SEEDS,
-            topology=grid_cells(12, 3, 0.5),
+    def test_returns_per_link_topology_result(self):
+        result = run_topology_batch(
+            _spec(0.5), DBDPPolicy(), SEEDS, grid_cells(12, 3, 0.5), INTERVALS
         )
         assert isinstance(result, TopologyResult)
         assert result.delivery_sums.shape == (len(SEEDS), 12)
@@ -143,16 +141,8 @@ class TestBatchEntryPoint:
 
         factory = registry.resolve_policies(["FrameCSMA"])["FrameCSMA"]
         with pytest.raises(TypeError, match="no batch kernel"):
-            run_simulation_batch(
-                _spec(0.5), factory(), INTERVALS, SEEDS,
-                topology=grid_cells(12, 3),
-            )
-
-    def test_record_priorities_incompatible(self):
-        with pytest.raises(ValueError, match="record_priorities"):
-            run_simulation_batch(
-                _spec(0.5), DBDPPolicy(), INTERVALS, SEEDS,
-                record_priorities=True, topology=grid_cells(12, 3),
+            run_topology_batch(
+                _spec(0.5), factory(), SEEDS, grid_cells(12, 3), INTERVALS
             )
 
 

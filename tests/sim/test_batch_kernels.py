@@ -524,4 +524,5 @@ class TestOrderedServeBusyTime:
         result = sim.run(200)
         attempts = result.attempts.sum(axis=-1)
         np.testing.assert_array_equal(result.busy_time_us, attempts * 0.4)
-        assert set(np.unique(result.busy_time_us)) == {0.0, 0.4, 0.8}
+        # The interval holds three attempts (see IntervalTiming.time_units).
+        assert set(np.unique(result.busy_time_us)) == {0.0, 0.4, 0.8, 3 * 0.4}

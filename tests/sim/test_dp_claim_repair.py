@@ -161,10 +161,10 @@ def test_multi_pair_matches_the_exact_sweep(name):
 @pytest.mark.parametrize("dp_state", ["dense", "incremental"])
 def test_budget_counts_in_time_units(dp_state):
     """``1.2 // 0.4`` floors to 2.0 in float; the interval holds three
-    attempts.  The incremental serve set is sized from the kernel's own
-    budget, so a float budget would drop a link that can transmit."""
+    attempts.  The incremental serve set is sized from the budget, so a
+    float budget would drop a link that can transmit."""
     timing = IntervalTiming(1.2, 0.4, 0.05, 0.0)
-    assert timing.max_transmissions == 2
+    assert timing.max_transmissions == 3
     sim = _sim(_spec(timing, n=8), dp_state)
     assert sim.kernel._budget == 3
     assert _checked_run(sim, INTERVALS).misfits > 0
@@ -264,7 +264,9 @@ def test_timing_refusal_edges_refuse(timing):
 
 
 def test_time_units_scale_by_the_least_power_of_ten():
-    units = BatchDPKernel._time_units
+    def units(timing):
+        return timing.time_units
+
     assert units(video_timing()) == (20000, 330, 66, 9)
     assert units(video_timing().with_slot_time(0.8)) == (200000, 3300, 660, 8)
     assert units(IntervalTiming(1000.0, 30.5, 20.0, 4.5)) == (10000, 305, 200, 45)

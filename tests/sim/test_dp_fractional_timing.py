@@ -27,10 +27,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro import BernoulliChannel, DBDPPolicy, NetworkSpec
+from repro import (
+    BernoulliChannel,
+    DBDPPolicy,
+    FrameCSMAPolicy,
+    LDFPolicy,
+    NetworkSpec,
+)
 from repro.experiments.configs import video_symmetric_spec
 from repro.phy.timing import IntervalTiming, video_timing
 from repro.sim.batch_sim import BatchIntervalSimulator
+from repro.sim.interval_sim import run_simulation
 from repro.traffic.arrivals import BurstyVideoArrivals
 from tests.sim.dp_paths import dp_path
 
@@ -108,3 +115,36 @@ def test_decimal_timing_outputs_are_pinned(name, n, dp_state, rng):
         )
     assert sim.dp_state == dp_state
     assert _digest(sim.run(INTERVALS)) == DIGESTS[name, n, rng]
+
+
+@pytest.mark.parametrize(
+    "engine, policy",
+    [
+        (engine, policy)
+        for engine in ("scalar", "sync", "free")
+        for policy in (LDFPolicy, DBDPPolicy)
+    ]
+    + [("scalar", FrameCSMAPolicy)],
+)
+def test_decimal_interval_holds_its_attempt_budget(engine, policy):
+    """``1.2 // 0.4`` is 2.0 in float, but the interval holds three
+    attempts; every engine counts the budget in integer time units."""
+    timing = IntervalTiming(1.2, 0.4, 0.05, 0.0)
+    assert timing.max_transmissions == 3
+    spec = NetworkSpec.from_delivery_ratios(
+        arrivals=BurstyVideoArrivals.symmetric(8, ALPHA),
+        channel=BernoulliChannel.symmetric(8, 0.7),
+        timing=timing,
+        delivery_ratios=0.6,
+    )
+    if engine == "scalar":
+        per_interval = np.stack([
+            run_simulation(spec, policy(), INTERVALS, seed=s).attempts.sum(axis=1)
+            for s in SEEDS
+        ])
+    else:
+        result = BatchIntervalSimulator(
+            spec, policy(), SEEDS, rng=engine, record_traces=True
+        ).run(INTERVALS)
+        per_interval = result.attempts.sum(axis=2)
+    assert per_interval.max() == 3

@@ -44,6 +44,7 @@ from repro import (
     idealized_timing,
 )
 from repro.experiments.configs import video_symmetric_spec
+from repro.experiments.grid import run_sweep_fused
 from repro.experiments.parallel import run_sweep_parallel
 from repro.experiments.runner import run_sweep
 from repro.phy.channel import channel_from_spec
@@ -53,7 +54,7 @@ from repro.sim.batch_kernels import (
     _ChunkedChannelDraws,
     _ChunkedUniforms,
 )
-from repro.topology import TopologySimulator, grid_cells, run_topology_batch
+from repro.topology import TopologySimulator, grid_cells
 from repro.traffic.arrivals import (
     BurstyVideoArrivals,
     ParetoBurstArrivals,
@@ -575,6 +576,14 @@ def small_builder(alpha: float):
     return video_symmetric_spec(alpha, num_links=6)
 
 
+def topology_builder(alpha: float):
+    return video_symmetric_spec(alpha, num_links=60)
+
+
+def topology_grid(spec):
+    return grid_cells(spec.num_links, 4, 0.1)
+
+
 def test_forked_workers_run_after_the_parent_prefetched(monkeypatch):
     """Fork-based pools started after the parent's draw thread must
     start their own (the inherited thread does not exist in the child)."""
@@ -584,13 +593,19 @@ def test_forked_workers_run_after_the_parent_prefetched(monkeypatch):
     ).run(200)
     assert batch_kernels._pool is not None
 
-    topology = grid_cells(60, 4, 0.1)
-    spec = video_symmetric_spec(0.5, num_links=60)
-    inline = run_topology_batch(spec, DBDPPolicy(), (0, 1), topology, 30)
-    sharded = run_topology_batch(
-        spec, DBDPPolicy(), (0, 1), topology, 30, shards=2, max_workers=2
+    topology = dict(
+        parameter_name="alpha",
+        values=[0.4, 0.5],
+        spec_builder=topology_builder,
+        policies={"DB-DP": DBDPPolicy},
+        num_intervals=30,
+        seeds=(0, 1),
+        topology=topology_grid,
     )
-    np.testing.assert_array_equal(inline.delivery_sums, sharded.delivery_sums)
+    assert (
+        run_sweep_fused(shards=2, **topology).points
+        == run_sweep_fused(**topology).points
+    )
 
     kwargs = dict(
         parameter_name="alpha",

@@ -143,7 +143,6 @@ def test_pools_started_before_the_parent_loads_the_engine():
     in-process runs."""
     report = _run("""
         import json, sys
-        import numpy as np
         from repro import DBDPPolicy
         from repro.experiments.configs import video_symmetric_spec
         from repro.experiments.parallel import run_sweep_parallel
@@ -158,21 +157,24 @@ def test_pools_started_before_the_parent_loads_the_engine():
         parallel = run_sweep_parallel(max_workers=2, **kwargs)
         after_pool = "repro.sim.batch_kernels" in sys.modules
 
-        from repro.topology import grid_cells, run_topology_batch
-        topology = grid_cells(60, 4, 0.1)
-        spec = video_symmetric_spec(0.5, num_links=60)
-        sharded = run_topology_batch(
-            spec, DBDPPolicy(), (0, 1), topology, 30, shards=2, max_workers=2
+        import functools
+        from repro.experiments.cli import _grid_topology
+        from repro.experiments.grid import run_sweep_fused
+        topology = dict(
+            parameter_name="alpha", values=[0.4, 0.5],
+            spec_builder=functools.partial(video_symmetric_spec, num_links=60),
+            policies={"DB-DP": DBDPPolicy}, num_intervals=30, seeds=(0, 1),
+            topology=functools.partial(
+                _grid_topology, num_cells=4, cross_cell_fraction=0.1
+            ),
         )
-        inline = run_topology_batch(spec, DBDPPolicy(), (0, 1), topology, 30)
+        sharded = run_sweep_fused(shards=2, **topology)
+        inline = run_sweep_fused(**topology)
         print(json.dumps({
             "before": before,
             "after_pool": after_pool,
             "sweep_equal": parallel.points == run_sweep(**kwargs).points,
-            "topology_equal": bool(
-                np.array_equal(sharded.delivery_sums, inline.delivery_sums)
-                and np.array_equal(sharded.collision_sums, inline.collision_sums)
-            ),
+            "topology_equal": sharded.points == inline.points,
         }))
     """)
     assert report == {

@@ -12,11 +12,12 @@ import pytest
 
 from repro import DBDPPolicy, DCFPolicy, FCSMAPolicy
 from repro.experiments.configs import video_symmetric_spec
+from repro.experiments.grid import run_sweep_fused
 from repro.sim.batch_sim import BatchIntervalSimulator
 from repro.topology import (
-    TopologyResult,
     TopologySimulator,
     cell_stream_tag,
+    grid_cells,
     partition_cells,
     run_topology_batch,
 )
@@ -87,48 +88,29 @@ def test_contention_kernel_disconnected_bit_identical(policy, rng):
             )
 
 
-def test_cell_subset_merge_matches_full_run():
-    spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
-    topo = partition_cells(NUM_LINKS, NUM_CELLS)
-    policy = DBDPPolicy()
-    full = TopologySimulator(spec, policy, SEEDS, topo).run(INTERVALS)
-    parts = [
-        TopologySimulator(
-            spec, policy, SEEDS, topo, cells_subset=cells
-        ).run(INTERVALS)
-        for cells in ((1,), (2, 0))
-    ]
-    merged = TopologyResult.merge(parts)
-    np.testing.assert_array_equal(full.delivery_sums, merged.delivery_sums)
-    np.testing.assert_array_equal(full.collision_sums, merged.collision_sums)
+def _sweep_builder(alpha):
+    return video_symmetric_spec(alpha, num_links=NUM_LINKS)
+
+
+def _sweep_topology(spec):
+    return grid_cells(spec.num_links, NUM_CELLS, 0.5)
 
 
 def test_sharded_run_is_bit_invariant():
-    spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
-    topo = partition_cells(NUM_LINKS, NUM_CELLS)
-    one = run_topology_batch(spec, DBDPPolicy(), SEEDS, topo, INTERVALS)
-    sharded = run_topology_batch(
-        spec, DBDPPolicy(), SEEDS, topo, INTERVALS, shards=2, max_workers=1
+    """A topology sweep split into shards equals the unsharded sweep bit
+    for bit under every draw discipline: topology rows draw from their
+    cells' streams and boundary owners from the topology's, never from
+    the shard's."""
+    kwargs = dict(
+        parameter_name="alpha", values=(0.5, 0.55, 0.6),
+        spec_builder=_sweep_builder, policies=["DB-DP", "LDF"],
+        num_intervals=INTERVALS, seeds=SEEDS, topology=_sweep_topology,
     )
-    np.testing.assert_array_equal(one.delivery_sums, sharded.delivery_sums)
-    np.testing.assert_array_equal(
-        one.total_deficiency(), sharded.total_deficiency()
-    )
-
-
-def test_packing_order_invariance():
-    """Reordering the packed cells does not change any cell's results."""
-    spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
-    topo = partition_cells(NUM_LINKS, NUM_CELLS)
-    forward = TopologySimulator(
-        spec, DBDPPolicy(), SEEDS, topo, cells_subset=(0, 1, 2)
-    ).run(INTERVALS)
-    backward = TopologySimulator(
-        spec, DBDPPolicy(), SEEDS, topo, cells_subset=(2, 1, 0)
-    ).run(INTERVALS)
-    np.testing.assert_array_equal(
-        forward.delivery_sums, backward.delivery_sums
-    )
+    for rng in ("batch", "free", "sync"):
+        one = run_sweep_fused(rng=rng, **kwargs).points
+        for shards in (2, 3):
+            sharded = run_sweep_fused(rng=rng, shards=shards, **kwargs)
+            assert sharded.points == one, (rng, shards)
 
 
 def test_non_capable_family_rejected():
@@ -141,20 +123,10 @@ def test_non_capable_family_rejected():
         TopologySimulator(spec, factory(), SEEDS, topo)
 
 
-@pytest.mark.parametrize(
-    "seeds, cells, message",
-    [
-        ((), None, "need at least one seed"),
-        (SEEDS, (), r"bad cell subset \(\)"),
-        (SEEDS, (0, 0), r"bad cell subset \(0, 0\)"),
-        (SEEDS, (NUM_CELLS,), "bad cell subset"),
-    ],
-)
-def test_bad_seeds_or_cell_subset_rejected(seeds, cells, message):
+def test_empty_seeds_rejected():
     spec = video_symmetric_spec(0.55, num_links=NUM_LINKS)
     topo = partition_cells(NUM_LINKS, NUM_CELLS)
-    with pytest.raises(ValueError, match=message):
-        TopologySimulator(spec, DBDPPolicy(), seeds, topo, cells_subset=cells)
-    if cells is None:
-        with pytest.raises(ValueError, match=message):
-            run_topology_batch(spec, DBDPPolicy(), seeds, topo, INTERVALS)
+    with pytest.raises(ValueError, match="need at least one seed"):
+        TopologySimulator(spec, DBDPPolicy(), (), topo)
+    with pytest.raises(ValueError, match="need at least one seed"):
+        run_topology_batch(spec, DBDPPolicy(), (), topo, INTERVALS)

@@ -1,4 +1,5 @@
-"""The multi-cell lowering end to end: pinned results, wide cells, shards.
+"""The multi-cell lowering end to end: pinned results, wide cells, and
+topology sweeps split into shards.
 
 Row blocks of the packed simulator draw from their cells' own streams
 (see :class:`~repro.sim.rng.BatchRngBundle`), so every bind-time decision
@@ -10,7 +11,7 @@ import dataclasses
 import hashlib
 import multiprocessing
 import os
-import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from repro.experiments.configs import (
     video_asymmetric_spec,
     video_symmetric_spec,
 )
+from repro.experiments.cache import SweepCache
+from repro.experiments.faults import SweepCellError
+from repro.experiments.grid import run_sweep_fused
 from repro.experiments.runner import run_sweep
 from repro.topology import (
     TopologySimulator,
@@ -127,9 +131,26 @@ def test_wide_cells_incremental_matches_dense(topo, rng):
         )
 
 
+def _boundary_builder(alpha):
+    return video_symmetric_spec(alpha, num_links=24)
+
+
+def _boundary_grid(spec):
+    return grid_cells(spec.num_links, 4, 0.5)
+
+
+def _boundary_sweep(**kwargs):
+    kwargs.setdefault("topology", _boundary_grid)
+    return run_sweep_fused(
+        "alpha", (0.5, 0.6), _boundary_builder, ["DB-DP"], INTERVALS,
+        seeds=SEEDS, **kwargs,
+    )
+
+
 def test_shard_exception_propagates(monkeypatch):
-    """A shard that fails inside its worker fails the run; it is not
-    silently recomputed in the parent."""
+    """A topology cell that fails inside its shard's worker fails the
+    sweep, naming the shard; it is not silently recomputed in the
+    parent."""
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the failure is injected into forked workers")
     parent = os.getpid()
@@ -141,36 +162,50 @@ def test_shard_exception_propagates(monkeypatch):
         return run(self, num_intervals)
 
     monkeypatch.setattr(TopologySimulator, "run", run_in_parent_only)
-    with pytest.raises(RuntimeError, match="shard failed in its worker"):
-        run_topology_batch(
-            _boundary_spec(), DBDPPolicy(), SEEDS, _boundary_topology(),
-            INTERVALS, shards=2, max_workers=2,
-        )
+    with pytest.raises(SweepCellError, match="shard failed in its worker") as err:
+        _boundary_sweep(shards=2)
+    assert err.value.policy.startswith("shard ")
+    assert isinstance(err.value.__cause__, RuntimeError)
 
 
-@pytest.mark.parametrize("shards", [None, 2])
-def test_cells_with_different_a_max_are_refused_at_any_shard_count(shards):
-    """Each shard here packs one cell, so the run is refused sharded as
-    unsharded only because the gate looks at the whole topology."""
-    spec = NetworkSpec(
+def _mixed_a_max_spec(alpha):
+    return NetworkSpec(
         arrivals=ConstantArrivals((1, 1, 2, 2)),
-        channel=BernoulliChannel.symmetric(4, 0.8),
+        channel=BernoulliChannel.symmetric(4, alpha),
         timing=video_timing(),
         requirements=(0.5,) * 4,
     )
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+def test_cells_with_different_a_max_are_refused_at_any_shard_count(
+    shards, tmp_path
+):
+    """Each cell of this topology slices to a different A_max, so every
+    sweep cell is refused while the sweep plans, before any shard runs
+    or any cell is cached."""
+    cache = SweepCache(tmp_path)
     with pytest.raises(TypeError, match=r"one A_max .*: got \[1, 2\]"):
-        run_topology_batch(
-            spec, DBDPPolicy(), SEEDS, grid_cells(4, 2), 5,
-            shards=shards, max_workers=1,
+        run_sweep_fused(
+            "p", (0.7, 0.8), _mixed_a_max_spec, ["DB-DP"], 5, seeds=SEEDS,
+            topology=grid_cells(4, 2), shards=shards, cache=cache,
         )
+    assert cache.stores == 0
 
 
 def test_unpicklable_payload_runs_shards_in_process():
-    policy = DBDPPolicy()
-    policy.lock = threading.Lock()  # cannot be sent to a worker
-    args = (_boundary_spec(), policy, SEEDS, _boundary_topology(), INTERVALS)
-    sharded = run_topology_batch(*args, shards=2, max_workers=2)
-    assert _digest(sharded) == _digest(run_topology_batch(*args))
+    """A topology builder that cannot be sent to a worker runs the shards
+    in this process, announced once, with the pooled sweep's points."""
+    pooled = _boundary_sweep(shards=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        local = _boundary_sweep(
+            shards=2, topology=lambda spec: _boundary_grid(spec)
+        )
+    assert [
+        w for w in caught if "not picklable" in str(w.message)
+    ] == caught and len(caught) == 1
+    assert local.points == pooled.points == _boundary_sweep().points
 
 
 def test_topology_sweep_group_deficiency_pinned():

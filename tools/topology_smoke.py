@@ -22,6 +22,12 @@ promoted) through the fused sweep engine and the on-disk sweep cache:
    chunks, independent substreams) runs cold then warm through the
    cache, bit-identical, and its run split over two shard processes
    equals its run in one.
+6. **Kill and resume**: the smoke grid on two shards, with the worker
+   running the last value killed on its first attempt
+   (``REPRO_FAULT_INJECT=kill:DB-DP:<value>:1``).  Without retries the
+   sweep fails naming that shard and the other shard's cells are
+   checkpointed; the resumed sweep serves them warm, survives the
+   kill with one retry, and equals the one-shard run bit for bit.
 
 Writes ``TOPOLOGY_SMOKE.json`` for CI artifact upload; exits non-zero
 on any violated assertion.
@@ -46,6 +52,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro import DBDPPolicy  # noqa: E402
 from repro.experiments.cache import SweepCache  # noqa: E402
 from repro.experiments.configs import video_symmetric_spec  # noqa: E402
+from repro.experiments.faults import (  # noqa: E402
+    ENV_FAULT_INJECT,
+    FaultPolicy,
+    SweepCellError,
+)
 from repro.experiments.runner import run_sweep  # noqa: E402
 from repro.topology import TopologySimulator, grid_cells  # noqa: E402
 
@@ -251,6 +262,57 @@ def drill_free_draws(num_intervals: int, report: dict) -> None:
     }
 
 
+def drill_kill_and_resume(num_intervals: int, report: dict) -> None:
+    kwargs = sweep_kwargs(num_intervals, ["DB-DP"])
+    kill_at = VALUES[-1]
+    print("[topology-smoke] reference run on one shard...")
+    reference = run_sweep(shards=1, **kwargs)
+    with tempfile.TemporaryDirectory(prefix="topology_smoke_") as tmp:
+        cache = SweepCache(tmp)
+        os.environ[ENV_FAULT_INJECT] = f"kill:DB-DP:{kill_at}:1"
+        try:
+            print(f"[topology-smoke] 2 shards, worker killed at {kill_at}...")
+            try:
+                run_sweep(
+                    shards=2, cache=cache,
+                    faults=FaultPolicy(retries=0, backoff_base=0.0),
+                    **kwargs,
+                )
+            except SweepCellError as exc:
+                print(f"[topology-smoke] sweep died as scripted: {exc}")
+                assert exc.policy == "shard 2/2 (1 cells)", exc
+            else:
+                raise AssertionError("the injected kill did not abort the sweep")
+            checkpointed = cache.stores
+            assert checkpointed == len(VALUES) - 1, (
+                f"expected the innocent shard's {len(VALUES) - 1} cells "
+                f"checkpointed, got {checkpointed}"
+            )
+            print("[topology-smoke] resuming with one retry...")
+            resumed = run_sweep(
+                shards=2, cache=cache,
+                faults=FaultPolicy(retries=1, backoff_base=0.0),
+                **kwargs,
+            )
+        finally:
+            del os.environ[ENV_FAULT_INJECT]
+        assert cache.hits == checkpointed, (
+            f"expected {checkpointed} checkpointed cells served warm, "
+            f"got {cache.hits} hits"
+        )
+    assert _points(resumed) == _points(reference), (
+        "resumed 2-shard sweep is not bit-identical to the 1-shard run"
+    )
+    print("[topology-smoke] resumed 2-shard sweep is bit-identical. OK")
+    report["kill_resume"] = {
+        "directive": f"kill:DB-DP:{kill_at}:1",
+        "shards": 2,
+        "checkpointed_cells": checkpointed,
+        "warm_hits_on_resume": cache.hits,
+        "bit_identical_to_one_shard": True,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -274,6 +336,7 @@ def main(argv=None) -> int:
     drill_degrade_warning(args.intervals, report)
     drill_wide_cells(args.intervals, report)
     drill_free_draws(args.intervals, report)
+    drill_kill_and_resume(args.intervals, report)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
     print(f"[topology-smoke] wrote {args.out}")
