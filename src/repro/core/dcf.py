@@ -59,6 +59,11 @@ class DCFPolicy(IntervalMac):
         elapsed_us = 0.0
         backoff_us = 0.0
         collision_us = 0.0
+        # The stop rule counts integer time units
+        # (IntervalTiming.time_units), so a decimal timing does not floor
+        # low in float; the reported times stay microsecond sums.
+        interval_units, air_units, _, slot_units = timing.time_units
+        elapsed_units = 0
 
         while True:
             contenders = np.flatnonzero(backlog > 0)
@@ -66,9 +71,10 @@ class DCFPolicy(IntervalMac):
                 break
             draws = rng.policy.integers(0, self._cw[contenders])
             b_min = int(draws.min())
-            start = elapsed_us + b_min * timing.backoff_slot_us
-            if start + timing.data_airtime_us > timing.interval_us:
+            elapsed_units += b_min * slot_units + air_units
+            if elapsed_units > interval_units:
                 break
+            start = elapsed_us + b_min * timing.backoff_slot_us
             backoff_us += b_min * timing.backoff_slot_us
             elapsed_us = start + timing.data_airtime_us
             winners = contenders[draws == b_min]

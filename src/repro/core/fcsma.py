@@ -121,6 +121,11 @@ class FCSMAPolicy(IntervalMac):
         elapsed_us = 0.0
         backoff_us = 0.0
         collision_us = 0.0
+        # The stop rule counts integer time units
+        # (IntervalTiming.time_units), so a decimal timing does not floor
+        # low in float; the reported times stay microsecond sums.
+        interval_units, air_units, _, slot_units = timing.time_units
+        elapsed_units = 0
         policy_rng = rng.policy
         channel_rng = rng.channel
 
@@ -130,9 +135,10 @@ class FCSMAPolicy(IntervalMac):
                 break
             draws = policy_rng.integers(0, windows[contenders])
             b_min = int(draws.min())
-            start = elapsed_us + b_min * timing.backoff_slot_us
-            if start + timing.data_airtime_us > timing.interval_us:
+            elapsed_units += b_min * slot_units + air_units
+            if elapsed_units > interval_units:
                 break
+            start = elapsed_us + b_min * timing.backoff_slot_us
             backoff_us += b_min * timing.backoff_slot_us
             elapsed_us = start + timing.data_airtime_us
             winners = contenders[draws == b_min]

@@ -82,7 +82,12 @@ from ..core.round_robin import RoundRobinPolicy
 from ..core.static_priority import StaticPriorityPolicy
 from ..phy.channel import ChannelStateRows
 from . import perf
-from .rng import BatchRngBundle, draw_chunk_depth, normalize_rng_mode
+from .rng import (
+    BatchRngBundle,
+    draw_chunk_depth,
+    normalize_rng_mode,
+    row_blocks,
+)
 from .spec_stack import SpecStack
 
 if TYPE_CHECKING:
@@ -186,9 +191,23 @@ def solve_ordered_service(
     sequential recursion because attempts-used equals attempts-needed for
     every link until the first truncated link, and after a truncation the
     non-increasing ceiling starves all later links — the same "budget
-    exhausted" outcome the scalar engine produces.  Packet ``t`` of the
-    link in position ``j`` is delivered iff ``G_{j-1} + needed_cum[t] <=
-    caps_j``.
+    exhausted" outcome the scalar engine produces.
+
+    Deliveries: packet ``t`` of a link is delivered iff ``needed_cum[t]``
+    is at most the attempts the link made, so a link delivers
+    ``count(needed_cum <= attempts)`` packets — never more than its
+    backlog, since attempts never pass the drain total
+    ``needed_cum[backlog - 1]`` and the cumsums strictly increase.  Only
+    one position per row needs that count.  Let ``j*`` be the first
+    position whose attempts fall short of its drain total.  Every
+    position before it drains (``delivered = backlog``).  Its budget
+    ``caps_j* - G_{j*-1}`` is below its total, so ``caps_j* < G_j*``,
+    and every later position ``j`` has ``caps_j - G_{j-1} <= caps_j* -
+    G_j* < 0``: no attempts, and it delivers its backlog only when that
+    is zero.  So a row's deliveries are its backlog on drained positions,
+    zero on the others, and the count on its ``(A,)`` draw row at ``j*``
+    alone (at position 0 when nothing falls short, where the count is the
+    backlog) — no ``(S, N, A)`` compare.
 
     The kernels run the same solver on buffers bound once per simulator
     (:meth:`BatchPolicyKernel._alloc_common_ws`).
@@ -203,13 +222,56 @@ def solve_ordered_service(
     return w.delivered, attempts, w.att_pos.astype(np.int64)
 
 
+def _truncation_ws(w: SimpleNamespace, S: int, A: int, workf) -> None:
+    """Per-row scratch of :func:`_count_truncated` on ``w``."""
+    w.row_flat = np.arange(S, dtype=np.int64) * w.att_pos.shape[1]
+    w.jt = np.empty(S, dtype=np.intp)  # the row's first short position
+    w.jflat = np.empty(S, dtype=np.int64)  # ... as a flat plane index
+    w.jrow = np.empty(S, dtype=np.int64)  # its draw row
+    w.att_t = np.empty(S, dtype=workf)
+    w.att_t2 = w.att_t[:, None]
+    w.need_t = np.empty((S, A), dtype=workf)
+    w.le_t = np.empty((S, A), dtype=bool)
+    w.ones_a = np.ones(A, dtype=np.int64)
+    w.cnt_t = np.empty(S, dtype=np.int64)
+
+
+def _count_truncated(
+    w: SimpleNamespace,
+    full: np.ndarray,
+    needed2: np.ndarray,
+    rows: Optional[np.ndarray],
+) -> np.ndarray:
+    """Packets delivered at each row's first position that does not
+    drain (:func:`solve_ordered_service`'s docstring).
+
+    ``full`` marks the positions of ``w.att_pos`` that drain; ``needed2``
+    is the interval's draw block as ``(rows, A)``, and ``rows`` maps a
+    flat position to its draw row (``None``: the same index).  Leaves
+    the count in ``w.cnt_t`` and returns the ``(S,)`` draw rows.
+    """
+    full.argmin(1, w.jt)
+    np.add(w.jt, w.row_flat, out=w.jflat)
+    jrow = w.jflat
+    if rows is not None:
+        jrow = w.jrow
+        rows.take(w.jflat, out=jrow)
+    w.att_pos.take(w.jflat, out=w.att_t)
+    needed2.take(jrow, axis=0, out=w.need_t)
+    np.less_equal(w.need_t, w.att_t2, out=w.le_t)
+    # The count as a matvec against ones: cheaper than a ``sum(axis=1)``
+    # reduction at these shapes.
+    np.matmul(w.le_t, w.ones_a, out=w.cnt_t)
+    return jrow
+
+
 def _ordered_service_ws(S: int, n: int, A: int, workf) -> SimpleNamespace:
     """Scratch buffers of :func:`_solve_ordered` for an ``(S, n, A)``
     draw block in dtype ``workf``.
 
-    All buffers are C-contiguous and owned, so ``.ravel()`` on them is
-    a view — flat ``np.take``/fancy-scatter on raveled planes is the
-    cheapest gather/scatter at this array size.
+    All buffers are C-contiguous and owned: ``take`` reads them flat, and
+    scatters write through flat views bound once (suffix ``1``) — flat
+    gather/scatter is the cheapest at this array size.
     """
     w = SimpleNamespace()
     w.workf = np.dtype(workf)
@@ -223,15 +285,17 @@ def _ordered_service_ws(S: int, n: int, A: int, workf) -> SimpleNamespace:
     # integer, so the summation order cannot matter).
     w.mexcl = np.triu(np.ones((n, n), dtype=workf), 1)
     w.oflat = np.empty((S, n), dtype=np.int64)  # order + row_off
+    w.oflat1 = w.oflat.ravel()
     w.tot_pos = np.empty((S, n), dtype=workf)
     w.cum = np.empty((S, n), dtype=workf)
-    w.budget = np.empty((S, n), dtype=workf)
     w.att_pos = np.empty((S, n), dtype=workf)
-    w.budget_link = np.empty((S, n), dtype=workf)
-    w.serve3f = np.empty((S, n, A), dtype=workf)
-    w.ones_af = np.ones(A, dtype=workf)
-    w.countf = np.empty((S, n), dtype=workf)
+    w.full = np.empty((S, n), dtype=bool)
+    w.full1 = w.full.ravel()
+    w.full_link = np.empty((S, n), dtype=bool)
+    w.full_link1 = w.full_link.ravel()
     w.delivered = np.empty((S, n), dtype=np.int64)
+    w.delivered1 = w.delivered.ravel()
+    _truncation_ws(w, S, A, workf)
     return w
 
 
@@ -249,32 +313,36 @@ def _solve_ordered(
     cumulative (S, n, A) draw block, ``caps_f`` the per-position attempt
     ceilings in the draw dtype (non-increasing along axis 1) and ``tot``
     the per-link drain totals.  ``w.oflat`` must already hold ``order +
-    w.row_off``.  Results land in ``w.delivered`` (int64, by link) and
-    ``w.att_pos`` (draw dtype, by position).
+    w.row_off``.  Results land in ``w.delivered`` (int64, by link),
+    ``w.att_pos`` (draw dtype, by position) and ``w.cum`` (the attempts
+    *needed* before each position).
     """
-    tot.ravel().take(w.oflat.ravel(), out=w.tot_pos.ravel())
+    oflat = w.oflat1
+    tot.take(w.oflat, out=w.tot_pos)
     np.matmul(w.tot_pos, w.mexcl, out=w.cum)  # attempts needed before
-    np.subtract(caps_f, w.cum, out=w.budget)
-    # clip(budget, 0, tot_pos) with tot_pos >= 0.
-    np.minimum(w.budget, w.tot_pos, out=w.att_pos)
+    # clip(caps - cum, 0, tot_pos) with tot_pos >= 0.
+    np.subtract(caps_f, w.cum, out=w.att_pos)
+    np.minimum(w.att_pos, w.tot_pos, out=w.att_pos)
     np.maximum(w.att_pos, 0, out=w.att_pos)
-    w.budget_link.ravel()[w.oflat.ravel()] = w.budget.ravel()
-    # A packet is delivered iff its running attempt total fits the
-    # link's budget: delivered[s, l] counts slots a < backlog with
-    # needed_cum[s, l, a] <= budget_link[s, l].  The cumsums are
-    # strictly increasing (every draw >= 1), so that prefix count is
-    # ``min(count over the whole axis, backlog)`` — the whole-axis
-    # count lands as one small matvec, far cheaper than a bool
-    # ``sum(axis=2)`` reduction, and every value stays an exact
-    # small integer.  Full drains count exactly backlog; exhausted
-    # budgets (<= 0) count zero.
-    A = needed.shape[-1]
-    np.less_equal(
-        needed, w.budget_link[:, :, None], out=w.serve3f, casting="unsafe"
+    np.equal(w.att_pos, w.tot_pos, out=w.full)
+    jrow = _count_truncated(
+        w, w.full, needed.reshape(-1, needed.shape[-1]), oflat
     )
-    np.matmul(w.serve3f.reshape(-1, A), w.ones_af, out=w.countf.ravel())
-    np.copyto(w.delivered, w.countf, casting="unsafe")
-    np.minimum(w.delivered, backlog, out=w.delivered)
+    w.full_link1[oflat] = w.full1
+    np.multiply(backlog, w.full_link, out=w.delivered)
+    w.delivered1[jrow] = w.cnt_t
+
+
+def _owned_arrays(w: SimpleNamespace) -> int:
+    """How many distinct arrays the workspace ``w`` binds: views count
+    once, with the array that owns their memory."""
+    roots = set()
+    for value in vars(w).values():
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            roots.add(id(value))
+    return len(roots)
 
 
 #: The draw thread: one worker, so queued fills run one at a time in the
@@ -371,6 +439,11 @@ class _ChunkedDraws:
 
     The consumer's time at a chunk boundary — the wait for a queued
     chunk, or a fill of its own — is reported under :attr:`_stage`.
+
+    A source sized by the byte rule (``fit_plan``: one sequential
+    generator pass per chunk, so its values do not depend on the depth)
+    is cut, on the first plan before any chunk is made, to the planned
+    horizon when that is shallower.
     """
 
     #: The perf stage the consumer's chunk-boundary time goes to.
@@ -378,12 +451,11 @@ class _ChunkedDraws:
     #: Arrays each fill allocates (sources without a reusable buffer).
     _fill_allocs = 0
 
-    def __init__(self, depth: int, interval_bytes: int):
-        self._depth = int(depth)
-        self._ahead = self._depth * interval_bytes >= _QUEUE_MIN_BYTES
+    def __init__(self, depth: int, interval_bytes: int, fit_plan: bool = False):
+        self._interval_bytes = interval_bytes
+        self._fit_plan = fit_plan
+        self._set_depth(depth)
         self._chunk: Optional[np.ndarray] = None
-        self._pos = self._depth
-        self._start = -self._depth  # read index of the chunk's first row
         self._drawn = 0  # intervals of chunks filled or queued
         self._limit = 0  # reads the run loop has planned
         self._next: Optional[Future] = None
@@ -391,9 +463,25 @@ class _ChunkedDraws:
         self._allocs = 0  # buffers made since the last report
         self._streams: Optional[tuple] = None
 
+    def _set_depth(self, depth: int) -> None:
+        self._depth = int(depth)
+        self._ahead = self._depth * self._interval_bytes >= _QUEUE_MIN_BYTES
+        self._pos = self._depth
+        self._start = -self._depth  # read index of the chunk's first row
+        shape = getattr(self, "_shape", None)
+        if shape is not None:
+            self._shape = (self._depth, *shape[1:])
+
     def plan(self, num_intervals: int) -> None:
         """Allow drawing ahead through ``num_intervals`` further reads."""
-        self._limit = self._start + self._pos + int(num_intervals)
+        num_intervals = int(num_intervals)
+        if (
+            self._fit_plan
+            and not self._buffers
+            and 0 < num_intervals < self._depth
+        ):
+            self._set_depth(num_intervals)
+        self._limit = self._start + self._pos + num_intervals
         self._queue_next()
 
     def next(self, *streams) -> np.ndarray:
@@ -532,17 +620,20 @@ class _ChunkedChannelDraws(_ChunkedDraws):
         dtype = np.float32 if worst_cum < 2**24 else np.float64
         interval = (num_seeds, num_links, a_max)
         nbytes = int(np.prod(interval)) * np.dtype(dtype).itemsize
-        if depth is None:
+        fit_plan = depth is None
+        if fit_plan:
             depth = draw_chunk_depth(DRAW_CHUNK, nbytes)
-        super().__init__(depth, nbytes)
+        super().__init__(depth, nbytes, fit_plan)
         self._scale = scale.astype(dtype)
         self._shape = (self._depth, *interval)
         self._dtype = dtype
         # Drain-totals gather scratch, reused every interval: the flat
         # index of ``cum[s, l, backlog - 1]`` inside a raveled (S, N, A)
-        # block is ``(s * N + l) * A + (backlog - 1)``.
+        # block is ``(s * N + l) * A - 1 + backlog``.  An empty buffer
+        # points at the slot before its own (the last value for the
+        # first link), which the mask then zeroes.
         self._tot_base = (
-            np.arange(num_seeds * num_links, dtype=np.int64) * a_max
+            np.arange(num_seeds * num_links, dtype=np.int64) * a_max - 1
         ).reshape(num_seeds, num_links)
         self._tot_idx = np.empty((num_seeds, num_links), dtype=np.int64)
         self._tot_mask = np.empty((num_seeds, num_links), dtype=bool)
@@ -653,10 +744,8 @@ class _ChunkedChannelDraws(_ChunkedDraws):
                 "totals() needs eager (transformed) draws; this instance "
                 "is in lazy raw-draw mode"
             )
-        np.subtract(backlog, 1, out=self._tot_idx)
-        np.maximum(self._tot_idx, 0, out=self._tot_idx)
-        np.add(self._tot_idx, self._tot_base, out=self._tot_idx)
-        needed_cum.ravel().take(self._tot_idx.ravel(), out=self._tot2.ravel())
+        np.add(backlog, self._tot_base, out=self._tot_idx)
+        needed_cum.take(self._tot_idx, out=self._tot2)
         np.greater(backlog, 0, out=self._tot_mask)
         np.multiply(self._tot2, self._tot_mask, out=self._tot2)
         return self._tot2
@@ -672,9 +761,10 @@ class _ChunkedUniforms(_ChunkedDraws):
 
     def __init__(self, *per_interval_shape: int, depth: Optional[int] = None):
         nbytes = 8 * int(np.prod(per_interval_shape))
-        if depth is None:
+        fit_plan = depth is None
+        if fit_plan:
             depth = draw_chunk_depth(DRAW_CHUNK, nbytes)
-        super().__init__(depth, nbytes)
+        super().__init__(depth, nbytes, fit_plan)
         self._shape = (self._depth, *per_interval_shape)
 
     def _buffer(self):
@@ -685,32 +775,48 @@ class _ChunkedUniforms(_ChunkedDraws):
         return buffer
 
 
+#: Uniforms one candidate-index fill draws per call at most (256 KiB):
+#: ``fig3-paper``'s whole chunks fit, wide stacks draw a few intervals
+#: at a time.
+_ARGMAX_SCRATCH_VALUES = 1 << 15
+
+
 class _ChunkedArgmaxUniforms(_ChunkedUniforms):
     """Single-pair DP candidate indices: ``1 + argmax`` of each row of an
     interval's ``(S, M)`` uniform slice, as ``(S,)`` intp.
 
     Both priority-state paths read the candidate this way, so they consume
-    identical generator values.  The argmax over the whole ``(depth, S,
-    M)`` chunk is taken at fill time: the same values
-    (``block.argmax(axis=2)[pos] == block[pos].argmax(axis=1)``) with the
-    reduction's call overhead amortized across the chunk.
-
-    Only the ``(depth, S)`` indices outlive a fill, so each buffer slot
-    holds just those; the ``(depth, S, M)`` uniforms go to one scratch
-    block that both slots share, since one source's fills never overlap.
+    identical generator values.  Only the ``(depth, S)`` indices are
+    kept.  A fill draws each row block (:func:`~repro.sim.rng.row_blocks`;
+    the whole stack from a plain generator) a slab of intervals at a time
+    into one scratch of at most :data:`_ARGMAX_SCRATCH_VALUES` uniforms,
+    and argmaxes each slab straight into its slot of the index chunk.  A
+    generator is sequential, so the slabs hold the values one
+    whole-chunk call would.
     """
 
-    _uniforms: Optional[np.ndarray] = None
+    _scratch: Optional[np.ndarray] = None
 
     def _buffer(self):
-        if self._uniforms is None:
-            self._uniforms = np.empty(self._shape)
         return np.empty(self._shape[:2], dtype=np.intp)
 
     def _fill(self, cands, rng) -> np.ndarray:
-        uniforms = self._uniforms
-        rng.random(out=uniforms)
-        np.argmax(uniforms, axis=2, out=cands)
+        depth, rows, m = self._shape
+        plan = []
+        for lo, hi, gen in row_blocks(rng, rows):
+            width = (hi - lo) * m
+            step = max(1, min(depth, _ARGMAX_SCRATCH_VALUES // width))
+            plan.append((lo, hi, gen, step))
+        size = max(step * (hi - lo) * m for lo, hi, _, step in plan)
+        if self._scratch is None or self._scratch.size < size:
+            self._scratch = np.empty(size)
+        for lo, hi, gen, step in plan:
+            for d in range(0, depth, step):
+                e = min(d + step, depth)
+                slab = self._scratch[: (e - d) * (hi - lo) * m]
+                slab = slab.reshape(e - d, hi - lo, m)
+                gen.random(out=slab)
+                np.argmax(slab, axis=2, out=cands[d:e, lo:hi])
         np.add(cands, 1, out=cands)
         return cands
 
@@ -986,9 +1092,13 @@ class BatchPolicyKernel(ABC):
         S, n = self.num_seeds, self.spec.num_links
         w = _ordered_service_ws(S, n, self._a_max, self._channel_draws.dtype)
         workf = w.workf
-        w.link_plane = np.tile(np.arange(n, dtype=np.int64), (S, 1))
-        w.attempts_f = np.empty((S, n), dtype=workf)
-        w.attempts_i = np.empty((S, n), dtype=np.int64)
+        # Link ids by column, read-only: a broadcast row, no plane.
+        w.link_plane = np.broadcast_to(np.arange(n, dtype=np.int64), (S, n))
+        if not self._lite:
+            # Per-link attempts: only outcomes that carry them read these.
+            w.attempts_f = np.empty((S, n), dtype=workf)
+            w.attempts_f1 = w.attempts_f.ravel()
+            w.attempts_i = np.empty((S, n), dtype=np.int64)
         w.busy = np.empty(S, dtype=np.float64)
         # Row sums as one matvec against ones: a BLAS dot of n exact
         # small integers, bit-equal to ``np.sum`` but without the
@@ -1062,8 +1172,10 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
         w = self._alloc_common_ws()
         S, n = self.num_seeds, self.spec.num_links
         w.caps_f = np.full((S, n), self._budget, dtype=w.workf)
-        w.rank_plane = np.tile(np.arange(1, n + 1, dtype=np.int64), (S, 1))
-        w.prios = np.empty((S, n), dtype=np.int64)
+        if not self._lite:
+            w.rank_plane = np.tile(np.arange(1, n + 1, dtype=np.int64), (S, 1))
+            w.prios = np.empty((S, n), dtype=np.int64)
+            w.prios1 = w.prios.ravel()
         self._ws = w
 
     @abstractmethod
@@ -1089,22 +1201,16 @@ class _BatchOrderedServeKernel(BatchPolicyKernel):
         )
         lite = self._lite
         np.add(order, w.row_off, out=w.oflat)
-        if arrivals.any():
-            self._serve_ordered_ws(w, arrivals, needed)
-        else:
-            # Fast path: nothing buffered anywhere in the stack — nobody
-            # transmits (the draws above were still consumed, keeping the
-            # stream aligned across intervals).
-            w.att_pos.fill(0)
-            w.delivered.fill(0)
+        # An idle stack needs no branch: empty buffers get no attempts
+        # and deliver nothing.
+        self._serve_ordered_ws(w, arrivals, needed)
         np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
         # Multiply in float64: a float32 product rounds airtimes like 0.4 us.
-        np.copyto(w.busy, w.busyf)
-        np.multiply(w.busy, self._data_air, out=w.busy)
+        np.multiply(w.busyf, self._data_air, out=w.busy, dtype=np.float64)
         if not lite:
-            w.attempts_f.ravel()[w.oflat.ravel()] = w.att_pos.ravel()
+            w.attempts_f1[w.oflat] = w.att_pos
             np.copyto(w.attempts_i, w.attempts_f, casting="unsafe")
-            w.prios.ravel()[w.oflat.ravel()] = w.rank_plane.ravel()
+            w.prios1[w.oflat] = w.rank_plane
         if counters.enabled:
             counters.add("kernel.serve.interval", perf.clock() - t0)
         return BatchIntervalOutcome(
@@ -1164,7 +1270,7 @@ class BatchELDFKernel(_BatchOrderedServeKernel):
             # to the float sort below.)
             keys = weights.view(np.int64)
             np.negative(keys, out=keys)
-            return np.argsort(keys, axis=1, kind="stable")
+            return keys.argsort(axis=1, kind="stable")
         # Stable argsort of -weights: ties keep lowest link first, exactly
         # like the scalar policy's tie-break.
         return np.argsort(-weights, axis=1, kind="stable")
@@ -1333,13 +1439,15 @@ class _BatchContentionKernel(BatchPolicyKernel):
         S, n, M = self.num_seeds, self.spec.num_links, self._budget
         wmax = int(self._max_window())
         kdt, sdt = _contention_dtypes(M, wmax)
-        r = np.arange(M, dtype=np.float64)
+        r = np.arange(M, dtype=np.int64)
         cap = (r + 1) * (wmax - 1)  # the largest live sum
-        if self._slot > 0:
-            after_airtimes = self._interval_us - (r + 1) * self._data_air
-            cap = np.minimum(cap, np.floor(after_airtimes / self._slot))
-        # A negative cap (float rounding at the budget's edge) never
-        # fits: stop before it.
+        T, air, _, slot = self.spec.timing.time_units
+        if slot > 0:
+            # Idle slots that still leave room for r + 1 airtimes, in
+            # integer time units (a decimal timing must not floor low).
+            cap = np.minimum(cap, (T - (r + 1) * air) // slot)
+        # A round whose airtimes alone overrun the interval never fits:
+        # stop before it.
         num_rounds = int(np.count_nonzero(cap >= 0))
         R = 1 if self._adaptive else _CONTENTION_BLOCK_ELEMENTS // (n * S)
         R = min(max(R, 1), 127)
@@ -1831,54 +1939,89 @@ class BatchDPKernel(BatchPolicyKernel):
 
     def _alloc_dp_ws(self, P: int) -> None:
         """Workspace buffers for the in-place DP interval (see
-        :meth:`_run_interval_ws`)."""
+        :meth:`_run_interval_ws`).
+
+        A single pair's timeline has closed forms (:meth:`_bind_pair`):
+        empty claims sit only at positions ``c - 1`` and ``c``, so it
+        binds table lookups and two per-row columns.  Multi-pair
+        (Remark 6) and one-link stacks bind the general planes: the
+        backoff argsort, wants-empty and dead-time planes, starts and
+        fits.
+        """
         w = self._alloc_common_ws()
         S, n = self.num_seeds, self.spec.num_links
         w.caps_f = np.empty((S, n), dtype=w.workf)
-        # Link/position-space integer and boolean scratch.
+        # Link/position-space integer and boolean scratch.  The inverse
+        # permutation is rebuilt from sigma every interval; a single pair
+        # turns it into the service order in place.
         w.tmpi = np.empty((S, n), dtype=np.int64)
-        w.tmpi2 = np.empty((S, n), dtype=np.int64)
         w.inv = np.empty((S, n), dtype=np.int64)
-        w.order = np.empty((S, n), dtype=np.int64)
-        w.backoff = np.empty((S, n), dtype=np.int64)
-        w.bpos = np.empty((S, n), dtype=np.int64)
-        w.posn = np.empty((S, n), dtype=np.int64)
-        # Single-pair non-candidate backoffs by position have a closed
-        # form ``j + 2 * (j > c)``; precomputing all n candidate rows
-        # turns the per-interval build into one row gather.
-        col = np.arange(n, dtype=np.int64)
-        w.bpos_tab = col[None, :] + 2 * (col[None, :] > col[:, None])
+        w.inv1 = w.inv.ravel()
         w.row_off_m1 = w.row_off - 1
-        w.we = np.zeros((S, n), dtype=bool)
-        w.iep = np.empty((S, n), dtype=bool)
-        w.fits = np.empty((S, n), dtype=bool)
         w.tx = np.empty((S, n), dtype=bool)
-        # Timeline planes in time units (see timing_refusal): every dead
-        # time, start, ceiling and attempt prefix is an exact integer in
-        # the solver dtype.
-        w.iepf = np.empty((S, n), dtype=w.workf)
-        w.ebf = np.empty((S, n), dtype=w.workf)
-        w.dead = np.empty((S, n), dtype=w.workf)
-        w.tmpf = np.empty((S, n), dtype=w.workf)
-        w.attb = np.empty((S, n), dtype=w.workf)
-        w.start = np.empty((S, n), dtype=w.workf)
-        # Per-row reductions.
-        w.idle = np.empty(S, dtype=np.int64)
-        w.ne = np.empty(S, dtype=np.int64)
-        w.eus = np.empty(S, dtype=np.float64)
         w.ovh = np.empty(S, dtype=np.float64)
-        # Pair-space scratch (contiguous halves: ``w.xi[:, :P]`` views are
-        # ufunc *inputs* only, never raveled out-targets).
+        self._bind_candidates(w, P)
+        w.rel_flat = np.ascontiguousarray(
+            np.broadcast_to(self._reliabilities, (S, n)), dtype=np.float64
+        ).ravel()
+        if P == 1:
+            self._bind_pair(w)
+            # Ceiling-table index by position (:meth:`_bind_claim_tables`):
+            # ``3 j`` below the pair, ``3 (j + 2) + e`` above it with the
+            # pair's ``e`` claims before, the pair's own columns written
+            # per row.
+            w.col3 = 3 * np.arange(n, dtype=np.int32)
+            w.above = np.empty((S, n), dtype=bool)
+            w.bidx = np.empty((S, n), dtype=np.int32)
+            w.bidx1 = w.bidx.ravel()
+            w.ri = np.empty((S, 1), dtype=np.int64)
+        else:
+            w.cd = np.empty((S, P), dtype=bool)
+            w.cu = np.empty((S, P), dtype=bool)
+            w.empty_pairs = np.zeros((S, 0), dtype=np.int64)
+            w.tmpi2 = np.empty((S, n), dtype=np.int64)
+            w.backoff = np.empty((S, n), dtype=np.int64)
+            w.bpos = np.empty((S, n), dtype=np.int64)
+            w.posn = np.empty((S, n), dtype=np.int64)
+            w.we = np.zeros((S, n), dtype=bool)
+            w.iep = np.empty((S, n), dtype=bool)
+            w.fits = np.empty((S, n), dtype=bool)
+            # Timeline planes in time units (see timing_refusal): every
+            # dead time, start, ceiling and attempt prefix is an exact
+            # integer in the solver dtype.
+            w.iepf = np.empty((S, n), dtype=w.workf)
+            w.ebf = np.empty((S, n), dtype=w.workf)
+            w.dead = np.empty((S, n), dtype=w.workf)
+            w.tmpf = np.empty((S, n), dtype=w.workf)
+            w.attb = np.empty((S, n), dtype=w.workf)
+            w.start = np.empty((S, n), dtype=w.workf)
+            w.idle = np.empty(S, dtype=np.int64)
+            w.ne = np.empty(S, dtype=np.int64)
+            w.eus = np.empty(S, dtype=np.float64)
+        self._report_workspace(w)
+        self._ws = w
+
+    @staticmethod
+    def _report_workspace(w: SimpleNamespace) -> None:
+        """Count the arrays ``w`` owns (views share another's memory)
+        under ``kernel.dp.bind_workspace``."""
+        if perf.counters.enabled:
+            perf.counters.alloc("kernel.dp.bind_workspace", _owned_arrays(w))
+
+    def _bind_candidates(self, w: SimpleNamespace, P: int) -> None:
+        """Pair-space scratch of :meth:`_pair_coins`, shared by both
+        priority-state paths: for ``P`` pairs, ``(S, 2P)`` planes whose
+        halves are the down (priority ``c``) and up (``c + 1``) sides."""
+        S = self.num_seeds
         w.cands = np.empty((S, max(P, 1)), dtype=np.int64)[:, :P]
-        w.down = np.empty((S, P), dtype=np.int64)
-        w.up = np.empty((S, P), dtype=np.int64)
-        w.pi = np.empty((S, P), dtype=np.int64)
-        w.pi2 = np.empty((S, P), dtype=np.int64)
-        w.vs = np.empty((S, P), dtype=np.int64)
-        w.vs2 = np.empty((S, P), dtype=np.int64)
-        w.bmin = np.empty((S, P), dtype=np.int64)
-        w.bmax = np.empty((S, P), dtype=np.int64)
+        # Flat inverse-plane indices of priorities c and c + 1, and the
+        # links holding them.
+        w.pp = np.empty((S, 2 * P), dtype=np.int64)
+        w.pp3 = w.pp.reshape(S, 2, P)
+        w.pp_off = (w.row_off - np.array([1, 0]))[:, :, None]
+        w.pi = w.pp[:, :P]
         w.cl = np.empty((S, 2 * P), dtype=np.int64)
+        w.down, w.up = w.cl[:, :P], w.cl[:, P:]
         w.clflat = np.empty((S, 2 * P), dtype=np.int64)
         w.ac = np.empty((S, 2 * P), dtype=np.int64)
         w.acb = np.empty((S, 2 * P), dtype=bool)
@@ -1886,16 +2029,160 @@ class BatchDPKernel(BatchPolicyKernel):
         w.dc = np.empty((S, 2 * P), dtype=np.float64)
         w.xib = np.empty((S, 2 * P), dtype=bool)
         w.xi = np.empty((S, 2 * P), dtype=np.int64)
-        w.cd = np.empty((S, P), dtype=bool)
-        w.cu = np.empty((S, P), dtype=bool)
         w.cc = np.empty((S, P), dtype=bool)
-        w.empty_pairs = np.zeros((S, 0), dtype=np.int64)
-        w.rel_flat = np.ascontiguousarray(
-            np.broadcast_to(self._reliabilities, (S, n)), dtype=np.float64
-        ).ravel()
-        if perf.counters.enabled:
-            perf.counters.alloc("kernel.dp.bind_workspace", 50)
-        self._ws = w
+
+    def _bind_pair(self, w: SimpleNamespace) -> None:
+        """The single pair's per-row columns and claim tables.
+
+        Both priority-state paths resolve the candidate positions ``c -
+        1`` and ``c`` — the only ones that may claim with an empty
+        packet — as ``(S, 2)`` columns (:meth:`_claim_columns`).
+        """
+        S = self.num_seeds
+        workf = w.workf
+        # The pair's backoffs by position, and whether each position
+        # wants to claim.
+        w.c01 = np.array([0, 1], dtype=np.int64)
+        w.bk2 = np.empty((S, 2), dtype=np.int64)
+        w.bmin, w.bmax = w.bk2[:, :1], w.bk2[:, 1:]
+        w.w2 = np.zeros((S, 2), dtype=bool)
+        w.wa1, w.wb1 = w.w2[:, :1], w.w2[:, 1:]
+        w.ix2 = np.empty((S, 2), dtype=np.int64)
+        # Data attempts before each column.
+        w.att2 = np.empty((S, 2), dtype=workf)
+        w.lim2 = np.empty((S, 2), dtype=workf)
+        w.fits2 = np.empty((S, 2), dtype=bool)
+        w.txa = np.empty((S, 1), dtype=bool)
+        # The last transmitter's table index: data (column 0) and the
+        # two claims.
+        w.last3 = np.empty((S, 3), dtype=np.int64)
+        w.idle = w.last3[:, 0]
+        w.last = np.empty(S, dtype=np.int64)
+        w.eus = np.empty(S, dtype=np.float64)
+        w.empty2 = np.full(2, self._empty_air)
+        w.busyf2 = w.busyf[:, None]  # data attempts per row
+        self._bind_claim_tables(w)
+
+    def _bind_claim_tables(self, w: SimpleNamespace) -> None:
+        """Attempt ceilings, claim-fit limits and overheads by ``3 * b +
+        e``: a position after ``b`` backoff slots and ``e <= 2`` aired
+        claims.
+
+        ``w.capv`` holds ``floor((T - b slot - e empty) / air)``, built
+        with the float ufunc chain the multi-pair planes run, so gathered
+        ceilings are bit-identical.  ``w.limv`` holds the most data
+        attempts before the position that still let its claim fit:
+        ``start + empty <= T`` (``start < T`` on zero-length claims) with
+        ``start = attempts * air + b slot + e empty``, in exact integers.
+        ``w.ovhv`` holds ``b`` backoff slots in microseconds.
+        """
+        # Backoffs reach n + 1 (above the pair), and n + 2 on the
+        # incremental path's padding slots (position n).
+        n = self.spec.num_links + 3
+        T, air, empty_air, slot = self._units
+        b = np.repeat(np.arange(n, dtype=np.int64), 3)
+        e = np.tile(np.arange(3, dtype=np.int64), n)
+        dead = np.empty(b.size, dtype=w.workf)
+        tmp = np.empty(b.size, dtype=w.workf)
+        np.multiply(b, slot, out=dead)
+        np.multiply(e.astype(w.workf), empty_air, out=tmp)
+        np.add(dead, tmp, out=dead)
+        np.subtract(T, dead, out=tmp)
+        w.capv = np.empty(b.size, dtype=w.workf)
+        np.divide(tmp, air, out=w.capv)
+        np.floor(w.capv, out=w.capv)
+        Ti, ai, ei, si = (int(u) for u in self._units)
+        room = Ti - (ei if ei > 0 else 1) - b * si - e * ei
+        w.limv = np.floor_divide(room, ai).astype(w.workf)
+        w.ovhv = b * self._slot
+
+    def _pair_coins(
+        self,
+        w: SimpleNamespace,
+        cands: np.ndarray,
+        arrivals: np.ndarray,
+        positive_debts: np.ndarray,
+        rng: BatchRngBundle,
+    ) -> None:
+        """Steps 2-3 for the candidate pairs ``cands`` on ``w.inv``: the
+        links ``w.down``/``w.up``, their coins ``w.xib`` (and ``w.xi =
+        2 xib - 1``) and whether each has no arrivals (``w.acb``)."""
+        np.add(cands[:, None, :], w.pp_off, out=w.pp3)
+        w.inv.take(w.pp, out=w.cl)
+        np.add(w.cl, w.row_off, out=w.clflat)
+        w.rel_flat.take(w.clflat, out=w.relc)
+        positive_debts.take(w.clflat, out=w.dc)
+        mu = self._active_bias.mu_batch(w.cl, w.dc, w.relc)
+        if not (mu.min() > 0.0 and mu.max() < 1.0):
+            raise ValueError(
+                "swap bias returned mu outside (0, 1); Algorithm 2 "
+                "requires a non-degenerate coin"
+            )
+        coins = self._coin_draws.next(self._kstream(rng, "policy"))
+        np.less(coins, mu, out=w.xib)
+        np.multiply(w.xib, 2, out=w.xi)
+        np.subtract(w.xi, 1, out=w.xi)
+        arrivals.take(w.clflat, out=w.ac)
+        np.equal(w.ac, 0, out=w.acb)
+
+    def _pair_backoffs(self, w: SimpleNamespace, cands: np.ndarray) -> np.ndarray:
+        """Step 4 for a single pair: the backoffs ``w.bk2`` and claims
+        ``w.w2`` of positions ``c - 1`` and ``c``, and their table
+        indices ``w.ix2``.  Returns the commit-coin rows, where both
+        coins point "swap" and the up-link is served first.
+
+        The candidates' backoffs are ``c - xi_down`` and ``c + 1 -
+        xi_up``, which order down before up except on those rows.
+        """
+        np.greater(w.xib[:, 1:], w.xib[:, :1], out=w.cc)
+        rc = np.flatnonzero(w.cc)
+        np.add(cands, w.c01, out=w.bk2)
+        np.subtract(w.bk2, w.xi, out=w.bk2)
+        np.copyto(w.w2, w.acb)
+        if rc.size:
+            w.bk2[rc] = w.bk2[rc, ::-1]
+            w.w2[rc] = w.acb[rc, ::-1]
+        np.multiply(w.bk2, 3, out=w.ix2)
+        np.add(w.ix2[:, 1:], w.wa1, out=w.ix2[:, 1:])
+        return rc
+
+    def _claim_columns(self, w: SimpleNamespace) -> None:
+        """Resolve the pair's empty claims and the row totals.
+
+        Inputs: ``w.att2`` (data attempts before positions ``c - 1``
+        and ``c``), ``w.ix2`` (their table indices), ``w.w2`` (which
+        want to claim), ``w.busyf`` (data attempts per row) and
+        ``w.idle`` (the last data transmitter's table index).  Sets
+        ``w.fits2``, ``w.txa`` (position ``c - 1`` transmitted), and the
+        busy and overhead times.  Every wanted claim before a position
+        counts as aired (see :meth:`timing_refusal`).
+        """
+        w.limv.take(w.ix2, out=w.lim2)
+        np.less_equal(w.att2, w.lim2, out=w.fits2)
+        np.logical_and(w.fits2, w.w2, out=w.fits2)
+        # Data at c - 1: attempts before c exceed those before c - 1.
+        np.greater(w.att2[:, 1:], w.att2[:, :1], out=w.txa)
+        np.logical_or(w.txa, w.fits2[:, :1], out=w.txa)
+        # Fitting claims count as transmissions for the idle-slot bound:
+        # indices grow along the service order, so the largest is the
+        # last transmitter's.
+        np.multiply(w.ix2, w.fits2, out=w.last3[:, 1:])
+        w.last3.max(1, out=w.last)
+        # Claims air ``empty`` each (a sum of at most two equal terms:
+        # exact).  Multiply in float64: a float32 product rounds
+        # airtimes like 0.4 us.
+        np.matmul(w.fits2, w.empty2, out=w.eus)
+        np.multiply(w.busyf, self._data_air, out=w.busy, dtype=np.float64)
+        np.add(w.busy, w.eus, out=w.busy)
+        w.ovhv.take(w.last, out=w.ovh)
+        np.add(w.ovh, w.eus, out=w.ovh)
+
+    def _pair_commits(self, w: SimpleNamespace, rc: np.ndarray) -> np.ndarray:
+        """The commit-coin rows ``rc`` whose up-link, served at position
+        ``c - 1``, transmitted and started its data in time."""
+        T, air, _, slot = self._units
+        start = w.att2[rc, 0] * air + w.bmin[rc, 0] * slot
+        return rc[w.txa[rc, 0] & (start + air <= T)]
 
     def _alloc_dp_ws_inc(self) -> None:
         """Workspace for the sparse incremental DP path (see
@@ -1920,7 +2207,8 @@ class BatchDPKernel(BatchPolicyKernel):
         w.workf = workf
         w.row_off = (np.arange(S, dtype=np.int64) * n)[:, None]
         w.row_off_m1 = w.row_off - 1
-        w.link_plane = np.tile(np.arange(n, dtype=np.int64), (S, 1))
+        # Link ids by column, read-only: a broadcast row, no plane.
+        w.link_plane = np.broadcast_to(np.arange(n, dtype=np.int64), (S, n))
         w.tmpi = np.empty((S, n), dtype=np.int64)
         # The persistent sparse priority state: the inverse permutation
         # (priority position -> link), built once here by scatter and
@@ -1928,20 +2216,21 @@ class BatchDPKernel(BatchPolicyKernel):
         # commit — never rebuilt from sigma again.
         w.inv = np.empty((S, n), dtype=np.int64)
         np.add(self._sigma, w.row_off_m1, out=w.tmpi)
-        w.inv.ravel()[w.tmpi.ravel()] = w.link_plane.ravel()
+        w.inv.ravel()[w.tmpi] = w.link_plane
         # Persistent outcome planes.  Only entries named by the previous
         # interval's serve set (``prev_links``) can be nonzero, so each
         # interval zeroes those K entries instead of the whole plane.
         w.delivered = np.zeros((S, n), dtype=np.int64)
-        w.attempts_i = np.zeros((S, n), dtype=np.int64)
+        if not self._lite:
+            w.attempts_i = np.zeros((S, n), dtype=np.int64)
+            w.uki = np.empty((S, K), dtype=np.int64)
         w.prev_links = np.zeros((S, K), dtype=np.int64)
         w.pfscr = np.empty((S, K), dtype=np.int64)
-        # Serve-set selection scratch.  Small networks (K >= n) keep the
-        # dense path's "copy inv + O(S) candidate fix-ups" order build;
-        # large ones select the K lowest backlogged positions.
-        if self._inc_small:
-            w.order = np.empty((S, n), dtype=np.int64)
-        else:
+        # Serve-set selection scratch.  Small networks (K >= n) serve
+        # the inverse permutation with the pair's O(S) fix-ups, as the
+        # dense path does; large ones select the K lowest backlogged
+        # positions.
+        if not self._inc_small:
             w.posm = np.empty((S, n), dtype=np.int64)
             w.maskn = np.empty((S, n), dtype=bool)
             w.pflat = np.empty((S, K), dtype=np.int64)
@@ -1955,82 +2244,42 @@ class BatchDPKernel(BatchPolicyKernel):
         w.tmpk_i = np.empty((S, K), dtype=np.int64)
         w.idx3 = np.empty((S, K), dtype=np.int64)
         w.delk = np.empty((S, K), dtype=np.int64)
-        w.uki = np.empty((S, K), dtype=np.int64)
         w.bk = np.empty((S, K), dtype=np.int64)
-        w.bki = np.empty((S, K), dtype=np.int64)
         w.ek = np.empty((S, K), dtype=np.int64)
         w.totk = np.empty((S, K), dtype=workf)
         w.cumk = np.empty((S, K), dtype=workf)
-        w.budk = np.empty((S, K), dtype=workf)
-        w.uk = np.empty((S, K), dtype=workf)
+        w.att_pos = np.empty((S, K), dtype=workf)  # attempts by slot
         w.uksel = np.empty((S, K), dtype=workf)
-        w.countk = np.empty((S, K), dtype=workf)
         w.capk = np.empty((S, K), dtype=workf)
-        w.deadk = np.empty((S, K), dtype=workf)
-        w.tmpk = np.empty((S, K), dtype=workf)
         w.boolk = np.empty((S, K), dtype=bool)
         w.boolk2 = np.empty((S, K), dtype=bool)
         w.boolk3 = np.empty((S, K), dtype=bool)
         w.boolk4 = np.empty((S, K), dtype=bool)
+        w.fullk = np.empty((S, K), dtype=bool)
         w.needk2 = np.empty((S * K, A), dtype=workf)
-        w.needk3 = w.needk2.reshape(S, K, A)
-        w.cmpk2 = np.empty((S * K, A), dtype=workf)
-        w.cmpk3 = w.cmpk2.reshape(S, K, A)
         w.ones_k = np.ones(K, dtype=workf)
-        w.ones_af = np.ones(A, dtype=workf)
+        _truncation_ws(w, S, A, workf)
+        w.delk1 = w.delk.ravel()
         # Lazy channel draws: refills stop transforming the whole
         # (depth, S, N, A) block; this path transforms only the (S, K, A)
         # serve-set rows it gathers each interval.
         self._channel_draws.set_lazy()
         w.chan_scale = self._channel_draws.scale_rows(S)
         w.scalek = np.empty((S * K, 1), dtype=workf)
-        w.skoff = (np.arange(S * K, dtype=np.int64) * A).reshape(S, K)
-        # Pair scratch — same shapes as the dense path (P == 1 here).
-        w.cands = np.empty((S, 1), dtype=np.int64)
+        # Flat index of slot ``backlog - 1`` of each gathered row (an
+        # empty buffer's points at the slot before, then masked to 0).
+        w.skoff = (np.arange(S * K, dtype=np.int64) * A - 1).reshape(S, K)
+        self._bind_candidates(w, 1)
         w.candm1 = np.empty((S, 1), dtype=np.int64)
-        w.pi = np.empty((S, 1), dtype=np.int64)
-        w.pi2 = np.empty((S, 1), dtype=np.int64)
-        w.down = np.empty((S, 1), dtype=np.int64)
-        w.up = np.empty((S, 1), dtype=np.int64)
-        w.vs = np.empty((S, 1), dtype=np.int64)
-        w.vs2 = np.empty((S, 1), dtype=np.int64)
-        w.bmin = np.empty((S, 1), dtype=np.int64)
-        w.bmax = np.empty((S, 1), dtype=np.int64)
-        w.cl = np.empty((S, 2), dtype=np.int64)
-        w.clflat = np.empty((S, 2), dtype=np.int64)
-        w.ac = np.empty((S, 2), dtype=np.int64)
-        w.acb = np.empty((S, 2), dtype=bool)
-        w.relc = np.empty((S, 2), dtype=np.float64)
-        w.dc = np.empty((S, 2), dtype=np.float64)
-        w.xib = np.empty((S, 2), dtype=bool)
-        w.xi = np.empty((S, 2), dtype=np.int64)
-        w.cd = np.empty((S, 1), dtype=bool)
-        w.cc = np.empty((S, 1), dtype=bool)
-        w.wa = np.empty(S, dtype=bool)
-        w.wb = np.empty(S, dtype=bool)
-        # Per-row scalars of the candidate columns.
-        w.att_tot_f = np.empty(S, dtype=workf)
-        w.att_a = np.empty(S, dtype=workf)
-        w.ua = np.empty(S, dtype=workf)
-        w.att_b = np.empty(S, dtype=workf)
-        w.start_a = np.empty(S, dtype=np.float64)
-        w.start_b = np.empty(S, dtype=np.float64)
-        w.tmps = np.empty(S, dtype=np.float64)
-        w.fits_a = np.empty(S, dtype=bool)
-        w.fits_b = np.empty(S, dtype=bool)
-        w.txa = np.empty(S, dtype=bool)
-        w.ne = np.empty(S, dtype=np.int64)
-        w.idle = np.empty(S, dtype=np.int64)
-        w.tmpi_s = np.empty(S, dtype=np.int64)
-        w.eus = np.empty(S, dtype=np.float64)
         w.busy = np.empty(S, dtype=np.float64)
+        w.busyf = np.empty(S, dtype=workf)
         w.ovh = np.empty(S, dtype=np.float64)
         w.zeroi = np.zeros(S, dtype=np.int64)
         w.rel_flat = np.ascontiguousarray(
             np.broadcast_to(self._reliabilities, (S, n)), dtype=np.float64
         ).ravel()
-        if perf.counters.enabled:
-            perf.counters.alloc("kernel.dp.bind_workspace", 60)
+        self._bind_pair(w)
+        self._report_workspace(w)
         self._ws = w
 
     def _run_interval_inc(
@@ -2077,48 +2326,12 @@ class BatchDPKernel(BatchPolicyKernel):
 
         # -- setup: candidate pair, coins, backoffs (all O(S)) -------------
         cands = self._draw_candidates(rng)
-        np.add(cands, w.row_off, out=w.pi2)
-        np.subtract(w.pi2, 1, out=w.pi)
-        inv_flat = w.inv.ravel()
-        inv_flat.take(w.pi.ravel(), out=w.down.ravel())
-        inv_flat.take(w.pi2.ravel(), out=w.up.ravel())
-        w.cl[:, :1] = w.down
-        w.cl[:, 1:] = w.up
-        np.add(w.cl, w.row_off, out=w.clflat)
-        clflat = w.clflat.ravel()
-        w.rel_flat.take(clflat, out=w.relc.ravel())
-        positive_debts.ravel().take(clflat, out=w.dc.ravel())
-        mu = self._active_bias.mu_batch(w.cl, w.dc, w.relc)
-        if not (mu.min() > 0.0 and mu.max() < 1.0):
-            raise ValueError(
-                "swap bias returned mu outside (0, 1); Algorithm 2 "
-                "requires a non-degenerate coin"
-            )
-        coins = self._coin_draws.next(self._kstream(rng, "policy"))
-        np.less(coins, mu, out=w.xib)
-        np.multiply(w.xib, 2, out=w.xi)
-        np.subtract(w.xi, 1, out=w.xi)
-        arrivals.ravel().take(clflat, out=w.ac.ravel())
-        np.equal(w.ac, 0, out=w.acb)
-        np.logical_not(w.xib[:, :1], out=w.cd)
-        np.logical_and(w.cd, w.xib[:, 1:], out=w.cc)
-        rc = np.flatnonzero(w.cc[:, 0])
-        cdx = cands[rc, 0]
-        cdm1 = cdx - 1
-        np.subtract(cands, w.xi[:, :1], out=w.vs)
-        np.subtract(cands, w.xi[:, 1:], out=w.vs2)
-        np.add(w.vs2, 1, out=w.vs2)
-        np.minimum(w.vs, w.vs2, out=w.bmin)
-        np.maximum(w.vs, w.vs2, out=w.bmax)
-        np.subtract(cands, 1, out=w.candm1)
-        # Wants-empty by *position*: position c-1 holds the down-link
-        # normally and the up-link on commit-coin rows, position c the
-        # other one (exactly the dense path's iep fix-ups).
-        np.copyto(w.wa, w.acb[:, 0])
-        np.copyto(w.wb, w.acb[:, 1])
+        self._pair_coins(w, cands, arrivals, positive_debts, rng)
+        rc = self._pair_backoffs(w, cands)
         if rc.size:
-            w.wa[rc] = w.acb[rc, 1]
-            w.wb[rc] = w.acb[rc, 0]
+            cdx = cands[rc, 0]
+            cdm1 = cdx - 1
+        np.subtract(cands, 1, out=w.candm1)
         needed = self._channel_draws.next(
             self._kstream(rng, "channel"), self._chan_rng(rng)
         )
@@ -2133,16 +2346,13 @@ class BatchDPKernel(BatchPolicyKernel):
         # backlogged priority positions, with the candidate pair's
         # position fix-ups applied on commit-coin rows.
         np.add(w.prev_links, w.row_off, out=w.pfscr)
-        w.delivered.ravel()[w.pfscr.ravel()] = 0
+        w.delivered.ravel()[w.pfscr] = 0
         if not lite:
-            w.attempts_i.ravel()[w.pfscr.ravel()] = 0
+            w.attempts_i.ravel()[w.pfscr] = 0
         if self._inc_small:
-            order = w.order
-            np.copyto(order, w.inv)
+            np.add(w.inv, w.row_off, out=w.sel_flat)
             if rc.size:
-                order[rc, cdm1] = w.up[rc, 0]
-                order[rc, cdx] = w.down[rc, 0]
-            np.add(order, w.row_off, out=w.sel_flat)
+                w.sel_flat.ravel()[w.pp[rc]] = w.clflat[rc, ::-1]
             posk = w.link_plane
         else:
             np.subtract(sigma, 1, out=w.posm)
@@ -2172,10 +2382,7 @@ class BatchDPKernel(BatchPolicyKernel):
         # -- timeline ------------------------------------------------------
         active = bool(arrivals.any())
         if active:
-            arrivals.ravel().take(w.sel_flat.ravel(), out=w.blk.ravel())
-            # Per-link drain totals, gathered only for the serve set.
-            np.subtract(w.blk, 1, out=w.tmpk_i)
-            np.maximum(w.tmpk_i, 0, out=w.tmpk_i)
+            arrivals.take(w.sel_flat, out=w.blk)
             # Raw draws: gather the serve-set rows first, then apply the
             # scale/ceil/cumsum transform to just the (S, K, A) block —
             # same element order and arithmetic as the eager whole-block
@@ -2183,13 +2390,14 @@ class BatchDPKernel(BatchPolicyKernel):
             needed.reshape(S * n, -1).take(
                 w.sel_flat.ravel(), axis=0, out=w.needk2
             )
-            w.chan_scale.ravel().take(w.sel_flat.ravel(), out=w.scalek.ravel())
+            w.chan_scale.take(w.sel_flat.ravel(), out=w.scalek.ravel())
             np.multiply(w.needk2, w.scalek, out=w.needk2)
             np.ceil(w.needk2, out=w.needk2)
             np.maximum(w.needk2, 1.0, out=w.needk2)
             np.cumsum(w.needk2, axis=1, out=w.needk2)
-            np.add(w.skoff, w.tmpk_i, out=w.idx3)
-            w.needk2.ravel().take(w.idx3.ravel(), out=w.totk.ravel())
+            # Per-link drain totals, gathered only for the serve set.
+            np.add(w.skoff, w.blk, out=w.idx3)
+            w.needk2.take(w.idx3, out=w.totk)
             np.greater(w.blk, 0, out=w.boolk)
             np.multiply(w.totk, w.boolk, out=w.totk)
             # Backoff staircase by position: j below the pair, j + 2
@@ -2204,97 +2412,57 @@ class BatchDPKernel(BatchPolicyKernel):
             # Empties *wanted* before each position: wa counts past
             # position c-1, wb past position c (the dense iep prefix).
             np.greater(posk, w.candm1, out=w.boolk3)
-            np.logical_and(w.boolk3, w.wa[:, None], out=w.boolk3)
+            np.logical_and(w.boolk3, w.wa1, out=w.boolk3)
             np.greater(posk, cands, out=w.boolk4)
-            np.logical_and(w.boolk4, w.wb[:, None], out=w.boolk4)
+            np.logical_and(w.boolk4, w.wb1, out=w.boolk4)
             np.copyto(w.ek, w.boolk3, casting="unsafe")
             np.add(w.ek, w.boolk4, out=w.ek)
-            # Attempt ceilings (same divide/floor as dense).
-            np.multiply(w.bk, slot, out=w.deadk)
-            np.multiply(w.ek, empty_air, out=w.tmpk)
-            np.add(w.deadk, w.tmpk, out=w.deadk)
-            np.subtract(T, w.deadk, out=w.deadk)
-            np.divide(w.deadk, air, out=w.capk)
-            np.floor(w.capk, out=w.capk)
+            # Attempt ceilings from the dense path's table.
+            np.multiply(w.bk, 3, out=w.tmpk_i)
+            np.add(w.tmpk_i, w.ek, out=w.tmpk_i)
+            w.capv.take(w.tmpk_i, out=w.capk)
             np.cumsum(w.totk, axis=1, out=w.cumk)
             np.subtract(w.cumk, w.totk, out=w.cumk)  # exclusive prefix
-            np.subtract(w.capk, w.cumk, out=w.budk)
-            np.minimum(w.budk, w.totk, out=w.uk)
-            np.maximum(w.uk, 0, out=w.uk)
+            uk = w.att_pos
+            np.subtract(w.capk, w.cumk, out=uk)
+            np.minimum(uk, w.totk, out=uk)
+            np.maximum(uk, 0, out=uk)
             # Delivered counts off the serve set's draw rows only
-            # (already gathered and transformed above).
-            np.less_equal(
-                w.needk3, w.budk[:, :, None], out=w.cmpk3,
-                casting="unsafe",
-            )
-            np.matmul(w.cmpk2, w.ones_af, out=w.countk.ravel())
-            np.copyto(w.delk, w.countk, casting="unsafe")
-            np.minimum(w.delk, w.blk, out=w.delk)
-            w.delivered.ravel()[w.sel_flat.ravel()] = w.delk.ravel()
+            # (already gathered and transformed above), by the solver's
+            # one-truncated-slot rule (solve_ordered_service).
+            np.equal(uk, w.totk, out=w.fullk)
+            jrow = _count_truncated(w, w.fullk, w.needk2, None)
+            np.multiply(w.blk, w.fullk, out=w.delk)
+            w.delk1[jrow] = w.cnt_t
+            w.delivered.ravel()[w.sel_flat] = w.delk
             if not lite:
-                np.copyto(w.uki, w.uk, casting="unsafe")
-                w.attempts_i.ravel()[w.sel_flat.ravel()] = w.uki.ravel()
-            np.greater(w.uk, 0, out=w.boolk)
-            np.multiply(w.bk, w.boolk, out=w.bki)
-            w.bki.max(axis=1, out=w.idle)
-            np.matmul(w.uk, w.ones_k, out=w.att_tot_f)
+                np.copyto(w.uki, uk, casting="unsafe")
+                w.attempts_i.ravel()[w.sel_flat] = w.uki
+            # The last data transmitter's table index (ceilings above).
+            np.greater(uk, 0, out=w.boolk)
+            w.tmpk_i.max(1, out=w.idle, where=w.boolk, initial=0)
+            np.matmul(uk, w.ones_k, out=w.busyf)
+            # Data attempts before positions c-1 and c.
             np.less(posk, w.candm1, out=w.boolk2)
-            np.multiply(w.uk, w.boolk2, out=w.uksel)
-            np.matmul(w.uksel, w.ones_k, out=w.att_a)
-            np.equal(posk, w.candm1, out=w.boolk2)
-            np.multiply(w.uk, w.boolk2, out=w.uksel)
-            np.matmul(w.uksel, w.ones_k, out=w.ua)
+            np.multiply(uk, w.boolk2, out=w.uksel)
+            np.matmul(w.uksel, w.ones_k, out=w.att2[:, 0])
+            np.less(posk, cands, out=w.boolk2)
+            np.multiply(uk, w.boolk2, out=w.uksel)
+            np.matmul(w.uksel, w.ones_k, out=w.att2[:, 1])
         else:
             # Whole stack idle: draws were consumed, nothing transmits
             # data; candidate empty claims are still resolved below.
-            w.att_tot_f.fill(0)
-            w.att_a.fill(0)
-            w.ua.fill(0)
+            w.busyf.fill(0)
+            w.att2.fill(0)
             w.idle.fill(0)
-        np.add(w.att_a, w.ua, out=w.att_b)
-        # Candidate service starts with every wanted claim counted as
-        # aired (see timing_refusal), then the fit check (dense
-        # semantics verbatim).
-        np.multiply(w.att_a, air, out=w.start_a)
-        np.multiply(w.bmin[:, 0], slot, out=w.tmps)
-        np.add(w.start_a, w.tmps, out=w.start_a)
-        np.multiply(w.att_b, air, out=w.start_b)
-        np.multiply(w.bmax[:, 0], slot, out=w.tmps)
-        np.add(w.start_b, w.tmps, out=w.start_b)
-        np.multiply(w.wa, empty_air, out=w.tmps)
-        np.add(w.start_b, w.tmps, out=w.start_b)
-        if empty_air > 0:
-            np.less_equal(w.start_a, T - empty_air, out=w.fits_a)
-            np.less_equal(w.start_b, T - empty_air, out=w.fits_b)
-        else:
-            np.less(w.start_a, T, out=w.fits_a)
-            np.less(w.start_b, T, out=w.fits_b)
-        np.logical_and(w.fits_a, w.wa, out=w.fits_a)
-        np.logical_and(w.fits_b, w.wb, out=w.fits_b)
-        np.greater(w.ua, 0, out=w.txa)
-        np.logical_or(w.txa, w.fits_a, out=w.txa)
-        np.copyto(w.ne, w.fits_a, casting="unsafe")
-        np.add(w.ne, w.fits_b, out=w.ne)
-        # Fitting empty claims also count as transmissions for the
-        # idle-slot bound (dense: tx = attempts | fits by position).
-        np.multiply(w.bmin[:, 0], w.fits_a, out=w.tmpi_s)
-        np.maximum(w.idle, w.tmpi_s, out=w.idle)
-        np.multiply(w.bmax[:, 0], w.fits_b, out=w.tmpi_s)
-        np.maximum(w.idle, w.tmpi_s, out=w.idle)
-        np.copyto(w.busy, w.att_tot_f)
-        np.multiply(w.busy, self._data_air, out=w.busy)
-        np.multiply(w.ne, self._empty_air, out=w.eus)
-        np.add(w.busy, w.eus, out=w.busy)
-        np.multiply(w.idle, self._slot, out=w.ovh)
-        np.add(w.ovh, w.eus, out=w.ovh)
+        self._claim_columns(w)
         if counters.enabled:
             counters.add("kernel.dp.timeline", perf.clock() - t0)
             t0 = perf.clock()
 
         # -- commit: O(commits) upkeep of sigma AND the persistent inverse -
         if rc.size:
-            live = w.txa[rc] & (w.start_a[rc] + air <= T)
-            rcc = rc[live]
+            rcc = self._pair_commits(w, rc)
             if rcc.size:
                 csel = cands[rcc, 0]
                 dl = w.down[rcc, 0]
@@ -2377,7 +2545,6 @@ class BatchDPKernel(BatchPolicyKernel):
         w = self._ws
         counters = perf.counters
         S, n = arrivals.shape
-        rows = self._rows
         T, air, empty_air, slot = self._units
         lite = self._lite
         sigma = self._sigma
@@ -2391,82 +2558,42 @@ class BatchDPKernel(BatchPolicyKernel):
             # Inverse permutation by scatter (sigma is a permutation of
             # 1..n, so this equals argsort(sigma)).
             np.add(sigma, w.row_off_m1, out=w.tmpi)
-            w.inv.ravel()[w.tmpi.ravel()] = w.link_plane.ravel()
-            np.add(cands, w.row_off, out=w.pi2)
-            np.subtract(w.pi2, 1, out=w.pi)
-            inv_flat = w.inv.ravel()
-            inv_flat.take(w.pi.ravel(), out=w.down.ravel())
-            inv_flat.take(w.pi2.ravel(), out=w.up.ravel())
-            w.cl[:, :P] = w.down
-            w.cl[:, P:] = w.up
-            np.add(w.cl, w.row_off, out=w.clflat)
-            clflat = w.clflat.ravel()
-            w.rel_flat.take(clflat, out=w.relc.ravel())
-            positive_debts.ravel().take(clflat, out=w.dc.ravel())
-            mu = self._active_bias.mu_batch(w.cl, w.dc, w.relc)
-            if not (mu.min() > 0.0 and mu.max() < 1.0):
-                raise ValueError(
-                    "swap bias returned mu outside (0, 1); Algorithm 2 "
-                    "requires a non-degenerate coin"
-                )
-            coins = self._coin_draws.next(self._kstream(rng, "policy"))
-            np.less(coins, mu, out=w.xib)
-            np.multiply(w.xib, 2, out=w.xi)
-            np.subtract(w.xi, 1, out=w.xi)
+            w.inv1[w.tmpi] = w.link_plane
+            self._pair_coins(w, cands, arrivals, positive_debts, rng)
             xi_down = w.xi[:, :P]
             xi_up = w.xi[:, P:]
-            arrivals.ravel().take(w.clflat.ravel(), out=w.ac.ravel())
-            np.equal(w.ac, 0, out=w.acb)
         else:
             P = 0
             cands = w.empty_pairs
             xi_down = xi_up = cands
 
-        rc = cdm1 = None
+        rc = None
         if P == 1:
             # Single pair (the paper's protocol): the service order and
             # its backoff staircase have closed forms, so the backoff
-            # argsort collapses into an inv copy plus O(S) fix-ups.
+            # argsort collapses into O(S) fix-ups of the inverse
+            # permutation, which becomes the order in place.
             # Non-candidates keep priority order with backoff p - 1
             # (below the pair) or p + 1 (above it); the candidates land
-            # in positions c-1 and c with backoffs c - xi_down and
-            # c + 1 - xi_up, which orders down before up except when
-            # both coins point "swap" (xi_down = -1, xi_up = +1) —
-            # exactly the commit-coin condition.
-            np.logical_not(w.xib[:, :1], out=w.cd)
-            np.logical_and(w.cd, w.xib[:, 1:], out=w.cc)
-            order = w.order
-            np.copyto(order, w.inv)
-            rc = np.flatnonzero(w.cc[:, 0])
-            cdx = cands[rc, 0]
-            cdm1 = cdx - 1
+            # in positions c-1 and c (:meth:`_pair_backoffs`).
+            rc = self._pair_backoffs(w, cands)
+            order = w.inv
             if rc.size:
-                order[rc, cdm1] = w.up[rc, 0]
-                order[rc, cdx] = w.down[rc, 0]
-            # Backoff by position: j below the pair, j + 2 above it,
-            # min/max of the two candidate backoffs in between (w.pi /
-            # w.pi2 are the flat indices of positions c-1 and c).
-            w.bpos_tab.take(cands[:, 0], axis=0, out=w.bpos)
-            np.subtract(cands, xi_down, out=w.vs)
-            np.subtract(cands, xi_up, out=w.vs2)
-            np.add(w.vs2, 1, out=w.vs2)
-            np.minimum(w.vs, w.vs2, out=w.bmin)
-            np.maximum(w.vs, w.vs2, out=w.bmax)
-            w.bpos.ravel()[w.pi.ravel()] = w.bmin.ravel()
-            w.bpos.ravel()[w.pi2.ravel()] = w.bmax.ravel()
-            # Only candidates may claim with empty packets; they sit in
-            # positions c-1 (down) and c (up), swapped on commit rows.
-            w.iep.fill(False)
-            w.iep.ravel()[w.pi.ravel()] = w.acb[:, 0]
-            w.iep.ravel()[w.pi2.ravel()] = w.acb[:, 1]
-            if rc.size:
-                w.iep[rc, cdm1] = w.acb[rc, 1]
-                w.iep[rc, cdx] = w.acb[rc, 0]
+                w.inv1[w.pp[rc]] = w.cl[rc, ::-1]
+            # Ceiling-table index by position (:meth:`_bind_claim_tables`).
+            np.add(w.wa1, w.wb1, out=w.ri, dtype=np.int64)
+            np.add(w.ri, 6, out=w.ri)
+            np.greater(w.link_plane, cands, out=w.above)
+            np.multiply(w.above, w.ri, out=w.bidx)
+            np.add(w.bidx, w.col3, out=w.bidx)
+            w.bidx1[w.pp] = w.ix2
+            w.capv.take(w.bidx, out=w.caps_f)
             np.add(order, w.row_off, out=w.oflat)
         else:
             # Multi-pair (Remark 6) and degenerate stacks are off the
             # benchmark path: service order is the argsort of backoffs.
             if P:
+                rows = self._rows
                 pairs_below = (
                     cands[:, None, :] + 1 < sigma[:, :, None]
                 ).sum(axis=2, dtype=np.int64)
@@ -2484,7 +2611,20 @@ class BatchDPKernel(BatchPolicyKernel):
             np.add(order, w.row_off, out=w.oflat)
             w.backoff.ravel().take(w.oflat.ravel(), out=w.bpos.ravel())
             w.we.ravel().take(w.oflat.ravel(), out=w.iep.ravel())
-        oflat = w.oflat.ravel()
+            # Exclusive prefix sums land as one small matmul against a
+            # strict upper-triangular mask — bit-exact on these
+            # integer-valued floats and faster than cumsum's short-row
+            # scan at benchmark shapes.
+            np.copyto(w.iepf, w.iep, casting="unsafe")
+            np.matmul(w.iepf, w.mexcl, out=w.ebf)  # empties before
+            np.multiply(w.bpos, slot, out=w.dead)
+            np.multiply(w.ebf, empty_air, out=w.tmpf)
+            np.add(w.dead, w.tmpf, out=w.dead)
+            np.subtract(T, w.dead, out=w.tmpf)
+            # floor(x / air) by divide + floor, straight into the solver
+            # dtype: exact on integer units (see timing_refusal).
+            np.divide(w.tmpf, air, out=w.caps_f)
+            np.floor(w.caps_f, out=w.caps_f)
         needed = self._channel_draws.next(
             self._kstream(rng, "channel"), self._chan_rng(rng)
         )
@@ -2492,51 +2632,33 @@ class BatchDPKernel(BatchPolicyKernel):
             counters.add("kernel.dp.setup", perf.clock() - t0)
             t0 = perf.clock()
 
-        # Exclusive prefix sums land as one small matmul against a
-        # strict upper-triangular mask — bit-exact on these
-        # integer-valued floats and faster than cumsum's short-row
-        # scan at benchmark shapes.
-        np.copyto(w.iepf, w.iep, casting="unsafe")
-        np.matmul(w.iepf, w.mexcl, out=w.ebf)  # empties before
-        np.multiply(w.bpos, slot, out=w.dead)
-        np.multiply(w.ebf, empty_air, out=w.tmpf)
-        np.add(w.dead, w.tmpf, out=w.dead)
-        np.subtract(T, w.dead, out=w.tmpf)
-        # floor(x / air) by divide + floor, straight into the solver
-        # dtype: exact on integer units (see timing_refusal).
-        np.divide(w.tmpf, air, out=w.caps_f)
-        np.floor(w.caps_f, out=w.caps_f)
-        if arrivals.any():
+        active = bool(arrivals.any())
+        if active:
             self._serve_ordered_ws(w, arrivals, needed)
+            np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
+            np.greater(w.att_pos, 0, out=w.tx)
         else:
             # Whole stack idle: skip the solver, nothing transmits
             # data (empty claims are still resolved below).
             w.att_pos.fill(0)
             w.delivered.fill(0)
-        np.matmul(w.att_pos, w.mexcl, out=w.attb)  # attempts before
-        np.multiply(w.attb, air, out=w.start)
-        np.add(w.start, w.dead, out=w.start)
-        # start + empty_air <= T rewritten against the precomputed
-        # bound T - empty_air: same exact-integer comparison, one
-        # whole-plane add saved per interval.
-        if empty_air > 0:
-            np.less_equal(w.start, T - empty_air, out=w.fits)
+            w.busyf.fill(0)
+        if P == 1:
+            if active:
+                # Data attempts before a position: the attempts needed
+                # before it, up to the row's total (a row truncates once
+                # and then starves, see solve_ordered_service).
+                w.cum.take(w.pp, out=w.att2)
+                np.minimum(w.att2, w.busyf2, out=w.att2)
+                # The last data transmitter's table index: indices grow
+                # along the service order.
+                w.bidx.max(1, out=w.idle, where=w.tx, initial=0)
+            else:
+                w.att2.fill(0)
+                w.idle.fill(0)
+            self._claim_columns(w)
         else:
-            np.less(w.start, T, out=w.fits)
-        np.logical_and(w.fits, w.iep, out=w.fits)
-        np.matmul(w.att_pos, w.ones_wf, out=w.busyf)
-        # Multiply in float64: a float32 product rounds airtimes like 0.4 us.
-        np.copyto(w.busy, w.busyf)
-        np.multiply(w.busy, self._data_air, out=w.busy)
-        np.greater(w.att_pos, 0, out=w.tx)
-        np.logical_or(w.tx, w.fits, out=w.tx)
-        np.multiply(w.bpos, w.tx, out=w.tmpi2)
-        w.tmpi2.max(axis=1, out=w.idle)
-        np.sum(w.fits, axis=1, out=w.ne)
-        np.multiply(w.ne, self._empty_air, out=w.eus)
-        np.add(w.busy, w.eus, out=w.busy)
-        np.multiply(w.idle, self._slot, out=w.ovh)
-        np.add(w.ovh, w.eus, out=w.ovh)
+            self._timeline_planes(w, active)
         if counters.enabled:
             counters.add("kernel.dp.timeline", perf.clock() - t0)
             t0 = perf.clock()
@@ -2545,11 +2667,9 @@ class BatchDPKernel(BatchPolicyKernel):
             if rc.size:
                 # Commit is confined to the rows where both coins said
                 # "swap" (w.cc, computed during setup) — and on those
-                # rows the up-link was served at position c - 1, so the
-                # transmission test is two tiny gathers.  The in-place
-                # sigma writes touch committed entries only.
-                live = w.tx[rc, cdm1] & (w.start[rc, cdm1] + air <= T)
-                rcc = rc[live]
+                # rows the up-link was served at position c - 1.  The
+                # in-place sigma writes touch committed entries only.
+                rcc = self._pair_commits(w, rc)
                 if rcc.size:
                     csel = cands[rcc, 0]
                     sigma[rcc, w.down[rcc, 0]] = csel + 1
@@ -2564,7 +2684,8 @@ class BatchDPKernel(BatchPolicyKernel):
                 # in-place sigma writes below touch committed entries
                 # only (a non-committed pair keeps the values sigma
                 # already holds).
-                w.posn.ravel()[oflat] = w.link_plane.ravel()
+                rows = self._rows
+                w.posn.ravel()[w.oflat] = w.link_plane
                 up_pos = w.posn[rows, w.up]
                 committed = (
                     w.cc
@@ -2578,7 +2699,7 @@ class BatchDPKernel(BatchPolicyKernel):
                     sigma[rcp, w.up[rcp, pc]] = csel
 
         if not lite:
-            w.attempts_f.ravel()[oflat] = w.att_pos.ravel()
+            w.attempts_f1[w.oflat] = w.att_pos
             np.copyto(w.attempts_i, w.attempts_f, casting="unsafe")
         if counters.enabled:
             counters.add("kernel.dp.commit", perf.clock() - t0)
@@ -2590,6 +2711,34 @@ class BatchDPKernel(BatchPolicyKernel):
             collisions=w.zeroi,
             priorities=sigma_out,
         )
+
+    def _timeline_planes(self, w: SimpleNamespace, active: bool) -> None:
+        """The general timeline on whole position planes (multi-pair
+        and one-link stacks): starts, claim fits, busy and overhead."""
+        T, air, empty_air, _ = self._units
+        np.matmul(w.att_pos, w.mexcl, out=w.attb)  # attempts before
+        np.multiply(w.attb, air, out=w.start)
+        np.add(w.start, w.dead, out=w.start)
+        # start + empty_air <= T rewritten against the precomputed
+        # bound T - empty_air: same exact-integer comparison, one
+        # whole-plane add saved per interval.
+        if empty_air > 0:
+            np.less_equal(w.start, T - empty_air, out=w.fits)
+        else:
+            np.less(w.start, T, out=w.fits)
+        np.logical_and(w.fits, w.iep, out=w.fits)
+        # Multiply in float64: a float32 product rounds airtimes like 0.4 us.
+        np.multiply(w.busyf, self._data_air, out=w.busy, dtype=np.float64)
+        if not active:
+            w.tx.fill(False)
+        np.logical_or(w.tx, w.fits, out=w.tx)
+        np.multiply(w.bpos, w.tx, out=w.tmpi2)
+        w.tmpi2.max(axis=1, out=w.idle)
+        np.sum(w.fits, axis=1, out=w.ne)
+        np.multiply(w.ne, self._empty_air, out=w.eus)
+        np.add(w.busy, w.eus, out=w.busy)
+        np.multiply(w.idle, self._slot, out=w.ovh)
+        np.add(w.ovh, w.eus, out=w.ovh)
 
 
 def make_batch_kernel(policy: IntervalMac) -> BatchPolicyKernel:

@@ -209,6 +209,8 @@ class SpecStack:
                 out[:, _row_index(rows)] = flat.reshape(
                     depth, len(rows), self._n
                 )
+                # Free this group's int64 draws before the next group's.
+                del flat
         return out
 
 

@@ -253,11 +253,23 @@ class ArrivalProcess(ABC):
                 f"batch arrival shape {arrivals.shape} != "
                 f"({num_seeds}, {self.num_links})"
             )
-        if np.any(arrivals < 0) or np.any(arrivals > self.max_per_link):
+        if arrivals.dtype.kind == "i" and arrivals.dtype.isnative:
+            # One pass: read as unsigned, a negative count wraps above
+            # any bound.
+            unsigned = arrivals.view(f"u{arrivals.dtype.itemsize}")
+            bad = np.any(unsigned > self.max_per_link)
+        else:
+            bad = np.any(arrivals < 0) or np.any(arrivals > self.max_per_link)
+        if bad:
             raise AssertionError(
                 f"batch arrivals outside [0, {self.max_per_link}]"
             )
         return arrivals
+
+
+#: Uniforms :meth:`BurstyVideoArrivals.sample_batch` draws per call at
+#: most (256 KiB of float64).
+_COIN_SLAB_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -351,7 +363,16 @@ class BurstyVideoArrivals(ArrivalProcess):
 
     def sample_batch(self, rng: np.random.Generator, num_seeds: int) -> np.ndarray:
         shape = (num_seeds, self.num_links)
-        active = rng.random(shape) < self._alpha_vec
+        # The burst coins a slab of rows at a time through one bounded
+        # scratch: a generator is sequential, so the slabs hold the
+        # values of one whole-plane ``random`` call.
+        active = np.empty(shape, dtype=bool)
+        step = max(1, _COIN_SLAB_VALUES // self.num_links)
+        scratch = np.empty((min(step, num_seeds), self.num_links))
+        for lo in range(0, num_seeds, step):
+            coins = scratch[: min(step, num_seeds - lo)]
+            rng.random(out=coins)
+            np.less(coins, self._alpha_vec, out=active[lo : lo + len(coins)])
         bursts = rng.integers(1, self.burst_max + 1, size=shape, dtype=np.int64)
         np.multiply(bursts, active, out=bursts)
         return self._check_batch(bursts, num_seeds)

@@ -148,3 +148,41 @@ def test_decimal_interval_holds_its_attempt_budget(engine, policy):
         ).run(INTERVALS)
         per_interval = result.attempts.sum(axis=2)
     assert per_interval.max() == 3
+
+
+@pytest.mark.parametrize("slot", [0.0, 0.1])
+@pytest.mark.parametrize("engine", ["scalar", "sync", "batch", "free"])
+@pytest.mark.parametrize("family", ["FCSMA", "DCF"])
+def test_contention_stop_rule_counts_time_units(family, engine, slot):
+    """Three 0.4 us airtimes fill a 1.2 us interval exactly; in float
+    ``0.4 + 0.4 + 0.4 > 1.2``.  With one link and a one-slot window
+    every round starts without backoff, so every engine must reach
+    three attempts in an interval, and never more."""
+    from repro.core.dcf import DCFPolicy
+    from repro.core.fcsma import DebtWindowMap, FCSMAPolicy
+
+    timing = IntervalTiming(1.2, 0.4, 0.05, slot)
+    assert timing.max_transmissions == 3
+    spec = NetworkSpec.from_delivery_ratios(
+        arrivals=BurstyVideoArrivals.symmetric(1, 0.9),
+        channel=BernoulliChannel.symmetric(1, 0.5),
+        timing=timing,
+        delivery_ratios=0.5,
+    )
+
+    def policy():
+        if family == "DCF":
+            return DCFPolicy(cw_min=1, cw_max=1)
+        return FCSMAPolicy(DebtWindowMap(windows=(1,)))
+
+    if engine == "scalar":
+        per_interval = np.concatenate([
+            run_simulation(spec, policy(), 300, seed=s).attempts.sum(axis=1)
+            for s in SEEDS
+        ])
+    else:
+        result = BatchIntervalSimulator(
+            spec, policy(), SEEDS, rng=engine, record_traces=True
+        ).run(300)
+        per_interval = result.attempts.sum(axis=2).ravel()
+    assert per_interval.max() == 3

@@ -297,3 +297,40 @@ class TestEldfWeightBufferReuse:
         np.testing.assert_array_equal(
             order, np.argsort(-expected_w, axis=1, kind="stable")
         )
+
+
+class TestDPWorkspaceReport:
+    """``kernel.dp.bind_workspace`` counts the arrays the bound DP
+    workspace really owns, and a single pair binds none of the
+    multi-pair timeline planes."""
+
+    MULTI_PAIR_PLANES = ("backoff", "posn", "we", "iep", "start", "dead", "fits")
+
+    def _bind(self, num_links, num_pairs, lite):
+        from repro.sim import batch_kernels
+        from repro.sim.batch_sim import BatchIntervalSimulator
+
+        perf.counters.reset()
+        perf.counters.enabled = True
+        sim = BatchIntervalSimulator(
+            video_symmetric_spec(0.6, num_links=num_links),
+            DBDPPolicy(num_pairs=num_pairs),
+            (0, 1, 2),
+            record_traces=not lite,
+        )
+        ws = sim.kernel._ws
+        stat = perf.counters.stages["kernel.dp.bind_workspace"]
+        assert stat.allocs == batch_kernels._owned_arrays(ws)
+        return ws, stat.allocs
+
+    @pytest.mark.parametrize("num_links", [8, 80])  # dense, incremental
+    def test_single_pair_binds_no_multi_pair_plane(self, num_links):
+        ws, allocs = self._bind(num_links, 1, lite=True)
+        for name in self.MULTI_PAIR_PLANES + ("attempts_f", "attempts_i"):
+            assert not hasattr(ws, name), name
+        assert not hasattr(ws, "serve3f")  # no (S, N, A) delivery cube
+
+    def test_multi_pair_and_traced_runs_bind_their_planes(self):
+        ws, _ = self._bind(8, 2, lite=False)
+        for name in self.MULTI_PAIR_PLANES + ("attempts_f", "attempts_i"):
+            assert hasattr(ws, name), name

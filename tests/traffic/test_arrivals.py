@@ -380,6 +380,34 @@ class TestGenericSampleBatchValidation:
         with pytest.raises(AssertionError):
             Broken().sample_batch(rng, 4)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float64])
+    @pytest.mark.parametrize("bad", [-1, 2, np.iinfo(np.int32).min])
+    def test_batch_range_check_rejects_negative_and_too_large(self, dtype, bad):
+        process = BernoulliArrivals(rates=(0.3, 0.7))
+        ok = np.array([[0, 1], [1, 0]], dtype=dtype)
+        assert process._check_batch(ok, 2) is ok
+        broken = ok.copy()
+        broken[1, 0] = bad
+        with pytest.raises(AssertionError, match=r"outside \[0, 1\]"):
+            process._check_batch(broken, 2)
+        # A strided view is checked the same way.
+        with pytest.raises(AssertionError):
+            process._check_batch(np.vstack([broken, broken])[1::2], 2)
+
+    @pytest.mark.parametrize("slab", [1, 7, 1 << 15])
+    def test_bursty_coins_by_slab_equal_one_whole_plane_draw(
+        self, monkeypatch, slab
+    ):
+        from repro.traffic import arrivals as arrivals_module
+
+        monkeypatch.setattr(arrivals_module, "_COIN_SLAB_VALUES", slab)
+        process = BurstyVideoArrivals.symmetric(5, 0.55)
+        got = process.sample_batch(np.random.default_rng(3), 23)
+        gen = np.random.default_rng(3)
+        active = gen.random((23, 5)) < 0.55
+        bursts = gen.integers(1, 7, size=(23, 5), dtype=np.int64)
+        np.testing.assert_array_equal(got, bursts * active)
+
     def test_generic_fallback_stacks_valid_draws(self, rng):
         process = TruncatedPoissonArrivals(poisson_rates=(1.0, 2.0), cap=4)
         if process.supports_batch_sampling:
