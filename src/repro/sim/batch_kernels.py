@@ -2019,7 +2019,6 @@ class BatchDPKernel(BatchPolicyKernel):
         w.pp = np.empty((S, 2 * P), dtype=np.int64)
         w.pp3 = w.pp.reshape(S, 2, P)
         w.pp_off = (w.row_off - np.array([1, 0]))[:, :, None]
-        w.pi = w.pp[:, :P]
         w.cl = np.empty((S, 2 * P), dtype=np.int64)
         w.down, w.up = w.cl[:, :P], w.cl[:, P:]
         w.clflat = np.empty((S, 2 * P), dtype=np.int64)
@@ -2189,8 +2188,8 @@ class BatchDPKernel(BatchPolicyKernel):
         :meth:`_run_interval_inc`).
 
         Deliberately *not* built on :meth:`_alloc_common_ws`: the dense
-        solver's (n, n) prefix-sum mask and (S, n, A) compare cube are
-        exactly the quadratic footprint this path exists to avoid.  The
+        solver's (n, n) prefix-sum mask and its (S, n) position planes
+        are exactly the footprint this path exists to avoid.  The
         block scratch here is ``(S, K)`` with ``K = min(n,
         max_transmissions + 1)`` — the largest number of links that can
         possibly receive attempts in one interval plus the marginal
