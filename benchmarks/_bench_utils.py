@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 #: Engines a figure benchmark can be routed through.
-ENGINE_CHOICES = ("scalar", "batch", "fused")
+ENGINE_CHOICES = ("scalar", "fused")
 
 
 def resolve_engine(option: str | None = None) -> str:

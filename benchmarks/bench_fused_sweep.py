@@ -1,6 +1,6 @@
-"""Per-cell batch sweeps vs the grid-fused engine on a Fig. 3-style grid.
+"""Per-cell batch runs vs the grid-fused engine on a Fig. 3-style grid.
 
-``run_sweep(engine="batch")`` vectorizes each (parameter value, policy)
+``run_single(engine="batch")`` vectorizes one (parameter value, policy)
 cell across seeds but still pays one Python per-interval loop per cell; a
 full figure grid is V x P of those.  ``run_sweep_fused`` collapses every
 batchable (value, seed) cell of a policy family into one mega-batch, so the
@@ -30,7 +30,7 @@ from repro import DBDPPolicy, LDFPolicy
 from repro.experiments.cache import SweepCache
 from repro.experiments.grid import run_sweep_fused
 from repro.experiments.configs import video_symmetric_spec
-from repro.experiments.runner import run_sweep
+from repro.experiments.runner import run_single
 
 from _bench_utils import bench_intervals
 
@@ -59,10 +59,16 @@ def test_fused_vs_per_cell_sweep(tmp_path):
     cells = len(ALPHAS) * len(POLICIES)
 
     t0 = time.perf_counter()
-    per_cell = run_sweep(
-        "alpha*", ALPHAS, _spec_builder, POLICIES, intervals, seeds,
-        engine="batch",
-    )
+    per_cell = {
+        name: [
+            run_single(
+                _spec_builder(alpha), factory, intervals, seeds,
+                engine="batch",
+            ).total_deficiency
+            for alpha in ALPHAS
+        ]
+        for name, factory in POLICIES.items()
+    }
     per_cell_s = time.perf_counter() - t0
     gc.collect()
 
@@ -109,7 +115,7 @@ def test_fused_vs_per_cell_sweep(tmp_path):
     # The engines must agree on the physics, not just the clock: fused
     # cells are fresh samples of the same estimator, so means stay close.
     for name in POLICIES:
-        for a, b in zip(fused.series(name), per_cell.series(name)):
+        for a, b in zip(fused.series(name), per_cell[name]):
             assert abs(a - b) < max(0.2, 0.25 * b + 0.05), (name, a, b)
 
     # Warm cache must replay the cold fused sweep bit-for-bit.

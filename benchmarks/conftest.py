@@ -18,7 +18,7 @@ def pytest_addoption(parser):
         "--engine",
         action="store",
         default=None,
-        choices=("scalar", "batch", "fused"),
+        choices=("scalar", "fused"),
         help=(
             "Simulation engine for figure benchmarks (default: "
             "REPRO_BENCH_ENGINE or 'fused'; unsupported cells fall back "

@@ -42,9 +42,9 @@ Adding a new policy is now a one-file change::
     ))
 
 With no ``batch_kernel`` the policy is scalar-only: every engine
-(``engine="batch"``/``"fused"`` included) transparently falls back to the
-scalar interval simulator for it, and its sweep cells are cacheable with
-no further code.  Naming a ``batch_kernel`` later upgrades it to the
+(``run_single(engine="batch")`` and ``engine="fused"`` included)
+transparently falls back to the scalar interval simulator for it, and
+its sweep cells are cacheable with no further code.  Naming a ``batch_kernel`` later upgrades it to the
 vectorized paths without touching any dispatch site.
 
 This module deliberately owns the only ``isinstance``-on-policy logic in

@@ -29,9 +29,10 @@ import time
 from typing import List, Optional
 
 from ..core import registry
-from .faults import MODE_BEST_EFFORT, FaultPolicy
+from .faults import CELL_TIMEOUT_REFUSAL, MODE_BEST_EFFORT, FaultPolicy
 from .figures import ALL_FIGURES, SWEEP_FIGURES
 from .reporting import figure_to_csv, format_figure
+from .runner import _SWEEP_ENGINES, _check_engine
 
 #: Extension studies exposed next to the paper figures, as
 #: ``"module:function"`` references imported only by the target that
@@ -87,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=["scalar", "batch", "fused"],
         default=None,
+        metavar="{" + ",".join(_SWEEP_ENGINES) + "}",
         help="simulation engine for sweep figures (default: scalar; "
         "'fused' mega-batches the whole grid and is the fastest)",
     )
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rng",
         choices=["sync", "batch", "free"],
         default=None,
-        help="draw discipline for the batch/fused engines: 'sync' is "
+        help="draw discipline for the fused engine: 'sync' is "
         "bit-identical to the scalar engine (slow), 'batch' is the "
         "default lockstep-vectorized discipline, 'free' lets the "
         "kernels draw only what they consume (statistically "
@@ -107,9 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="split a fused sweep into K row-contiguous shards run in "
-        "parallel worker processes, with --cells too (requires --engine "
-        "fused; sweep figures only)",
+        help="run the sweep on a pool of K worker processes: one cell per "
+        "work unit on --engine scalar, K row-contiguous shards on the "
+        "fused engine, with --cells too (implies --engine fused unless "
+        "--engine is given; sweep figures only)",
     )
     parser.add_argument(
         "--cells",
@@ -197,9 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget for one sweep cell; a cell running "
-        "longer counts as failed (enforced by the parallel "
-        "orchestrator; sweep figures only)",
+        help="wall-clock budget for one sweep work unit (a cell, or a "
+        "fused shard); a unit running longer counts as failed and its "
+        "worker is reclaimed (needs --shards K >= 2: only a worker pool "
+        "enforces it; sweep figures only)",
     )
     parser.add_argument(
         "--best-effort",
@@ -331,6 +334,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.cross_cell_fraction is not None and args.cells is None:
         parser.error("--cross-cell-fraction requires --cells")
+    if args.engine is not None:
+        try:
+            _check_engine(args.engine)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if args.cell_timeout is not None and (args.shards or 1) < 2:
+        parser.error(CELL_TIMEOUT_REFUSAL)
     names = sorted(ALL_FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
         started = time.time()

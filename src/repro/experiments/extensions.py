@@ -163,7 +163,7 @@ def burst_loss_robustness(
     intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
     if seeds is None:
         seeds = (seed,)
-    if rng is None and engine in ("batch", "fused"):
+    if rng is None and engine == "fused":
         # Lockstep draws cannot evolve Gilbert-Elliott state; free-draw
         # substreams are the statistically-equivalent vectorized path.
         rng = "free"
@@ -263,7 +263,7 @@ def correlated_traffic_robustness(
     intervals = num_intervals or scaled_intervals(VIDEO_INTERVALS)
     if seeds is None:
         seeds = (seed,)
-    if rng is None and engine in ("batch", "fused"):
+    if rng is None and engine == "fused":
         # Lockstep draws cannot evolve the modulating chains; free-draw
         # substreams are the statistically-equivalent vectorized path.
         rng = "free"

@@ -3,7 +3,7 @@
 Full-horizon figure sweeps run thousands of independent (value, policy)
 cells across processes; at that scale workers crash, hang, and die with
 their pool.  This module supplies the shared vocabulary every runner
-(sequential, fused, parallel) uses to survive those faults:
+(scalar, fused, sharded) uses to survive those faults:
 
 * :class:`FaultPolicy` — how hard to try: bounded retries with
   exponential backoff, an optional per-cell wall-clock timeout, and a
@@ -17,9 +17,9 @@ their pool.  This module supplies the shared vocabulary every runner
   failed cells were filled with NaN points (:func:`nan_point`).
 * :func:`call_with_retries` — the retry loop itself, shared by every
   in-process runner, for single cells and for units covering several
-  cells (fused groups, shards); the parallel orchestrator implements the
-  same policy asynchronously across futures and settles permanent
-  failures the same way.
+  cells (fused groups, shards); the pool orchestrator of sharded sweeps
+  implements the same policy asynchronously across futures and settles
+  permanent failures the same way.
 * :func:`fire_fault_hooks` — deterministic fault injection for testing:
   an injectable in-process callable (:func:`install_fault_injector`)
   plus the ``REPRO_FAULT_INJECT`` environment variable, which crosses
@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "CELL_TIMEOUT_REFUSAL",
     "ENV_FAULT_INJECT",
     "MODE_BEST_EFFORT",
     "MODE_STRICT",
@@ -73,6 +74,14 @@ MODE_STRICT = "strict"
 MODE_BEST_EFFORT = "best_effort"
 MODES = (MODE_STRICT, MODE_BEST_EFFORT)
 
+#: Why a sweep that starts no worker pool refuses ``cell_timeout``: only
+#: a pool can reclaim a hung cell, by respawning its worker.
+CELL_TIMEOUT_REFUSAL = (
+    "cell_timeout is enforced only on a worker pool: pass shards >= 2 "
+    "over a grid of two or more cells, with a picklable spec_builder, "
+    "policies and topology"
+)
+
 #: How long a "hang" directive sleeps — effectively forever next to any
 #: realistic cell timeout, while still unwinding if a test forgets to
 #: arm one.
@@ -87,10 +96,11 @@ class FaultPolicy:
         Extra attempts after the first (``retries=2`` means a cell runs
         at most 3 times before it is declared permanently failed).
     cell_timeout:
-        Wall-clock seconds one cell may *run* before it counts as
-        failed.  Only the parallel orchestrator can enforce it (a hung
-        worker must be reclaimed by respawning the pool); the in-process
-        runners ignore it.
+        Wall-clock seconds one work unit (a cell, or a fused shard) may
+        *run* before it counts as failed.  Only a sharded sweep's worker
+        pool can enforce it (a hung worker must be reclaimed by
+        respawning the pool); a sweep that starts no pool refuses it
+        with :data:`CELL_TIMEOUT_REFUSAL`.
     backoff_base / backoff_factor / backoff_max:
         Delay before retry ``k`` (1-based) is
         ``min(backoff_max, backoff_base * backoff_factor ** (k - 1))``.

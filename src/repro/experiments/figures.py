@@ -43,7 +43,7 @@ from .configs import (
     video_symmetric_spec,
 )
 from .faults import SweepFailureReport
-from .runner import _ENGINES, SweepResult, run_sweep
+from .runner import SweepResult, _check_engine, run_sweep
 
 #: ``policies`` argument accepted by the sweep figures: a label -> factory
 #: mapping, a sequence of registered policy names
@@ -112,11 +112,6 @@ def _maybe_with_arrivals(builder, arrivals):
         return builder
     return functools.partial(_with_arrivals, builder, arrivals)
 
-
-def _check_engine(engine: str) -> None:
-    """Validate an ``engine`` argument on figures that cannot use it."""
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
 
 __all__ = [
     "FigureResult",
@@ -326,8 +321,9 @@ SWEEP_FIGURES = {
     20 links, ``p = 0.7``, 90% delivery ratio.  LDF's admissible boundary
     sits near ``alpha* ~ 0.62``; FCSMA supports only ~70% of that.
     ``policies`` overrides the compared set (factories or registered
-    names); the default is the paper's comparison.  ``rng`` / ``shards``
-    reach the sweep engines (batch/fused only) — see
+    names); the default is the paper's comparison.  ``engine`` is
+    ``"scalar"`` or ``"fused"``; ``rng`` reaches the fused engine and
+    ``shards`` runs either on a worker pool — see
     :func:`~repro.experiments.runner.run_sweep`.  ``channel`` replaces
     the spec's default Bernoulli channel: a spec string such as
     ``"ge:0.1:0.3"`` (see :func:`~repro.phy.channel.channel_from_spec`),

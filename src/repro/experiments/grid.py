@@ -1,10 +1,10 @@
 """Grid-fused sweeps: one engine pass per (policy family, N) group.
 
-:func:`~repro.experiments.runner.run_sweep` with ``engine="batch"`` already
-vectorizes across seeds, but still pays one engine invocation — Python
-per-interval loop included — per (parameter value, policy) cell.  A figure
-sweep is V values x P policies of those.  This module collapses the grid
-the rest of the way: every cell of a sweep that shares a policy family and
+:func:`~repro.experiments.runner.run_single` with ``engine="batch"``
+vectorizes one cell across seeds, but still pays one engine invocation —
+Python per-interval loop included — per (parameter value, policy) cell.  A
+figure sweep is V values x P policies of those.  This module collapses the
+grid the rest of the way: every cell of a sweep that shares a policy family and
 a link count joins one **mega-batch** of ``R = V x S`` rows (S = seeds per
 cell), built on the per-row spec support of
 :class:`~repro.sim.spec_stack.SpecStack` /
@@ -25,8 +25,9 @@ Semantics:
 * Cells whose spec/policy cannot join a mega-batch — no batch kernel
   (frame-CSMA), stateful channels or arrivals, or per-row parameters
   the kernels cannot stack — **fall back automatically** to
-  the per-cell runner (``engine="batch"``, which itself degrades to
-  scalar), so ``run_sweep_fused`` accepts anything ``run_sweep`` does.
+  the per-cell runner (``run_single(engine="batch")``, which itself
+  degrades to scalar), so ``run_sweep_fused`` accepts anything
+  ``run_sweep`` does.
 * Pass ``cache=True`` (or a directory / :class:`SweepCache`) to memoize
   finished cells on disk; see :mod:`repro.experiments.cache`.
 * ``rng="free"`` switches batchable policy families to independently
@@ -34,10 +35,11 @@ Semantics:
   bit-identical, to the default lockstep-batch discipline); families
   without a batch kernel run on the scalar engine, announced with one
   ``UserWarning`` per sweep.
-* ``shards=K`` splits the grid into K row-contiguous shards dispatched
-  through the fault-tolerant process orchestrator of
-  :mod:`repro.experiments.parallel`, so a mega-batch sweep uses every
-  core and inherits retry/respawn/checkpoint-resume per shard.  A
+* ``shards=K`` splits the grid into K row-contiguous shards run on a
+  pool of K worker processes by the fault-tolerant orchestrator of
+  :mod:`repro.experiments.parallel` (the one the scalar engine's
+  ``shards=K`` uses, one cell per unit), so a mega-batch sweep uses
+  several cores and inherits retry/respawn/checkpoint-resume per shard.  A
   ``topology=`` sweep shards the same way; each of its topology cells
   runs on the multi-cell engine inside its shard's process.
 * Every cell is checkpointed the moment it settles: mega-batch cells
@@ -67,9 +69,10 @@ from ..core import registry
 from ..core.requirements import NetworkSpec
 from ..sim import perf
 from ..sim.rng import normalize_rng_mode
-from .cache import SweepCache, resolve_cache, warn_uncacheable
+from .cache import SweepCache, resolve_cache
 from .configs import PolicyFactory
 from .faults import (
+    CELL_TIMEOUT_REFUSAL,
     CellFailure,
     FaultPolicy,
     _retry_unit,
@@ -83,11 +86,14 @@ from .runner import (
     _assemble,
     _Cell,
     _cell_runner,
+    _check_sweep,
     _lookup,
     _plan_cell,
     _plan_sweep,
     _resolve_topology,
-    _settle,
+    _settle_cells,
+    _store_settled,
+    run_single,
 )
 
 if TYPE_CHECKING:
@@ -383,33 +389,62 @@ def _simulate_cells(
 
 @dataclass(frozen=True)
 class _ShardSpec:
-    """One row-contiguous slice of the sweep grid — everything picklable.
+    """One work unit of a sharded sweep — everything picklable.
 
-    ``members`` pins the (value, policy label) cells of the shard; the
-    worker rebuilds specs and policies from the sweep's builder, exactly
-    like :mod:`repro.experiments.parallel` cells.  ``index``/``count``
-    derive the shard's batch-RNG stream tag, making every draw a pure
-    function of (seeds, shard count, shard index) — reruns and resumes
-    at the same shard count are bit-identical.
+    ``members`` pins the (value, policy label) cells of the unit; the
+    worker rebuilds specs and policies from the sweep's builder.
+    ``value``/``label`` name the unit in a strict
+    :class:`~repro.experiments.faults.SweepCellError`: the cell itself
+    on the scalar engine, ``(index, "shard i/K (n cells)")`` for a
+    fused block.  A fused block draws from its ``stream_tag``
+    (:func:`_shard_tag`), making every draw a pure function of (seeds,
+    shard count, shard index) — reruns and resumes at the same shard
+    count are bit-identical.
     """
 
-    index: int
-    count: int
+    value: float
     label: str
     members: Tuple[Tuple[float, str], ...]
-
-    @property
-    def value(self) -> float:
-        """Orchestrator-facing cell value (used in failure reports)."""
-        return float(self.index)
+    stream_tag: str = FUSED_STREAM_TAG
 
 
 def _shard_tag(index: int, count: int) -> str:
     return f"{FUSED_STREAM_TAG}/shard{index + 1}of{count}"
 
 
+def _shard_units(
+    cells: List[_Cell], engine: str, shards: int
+) -> List[_ShardSpec]:
+    """The sweep's work units: one per cell on the scalar engine, K
+    row-contiguous blocks on the fused engine (K capped at the cell
+    count).  A pure function of the sweep definition and ``shards``."""
+    if engine == "scalar":
+        return [
+            _ShardSpec(c.value, c.label, ((c.value, c.label),))
+            for c in cells
+        ]
+    count = min(shards, len(cells))
+    base, extra = divmod(len(cells), count)
+    units: List[_ShardSpec] = []
+    start = 0
+    for index in range(count):
+        size = base + (1 if index < extra else 0)
+        members = cells[start:start + size]
+        start += size
+        units.append(
+            _ShardSpec(
+                value=float(index),
+                label=f"shard {index + 1}/{count} ({len(members)} cells)",
+                members=tuple((c.value, c.label) for c in members),
+                stream_tag=_shard_tag(index, count),
+            )
+        )
+    return units
+
+
 def _run_shard(
     shard: _ShardSpec,
+    engine: str,
     spec_builder: Callable[[float], NetworkSpec],
     policies: Dict[str, PolicyFactory],
     num_intervals: int,
@@ -419,10 +454,24 @@ def _run_shard(
     validate: bool,
     topology,
     attempt: int,
-) -> Tuple[_ShardSpec, List[Tuple[float, str, SweepPoint]]]:
-    """Worker-side execution of one shard (module-level, picklable)."""
+) -> List[Tuple[float, str, SweepPoint]]:
+    """Worker-side execution of one unit (module-level, picklable).
+
+    The scalar engine runs each member through
+    ``run_single(engine="scalar")``; the fused engine mega-batches the
+    members under the unit's stream tag and runs the cells no
+    mega-batch takes on the per-cell fallback.
+    """
     for value, label in shard.members:
         fire_fault_hooks(value, label, attempt)
+    if engine == "scalar":
+        return [
+            (value, label, run_single(
+                spec_builder(value), policies[label], num_intervals, seeds,
+                groups,
+            ))
+            for value, label in shard.members
+        ]
     planned: Dict[float, Tuple[NetworkSpec, object]] = {}
     cells: List[_Cell] = []
     for value, label in shard.members:
@@ -435,33 +484,14 @@ def _run_shard(
         )
     fallback: List[_Cell] = []
     _simulate_cells(
-        cells, seeds, validate, num_intervals, groups,
-        _shard_tag(shard.index, shard.count), fallback,
+        cells, seeds, validate, num_intervals, groups, shard.stream_tag,
+        fallback,
     )
     compute = _fallback_runner(num_intervals, seeds, groups, validate)
     with _advised():  # the sweep advised once, in the parent process
         for cell in fallback:
             cell.point = compute(cell)
-    return shard, [(c.value, c.label, c.point) for c in cells]
-
-
-def _store_settled(
-    cells: Sequence[_Cell], store: Optional[SweepCache]
-) -> None:
-    """Checkpoint every cell that has just settled (a point, not served
-    from the cache, not a best-effort failure): a sweep stopped right
-    now resumes from all of them."""
-    if store is None:
-        return
-    for cell in cells:
-        if (
-            cell.point is not None
-            and cell.key is not None
-            and not cell.cached
-            and not cell.failed
-        ):
-            store.put(cell.key, cell.point)
-            cell.cached = True
+    return [(c.value, c.label, c.point) for c in cells]
 
 
 def _checkpoint(
@@ -469,15 +499,16 @@ def _checkpoint(
     cells_by_id: Dict[Tuple[float, str], _Cell],
     store: Optional[SweepCache],
 ) -> None:
-    """Resolve a finished shard's cells and store them at once."""
+    """Resolve a finished unit's cells and store them at once."""
     cells = [cells_by_id[(value, label)] for value, label, _ in points]
     for cell, (_, _, point) in zip(cells, points):
         cell.point = point
     _store_settled(cells, store)
 
 
-def _run_sweep_fused_sharded(
+def _run_sweep_sharded(
     cells: List[_Cell],
+    engine: str,
     spec_builder: Callable[[float], NetworkSpec],
     policies: Dict[str, PolicyFactory],
     num_intervals: int,
@@ -491,58 +522,42 @@ def _run_sweep_fused_sharded(
     failures: List[CellFailure],
     topology,
 ) -> None:
-    """Split the grid into row-contiguous shards and dispatch them.
+    """Split the grid into work units and run them on a pool of
+    ``shards`` worker processes.
 
-    Shard membership is a pure function of the sweep definition and the
-    shard count — computed over the *full* cell list, before cache
-    state, so a resumed sweep splits identically to the original.  A
-    shard only skips when **every** member is warm: warm members of a
-    cold shard are recomputed (bit-identically — same stack, same
-    stream tag) so resume equals an uninterrupted run at the same shard
-    count.
+    Unit membership (:func:`_shard_units`) is computed over the *full*
+    cell list, before cache state, so a resumed sweep splits identically
+    to the original.  A unit only skips when **every** member is warm:
+    warm members of a cold fused block are recomputed (bit-identically —
+    same stack, same stream tag) so resume equals an uninterrupted run
+    at the same shard count.
 
-    Without a fault policy the shards still run strict with zero
+    Without a fault policy the units still run strict with zero
     retries, so a worker exception surfaces as a
-    :class:`~repro.experiments.faults.SweepCellError` naming the shard.
+    :class:`~repro.experiments.faults.SweepCellError` naming the unit.
     An unpicklable builder, policy or topology falls back to sequential
-    in-process shard execution through the same retry loop — identical
-    results, since shard draw streams depend only on the shard count,
-    not on where they run.
+    in-process execution through the same retry loop — identical
+    results, since a unit's draws do not depend on where it runs — and
+    then refuses a ``cell_timeout`` it could not enforce.
     """
-    count = max(1, min(int(shards), len(cells)))
-    base, extra = divmod(len(cells), count)
     by_id: Dict[Tuple[float, str], _Cell] = {
         (c.value, c.label): c for c in cells
     }
-    shard_specs: List[_ShardSpec] = []
-    start = 0
-    for index in range(count):
-        size = base + (1 if index < extra else 0)
-        members = cells[start:start + size]
-        start += size
-        shard_specs.append(
-            _ShardSpec(
-                index=index,
-                count=count,
-                label=f"shard {index + 1}/{count} ({len(members)} cells)",
-                members=tuple((c.value, c.label) for c in members),
-            )
-        )
     cold = [
-        sh
-        for sh in shard_specs
-        if any(by_id[m].point is None for m in sh.members)
+        unit
+        for unit in _shard_units(cells, engine, shards)
+        if any(by_id[m].point is None for m in unit.members)
     ]
     if not cold:
         return
-    for sh in cold:
-        for m in sh.members:
+    for unit in cold:
+        for m in unit.members:
             by_id[m].point = None
             by_id[m].cached = False
 
     groups_t = tuple(groups) if groups is not None else None
     submit_args = (
-        spec_builder, policies, num_intervals, seeds, groups_t,
+        engine, spec_builder, policies, num_intervals, seeds, groups_t,
         rng_mode, validate, topology,
     )
     faults = faults or FaultPolicy(retries=0, backoff_base=0.0)
@@ -553,38 +568,40 @@ def _run_sweep_fused_sharded(
         picklable = False
 
     if picklable:
-        from .parallel import _CellState, _ShardOrchestrator
+        from .parallel import _Orchestrator
 
-        _ShardOrchestrator(
-            [_CellState(cell=sh) for sh in cold],
+        _Orchestrator(
+            cold,
+            workers=min(shards, len(cold)),
+            submit_args=submit_args,
             cells_by_id=by_id,
             faults=faults,
             store=store,
-            max_workers=None,
-            submit_args=submit_args,
             seeds=seeds,
             groups=groups_t,
-            outcomes={},
             failures=failures,
         ).run()
         return
 
+    if faults.cell_timeout is not None:
+        raise ValueError(CELL_TIMEOUT_REFUSAL)
     warnings.warn(
-        "spec_builder/policies/topology are not picklable; running shards "
-        "sequentially in-process (results are identical — shard draw "
-        "streams depend only on the shard count, not on where they run)",
+        "spec_builder/policies/topology are not picklable; running the "
+        "sweep's units sequentially in-process (results are identical — "
+        "a unit's draws do not depend on where it runs)",
         UserWarning,
         stacklevel=3,
     )
-    for sh in cold:
-        run = functools.partial(_run_shard, sh, *submit_args)
-        outcome = _retry_unit(
-            run, (sh.value, sh.label), sh.members, seeds, faults, failures
+    for unit in cold:
+        run = functools.partial(_run_shard, unit, *submit_args)
+        points = _retry_unit(
+            run, (unit.value, unit.label), unit.members, seeds, faults,
+            failures,
         )
-        if outcome is None:
-            _fail_cells([by_id[m] for m in sh.members], groups)
+        if points is None:
+            _fail_cells([by_id[m] for m in unit.members], groups)
         else:
-            _checkpoint(outcome[1], by_id, store)
+            _checkpoint(points, by_id, store)
 
 
 def run_sweep_fused(
@@ -621,14 +638,14 @@ def run_sweep_fused(
         keyed distinctly.
     shards:
         Split the grid into this many row-contiguous shards and run them
-        as separate mega-batches through the fault-tolerant process
-        orchestrator of :mod:`repro.experiments.parallel` (pool respawn
-        on worker death, per-shard retries under ``faults``, per-cell
-        cache checkpoints the moment a shard resolves).  Results are a
-        pure function of (seeds, shard count): reruns and cache resumes
-        at the same shard count are identical, different shard counts
-        are statistically equivalent.  ``None``/``1`` keeps the
-        single-process path.
+        as separate mega-batches on a pool of that many worker processes
+        (:mod:`repro.experiments.parallel`: pool respawn on worker death,
+        per-shard retries under ``faults``, ``cell_timeout`` per shard,
+        per-cell cache checkpoints the moment a shard resolves).
+        Results are a pure function of (seeds, shard count): reruns and
+        cache resumes at the same shard count are identical, different
+        shard counts are statistically equivalent.  ``None``/``1`` keeps
+        the single-process path.
     cache:
         ``True`` / directory / :class:`~repro.experiments.cache.SweepCache`
         enables the on-disk cell cache; finished cells are stored and hit
@@ -648,7 +665,8 @@ def run_sweep_fused(
         result (``best_effort``).  With faults enabled the groups run
         sequentially instead of in draw-sharing lockstep — value-neutral
         (sharing never changes draws), it only forgoes that perf
-        optimization.
+        optimization.  ``cell_timeout`` is enforced per shard and
+        refused (``ValueError``) on a sweep that starts no pool.
     topology:
         A :class:`~repro.topology.graph.CellTopology` — or a builder
         called with each value's spec — switches batchable policy
@@ -661,38 +679,24 @@ def run_sweep_fused(
         Families without a batch kernel degrade to the per-cell runner
         with one ``UserWarning`` per sweep.
     """
-    if num_intervals <= 0:
-        raise ValueError(f"num_intervals must be positive, got {num_intervals}")
-    if not seeds:
-        raise ValueError("need at least one seed")
+    pooled = _check_sweep(
+        num_intervals, seeds, shards, len(values) * len(policies), faults
+    )
     rng_mode = normalize_rng_mode(rng)
-    if shards is not None and int(shards) < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     seeds = tuple(int(s) for s in seeds)
     store = resolve_cache(cache)
     policies = registry.resolve_policies(policies)
     cells = _plan_sweep(
         values, spec_builder, policies, rng_mode, topology, stacklevel=3,
     )
-
-    # Cache lookups first: hit cells never touch an engine.  Cells whose
-    # policy (or spec) has no registered fingerprint simply run uncached
-    # — announced once per sweep, never a failure.
-    if store is not None:
-        uncacheable: List[str] = []
-        for cell in cells:
-            _lookup(
-                store, cell, seeds, num_intervals, groups, "fused",
-                uncacheable,
-            )
-        warn_uncacheable(uncacheable, stacklevel=2)
+    _lookup(store, cells, seeds, num_intervals, groups, "fused")
 
     failures: List[CellFailure] = []
     fallback: List[_Cell] = []
-    if shards is not None and int(shards) > 1 and len(cells) > 1:
-        _run_sweep_fused_sharded(
-            cells, spec_builder, policies, num_intervals, seeds, groups,
-            rng_mode, validate, faults, store, int(shards), failures,
+    if pooled:
+        _run_sweep_sharded(
+            cells, "fused", spec_builder, policies, num_intervals, seeds,
+            groups, rng_mode, validate, faults, store, int(shards), failures,
             topology,
         )
     elif faults is None:
@@ -714,9 +718,8 @@ def run_sweep_fused(
                 )
                 _store_settled(group_cells, store)
 
-    compute = _fallback_runner(num_intervals, seeds, groups, validate)
-    with _advised():
-        for cell in fallback:
-            _settle(cell, compute, faults, seeds, groups, failures)
-            _store_settled([cell], store)
+    _settle_cells(
+        fallback, _fallback_runner(num_intervals, seeds, groups, validate),
+        faults, seeds, groups, failures, store,
+    )
     return _assemble(parameter_name, values, cells, failures)

@@ -1,77 +1,59 @@
-"""Fault-tolerant parallel sweep execution across processes.
+"""The process pool behind sharded sweeps.
 
-Full-horizon figure sweeps are embarrassingly parallel over (parameter,
-policy, seed) cells; this module fans them out with
-``concurrent.futures.ProcessPoolExecutor``.  Cell specifications are plain
-picklable descriptions (builder + value + policy name), reconstructed in the
-workers, so results are bit-identical to the sequential runner for the same
-seeds.
+``run_sweep(..., shards=K)`` (``engine="scalar"`` or ``"fused"``) splits
+its grid into work units and drives them through :class:`_Orchestrator`
+on a pool of K worker processes: one cell per unit on the scalar engine,
+K row-contiguous blocks on the fused engine (see
+:func:`repro.experiments.grid._run_sweep_sharded`).  Units are plain
+picklable descriptions (:class:`~repro.experiments.grid._ShardSpec`),
+rebuilt in the workers, so a unit's points do not depend on where it
+runs.
 
-The orchestration layer survives the faults a long sweep actually meets:
+The orchestrator survives the faults a long sweep actually meets:
 
-* a worker **exception** retries the cell up to
+* a worker **exception** retries the unit up to
   :class:`~repro.experiments.faults.FaultPolicy` ``retries`` times with
-  exponential backoff, then fails the cell permanently — ``strict`` mode
+  exponential backoff, then fails it permanently — ``strict`` mode
   raises a :class:`~repro.experiments.faults.SweepCellError` naming the
-  (value, policy) cell and its seed tuple, ``best_effort`` mode fills the
-  cell with NaN and records it in the result's
+  unit (the (value, policy) cell on the scalar engine) and its seed
+  tuple, ``best_effort`` mode fills the unit's cells with NaN and
+  records each in the result's
   :class:`~repro.experiments.faults.SweepFailureReport`;
 * a worker **death** (segfault, OOM kill, ``os._exit``) breaks the whole
   pool — the orchestrator respawns it and resubmits only the unfinished
-  cells.  A cell whose pool broke while other cells shared it is a
+  units.  A unit whose pool broke while other units shared it is a
   bystander as far as anyone can tell: its attempt is refunded and it
-  re-runs *alone*, so only a cell that breaks a pool by itself is
+  re-runs *alone*, so only a unit that breaks a pool by itself is
   charged (and named when it fails for good);
-* a worker **hang** is bounded by ``cell_timeout``: the cell counts as
+* a worker **hang** is bounded by ``cell_timeout``: the unit counts as
   failed, and the pool is respawned (terminating the hung process) so its
-  slot is reclaimed — interrupted innocent cells are resubmitted with
+  slot is reclaimed — interrupted innocent units are resubmitted with
   their attempt refunded;
-* every completed cell is **checkpointed** through the content-addressed
-  :class:`~repro.experiments.cache.SweepCache` the moment its future
-  resolves (pass ``cache=True`` / a directory / a store), so a sweep
-  killed at 50% resumes warm — cached cells are never submitted to the
-  pool — and finishes bit-identical to an uninterrupted run;
+* every finished unit's cells are **checkpointed** through the
+  content-addressed :class:`~repro.experiments.cache.SweepCache` the
+  moment its future resolves, so a sweep killed at 50% resumes warm —
+  warm units are never submitted to the pool — and finishes
+  bit-identical to an uninterrupted run;
 * fatal errors shut the pool down with ``cancel_futures=True`` and
-  terminate its workers instead of blocking in ``__exit__`` on cells that
-  no longer matter.
+  terminate its workers instead of blocking in ``__exit__`` on units
+  that no longer matter.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
-from dataclasses import dataclass, replace
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..core import registry
-from ..core.requirements import NetworkSpec
-from .cache import SweepCache, resolve_cache, warn_uncacheable
-from .configs import PolicyFactory
-from .faults import (
-    CellFailure,
-    FaultPolicy,
-    SweepFailureReport,
-    _fail_unit,
-    fire_fault_hooks,
-    nan_point,
-)
-from .grid import _checkpoint, _fail_cells, _run_shard
-from .runner import SweepPoint, SweepResult, run_single
+from .faults import CellFailure, FaultPolicy, _fail_unit
+from .grid import _checkpoint, _fail_cells, _run_shard, _ShardSpec
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["run_sweep_parallel"]
+    from .cache import SweepCache
+    from .runner import _Cell
 
 #: Poll interval (seconds) used to observe when a queued future starts
 #: running, which is when its ``cell_timeout`` clock starts.
@@ -79,37 +61,6 @@ _TIMEOUT_POLL_S = 0.05
 
 #: Seconds to wait for a terminated worker process to exit.
 _JOIN_TIMEOUT_S = 5.0
-
-
-@dataclass(frozen=True)
-class _Cell:
-    """One (value, policy) cell of the sweep — everything picklable."""
-
-    value: float
-    label: str
-
-    @property
-    def members(self) -> Tuple[Tuple[float, str], ...]:
-        """The sweep cells this work unit covers: just itself."""
-        return ((self.value, self.label),)
-
-
-def _run_cell(
-    cell: _Cell,
-    spec_builder: Callable[[float], NetworkSpec],
-    policies: Dict[str, PolicyFactory],
-    num_intervals: int,
-    seeds: Sequence[int],
-    groups: Optional[Sequence[int]],
-    engine: str,
-    attempt: int,
-) -> Tuple[_Cell, SweepPoint]:
-    fire_fault_hooks(cell.value, cell.label, attempt)
-    spec = spec_builder(cell.value)
-    point = run_single(
-        spec, policies[cell.label], num_intervals, seeds, groups, engine
-    )
-    return cell, point
 
 
 def _harvest_failures_last(future: Future) -> bool:
@@ -120,11 +71,10 @@ def _harvest_failures_last(future: Future) -> bool:
 
 
 @dataclass
-class _CellState:
-    """Orchestrator-side bookkeeping for one uncached cell."""
+class _UnitState:
+    """Orchestrator-side bookkeeping for one unsettled work unit."""
 
-    cell: _Cell
-    key: Optional[str] = None  # cache key, when the cell is cacheable
+    unit: _ShardSpec
     attempts: int = 0  # submissions so far
     not_before: float = 0.0  # monotonic time gating the next submission
     #: the current attempt has overlapped another in-flight attempt
@@ -135,56 +85,48 @@ class _CellState:
 
 
 class _Orchestrator:
-    """Drives one pool generation after another until every cell settles.
+    """Drives one pool generation after another until every unit settles.
 
-    The loop submits eligible cells, waits for completions, harvests
-    them (success → outcome + cache checkpoint; failure → retry or
-    permanent failure), and respawns the pool whenever it breaks or a
-    running cell exceeds its timeout.  At most one unit per worker is
-    in flight, so a pool break has at most that many suspects; each
-    re-runs alone to find the culprit (see :meth:`_harvest`).
-
-    The work unit is pluggable: subclasses may override :attr:`task_fn`
-    (a picklable module-level callable invoked as
-    ``task_fn(state.cell, *submit_args, attempts)``) together with
-    :meth:`_record_success` to orchestrate coarser units than one cell
-    (a unit names its cells in ``members``) — the fused sweep runner
-    dispatches whole row-contiguous *shards* this way and inherits the
-    retry/backoff/respawn/checkpoint machinery unchanged.
+    The loop submits eligible units to
+    :func:`~repro.experiments.grid._run_shard`, waits for completions,
+    harvests them (success → the unit's cells resolved and checkpointed;
+    failure → retry or permanent failure), and respawns the pool
+    whenever it breaks or a running unit exceeds its timeout.  At most
+    one unit per worker is in flight, so a pool break has at most that
+    many suspects; each re-runs alone to find the culprit (see
+    :meth:`_harvest`).  A permanent failure NaN-fills (best effort) or
+    names (strict) the unit and reports each of its member cells.
     """
-
-    #: The picklable work function submitted to the pool.
-    task_fn = staticmethod(_run_cell)
 
     def __init__(
         self,
-        states: List[_CellState],
+        units: List[_ShardSpec],
         *,
+        workers: int,
+        submit_args: Tuple,
+        cells_by_id: Dict[Tuple[float, str], _Cell],
         faults: FaultPolicy,
         store: Optional[SweepCache],
-        max_workers: Optional[int],
-        submit_args: Tuple,
         seeds: Tuple[int, ...],
         groups: Optional[Tuple[int, ...]],
-        outcomes: Dict[Tuple[float, str], SweepPoint],
         failures: List[CellFailure],
     ):
-        self.queue: List[_CellState] = list(states)
+        self.queue: List[_UnitState] = [_UnitState(unit) for unit in units]
+        self.workers = workers
+        self.submit_args = submit_args
+        self.cells_by_id = cells_by_id
         self.faults = faults
         self.store = store
-        self.max_workers = max_workers
-        self.submit_args = submit_args
         self.seeds = seeds
         self.groups = groups
-        self.outcomes = outcomes
         self.failures = failures
-        self.inflight: Dict[Future, _CellState] = {}
+        self.inflight: Dict[Future, _UnitState] = {}
         #: first time each inflight future was observed running (None =
         #: still queued inside the pool); the timeout clock starts here.
         self.started: Dict[Future, Optional[float]] = {}
         #: a strict permanent failure held back until the other suspects
         #: of a pool break have re-run (and checkpointed)
-        self.deferred: Optional[Tuple[_CellState, BaseException]] = None
+        self.deferred: Optional[Tuple[_UnitState, BaseException]] = None
 
     # -- main loop -----------------------------------------------------
     def run(self) -> None:
@@ -216,13 +158,13 @@ class _Orchestrator:
         # multiprocessing, which a sweep served from the cache never uses.
         from concurrent.futures import ProcessPoolExecutor
 
-        return ProcessPoolExecutor(max_workers=self.max_workers)
+        return ProcessPoolExecutor(max_workers=self.workers)
 
     def _shutdown(self, pool: ProcessPoolExecutor) -> None:
-        """Abandon a pool without blocking on cells we no longer want.
+        """Abandon a pool without blocking on units we no longer want.
 
         ``cancel_futures=True`` drops every queued work item;
-        terminating the worker processes reclaims hung or mid-cell
+        terminating the worker processes reclaims hung or mid-unit
         workers (a plain ``shutdown(wait=True)`` would block on them
         forever).
         """
@@ -243,7 +185,7 @@ class _Orchestrator:
         A broken pool fails every future it holds, so those are waited
         for and harvested (see :meth:`_harvest` for how the break is
         attributed).  Futures still pending after that — the innocent
-        pool-mates of a hung cell — are requeued with the attempt
+        pool-mates of a hung unit — are requeued with the attempt
         refunded.
         """
         if getattr(pool, "_broken", False):
@@ -274,9 +216,9 @@ class _Orchestrator:
             # Suspects of a pool break run one at a time; a sweep that
             # is about to abort runs nothing else.
             ready = [] if self.inflight else isolated[:1]
-        for state in ready[: pool._max_workers - len(self.inflight)]:
+        for state in ready[: self.workers - len(self.inflight)]:
             future = pool.submit(
-                self.task_fn, state.cell, *self.submit_args, state.attempts
+                _run_shard, state.unit, *self.submit_args, state.attempts
             )
             self.queue.remove(state)
             state.attempts += 1
@@ -286,7 +228,7 @@ class _Orchestrator:
             self.inflight[future] = state
             self.started[future] = None
 
-    def _refund(self, state: _CellState) -> None:
+    def _refund(self, state: _UnitState) -> None:
         """Requeue an interrupted attempt without charging it."""
         state.attempts = max(0, state.attempts - 1)
         state.not_before = 0.0
@@ -297,10 +239,10 @@ class _Orchestrator:
         """Wait for progress; harvest completions; expire timeouts.
 
         Returns True when the pool must be respawned (it broke, or a
-        running cell timed out and its worker has to be reclaimed).
+        running unit timed out and its worker has to be reclaimed).
         """
         if not self.inflight:
-            # Every remaining cell is backing off; sleep to its retry time.
+            # Every remaining unit is backing off; sleep to its retry time.
             delay = min(s.not_before for s in self.queue) - time.monotonic()
             if delay > 0:
                 time.sleep(min(delay, 1.0))
@@ -310,7 +252,7 @@ class _Orchestrator:
             timeout=self._wait_timeout(),
             return_when=FIRST_COMPLETED,
         )
-        # Successes first: every completed cell is checkpointed before a
+        # Successes first: every completed unit is checkpointed before a
         # strict failure in the same batch aborts the sweep, so a resume
         # restarts from all finished work.
         broke = False
@@ -378,7 +320,7 @@ class _Orchestrator:
         if state is None:
             return False
         try:
-            _, point = future.result(timeout=0)
+            points = future.result(timeout=0)
         except BrokenExecutor as exc:
             if state.shared:
                 state.isolate = True
@@ -389,17 +331,12 @@ class _Orchestrator:
         except Exception as exc:  # worker exception
             self._record_failure(state, exc)
         else:
-            self._record_success(state, point)
+            # Checkpoint at once: a sweep killed right now resumes from
+            # every cell resolved up to this moment.
+            _checkpoint(points, self.cells_by_id, self.store)
         return False
 
-    def _record_success(self, state: _CellState, point: SweepPoint) -> None:
-        self.outcomes[(state.cell.value, state.cell.label)] = point
-        if self.store is not None and state.key is not None:
-            # Checkpoint immediately: a sweep killed right now resumes
-            # from every cell recorded up to this moment.
-            self.store.put(state.key, point)
-
-    def _record_failure(self, state: _CellState, exc: BaseException) -> None:
+    def _record_failure(self, state: _UnitState, exc: BaseException) -> None:
         if state.attempts <= self.faults.retries:
             state.not_before = time.monotonic() + self.faults.backoff(
                 state.attempts
@@ -413,7 +350,7 @@ class _Orchestrator:
             return
         self._record_permanent_failure(state, exc)
 
-    def _suspects(self, besides: Optional[_CellState] = None) -> bool:
+    def _suspects(self, besides: Optional[_UnitState] = None) -> bool:
         """Whether an isolated unit other than ``besides`` is unsettled."""
         return any(
             s.isolate and s is not besides
@@ -421,172 +358,11 @@ class _Orchestrator:
         )
 
     def _record_permanent_failure(
-        self, state: _CellState, exc: BaseException
+        self, state: _UnitState, exc: BaseException
     ) -> None:
-        unit = state.cell
+        unit = state.unit
         _fail_unit(
             exc, (unit.value, unit.label), unit.members, self.seeds,
             state.attempts, self.faults, self.failures,
         )
-        for value, label in unit.members:
-            self.outcomes[(value, label)] = nan_point(label, self.groups)
-
-
-class _ShardOrchestrator(_Orchestrator):
-    """Drives whole shards of a grid-fused sweep
-    (:func:`~repro.experiments.grid.run_sweep_fused` with ``shards=``)
-    through the parallel fault machinery.
-
-    Inherits retry/backoff, pool respawn on worker death, and
-    ``cell_timeout`` expiry unchanged; only the work unit and the
-    outcome fan-out differ — one shard success resolves (and
-    checkpoints) every member cell, one permanent shard failure fails
-    them all individually so the report still names each lost cell.
-    """
-
-    task_fn = staticmethod(_run_shard)
-
-    def __init__(self, states, *, cells_by_id, **kwargs):
-        super().__init__(states, **kwargs)
-        self._cells_by_id = cells_by_id  # (value, label) -> runner cell
-
-    def _record_success(self, state, outcome) -> None:
-        _checkpoint(outcome, self._cells_by_id, self.store)
-
-    def _record_permanent_failure(self, state, exc: BaseException) -> None:
-        super()._record_permanent_failure(state, exc)
-        _fail_cells(
-            [self._cells_by_id[m] for m in state.cell.members], self.groups
-        )
-
-
-def run_sweep_parallel(
-    parameter_name: str,
-    values: Sequence[float],
-    spec_builder: Callable[[float], NetworkSpec],
-    policies: Union[Dict[str, PolicyFactory], Sequence[str]],
-    num_intervals: int,
-    seeds: Sequence[int] = (0,),
-    groups: Optional[Sequence[int]] = None,
-    max_workers: Optional[int] = None,
-    engine: str = "scalar",
-    cache: Union[None, bool, str, SweepCache] = None,
-    faults: Optional[FaultPolicy] = None,
-) -> SweepResult:
-    """Parallel drop-in for :func:`repro.experiments.runner.run_sweep`.
-
-    ``spec_builder`` and the policy factories must be picklable (module-level
-    functions / classes — every builder in :mod:`repro.experiments.configs`
-    qualifies).  A sequence of registered policy names also works: the
-    registry resolves each name to its (picklable) policy class.  Results
-    are ordered exactly like the sequential runner's.
-    ``engine="batch"`` composes with process parallelism: each worker then
-    runs its cell's whole seed stack vectorized.  ``engine="fused"`` is
-    accepted but equivalent to ``"batch"`` here — each worker owns a
-    single cell, so there is no grid left to fuse inside it; use the
-    sequential :func:`~repro.experiments.grid.run_sweep_fused` when you
-    want whole-sweep fusion instead of process fan-out.
-
-    cache:
-        ``True`` / directory / :class:`~repro.experiments.cache.SweepCache`
-        enables per-cell checkpointing: warm cells are served from disk
-        without ever being submitted to the pool, and each completed cell
-        is stored the moment its future resolves, so an interrupted sweep
-        resumes from everything already finished (same keys as the
-        sequential runners — scalar/batch cells are deterministic per
-        cell, making a resumed sweep bit-identical to an uninterrupted
-        one).
-    faults:
-        A :class:`~repro.experiments.faults.FaultPolicy`; the default
-        retries each failing cell twice with exponential backoff and
-        raises :class:`~repro.experiments.faults.SweepCellError` (naming
-        the cell, its seeds, and the attempt count) on permanent
-        failure.  ``mode="best_effort"`` instead fills permanently
-        failed cells with NaN points and attaches a
-        :class:`~repro.experiments.faults.SweepFailureReport` to the
-        result.  ``cell_timeout`` bounds each cell's wall-clock run.
-    """
-    if num_intervals <= 0:
-        raise ValueError(f"num_intervals must be positive, got {num_intervals}")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if engine == "fused":
-        warnings.warn(
-            "run_sweep_parallel(engine='fused') degrades to per-cell "
-            "engine='batch': each worker owns a single cell, so there is "
-            "no grid to fuse; use repro.experiments.grid.run_sweep_fused "
-            "for whole-sweep fusion",
-            UserWarning,
-            stacklevel=2,
-        )
-    faults = faults or FaultPolicy()
-    policies = registry.resolve_policies(policies)
-    seeds_t = tuple(int(s) for s in seeds)
-    groups_t = tuple(groups) if groups is not None else None
-    store = resolve_cache(cache)
-    # run_single treats "fused" as "batch" (one cell has no grid to
-    # fuse), so both share the per-cell "batch" cache namespace.
-    key_engine = "batch" if engine == "fused" else engine
-
-    outcomes: Dict[Tuple[float, str], SweepPoint] = {}
-    failures: List[CellFailure] = []
-    states: List[_CellState] = []
-    uncacheable: List[str] = []
-    for value in values:
-        for label in policies:
-            cell = _Cell(value=float(value), label=label)
-            key = None
-            if store is not None:
-                key = store.cell_key(
-                    spec=spec_builder(cell.value),
-                    policy=policies[label](),
-                    seeds=seeds_t,
-                    num_intervals=num_intervals,
-                    groups=groups_t,
-                    engine=key_engine,
-                )
-                if key is None:
-                    if label not in uncacheable:
-                        uncacheable.append(label)
-                else:
-                    point = store.get(key)
-                    if point is not None:
-                        # Warm cell: never submitted to the pool.
-                        outcomes[(cell.value, cell.label)] = point
-                        continue
-            states.append(_CellState(cell=cell, key=key))
-    warn_uncacheable(uncacheable)
-
-    if states:
-        _Orchestrator(
-            states,
-            faults=faults,
-            store=store,
-            max_workers=max_workers,
-            submit_args=(
-                spec_builder,
-                policies,
-                num_intervals,
-                seeds_t,
-                groups_t,
-                engine,
-            ),
-            seeds=seeds_t,
-            groups=groups_t,
-            outcomes=outcomes,
-            failures=failures,
-        ).run()
-
-    result = SweepResult(parameter_name=parameter_name, values=list(values))
-    for value in values:
-        for label in policies:
-            point = outcomes[(float(value), label)]
-            # dataclasses.replace keeps every other field of the worker's
-            # point intact; rebuilding field-by-field here silently
-            # dropped any field added to SweepPoint later.
-            result.points.append(
-                replace(point, parameter=float(value), policy=label)
-            )
-    if failures:
-        result.failures = SweepFailureReport(failures)
-    return result
+        _fail_cells([self.cells_by_id[m] for m in unit.members], self.groups)

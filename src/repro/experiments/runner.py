@@ -21,6 +21,7 @@ from ..core.requirements import NetworkSpec
 from ..sim.rng import normalize_rng_mode
 from .configs import PolicyFactory
 from .faults import (
+    CELL_TIMEOUT_REFUSAL,
     CellFailure,
     FaultPolicy,
     SweepFailureReport,
@@ -31,8 +32,57 @@ from .faults import (
 
 __all__ = ["SweepPoint", "SweepResult", "run_sweep", "run_single"]
 
-#: Valid values for the runner's ``engine`` argument.
-_ENGINES = ("scalar", "batch", "fused")
+#: The engines a sweep runs on (:func:`run_sweep`, the figures, the CLI).
+_SWEEP_ENGINES = ("scalar", "fused")
+
+#: The engines one cell runs on (:func:`run_single`); ``"batch"`` is the
+#: fused engine's per-cell fallback.
+_CELL_ENGINES = ("scalar", "batch")
+
+
+def _check_engine(
+    engine: str, engines: Tuple[str, ...] = _SWEEP_ENGINES
+) -> None:
+    if engine not in engines:
+        raise ValueError(f"engine must be one of {engines}, got {engine!r}")
+
+
+def _check_sweep(
+    num_intervals: int,
+    seeds: Sequence[int],
+    shards: Optional[int],
+    num_cells: int,
+    faults: Optional[FaultPolicy],
+) -> bool:
+    """Validate a sweep's common arguments; True if it runs on a pool.
+
+    ``shards`` of 2 or more over two or more cells starts a worker
+    pool; a ``cell_timeout`` is refused wherever no pool would enforce
+    it.
+    """
+    if num_intervals <= 0:
+        raise ValueError(f"num_intervals must be positive, got {num_intervals}")
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if shards is not None and int(shards) < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    pooled = shards is not None and int(shards) > 1 and num_cells > 1
+    if not pooled and faults is not None and faults.cell_timeout is not None:
+        raise ValueError(CELL_TIMEOUT_REFUSAL)
+    return pooled
+
+
+def _refuse_scalar_options(engine: str, rng, topology) -> None:
+    if rng is not None and engine == "scalar":
+        raise ValueError(
+            f"rng={rng!r} requires engine='batch' or 'fused'; the scalar "
+            "engine has a single per-seed draw discipline"
+        )
+    if topology is not None and engine == "scalar":
+        raise ValueError(
+            "topology= requires engine='batch' or 'fused'; the scalar "
+            "engine is single-domain only"
+        )
 
 
 @dataclass(frozen=True)
@@ -388,9 +438,8 @@ def run_single(
     vectorized engine when the (spec, policy) pair supports it, and falls
     back to the scalar engine per policy otherwise (e.g. frame-CSMA, which
     has no batch kernel) — same statistics either way, only the random
-    draw order differs.  ``engine="fused"`` is accepted for symmetry with
-    :func:`run_sweep` but behaves as ``"batch"`` here: with a single cell
-    there is no grid to fuse.  ``rng`` selects the batch draw discipline
+    draw order differs; it is the fused sweep's per-cell fallback.
+    ``rng`` selects the batch draw discipline
     (:data:`~repro.sim.rng.RNG_MODES`); ``"free"`` degrades to the
     default discipline for families without a batch kernel, and is
     rejected on the scalar engine.  ``topology`` — a
@@ -402,19 +451,9 @@ def run_single(
     each announced with one ``UserWarning`` (a sweep calling this per
     cell announces them once for the whole sweep instead).
     """
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if rng is not None and engine == "scalar":
-        raise ValueError(
-            f"rng={rng!r} requires engine='batch' or 'fused'; the scalar "
-            "engine has a single per-seed draw discipline"
-        )
-    if topology is not None and engine == "scalar":
-        raise ValueError(
-            "topology= requires engine='batch' or 'fused'; the scalar "
-            "engine is single-domain only"
-        )
-    if engine in ("batch", "fused"):
+    _check_engine(engine, _CELL_ENGINES)
+    _refuse_scalar_options(engine, rng, topology)
+    if engine == "batch":
         rng_mode = normalize_rng_mode(rng)
         cell = _plan_cell(
             float("nan"), None, spec, factory, rng_mode, topology
@@ -478,37 +517,60 @@ def run_single(
 
 def _lookup(
     store,
-    cell: _Cell,
+    cells: Sequence[_Cell],
     seeds: Tuple[int, ...],
     num_intervals: int,
     groups: Optional[Sequence[int]],
     engine: str,
-    uncacheable: List[str],
 ) -> None:
-    """Key ``cell`` and serve it from ``store`` when warm.
+    """Key every cell and serve the warm ones from ``store``.
 
-    An uncacheable cell (unregistered policy, or a spec that cannot be
-    fingerprinted) adds its label to ``uncacheable`` instead.  Only
-    cells that actually run free draws get the distinct ``rng`` key;
-    degraded cells produce default-discipline samples and share the
-    default key.
+    Hit cells never touch an engine.  Uncacheable cells (unregistered
+    policy, or a spec that cannot be fingerprinted) run uncached,
+    announced once per sweep.  Only cells that actually run free draws
+    get the distinct ``rng`` key; degraded cells produce
+    default-discipline samples and share the default key.
     """
-    cell.key = store.cell_key(
-        spec=cell.spec,
-        policy=cell.policy,
-        seeds=seeds,
-        num_intervals=num_intervals,
-        groups=groups,
-        engine=engine,
-        rng=cell.rng,
-        topology=cell.topology,
-    )
-    if cell.key is None:
-        if cell.label not in uncacheable:
-            uncacheable.append(cell.label)
+    from .cache import warn_uncacheable  # cache.py imports this module
+
+    if store is None:
         return
-    cell.point = store.get(cell.key)
-    cell.cached = cell.point is not None
+    uncacheable: List[str] = []
+    for cell in cells:
+        cell.key = store.cell_key(
+            spec=cell.spec,
+            policy=cell.policy,
+            seeds=seeds,
+            num_intervals=num_intervals,
+            groups=groups,
+            engine=engine,
+            rng=cell.rng,
+            topology=cell.topology,
+        )
+        if cell.key is None:
+            if cell.label not in uncacheable:
+                uncacheable.append(cell.label)
+            continue
+        cell.point = store.get(cell.key)
+        cell.cached = cell.point is not None
+    warn_uncacheable(uncacheable, stacklevel=4)
+
+
+def _store_settled(cells: Sequence[_Cell], store) -> None:
+    """Checkpoint every cell that has just settled (a point, not served
+    from the cache, not a best-effort failure): a sweep stopped right
+    now resumes from all of them."""
+    if store is None:
+        return
+    for cell in cells:
+        if (
+            cell.point is not None
+            and cell.key is not None
+            and not cell.cached
+            and not cell.failed
+        ):
+            store.put(cell.key, cell.point)
+            cell.cached = True
 
 
 def _settle(
@@ -544,6 +606,25 @@ def _settle(
     cell.point = nan_point(cell.label, groups) if cell.failed else point
 
 
+def _settle_cells(
+    cells: Sequence[_Cell],
+    compute: Callable[[_Cell], SweepPoint],
+    faults: Optional[FaultPolicy],
+    seeds: Tuple[int, ...],
+    groups: Optional[Sequence[int]],
+    failures: List[CellFailure],
+    store,
+) -> None:
+    """The in-process per-cell loop: compute every unresolved cell
+    under ``faults`` and checkpoint it before the next one starts, so a
+    sweep killed part-way resumes warm from everything computed."""
+    with _advised():
+        for cell in cells:
+            if cell.point is None:
+                _settle(cell, compute, faults, seeds, groups, failures)
+                _store_settled([cell], store)
+
+
 def _assemble(
     parameter_name: str,
     values: Sequence[float],
@@ -562,45 +643,6 @@ def _assemble(
     return result
 
 
-def _sweep_cells(
-    parameter_name: str,
-    values: Sequence[float],
-    cells: List[_Cell],
-    compute: Callable[[_Cell], SweepPoint],
-    *,
-    num_intervals: int,
-    seeds: Tuple[int, ...],
-    groups: Optional[Sequence[int]],
-    engine: str,
-    store,
-    faults: Optional[FaultPolicy],
-) -> SweepResult:
-    """The per-cell sweep loop: key, get, compute under retries, put.
-
-    Each finished cell is checkpointed before the next one starts, so a
-    sweep killed part-way resumes warm from everything already computed.
-    """
-    from .cache import warn_uncacheable  # cache.py imports this module
-
-    groups_t = tuple(groups) if groups is not None else None
-    failures: List[CellFailure] = []
-    uncacheable: List[str] = []
-    with _advised():
-        for cell in cells:
-            if store is not None:
-                _lookup(
-                    store, cell, seeds, num_intervals, groups_t, engine,
-                    uncacheable,
-                )
-            if cell.point is not None:
-                continue
-            _settle(cell, compute, faults, seeds, groups_t, failures)
-            if cell.key is not None and not cell.failed:
-                store.put(cell.key, cell.point)
-    warn_uncacheable(uncacheable, stacklevel=4)
-    return _assemble(parameter_name, values, cells, failures)
-
-
 def _cell_runner(
     num_intervals: int,
     seeds: Tuple[int, ...],
@@ -609,7 +651,7 @@ def _cell_runner(
     rng: Optional[str],
     validate: bool = True,
 ) -> Callable[[_Cell], SweepPoint]:
-    """How :func:`_sweep_cells` computes one planned cell: on the
+    """How :func:`_settle_cells` computes one planned cell: on the
     topology engine when the cell runs multi-cell, else through
     :func:`run_single`."""
 
@@ -648,53 +690,44 @@ def run_sweep(
     of registered policy names (``repro.core.registry.available()``) which
     the registry resolves to default-config factories.
 
-    See :func:`run_single` for ``engine`` semantics; ``engine="fused"``
-    delegates the whole grid to
+    ``engine="scalar"`` (default) runs each cell's seeds one by one on
+    the scalar engine; ``engine="fused"`` delegates the whole grid to
     :func:`~repro.experiments.grid.run_sweep_fused`, which batches every
     batchable (value, seed) cell of a policy family into one engine pass.
-    ``rng`` selects the batch draw discipline
-    (:data:`~repro.sim.rng.RNG_MODES`; batch/fused engines only) and
-    ``shards`` splits a fused sweep across worker processes — see
-    :func:`~repro.experiments.grid.run_sweep_fused` for both.
-    ``topology`` — a :class:`~repro.topology.graph.CellTopology` or a
-    builder called with each value's spec — runs batchable policy
-    families through the multi-cell engine; families without a batch
-    kernel degrade to their single-domain path, and
-    their cells are cached under the same key as a topology-free sweep
-    (they compute the identical point).  On the batch and fused engines
-    every kind of degradation (topology, ``rng="free"``, stateful channel
-    or arrival state under the lockstep discipline) is announced with one
-    ``UserWarning`` per sweep.
+    ``rng`` selects the batch draw discipline and ``topology`` — a
+    :class:`~repro.topology.graph.CellTopology` or a builder called with
+    each value's spec — the multi-cell engine; both are fused-engine
+    options (see :func:`~repro.experiments.grid.run_sweep_fused`).
 
+    shards:
+        ``K >= 2`` runs the sweep on a pool of K worker processes
+        (:mod:`repro.experiments.parallel`): one cell per work unit on
+        the scalar engine, K row-contiguous mega-batch blocks on the
+        fused engine.  A unit that raises is retried under ``faults``, a
+        killed worker's pool is respawned and its unfinished units
+        resubmitted, a unit running past ``cell_timeout`` is failed and
+        its worker reclaimed.  Scalar points are the same at every
+        shard count.  ``None``/``1`` runs in-process.
     cache:
         ``True`` / directory / :class:`~repro.experiments.cache.SweepCache`
         checkpoints each finished cell on disk and serves warm cells
-        without simulating, so an interrupted sweep resumes from
-        everything already computed (scalar/batch cells are
-        deterministic per cell, making the resumed result bit-identical
-        to an uninterrupted run).
+        without simulating (nor submitting them to a pool), so an
+        interrupted sweep resumes from everything already computed
+        (scalar cells are deterministic per cell, making the resumed
+        result bit-identical to an uninterrupted run).
     faults:
         ``None`` (default) keeps the historical fail-fast behaviour: a
-        cell's exception propagates unwrapped.  A
+        cell's exception propagates unwrapped — except on a pool
+        (``shards >= 2``), which runs strict with zero retries.  A
         :class:`~repro.experiments.faults.FaultPolicy` retries failing
         cells with backoff; permanent failures raise
         :class:`~repro.experiments.faults.SweepCellError` naming the
         (value, policy) cell (``strict``) or yield NaN points plus a
         :class:`~repro.experiments.faults.SweepFailureReport` on the
-        result (``best_effort``).  ``cell_timeout`` is only enforceable
-        by :func:`~repro.experiments.parallel.run_sweep_parallel`.
+        result (``best_effort``).  ``cell_timeout`` needs a pool and is
+        refused (``ValueError``) on a sweep that will not start one.
     """
-    if num_intervals <= 0:
-        raise ValueError(f"num_intervals must be positive, got {num_intervals}")
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if shards is not None and engine != "fused":
-        raise ValueError(
-            f"shards={shards!r} requires engine='fused'; the per-cell "
-            "engines parallelize with run_sweep_parallel instead"
-        )
+    _check_engine(engine)
     if engine == "fused":
         from .grid import run_sweep_fused
 
@@ -712,27 +745,33 @@ def run_sweep(
             shards=shards,
             topology=topology,
         )
-    if rng is not None and engine == "scalar":
-        raise ValueError(
-            f"rng={rng!r} requires engine='batch' or 'fused'; the scalar "
-            "engine has a single per-seed draw discipline"
-        )
-    if topology is not None and engine == "scalar":
-        raise ValueError(
-            "topology= requires engine='batch' or 'fused'; the scalar "
-            "engine is single-domain only"
-        )
+    pooled = _check_sweep(
+        num_intervals, seeds, shards, len(values) * len(policies), faults
+    )
+    _refuse_scalar_options(engine, rng, topology)
     from .cache import resolve_cache  # cache.py imports this module
 
     seeds_t = tuple(int(s) for s in seeds)
+    policies = registry.resolve_policies(policies)
+    rng_mode = normalize_rng_mode(None)
     cells = _plan_sweep(
-        values, spec_builder, registry.resolve_policies(policies),
-        normalize_rng_mode(rng), topology, stacklevel=3,
-        advise=engine != "scalar",
+        values, spec_builder, policies, rng_mode, None, stacklevel=3,
+        advise=False,
     )
-    return _sweep_cells(
-        parameter_name, values, cells,
-        _cell_runner(num_intervals, seeds_t, groups, engine, rng),
-        num_intervals=num_intervals, seeds=seeds_t, groups=groups,
-        engine=engine, store=resolve_cache(cache), faults=faults,
-    )
+    store = resolve_cache(cache)
+    _lookup(store, cells, seeds_t, num_intervals, groups, engine)
+    failures: List[CellFailure] = []
+    if pooled:
+        from .grid import _run_sweep_sharded
+
+        _run_sweep_sharded(
+            cells, engine, spec_builder, policies, num_intervals, seeds_t,
+            groups, rng_mode, True, faults, store, int(shards), failures,
+            None,
+        )
+    else:
+        _settle_cells(
+            cells, _cell_runner(num_intervals, seeds_t, groups, engine, None),
+            faults, seeds_t, groups, failures, store,
+        )
+    return _assemble(parameter_name, values, cells, failures)

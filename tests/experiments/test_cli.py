@@ -96,6 +96,18 @@ class TestEngineFlags:
         assert main(argv) == 0
         assert "fig3" in capsys.readouterr().out
 
+    def test_scalar_engine_shards_match_in_process(self, capsys):
+        # --shards with --engine scalar runs the cells on a pool (which
+        # also enforces --cell-timeout) and prints the in-process table.
+        argv = ["fig3", "--intervals", "20", "--policies", "LDF", "--csv"]
+        tables = []
+        for extra in ([], ["--engine", "scalar", "--shards", "2",
+                           "--cell-timeout", "120"]):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            tables.append(out[:out.index("[fig3 took")])
+        assert tables[0] == tables[1]
+
 
 class TestChannelFlag:
     def test_flag_parses(self):

@@ -12,6 +12,7 @@ from repro.experiments import grid
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
 from repro.experiments.runner import run_sweep
+from tests.experiments.per_cell import per_cell_sweep
 
 
 def builder(alpha):
@@ -59,7 +60,7 @@ class TestFallback:
             BASE, policies={"FrameCSMA": FrameCSMAPolicy, "LDF": LDFPolicy}
         )
         fused = run_sweep_fused(**kw)
-        per_cell = run_sweep(**kw, engine="batch")
+        per_cell = per_cell_sweep(**kw)
         fused_frame = [p for p in fused.points if p.policy == "FrameCSMA"]
         per_cell_frame = [
             p for p in per_cell.points if p.policy == "FrameCSMA"
@@ -104,7 +105,7 @@ class TestStatistics:
             seeds=tuple(range(8)),
         )
         fused = run_sweep_fused(**kw)
-        per_cell = run_sweep(**kw, engine="batch")
+        per_cell = per_cell_sweep(**kw)
         for a, b in zip(fused.series("LDF"), per_cell.series("LDF")):
             assert abs(a - b) < max(0.3, 0.5 * b)
 
@@ -143,7 +144,7 @@ class TestScalarOnlyDeclaredFallback:
     def test_scalar_only_policy_through_fused_engine(self, name):
         kw = dict(BASE, policies=(name,), num_intervals=60, seeds=(0, 1))
         fused = run_sweep(**kw, engine="fused")
-        per_cell = run_sweep(**kw, engine="batch")
+        per_cell = per_cell_sweep(**kw)
         assert fused.points == per_cell.points
         assert fused.series(name)
 

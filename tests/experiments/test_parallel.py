@@ -1,7 +1,14 @@
-"""Tests for the parallel sweep runner."""
+"""Scalar sweeps on a worker pool: ``run_sweep(engine="scalar", shards=K)``.
+
+Each cell is one work unit of the pool orchestrator, so every fault
+contract — retry, kill, hang, refund, checkpoint and resume — names and
+NaN-fills exactly one (value, policy) cell, and the points equal the
+in-process scalar sweep at every shard count.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -9,18 +16,25 @@ import pytest
 
 from repro import DBDPPolicy, LDFPolicy
 from repro.experiments.cache import SweepCache
+from repro.experiments.cli import main
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.faults import (
+    CELL_TIMEOUT_REFUSAL,
     ENV_FAULT_INJECT,
     FaultPolicy,
     SweepCellError,
 )
-from repro.experiments.parallel import run_sweep_parallel
-from repro.experiments.runner import run_sweep
+from repro.experiments.figures import fig3
+from repro.experiments.grid import run_sweep_fused
+from repro.experiments.runner import run_single, run_sweep
 
 
 def small_builder(alpha: float):
     return video_symmetric_spec(alpha, num_links=6)
+
+
+#: Run on a pool of two workers: the pooled counterpart of ``run_sweep``.
+pooled_sweep = functools.partial(run_sweep, engine="scalar", shards=2)
 
 
 class TestParallelSweep:
@@ -35,61 +49,29 @@ class TestParallelSweep:
             seeds=(0, 1),
         )
         sequential = run_sweep(**kwargs)
-        parallel = run_sweep_parallel(max_workers=2, **kwargs)
+        parallel = pooled_sweep(**kwargs)
         for label in ("LDF", "DB-DP"):
             np.testing.assert_array_equal(
                 sequential.series(label), parallel.series(label)
             )
 
     def test_group_support(self):
-        result = run_sweep_parallel(
-            "alpha",
-            [0.5],
-            small_builder,
-            {"LDF": LDFPolicy},
+        """With groups, every shard count equals the in-process sweep
+        point for point."""
+        kwargs = dict(
+            parameter_name="alpha",
+            values=[0.4, 0.6],
+            spec_builder=small_builder,
+            policies={"LDF": LDFPolicy, "DB-DP": DBDPPolicy},
             num_intervals=60,
-            seeds=(0,),
-            groups=(0, 0, 0, 1, 1, 1),
-            max_workers=2,
-        )
-        assert len(result.group_series("LDF", 0)) == 1
-
-    def test_batch_engine_composes_with_processes(self):
-        """engine='batch' inside each worker: statistics must match the
-        sequential batch runner (identical seeds -> identical draws)."""
-        kwargs = dict(
-            parameter_name="alpha",
-            values=[0.5],
-            spec_builder=small_builder,
-            policies={"DB-DP": DBDPPolicy},
-            num_intervals=100,
-            seeds=(0, 1, 2),
-            engine="batch",
-        )
-        sequential = run_sweep(**kwargs)
-        parallel = run_sweep_parallel(max_workers=2, **kwargs)
-        np.testing.assert_array_equal(
-            sequential.series("DB-DP"), parallel.series("DB-DP")
-        )
-
-    def test_fused_engine_warns_and_degrades_to_batch(self):
-        """There is no grid to fuse when each worker owns one cell, so
-        engine='fused' must warn and produce exactly the batch result."""
-        kwargs = dict(
-            parameter_name="alpha",
-            values=[0.5],
-            spec_builder=small_builder,
-            policies={"DB-DP": DBDPPolicy},
-            num_intervals=80,
             seeds=(0, 1),
-            max_workers=2,
+            groups=(0, 0, 0, 1, 1, 1),
         )
-        with pytest.warns(UserWarning, match="degrades to per-cell"):
-            fused = run_sweep_parallel(engine="fused", **kwargs)
-        batch = run_sweep_parallel(engine="batch", **kwargs)
-        np.testing.assert_array_equal(
-            fused.series("DB-DP"), batch.series("DB-DP")
-        )
+        in_process = run_sweep(**kwargs)
+        for shards in (1, 2, 3):
+            result = run_sweep(shards=shards, **kwargs)
+            assert result.points == in_process.points, shards
+        assert len(result.group_series("LDF", 1)) == 2
 
     def test_points_preserve_all_sweep_point_fields(self):
         """Result assembly uses dataclasses.replace, so every field the
@@ -105,7 +87,7 @@ class TestParallelSweep:
             seeds=(0, 1),
         )
         sequential = run_sweep(**kwargs)
-        parallel = run_sweep_parallel(max_workers=2, **kwargs)
+        parallel = pooled_sweep(**kwargs)
         assert len(parallel.points) == len(sequential.points)
         for seq_pt, par_pt in zip(sequential.points, parallel.points):
             for f in fields(seq_pt):
@@ -117,13 +99,105 @@ class TestParallelSweep:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_sweep_parallel(
-                "x", [1.0], small_builder, {"LDF": LDFPolicy}, 0
-            )
+            pooled_sweep("x", [1.0], small_builder, {"LDF": LDFPolicy}, 0)
         with pytest.raises(ValueError):
-            run_sweep_parallel(
+            pooled_sweep(
                 "x", [1.0], small_builder, {"LDF": LDFPolicy}, 10, seeds=()
             )
+        with pytest.raises(ValueError, match="shards must be >= 1, got 0"):
+            run_sweep(
+                "x", [1.0], small_builder, {"LDF": LDFPolicy}, 10, shards=0
+            )
+
+    def test_unpicklable_builder_runs_cells_in_process(self):
+        kwargs = dict(
+            parameter_name="alpha",
+            values=[0.4, 0.6],
+            policies={"LDF": LDFPolicy},
+            num_intervals=40,
+            seeds=(0, 1),
+        )
+        with pytest.warns(UserWarning, match="not picklable"):
+            local = pooled_sweep(
+                spec_builder=lambda a: small_builder(a), **kwargs
+            )
+        assert local.points == run_sweep(
+            spec_builder=small_builder, **kwargs
+        ).points
+
+
+ENGINE_REFUSAL = "engine must be one of ('scalar', 'fused'), got 'batch'"
+
+
+class TestEngineRefusals:
+    """Each entry accepts only the engines it runs."""
+
+    def test_sweep_refuses_batch(self):
+        with pytest.raises(ValueError) as err:
+            run_sweep(
+                "alpha", [0.5], small_builder, ["LDF"], 10, engine="batch"
+            )
+        assert str(err.value) == ENGINE_REFUSAL
+
+    def test_figure_refuses_batch(self):
+        with pytest.raises(ValueError) as err:
+            fig3(num_intervals=10, alphas=(0.5,), engine="batch")
+        assert str(err.value) == ENGINE_REFUSAL
+
+    def test_cli_refuses_batch(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig3", "--engine", "batch", "--intervals", "10"])
+        assert exit_.value.code == 2
+        assert ENGINE_REFUSAL in capsys.readouterr().err
+
+    def test_single_cell_refuses_fused(self):
+        with pytest.raises(ValueError) as err:
+            run_single(small_builder(0.5), LDFPolicy, 10, (0,), engine="fused")
+        assert str(err.value) == (
+            "engine must be one of ('scalar', 'batch'), got 'fused'"
+        )
+
+
+class TestCellTimeoutRefusals:
+    """``cell_timeout`` is enforced only by a pool; a sweep that starts
+    none refuses it before any cell runs."""
+
+    FAULTS = FaultPolicy(cell_timeout=10.0)
+
+    @pytest.mark.parametrize("engine", ["scalar", "fused"])
+    @pytest.mark.parametrize(
+        "values, shards", [((0.4, 0.6), None), ((0.4, 0.6), 1), ((0.5,), 2)]
+    )
+    def test_refused_without_a_pool(self, engine, values, shards):
+        with pytest.raises(ValueError) as err:
+            run_sweep(
+                "alpha", values, small_builder, ["LDF"], 10,
+                engine=engine, shards=shards, faults=self.FAULTS,
+            )
+        assert str(err.value) == CELL_TIMEOUT_REFUSAL
+
+    def test_fused_entry_refuses_it_too(self):
+        with pytest.raises(ValueError) as err:
+            run_sweep_fused(
+                "alpha", (0.4, 0.6), small_builder, ["LDF"], 10,
+                faults=self.FAULTS,
+            )
+        assert str(err.value) == CELL_TIMEOUT_REFUSAL
+
+    @pytest.mark.parametrize("engine", ["scalar", "fused"])
+    def test_refused_by_the_in_process_fallback(self, engine):
+        with pytest.raises(ValueError) as err:
+            run_sweep(
+                "alpha", (0.4, 0.6), lambda a: small_builder(a), ["LDF"],
+                10, engine=engine, shards=2, faults=self.FAULTS,
+            )
+        assert str(err.value) == CELL_TIMEOUT_REFUSAL
+
+    def test_cli_refuses_it_without_shards(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fig3", "--cell-timeout", "10", "--intervals", "10"])
+        assert exit_.value.code == 2
+        assert CELL_TIMEOUT_REFUSAL in capsys.readouterr().err
 
 
 #: Fast retries for fault tests: no backoff sleeping.
@@ -150,7 +224,8 @@ class TestFaultTolerance:
 
     Workers are forked after the env var is set, so the directives reach
     them without extra plumbing; attempt indices are passed down by the
-    orchestrator, so 'heal after n attempts' is deterministic.
+    orchestrator, so 'heal after n attempts' is deterministic.  Every
+    assertion holds under any schedule of the two workers.
     """
 
     def test_transient_worker_exception_heals(self, monkeypatch):
@@ -159,9 +234,7 @@ class TestFaultTolerance:
         kwargs = small_kwargs()
         clean = run_sweep(**kwargs)
         monkeypatch.setenv(ENV_FAULT_INJECT, "raise:LDF:0.4:1")
-        result = run_sweep_parallel(
-            max_workers=2, faults=fast_faults(retries=1), **kwargs
-        )
+        result = pooled_sweep(faults=fast_faults(retries=1), **kwargs)
         np.testing.assert_array_equal(
             result.series("LDF"), clean.series("LDF")
         )
@@ -170,11 +243,7 @@ class TestFaultTolerance:
     def test_permanent_exception_strict_names_cell(self, monkeypatch):
         monkeypatch.setenv(ENV_FAULT_INJECT, "raise:LDF:0.7")
         with pytest.raises(SweepCellError) as err:
-            run_sweep_parallel(
-                max_workers=2,
-                faults=fast_faults(retries=1),
-                **small_kwargs(),
-            )
+            pooled_sweep(faults=fast_faults(retries=1), **small_kwargs())
         e = err.value
         assert (e.value, e.policy, e.seeds, e.attempts) == (
             0.7, "LDF", (0, 1), 2,
@@ -187,10 +256,8 @@ class TestFaultTolerance:
         kwargs = small_kwargs()
         clean = run_sweep(**kwargs)
         monkeypatch.setenv(ENV_FAULT_INJECT, "raise:LDF:0.7")
-        result = run_sweep_parallel(
-            max_workers=2,
-            faults=fast_faults(retries=0, mode="best_effort"),
-            **kwargs,
+        result = pooled_sweep(
+            faults=fast_faults(retries=0, mode="best_effort"), **kwargs
         )
         good, bad = result.series("LDF")
         assert good == clean.series("LDF")[0]
@@ -207,9 +274,7 @@ class TestFaultTolerance:
         kwargs = small_kwargs()
         clean = run_sweep(**kwargs)
         monkeypatch.setenv(ENV_FAULT_INJECT, "kill:LDF:0.4:1")
-        result = run_sweep_parallel(
-            max_workers=1, faults=fast_faults(retries=2), **kwargs
-        )
+        result = pooled_sweep(faults=fast_faults(retries=2), **kwargs)
         np.testing.assert_array_equal(
             result.series("LDF"), clean.series("LDF")
         )
@@ -218,11 +283,10 @@ class TestFaultTolerance:
     def test_worker_kill_permanent_best_effort(self, monkeypatch):
         """A cell that always kills its worker exhausts its retries as
         BrokenProcessPool; best-effort fills it with NaN and keeps the
-        healthy cell.  max_workers=1 serializes the cells so the healthy
-        one finishes before the killer ever runs."""
+        healthy cell.  A break the killer shares with the healthy cell is
+        refunded to both, so only the killer's solo runs are charged."""
         monkeypatch.setenv(ENV_FAULT_INJECT, "kill:LDF:0.7")
-        result = run_sweep_parallel(
-            max_workers=1,
+        result = pooled_sweep(
             faults=fast_faults(retries=1, mode="best_effort"),
             **small_kwargs(),
         )
@@ -232,6 +296,7 @@ class TestFaultTolerance:
         (failure,) = result.failures.failures
         assert (failure.value, failure.policy) == (0.7, "LDF")
         assert failure.error_type == "BrokenProcessPool"
+        assert failure.attempts == 2
 
     def test_cell_timeout_retry_recovers(self, monkeypatch):
         """A hang on attempt 0 only: the timeout expires the cell, the
@@ -239,10 +304,8 @@ class TestFaultTolerance:
         kwargs = small_kwargs(num_intervals=40)
         clean = run_sweep(**kwargs)
         monkeypatch.setenv(ENV_FAULT_INJECT, "hang:LDF:0.7:1")
-        result = run_sweep_parallel(
-            max_workers=2,
-            faults=fast_faults(retries=1, cell_timeout=1.0),
-            **kwargs,
+        result = pooled_sweep(
+            faults=fast_faults(retries=1, cell_timeout=1.0), **kwargs
         )
         np.testing.assert_array_equal(
             result.series("LDF"), clean.series("LDF")
@@ -250,9 +313,10 @@ class TestFaultTolerance:
         assert result.failures is None
 
     def test_cell_timeout_permanent_best_effort(self, monkeypatch):
+        """The hung cell fails for good; a healthy cell still running
+        when the pool is respawned is refunded and re-runs."""
         monkeypatch.setenv(ENV_FAULT_INJECT, "hang:LDF:0.7")
-        result = run_sweep_parallel(
-            max_workers=1,
+        result = pooled_sweep(
             faults=fast_faults(
                 retries=0, cell_timeout=0.5, mode="best_effort"
             ),
@@ -272,14 +336,11 @@ class TestCheckpointResume:
         submitted cell would kill its worker: warm hits skip the pool."""
         kwargs = small_kwargs()
         cache = SweepCache(tmp_path)
-        cold = run_sweep_parallel(max_workers=2, cache=cache, **kwargs)
+        cold = pooled_sweep(cache=cache, **kwargs)
         assert cache.stores == 2
         monkeypatch.setenv(ENV_FAULT_INJECT, "kill")  # kill *any* cell
-        warm = run_sweep_parallel(
-            max_workers=2,
-            cache=cache,
-            faults=fast_faults(retries=0),
-            **kwargs,
+        warm = pooled_sweep(
+            cache=cache, faults=fast_faults(retries=0), **kwargs
         )
         assert cache.hits == 2
         np.testing.assert_array_equal(
@@ -289,29 +350,31 @@ class TestCheckpointResume:
     def test_kill_at_half_then_resume_is_bit_identical(
         self, tmp_path, monkeypatch
     ):
-        """The acceptance scenario: a sweep killed at ~50% must resume
+        """The acceptance scenario: a sweep killed part-way must resume
         from the checkpointed cells and finish bit-identical to an
-        uninterrupted (and uncached) run."""
+        uninterrupted (and uncached) run.
+
+        The kill hits the grid's last cell.  Whatever cell shares the
+        pool with it when it dies is a suspect and re-runs alone before
+        the strict abort, so exactly the other three cells are
+        checkpointed under any schedule of the two workers.
+        """
         kwargs = small_kwargs(values=[0.4, 0.5, 0.6, 0.7])
-        reference = run_sweep(**kwargs)  # sequential, uncached
+        reference = run_sweep(**kwargs)  # in-process, uncached
 
         cache = SweepCache(tmp_path)
-        # max_workers=1 serializes the cells in submission order, so the
-        # kill at 0.6 lands after 0.4 and 0.5 were checkpointed.
-        monkeypatch.setenv(ENV_FAULT_INJECT, "kill:LDF:0.6")
+        monkeypatch.setenv(ENV_FAULT_INJECT, "kill:LDF:0.7")
         with pytest.raises(SweepCellError) as err:
-            run_sweep_parallel(
-                max_workers=1,
-                cache=cache,
-                faults=fast_faults(retries=0),
-                **kwargs,
+            pooled_sweep(
+                cache=cache, faults=fast_faults(retries=0), **kwargs
             )
-        assert err.value.policy == "LDF"
-        assert cache.stores == 2  # exactly the first half checkpointed
+        assert (err.value.value, err.value.policy) == (0.7, "LDF")
+        assert err.value.attempts == 1
+        assert cache.stores == 3  # every cell but the killer checkpointed
 
         monkeypatch.delenv(ENV_FAULT_INJECT)
-        resumed = run_sweep_parallel(max_workers=1, cache=cache, **kwargs)
-        assert cache.hits == 2  # the checkpointed half came from disk
+        resumed = pooled_sweep(cache=cache, **kwargs)
+        assert cache.hits == 3  # the checkpointed cells came from disk
         assert len(resumed.points) == len(reference.points)
         for ref_pt, res_pt in zip(reference.points, resumed.points):
             assert ref_pt == res_pt  # bit-identical, field by field

@@ -19,6 +19,7 @@ from repro import (
     video_timing,
 )
 from repro.core.policies import IntervalMac, IntervalOutcome
+from repro.experiments import grid
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.faults import FaultPolicy
 from repro.experiments.runner import run_single, run_sweep
@@ -96,7 +97,7 @@ class TestBatchEngine:
             {"LDF": LDFPolicy},
             num_intervals=60,
             seeds=(0, 1),
-            engine="batch",
+            engine="fused",
         )
         assert len(sweep.points) == 2
         assert all(p.total_deficiency >= 0.0 for p in sweep.points)
@@ -354,9 +355,20 @@ DEGRADES = {
 }
 
 
+def _sweep_engine(engine, monkeypatch):
+    """The sweep engine for a test's ``engine`` parameter.  ``"batch"``
+    is the fused engine with fusing turned off: every cell runs on the
+    per-cell batch runner, the fused engine's fallback."""
+    if engine == "batch":
+        monkeypatch.setattr(grid, "_build_fused_sim", lambda *a, **k: None)
+    return "fused"
+
+
 @pytest.mark.parametrize("engine", ["batch", "fused"])
 @pytest.mark.parametrize("kind", sorted(DEGRADES))
-def test_each_degrade_is_announced_once_per_sweep(kind, engine, tmp_path):
+def test_each_degrade_is_announced_once_per_sweep(
+    kind, engine, tmp_path, monkeypatch
+):
     options, advisory = DEGRADES[kind]
     kwargs = dict(
         parameter_name="alpha",
@@ -364,7 +376,7 @@ def test_each_degrade_is_announced_once_per_sweep(kind, engine, tmp_path):
         spec_builder=tiny_builder,
         num_intervals=20,
         seeds=(0, 1),
-        engine=engine,
+        engine=_sweep_engine(engine, monkeypatch),
         cache=str(tmp_path),
     )
     kwargs.update(options)
@@ -388,7 +400,7 @@ TOPOLOGY_REFUSALS = {
 @pytest.mark.parametrize("engine", ["batch", "fused"])
 @pytest.mark.parametrize("case", sorted(TOPOLOGY_REFUSALS))
 def test_refused_topology_draw_state_fails_before_any_cell(
-    case, engine, best_effort, tmp_path
+    case, engine, best_effort, tmp_path, monkeypatch
 ):
     """The topology engine has no fallback, so planning refuses the whole
     sweep with one TypeError: no cell runs (FrameCSMA's degraded cells
@@ -405,7 +417,8 @@ def test_refused_topology_draw_state_fails_before_any_cell(
         with pytest.raises(TypeError, match=model) as raised:
             run_sweep(
                 "alpha", (0.5, 0.6), builder, ["FrameCSMA", "DB-DP"], 20,
-                seeds=(0, 1), engine=engine, rng=rng, topology=_two_cells,
+                seeds=(0, 1), engine=_sweep_engine(engine, monkeypatch),
+                rng=rng, topology=_two_cells,
                 cache=str(tmp_path), faults=faults,
             )
     message = str(raised.value)
@@ -427,7 +440,7 @@ def _mixed_a_max_builder(alpha):
 @pytest.mark.parametrize("best_effort", [False, True])
 @pytest.mark.parametrize("engine", ["batch", "fused"])
 def test_mixed_a_max_topology_fails_before_any_cell(
-    engine, best_effort, tmp_path
+    engine, best_effort, tmp_path, monkeypatch
 ):
     """Cells that slice to different arrival maxima cannot share packed
     draws: planning refuses the sweep with the engine's own message before
@@ -443,7 +456,8 @@ def test_mixed_a_max_topology_fails_before_any_cell(
         with pytest.raises(TypeError) as raised:
             run_sweep(
                 "alpha", (0.5,), _mixed_a_max_builder, ["FrameCSMA", "DB-DP"],
-                10, engine=engine, topology=_two_cells, cache=str(tmp_path),
+                10, engine=_sweep_engine(engine, monkeypatch),
+                topology=_two_cells, cache=str(tmp_path),
                 faults=faults,
             )
     assert str(raised.value) == (

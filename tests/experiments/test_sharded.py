@@ -26,9 +26,9 @@ from repro import DBDPPolicy, LDFPolicy
 from repro.experiments.cache import SweepCache
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.faults import ENV_FAULT_INJECT, FaultPolicy, SweepCellError
-from repro.experiments.grid import run_sweep_fused
+from repro.experiments.grid import _shard_units, run_sweep_fused
 from repro.experiments.parallel import _Orchestrator
-from repro.experiments.runner import run_sweep
+from repro.experiments.runner import _plan_cell
 from repro.topology import grid_cells
 
 VALUES = (0.5, 0.55, 0.6, 0.65)
@@ -88,16 +88,33 @@ class TestShardDeterminism:
             )
         assert local.points == pooled.points
 
-    def test_shards_require_fused_engine(self):
-        with pytest.raises(ValueError, match="requires engine='fused'"):
-            run_sweep(
-                "alpha", VALUES, video_symmetric_spec, POLICIES, INTERVALS,
-                SEEDS, engine="batch", shards=2,
-            )
-
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
             _sweep(shards=0)
+
+    def test_fused_units_are_row_contiguous_blocks(self):
+        # One unit per shard under the shard's stream tag; the scalar
+        # engine's units are single cells named by their coordinates.
+        cells = [
+            _plan_cell(v, label, video_symmetric_spec(v), factory, "batch",
+                       None)
+            for v in VALUES for label, factory in POLICIES.items()
+        ]
+        fused = _shard_units(cells, "fused", 3)
+        assert [u.members for u in fused] == [
+            ((0.5, "DB-DP"), (0.5, "LDF"), (0.55, "DB-DP")),
+            ((0.55, "LDF"), (0.6, "DB-DP"), (0.6, "LDF")),
+            ((0.65, "DB-DP"), (0.65, "LDF")),
+        ]
+        assert [u.stream_tag for u in fused] == [
+            "fused/shard1of3", "fused/shard2of3", "fused/shard3of3",
+        ]
+        assert fused[2].label == "shard 3/3 (2 cells)"
+        scalar = _shard_units(cells, "scalar", 3)
+        assert [(u.value, u.label) for u in scalar] == [
+            (c.value, c.label) for c in cells
+        ]
+        assert all(len(u.members) == 1 for u in scalar)
 
 
 class TestShardStatisticalEquivalence:
@@ -223,20 +240,27 @@ class TestShardFaultRecovery:
         assert again.points == first.points
 
 
+def _pool_of(monkeypatch, workers):
+    """Run the orchestrator on ``workers`` processes, whatever the shard
+    count (which otherwise sizes the pool)."""
+
+    def new_pool(self):
+        self.workers = workers
+        return ProcessPoolExecutor(workers)
+
+    monkeypatch.setattr(_Orchestrator, "_new_pool", new_pool)
+
+
 class TestPoolBreakAttribution:
     """A killed worker breaks the whole pool and fails every shard in it;
     only the shard that breaks a pool while running alone is charged."""
 
     @pytest.mark.parametrize("shards", [2, 3])
-    @pytest.mark.parametrize("max_workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_innocent_shards_checkpoint_and_culprit_is_named(
-        self, monkeypatch, tmp_path, max_workers, shards
+        self, monkeypatch, tmp_path, workers, shards
     ):
-        monkeypatch.setattr(
-            _Orchestrator,
-            "_new_pool",
-            lambda self: ProcessPoolExecutor(max_workers=max_workers),
-        )
+        _pool_of(monkeypatch, workers)
         # DB-DP@0.65 is the 7th of 8 cells: always in the last shard.
         monkeypatch.setenv(ENV_FAULT_INJECT, "kill:DB-DP:0.65:*")
         cache = SweepCache(tmp_path)
@@ -252,15 +276,11 @@ class TestPoolBreakAttribution:
         assert cache.stores == num_cells - last
 
     @pytest.mark.parametrize("shards", [2, 3])
-    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_topology_sweep_culprit_is_named_and_innocents_checkpoint(
-        self, monkeypatch, tmp_path, max_workers, shards
+        self, monkeypatch, tmp_path, workers, shards
     ):
-        monkeypatch.setattr(
-            _Orchestrator,
-            "_new_pool",
-            lambda self: ProcessPoolExecutor(max_workers=max_workers),
-        )
+        _pool_of(monkeypatch, workers)
         monkeypatch.setenv(ENV_FAULT_INJECT, "kill:DB-DP:0.65:*")
         cache = SweepCache(tmp_path)
         with pytest.raises(SweepCellError) as err:

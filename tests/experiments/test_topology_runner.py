@@ -11,6 +11,7 @@ from repro.experiments.cli import build_parser, main
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.runner import run_single, run_sweep
 from repro.topology import TopologyResult, grid_cells, run_topology_batch
+from tests.experiments.per_cell import per_cell_sweep
 
 SEEDS = (0, 1)
 INTERVALS = 40
@@ -36,7 +37,10 @@ class TestRunnerPlumbing:
     def test_batch_and_fused_agree(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            batch = _sweep("batch")
+            batch = per_cell_sweep(
+                "alpha*", VALUES, _spec, ["DB-DP", "FrameCSMA"], INTERVALS,
+                seeds=SEEDS, topology=_builder,
+            )
             fused = _sweep("fused")
         assert [p.policy for p in batch.points] == [
             p.policy for p in fused.points
@@ -47,7 +51,7 @@ class TestRunnerPlumbing:
     def test_non_capable_family_degrades_with_one_warning(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = _sweep("batch")
+            result = _sweep("fused")
         topo_warnings = [
             w for w in caught if "topology= is ignored" in str(w.message)
         ]
@@ -60,10 +64,10 @@ class TestRunnerPlumbing:
     def test_degraded_cells_match_topology_free_sweep(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            with_topo = _sweep("batch")
+            with_topo = _sweep("fused")
         plain = run_sweep(
             "alpha*", VALUES, _spec, ["FrameCSMA"], INTERVALS,
-            seeds=SEEDS, engine="batch",
+            seeds=SEEDS, engine="fused",
         )
         got = {
             p.parameter: p.total_deficiency

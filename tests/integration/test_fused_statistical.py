@@ -22,7 +22,7 @@ import pytest
 from repro import DBDPPolicy, LDFPolicy
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
-from repro.experiments.runner import run_sweep
+from tests.experiments.per_cell import per_cell_sweep
 
 SEEDS = tuple(range(24))
 INTERVALS = 400
@@ -45,7 +45,7 @@ def sweeps():
         seeds=SEEDS,
     )
     fused = run_sweep_fused(**kw)
-    per_cell = run_sweep(**kw, engine="batch")
+    per_cell = per_cell_sweep(**kw)
     return fused, per_cell
 
 

@@ -45,8 +45,6 @@ from repro import (
 )
 from repro.experiments.configs import video_symmetric_spec
 from repro.experiments.grid import run_sweep_fused
-from repro.experiments.parallel import run_sweep_parallel
-from repro.experiments.runner import run_sweep
 from repro.phy.channel import channel_from_spec
 from repro.sim import batch_kernels, perf, rng as rng_mod
 from repro.sim.batch_kernels import (
@@ -202,7 +200,7 @@ def test_concurrent_simulations_under_fast_thread_switching(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+        with ThreadPoolExecutor(len(cases)) as pool:
             futures = [
                 pool.submit(_simulate, case, "run", sim)
                 for case, sim in zip(cases, sims)
@@ -607,16 +605,19 @@ def test_forked_workers_run_after_the_parent_prefetched(monkeypatch):
         == run_sweep_fused(**topology).points
     )
 
+    # Each pooled shard equals the same shard run in this process (an
+    # unpicklable builder keeps the shards here).
     kwargs = dict(
         parameter_name="alpha",
         values=[0.4, 0.6],
-        spec_builder=small_builder,
         policies={"DB-DP": DBDPPolicy},
         num_intervals=80,
         seeds=(0, 1),
-        engine="batch",
+        shards=2,
     )
-    np.testing.assert_array_equal(
-        run_sweep(**kwargs).series("DB-DP"),
-        run_sweep_parallel(max_workers=2, **kwargs).series("DB-DP"),
-    )
+    pooled = run_sweep_fused(spec_builder=small_builder, **kwargs)
+    with pytest.warns(UserWarning, match="not picklable"):
+        local = run_sweep_fused(
+            spec_builder=lambda alpha: small_builder(alpha), **kwargs
+        )
+    assert pooled.points == local.points

@@ -292,7 +292,7 @@ class TestDpStateResolution:
             ),
             "run_sweep": lambda: run_sweep(
                 "alpha", [0.6], video_symmetric_spec, ["LDF"], 5,
-                engine="batch", dp_state="incremental",
+                dp_state="incremental",
             ),
             "run_sweep_fused": lambda: run_sweep_fused(
                 "alpha", [0.6], video_symmetric_spec, ["LDF"], 5,
@@ -394,15 +394,15 @@ class TestSweepLevelDpState:
             assert self._points(got) == self._points(base), mode
 
     def test_batch_sweep_is_invariant_to_dp_state(self):
-        from repro.experiments.runner import run_sweep
+        from tests.experiments.per_cell import per_cell_sweep
 
-        kw = dict(seeds=(0, 1), engine="batch")
-        base = run_sweep(
+        kw = dict(seeds=(0, 1))
+        base = per_cell_sweep(
             "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES, 40,
             **kw
         )
         with dp_path("incremental"):
-            got = run_sweep(
+            got = per_cell_sweep(
                 "alpha", [0.55, 0.65], video_symmetric_spec, self.POLICIES,
                 40, **kw
             )

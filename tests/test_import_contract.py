@@ -137,6 +137,31 @@ def test_help_lists_every_target():
     }
 
 
+def test_in_process_scalar_sweep_imports_no_pool():
+    """A scalar sweep without ``shards`` runs in this process: it loads
+    neither the orchestrator nor the process pool, with or without a
+    fault policy."""
+    report = _run("""
+        import json, sys
+        from repro import LDFPolicy
+        from repro.experiments.configs import video_symmetric_spec
+        from repro.experiments.faults import FaultPolicy
+        from repro.experiments.runner import run_sweep
+
+        for faults in (None, FaultPolicy(retries=1)):
+            run_sweep(
+                "alpha", [0.4, 0.6], video_symmetric_spec, {"LDF": LDFPolicy},
+                20, seeds=(0, 1), engine="scalar", faults=faults,
+            )
+        print(json.dumps([
+            m for m in ("repro.experiments.parallel",
+                        "concurrent.futures.process")
+            if m in sys.modules
+        ]))
+    """)
+    assert report == []
+
+
 def test_pools_started_before_the_parent_loads_the_engine():
     """Workers forked from a parent that has not imported the batch engine
     (nor started its draw thread) import it themselves and agree with the
@@ -145,16 +170,16 @@ def test_pools_started_before_the_parent_loads_the_engine():
         import json, sys
         from repro import DBDPPolicy
         from repro.experiments.configs import video_symmetric_spec
-        from repro.experiments.parallel import run_sweep_parallel
         from repro.experiments.runner import run_sweep
 
         before = "repro.sim.batch_kernels" in sys.modules
         kwargs = dict(
             parameter_name="alpha", values=[0.4, 0.6],
             spec_builder=video_symmetric_spec, policies={"DB-DP": DBDPPolicy},
-            num_intervals=40, seeds=(0, 1), engine="batch",
+            num_intervals=40, seeds=(0, 1),
         )
-        parallel = run_sweep_parallel(max_workers=2, **kwargs)
+        # rng="sync" makes the pooled fused shards equal the scalar sweep.
+        parallel = run_sweep(engine="fused", rng="sync", shards=2, **kwargs)
         after_pool = "repro.sim.batch_kernels" in sys.modules
 
         import functools

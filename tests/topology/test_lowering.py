@@ -217,7 +217,7 @@ def test_topology_sweep_group_deficiency_pinned():
         policies=["DB-DP", "LDF"],
         num_intervals=INTERVALS,
         seeds=(0, 1),
-        engine="batch",
+        engine="fused",
         topology=lambda spec: grid_cells(spec.num_links, 2, 0.3),
         groups=[0] * 10 + [1] * 10,
     )

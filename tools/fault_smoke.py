@@ -4,11 +4,15 @@
 Two phases, both scripted through the deterministic ``REPRO_FAULT_INJECT``
 hooks (no randomness, no timing races):
 
-1. **Kill-and-resume**: a parallel sweep is killed mid-run (a worker
-   ``os._exit``s while simulating one cell), leaving the first half of
-   the grid checkpointed in the on-disk sweep cache.  The drill then
-   clears the fault, resumes from the cache, and asserts the resumed
-   result is **bit-identical** to an uninterrupted sequential run.
+1. **Kill-and-resume**: a scalar sweep on a pool of two workers
+   (``run_sweep(engine="scalar", shards=2)``) is killed mid-run: the
+   worker simulating the grid's last cell ``os._exit``s on every
+   attempt.  Whichever cell shares the pool with it when it dies is
+   re-run alone before the strict abort, so exactly the other three
+   cells are checkpointed in the on-disk sweep cache under any schedule
+   of the two workers.  The drill then clears the fault, resumes from
+   the cache, and asserts the resumed result is **bit-identical** to an
+   uninterrupted in-process run.
 2. **Best-effort reporting**: a permanently failing cell under
    ``mode="best_effort"`` must yield a NaN point plus a structured
    ``SweepFailureReport`` naming exactly that (value, policy) cell.
@@ -40,11 +44,10 @@ from repro.experiments.faults import (  # noqa: E402
     FaultPolicy,
     SweepCellError,
 )
-from repro.experiments.parallel import run_sweep_parallel  # noqa: E402
 from repro.experiments.runner import run_sweep  # noqa: E402
 
 VALUES = [0.4, 0.5, 0.6, 0.7]
-KILL_AT = 0.6  # the third cell: two cells are checkpointed before the kill
+KILL_AT = 0.7  # the last cell: the three others are checkpointed
 
 
 def smoke_builder(alpha: float):
@@ -64,7 +67,7 @@ def sweep_kwargs(num_intervals: int) -> dict:
 
 def drill_kill_and_resume(num_intervals: int, report: dict) -> None:
     kwargs = sweep_kwargs(num_intervals)
-    print("[fault-smoke] reference run (sequential, uncached)...")
+    print("[fault-smoke] reference run (in-process, uncached)...")
     reference = run_sweep(**kwargs)
 
     with tempfile.TemporaryDirectory(prefix="fault_smoke_") as tmp:
@@ -72,10 +75,9 @@ def drill_kill_and_resume(num_intervals: int, report: dict) -> None:
         print(f"[fault-smoke] killing the worker at LDF alpha={KILL_AT}...")
         os.environ[ENV_FAULT_INJECT] = f"kill:LDF:{KILL_AT}"
         try:
-            # max_workers=1 serializes the cells, so the kill lands after
-            # the first two cells were checkpointed — a sweep killed at 50%.
-            run_sweep_parallel(
-                max_workers=1,
+            run_sweep(
+                engine="scalar",
+                shards=2,
                 cache=cache,
                 faults=FaultPolicy(retries=0, backoff_base=0.0),
                 **kwargs,
@@ -88,15 +90,17 @@ def drill_kill_and_resume(num_intervals: int, report: dict) -> None:
         finally:
             del os.environ[ENV_FAULT_INJECT]
         checkpointed = cache.stores
-        assert checkpointed == 2, (
-            f"expected exactly the 2 pre-kill cells checkpointed, "
+        assert checkpointed == 3, (
+            f"expected exactly the 3 healthy cells checkpointed, "
             f"got {checkpointed}"
         )
 
         print("[fault-smoke] resuming from the checkpointed cells...")
-        resumed = run_sweep_parallel(max_workers=1, cache=cache, **kwargs)
-        assert cache.hits == 2, (
-            f"expected the 2 checkpointed cells served warm, "
+        resumed = run_sweep(
+            engine="scalar", shards=2, cache=cache, **kwargs
+        )
+        assert cache.hits == 3, (
+            f"expected the 3 checkpointed cells served warm, "
             f"got {cache.hits} hits"
         )
         mismatches = [
@@ -122,8 +126,9 @@ def drill_best_effort_report(num_intervals: int, report: dict) -> None:
     print("[fault-smoke] best-effort run with a permanently failing cell...")
     os.environ[ENV_FAULT_INJECT] = f"raise:LDF:{KILL_AT}"
     try:
-        result = run_sweep_parallel(
-            max_workers=2,
+        result = run_sweep(
+            engine="scalar",
+            shards=2,
             faults=FaultPolicy(
                 retries=1, backoff_base=0.0, mode="best_effort"
             ),
